@@ -12,6 +12,16 @@ Representations:
                       coefficients of 1, x, ..., x^{k-1} modulo a fixed
                       irreducible monic modulus
 
+These element classes are the public representation.  Polynomial
+arithmetic (poly.py) runs on the int-coded kernel of kernel.py instead,
+obtained from ``field._kernel()``, and converts with ``_encode``/``_decode``
+at the ``Poly`` boundary: F_p codes a coefficient as its residue; F_{p^k}
+with q <= ``kernel.ZECH_MAX_ORDER`` (4096) codes it as its discrete log to
+a primitive element, from log/Zech tables built on first use and kept on
+the field.  Element multiplication, ``_inv`` and ``__pow__`` of such a
+field read the same tables.
+Larger F_{p^k} (and QQ) have no kernel and stay on element arithmetic.
+
 The modulus of F_{p^k} is deterministic: monic x^k + c with the non-leading
 coefficient block c enumerated as a base-p counter (constant term least
 significant), first irreducible wins.  Embeddings F_{p^a} -> F_{p^b} for
@@ -20,6 +30,9 @@ modulus in F_{p^b}, so coercions are reproducible across runs.
 """
 
 from fractions import Fraction
+
+from .kernel import (ZECH_MAX_ORDER, FpKernel, ZechKernel, _prime_divisors,
+                     _tdivmod, _tgcd, _tmul, _tpowmod, _tstrip)
 
 
 class FieldError(ValueError):
@@ -86,6 +99,9 @@ class Rationals:
 
     def contains(self, x):
         return isinstance(x, Fraction)
+
+    def _kernel(self):
+        return None
 
     def encode_int(self, x):
         # injective-enough mix for seeding deterministic randomness
@@ -240,8 +256,18 @@ class PrimeField:
             inst.zero = FpElement(0, inst)
             inst.one = FpElement(1, inst)
             inst._nonresidue = None
+            inst._fp_kernel = FpKernel(p)
             cls._registry[p] = inst
         return inst
+
+    def _kernel(self):
+        return self._fp_kernel
+
+    def _encode(self, coeffs):
+        return tuple([c.value for c in coeffs])
+
+    def _decode(self, code):
+        return tuple([FpElement(v, self) for v in code])
 
     def elem(self, x):
         if isinstance(x, FpElement):
@@ -344,66 +370,6 @@ def _tonelli(a, p):
     return r
 
 
-# -- raw coefficient-tuple kernels used by ExtField ------------------------
-# Polynomials over F_p as int tuples, lowest degree first, for modulus
-# search and extension arithmetic.  The public Poly class in poly.py is
-# element-based; these stay on raw ints for speed.
-
-def _tstrip(c):
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _tmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _tstrip(out)
-
-
-def _tmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        off = len(a) - 1 - dm
-        for i in range(dm + 1):
-            a[off + i] = (a[off + i] - c * m[i]) % p
-        a.pop()
-    return _tstrip(a)
-
-
-def _tpowmod(a, e, m, p):
-    r = (1,)
-    a = _tmod(a, m, p)
-    while e:
-        if e & 1:
-            r = _tmod(_tmul(r, a, p), m, p)
-        a = _tmod(_tmul(a, a, p), m, p)
-        e >>= 1
-    return r
-
-
-def _tgcd(a, b, p):
-    a, b = _tstrip(a), _tstrip(b)
-    while b:
-        a, b = b, _tmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
 def _t_irreducible(f, p):
     # Rabin test: x^(p^k) = x mod f, and gcd(x^(p^(k/r)) - x, f) = 1
     k = len(f) - 1
@@ -424,19 +390,6 @@ def _zipc(a, b):
     a = tuple(a) + (0,) * (n - len(a))
     b = tuple(b) + (0,) * (n - len(b))
     return zip(a, b)
-
-
-def _prime_divisors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class ExtElement:
@@ -509,6 +462,14 @@ class ExtElement:
 
     def __pow__(self, e):
         f = self.field
+        z = f._kernel()
+        if z is not None:
+            n = z.log[self.coeffs]
+            if n >= 0:
+                return f._elems[n * e % z.n]
+            if e < 0:
+                raise ZeroDivisionError("division by zero in extension field")
+            return f.one if e == 0 else f.zero
         if e < 0:
             base = f._inv(self.coeffs)
             e = -e
@@ -578,6 +539,8 @@ class ExtField:
             inst.gen = ExtElement(((0, 1) + (0,) * (k - 2))[:k], inst)
             inst._nonresidue = None
             inst._emb_cache = {}
+            inst._zech = None      # ZechKernel, built by _kernel()
+            inst._elems = None     # log -> element, zero last (log -1)
             cls._registry[(p, k)] = inst
         return inst
 
@@ -616,6 +579,14 @@ class ExtField:
         return tuple(out[:k])
 
     def _mul(self, a, b):
+        z = self._zech
+        if z is not None:
+            la, lb = z.log[a], z.log[b]
+            if la < 0 or lb < 0:
+                return self.zero.coeffs
+            return z.exp[(la + lb) % z.n]
+        # schoolbook product reduced by the modulus: fields without tables,
+        # and the ZechKernel constructor (it runs before _zech is set)
         p, k = self.p, self.k
         conv = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
@@ -631,7 +602,29 @@ class ExtField:
                     out[i] = (out[i] + c * row[i]) % p
         return tuple(out)
 
+    def _kernel(self):
+        """Zech-log kernel of a field with q <= ZECH_MAX_ORDER, else None."""
+        z = self._zech
+        if z is None and self.order <= ZECH_MAX_ORDER:
+            z = self._zech = ZechKernel(self.p, self.k, self._mul)
+            self._elems = [ExtElement(v, self) for v in z.exp] + [self.zero]
+        return z
+
+    def _encode(self, coeffs):
+        log = self._zech.log
+        return tuple([log[c.coeffs] for c in coeffs])
+
+    def _decode(self, code):
+        elems = self._elems
+        return tuple([elems[v] for v in code])
+
     def _inv(self, a):
+        z = self._kernel()
+        if z is not None:
+            n = z.log[a]
+            if n < 0:
+                raise ZeroDivisionError("division by zero in extension field")
+            return z.exp[-n % z.n]
         a = _tstrip(a)
         if not a:
             raise ZeroDivisionError("division by zero in extension field")
@@ -777,26 +770,6 @@ class ExtField:
 
     def __hash__(self):
         return hash(("Fq", self.p, self.k))
-
-
-def _tdivmod(a, b, p):
-    a, b = list(a), _tstrip(b)
-    if not b:
-        raise ZeroDivisionError
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        q[len(a) - 1 - db] = c
-        off = len(a) - 1 - db
-        for i in range(db + 1):
-            a[off + i] = (a[off + i] - c * b[i]) % p
-        a.pop()
-    return _tstrip(q), _tstrip(a)
 
 
 def field_from_json(obj):

@@ -6,6 +6,14 @@ field explicitly; mixing fields raises.  Factorization and root finding
 are implemented for finite fields only (squarefree split, distinct-degree,
 then Cantor-Zassenhaus equal-degree splitting, seeded deterministically
 from the input so results are reproducible).
+
+Coefficients are field elements, but over a field with an int-coded kernel
+(``field._kernel()``, see kernel.py) the hot loops -- ``*``, ``divmod``,
+``%``, ``//``, ``powmod`` and ``poly_gcd`` -- run on int codes: residues
+for F_p, Zech logarithms for F_{p^k} with q <= 4096.  A Poly encodes its
+coefficients once, on first use, and keeps the codes; results are decoded
+back to elements.  Larger extension fields and QQ use element arithmetic.
+The results are the same polynomials either way.
 """
 
 import random
@@ -18,7 +26,7 @@ class ExtensionCapError(RuntimeError):
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_code")
 
     def __init__(self, field, coeffs):
         cs = [field.elem(c) if not field.contains(c) else c for c in coeffs]
@@ -27,6 +35,22 @@ class Poly:
             n -= 1
         self.field = field
         self.coeffs = tuple(cs[:n])
+        self._code = None
+
+    @classmethod
+    def _from_code(cls, field, code):
+        """Poly from the kernel's int codes (stripped) of ``field``."""
+        out = object.__new__(cls)
+        out.field = field
+        out.coeffs = field._decode(code)
+        out._code = code
+        return out
+
+    def _encoded(self):
+        code = self._code
+        if code is None:
+            code = self._code = self.field._encode(self.coeffs)
+        return code
 
     @classmethod
     def zero(cls, field):
@@ -91,6 +115,10 @@ class Poly:
         other = self._check(other)
         if not self.coeffs or not other.coeffs:
             return Poly.zero(self.field)
+        kernel = self.field._kernel()
+        if kernel is not None:
+            return Poly._from_code(self.field,
+                                   kernel.mul(self._encoded(), other._encoded()))
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -113,6 +141,10 @@ class Poly:
         other = self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        kernel = self.field._kernel()
+        if kernel is not None:
+            q, r = kernel.divmod(self._encoded(), other._encoded())
+            return Poly._from_code(self.field, q), Poly._from_code(self.field, r)
         rem = list(self.coeffs)
         db = other.degree
         inv = self.field.one / other.lead()
@@ -133,6 +165,11 @@ class Poly:
         return self.divmod(other)[0]
 
     def __mod__(self, other):
+        kernel = self.field._kernel()
+        if kernel is not None:
+            other = self._check(other)
+            return Poly._from_code(self.field,
+                                   kernel.mod(self._encoded(), other._encoded()))
         return self.divmod(other)[1]
 
     def __eq__(self, other):
@@ -196,6 +233,9 @@ def poly_gcd(a, b):
     """Monic greatest common divisor; rejects mixed-field inputs."""
     if a.field != b.field:
         raise FieldError("mixed-field inputs to gcd")
+    kernel = a.field._kernel()
+    if kernel is not None:
+        return Poly._from_code(a.field, kernel.gcd(a._encoded(), b._encoded()))
     while b:
         a, b = b, a % b
     return a.monic()
@@ -219,6 +259,13 @@ def poly_xgcd(a, b):
 
 
 def powmod(base, e, mod):
+    """base^e mod ``mod``, for e >= 0 (e = 0 gives 1, unreduced)."""
+    kernel = base.field._kernel()
+    if kernel is not None and mod.field == base.field:
+        return Poly._from_code(base.field,
+                               kernel.powmod(base._encoded(), e, mod._encoded()))
+    if e < 0:
+        raise ValueError("negative exponent")
     r = Poly.one(base.field)
     base = base % mod
     while e:

@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 all verdicts pass; 2 a theorem-check verdict failed;
-3 unsupported configuration; 4 I/O or parse errors.
+3 unsupported configuration; 4 I/O or parse errors.  Any other exception,
+among them ``FieldError`` and ``NotInSmoothLocusError``, is a fault of the
+library rather than of the configuration: it propagates with its traceback
+(exit status 1).
 """
 
 import argparse
 import json
 import sys
 
+from .algebra.fields import FieldError
 from .curves import CurveError, ValidationInconclusive, validate
 from .gauss import UnsupportedConfiguration
 from .harness import (
@@ -18,6 +22,7 @@ from .harness import (
     run_reconstruct,
     write_report,
 )
+from .spans import NotInSmoothLocusError
 
 EXIT_OK = 0
 EXIT_VERDICT = 2
@@ -138,6 +143,8 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    except (FieldError, NotInSmoothLocusError):
+        raise
     except ValueError as e:
         print(f"unsupported configuration: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED

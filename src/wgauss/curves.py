@@ -1644,19 +1644,27 @@ def validate(description):
     if isinstance(description, (HyperellipticCurve, PlaneQuarticCurve, CanonicalG4Curve)):
         return description
     model = description.get("model")
-    field = field_from_json(description["field"])
+    if model not in ("hyperelliptic", "plane_quartic", "canonical_g4"):
+        raise CurveError(f"unknown model {model!r}")
+    # a field or coefficient the description cannot supply is a fault of
+    # the description, not of the library
+    try:
+        field = field_from_json(description["field"])
+        if model == "hyperelliptic":
+            f = [field.from_json(c) for c in description["f"]]
+        elif model == "plane_quartic":
+            form = HomForm.from_json(field, 3, 4, description["form"])
+        else:
+            forms = description["forms"]
+            quad = HomForm.from_json(field, 4, 2, forms["quadric"])
+            cub = HomForm.from_json(field, 4, 3, forms["cubic"])
+    except FieldError as e:
+        raise CurveError(f"invalid curve description: {e}") from e
     if model == "hyperelliptic":
-        f = [field.from_json(c) for c in description["f"]]
         return HyperellipticCurve(field, f)
     if model == "plane_quartic":
-        form = HomForm.from_json(field, 3, 4, description["form"])
         return PlaneQuarticCurve(field, form)
-    if model == "canonical_g4":
-        forms = description["forms"]
-        quad = HomForm.from_json(field, 4, 2, forms["quadric"])
-        cub = HomForm.from_json(field, 4, 3, forms["cubic"])
-        return CanonicalG4Curve(field, quad, cub)
-    raise CurveError(f"unknown model {model!r}")
+    return CanonicalG4Curve(field, quad, cub)
 
 
 def curve_to_json(curve):
@@ -1670,27 +1678,3 @@ def curve_from_json(obj):
 def curve_hash(curve):
     blob = json.dumps(curve.describe(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def sample_point(curve, seed):
-    """Deterministic point sample from an integer seed."""
-    rng = random.Random(seed)
-    return curve.sample_point(rng)
-
-
-def involution(curve, P):
-    return curve.involution(P)
-
-
-def weierstrass_points(curve, cap=12):
-    if curve.model != "hyperelliptic":
-        raise CurveError("Weierstrass points require a hyperelliptic model")
-    return curve.weierstrass_points(cap=cap)
-
-
-def canonical_coords(curve, P):
-    return curve.canonical_coords(P)
-
-
-def local_param(curve, P, order):
-    return curve.local_series(P, order)

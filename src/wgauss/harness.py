@@ -390,10 +390,3 @@ def write_report(report, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(blob)
     return blob
-
-
-# command-style aliases matching the CLI subcommands
-cmd_fiber_census = run_fiber_census
-cmd_locus_census = run_locus_census
-cmd_reconstruct = run_reconstruct
-cmd_bn_table = run_bn_table

@@ -197,3 +197,63 @@ def test_oracle_matches_planted_structure():
         D = sample_smooth_divisor(curve, 2, rng)
         got = multiple_locus_oracle(curve, D, 2)
         assert got == in_multiple_locus(D)
+
+
+def _fake_runner(result):
+    def run(cfg):
+        if isinstance(result, BaseException):
+            raise result
+        return result
+    return run
+
+
+@pytest.mark.parametrize("outcome, code", [
+    ({"passed": True}, 0),
+    ({"passed": False}, 2),
+    ("unsupported", 3),
+    (ValueError("degree 9 out of range 1..2"), 3),
+])
+def test_cli_exit_paths(tmp_path, monkeypatch, outcome, code):
+    from wgauss import cli
+    from wgauss.gauss import UnsupportedConfiguration
+    if outcome == "unsupported":
+        outcome = UnsupportedConfiguration("no intersection divisor")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(HE_G3))
+    monkeypatch.setattr(cli, "run_fiber_census", _fake_runner(outcome))
+    assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == code
+
+
+def test_cli_io_exit_paths(tmp_path):
+    from wgauss import cli
+    assert cli.main(["fiber-census", "--curve", str(tmp_path / "nope.json"),
+                     "--n", "2"]) == 4
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    assert cli.main(["fiber-census", "--curve", str(broken), "--n", "2"]) == 4
+
+
+def test_cli_bad_field_is_a_curve_error(tmp_path):
+    from wgauss import cli
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps({"model": "hyperelliptic",
+                                "field": {"type": "prime", "p": 4},
+                                "f": [0, -1, 0, 0, 0, 0, 0, 1]}))
+    assert cli.main(["curve", "validate", str(path)]) == 2
+    assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == 3
+
+
+@pytest.mark.parametrize("error", ["field", "smooth-locus"])
+def test_cli_library_faults_surface(tmp_path, monkeypatch, error):
+    # a FieldError or NotInSmoothLocusError escaping a run is a library
+    # fault, not an unsupported configuration: main() lets it propagate
+    from wgauss import cli
+    from wgauss.algebra import FieldError
+    from wgauss.spans import NotInSmoothLocusError
+    exc = (FieldError("mixed prime fields") if error == "field"
+           else NotInSmoothLocusError("span has the wrong dimension"))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(HE_G3))
+    monkeypatch.setattr(cli, "run_locus_census", _fake_runner(exc))
+    with pytest.raises(type(exc)):
+        cli.main(["locus-census", "--curve", str(path), "--n", "2"])

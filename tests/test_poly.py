@@ -15,6 +15,7 @@ from wgauss.algebra import (
     factor_finite,
     poly_gcd,
     poly_xgcd,
+    powmod,
     resultant,
     roots_in_field,
     roots_in_splitting_extension,
@@ -242,3 +243,241 @@ def test_poly_eval_and_arith_over_qq():
     a = Poly(QQ, ["1/2", 0, 1])
     assert a(QQ.elem(2)) == QQ.elem("9/2")
     assert (a * a).degree == 4
+
+
+# -- int-coded kernel against a schoolbook element-level reference ----------
+# The reference works on coefficient vectors (length 1 for F_p) with its own
+# field arithmetic: vector convolution reduced by the field's modulus, and
+# inversion as a^(q-2).  It shares no code with the kernel or its tables.
+
+KERNEL_FIELDS = [F7, F10007, ExtField(7, 2), ExtField(7, 3), ExtField(7, 4),
+                 ExtField(10007, 2)]
+
+
+def _vec(c):
+    return (c.value,) if hasattr(c, "value") else c.coeffs
+
+
+def _ref_fadd(F, a, b):
+    return tuple((x + y) % F.char for x, y in zip(a, b))
+
+
+def _ref_fneg(F, a):
+    return tuple(-x % F.char for x in a)
+
+
+def _ref_fmul(F, a, b):
+    p, k = F.char, F.degree
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    if k > 1:
+        m = F.modulus                     # monic, length k + 1
+        for top in range(2 * k - 2, k - 1, -1):
+            c = conv[top]
+            for i in range(k + 1):
+                conv[top - k + i] -= c * m[i]
+    return tuple(x % p for x in conv[:k])
+
+
+def _ref_finv(F, a):
+    assert any(a)
+    r, e = (1,) + (0,) * (F.degree - 1), F.order - 2
+    while e:
+        if e & 1:
+            r = _ref_fmul(F, r, a)
+        a = _ref_fmul(F, a, a)
+        e >>= 1
+    return r
+
+
+def _ref_strip(F, c):
+    c = list(c)
+    while c and not any(c[-1]):
+        c.pop()
+    return c
+
+
+def _ref_mul(F, a, b):
+    zero = (0,) * F.degree
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = _ref_fadd(F, out[i + j], _ref_fmul(F, x, y))
+    return _ref_strip(F, out)
+
+
+def _ref_divmod(F, a, b):
+    zero = (0,) * F.degree
+    inv = _ref_finv(F, b[-1])
+    r, q = list(a), [zero] * max(0, len(a) - len(b) + 1)
+    while len(r) >= len(b):
+        c = _ref_fmul(F, r[-1], inv)
+        off = len(r) - len(b)
+        q[off] = c
+        for i, y in enumerate(b):
+            r[off + i] = _ref_fadd(F, r[off + i], _ref_fneg(F, _ref_fmul(F, c, y)))
+        r.pop()
+        r = _ref_strip(F, r)
+    return _ref_strip(F, q), r
+
+
+def _ref_powmod(F, a, e, m):
+    r = [(1,) + (0,) * (F.degree - 1)]
+    a = _ref_divmod(F, a, m)[1]
+    while e:
+        if e & 1:
+            r = _ref_divmod(F, _ref_mul(F, r, a), m)[1]
+        a = _ref_divmod(F, _ref_mul(F, a, a), m)[1]
+        e >>= 1
+    return r
+
+
+def _ref_gcd(F, a, b):
+    while b:
+        a, b = b, _ref_divmod(F, a, b)[1]
+    if not a:
+        return a
+    inv = _ref_finv(F, a[-1])
+    return [_ref_fmul(F, c, inv) for c in a]
+
+
+def _poly_of_codes(F, codes):
+    """Poly whose coefficients are the field elements numbered by ``codes``
+    (base-p digits, constant term least significant)."""
+    cs = []
+    for v in codes:
+        digits = []
+        for _ in range(F.degree):
+            digits.append(v % F.char)
+            v //= F.char
+        cs.append(F.elem(digits[0]) if F.degree == 1 else F.elem(digits))
+    return Poly(F, cs)
+
+
+def _vecs(a):
+    return [_vec(c) for c in a.coeffs]
+
+
+kernel_field = st.sampled_from(KERNEL_FIELDS)
+codes = st.lists(st.integers(0, 10007 ** 2 - 1), max_size=8)
+
+
+def _draw_poly(F, raw):
+    return _poly_of_codes(F, [v % F.order for v in raw])
+
+
+@given(kernel_field, codes, codes)
+@settings(max_examples=80, deadline=None)
+def test_kernel_mul_matches_reference(F, ra, rb):
+    a, b = _draw_poly(F, ra), _draw_poly(F, rb)
+    assert _vecs(a * b) == _ref_mul(F, _vecs(a), _vecs(b))
+    assert _vecs(a * a) == _ref_mul(F, _vecs(a), _vecs(a))
+
+
+@given(kernel_field, codes, codes)
+@settings(max_examples=80, deadline=None)
+def test_kernel_divmod_matches_reference(F, ra, rb):
+    a, b = _draw_poly(F, ra), _draw_poly(F, rb)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    q, r = a.divmod(b)
+    assert (_vecs(q), _vecs(r)) == _ref_divmod(F, _vecs(a), _vecs(b))
+    assert a % b == r and a // b == q
+
+
+@given(kernel_field, codes, codes.filter(any), st.integers(0, 60))
+@settings(max_examples=80, deadline=None)
+def test_kernel_powmod_matches_reference(F, ra, rm, e):
+    a, m = _draw_poly(F, ra), _draw_poly(F, rm)
+    if m.is_zero():
+        return
+    assert _vecs(powmod(a, e, m)) == _ref_powmod(F, _vecs(a), e, _vecs(m))
+
+
+@given(kernel_field, codes, codes, codes)
+@settings(max_examples=80, deadline=None)
+def test_kernel_gcd_matches_reference(F, ra, rb, rc):
+    # a shared factor c makes nontrivial gcds common
+    c = _draw_poly(F, rc)
+    a, b = _draw_poly(F, ra) * c, _draw_poly(F, rb) * c
+    assert _vecs(poly_gcd(a, b)) == _ref_gcd(F, _vecs(a), _vecs(b))
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+def test_kernel_powmod_edge_cases(F):
+    rng = random.Random(12)
+    one = [(1,) + (0,) * (F.degree - 1)]
+    base = rand_poly(F, 4, rng)
+    nonmonic = rand_poly(F, 3, rng)
+    while nonmonic.lead() == F.one:
+        nonmonic = rand_poly(F, 3, rng)
+    unit = Poly(F, [nonmonic.lead()])                 # modulus of degree 0
+    zero = Poly.zero(F)
+    cases = [(base, 0, nonmonic), (zero, 0, nonmonic), (zero, 5, nonmonic),
+             (base, 0, unit), (base, 7, unit), (base, 1, nonmonic),
+             (base, F.order, nonmonic)]
+    for a, e, m in cases:
+        got = powmod(a, e, m)
+        assert _vecs(got) == _ref_powmod(F, _vecs(a), e, _vecs(m))
+    # e = 0 gives 1 even where the modulus is a unit, as the schoolbook does
+    assert _vecs(powmod(base, 0, unit)) == one
+    with pytest.raises(ZeroDivisionError):
+        powmod(base, 3, zero)
+    with pytest.raises(ValueError):
+        powmod(base, -1, nonmonic)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_zech_tables(k):
+    F = ExtField(7, k)
+    z = F._kernel()
+    n = F.order - 1
+    assert z is not None and z.n == n
+    powers, cur = [], F.one.coeffs
+    for _ in range(n):
+        powers.append(cur)
+        cur = _ref_fmul(F, cur, z.gen)
+    # g^0, ..., g^(q-2) are distinct and g^(q-1) = 1: g has order q - 1
+    assert cur == F.one.coeffs and len(set(powers)) == n
+    # exp and log are inverse bijections between [0, q-1) and F_q^*
+    assert z.exp == powers
+    assert sorted(z.log) == sorted(_vec(x) for x in F.elements())
+    assert all(z.log[v] == i for i, v in enumerate(z.exp))
+    assert z.log[F.zero.coeffs] == -1
+    # Zech table: g^Z(i) = 1 + g^i, and -1 where 1 + g^i = 0
+    for i in range(n):
+        s = _ref_fadd(F, z.exp[i], F.one.coeffs)
+        assert z.zech[i] == z.zech[i + n] == (z.log[s] if any(s) else -1)
+
+
+def test_large_extension_has_no_kernel():
+    assert ExtField(10007, 2)._kernel() is None
+    assert ExtField(7, 5)._kernel() is None          # q = 16807 > 4096
+    assert ExtField(7, 4)._kernel() is not None      # q = 2401
+    assert QQ._kernel() is None
+
+
+@pytest.mark.parametrize("F", [ExtField(7, 3), ExtField(7, 5)], ids=repr)
+def test_ext_inverse_and_power_match_reference(F):
+    rng = random.Random(13)
+    for _ in range(30):
+        a = F.rand(rng)
+        if not a:
+            continue
+        inv = F.one / a
+        assert inv.coeffs == _ref_finv(F, a.coeffs)
+        assert (a ** -3).coeffs == _ref_fmul(F, inv.coeffs, _ref_fmul(F, inv.coeffs, inv.coeffs))
+        assert (a ** 5).coeffs == _ref_fmul(F, a.coeffs, _ref_fmul(
+            F, _ref_fmul(F, a.coeffs, a.coeffs), _ref_fmul(F, a.coeffs, a.coeffs)))
+        assert (a * a).coeffs == _ref_fmul(F, a.coeffs, a.coeffs)
+    assert F.zero ** 0 == F.one and F.zero ** 3 == F.zero
+    with pytest.raises(ZeroDivisionError):
+        F.one / F.zero
+    with pytest.raises(ZeroDivisionError):
+        F.zero ** -1
