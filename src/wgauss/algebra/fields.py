@@ -13,26 +13,37 @@ Representations:
                       irreducible monic modulus
 
 These element classes are the public representation.  Polynomial
-arithmetic (poly.py) runs on the int-coded kernel of kernel.py instead,
+arithmetic (poly.py) runs on an int-coded kernel of kernel.py instead,
 obtained from ``field._kernel()``, and converts with ``_encode``/``_decode``
-at the ``Poly`` boundary: F_p codes a coefficient as its residue; F_{p^k}
-with q <= ``kernel.ZECH_MAX_ORDER`` (4096) codes it as its discrete log to
-a primitive element, from log/Zech tables built on first use and kept on
-the field.  Element multiplication, ``_inv`` and ``__pow__`` of such a
-field read the same tables.
-Larger F_{p^k} (and QQ) have no kernel and stay on element arithmetic.
+at the ``Poly`` boundary.  The field picks one of three codings by its
+size: F_p codes a coefficient as its residue; F_{p^k} with
+q <= ``kernel.ZECH_MAX_ORDER`` (4096) as its discrete log to a primitive
+element, from log/Zech tables built on first use and kept on the field;
+larger F_{p^k} as its own coefficient tuple, with Kronecker products and
+no tables.  Element multiplication, ``_inv`` and ``__pow__`` read the log
+tables of a small field and use the tuple kernel's ``fmul``/``finv``/
+``fpow`` otherwise.  QQ has no kernel.
 
 The modulus of F_{p^k} is deterministic: monic x^k + c with the non-leading
 coefficient block c enumerated as a base-p counter (constant term least
 significant), first irreducible wins.  Embeddings F_{p^a} -> F_{p^b} for
 a | b send the generator to the lexicographically least root of the degree-a
 modulus in F_{p^b}, so coercions are reproducible across runs.
+
+Two closed forms keep the set-up of a large field cheap without changing
+its answers.  The binomials x^k + c, c < p, come first in counter order and
+are decided by Capelli's theorem (``_binomial_irreducible``), so Rabin's
+test runs only on the later candidates.  ``nonresidue()``, the first
+non-square in ``elements()`` order, uses a^((q-1)/2) = (a^((p-1)/2))^k for
+a in F_p: for odd k it is F_p's non-residue, and for even k, where every
+constant is a square, the search starts after the p constants.
 """
 
+import math
 from fractions import Fraction
 
-from .kernel import (ZECH_MAX_ORDER, FpKernel, ZechKernel, _prime_divisors,
-                     _tdivmod, _tgcd, _tmul, _tpowmod, _tstrip)
+from .kernel import (ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel,
+                     _prime_divisors, _tgcd, _tpowmod, _tsub)
 
 
 class FieldError(ValueError):
@@ -142,7 +153,6 @@ class Rationals:
 
 
 def _isqrt(n):
-    import math
     return math.isqrt(n)
 
 
@@ -374,22 +384,30 @@ def _t_irreducible(f, p):
     # Rabin test: x^(p^k) = x mod f, and gcd(x^(p^(k/r)) - x, f) = 1
     k = len(f) - 1
     x = (0, 1)
-    xq = _tpowmod(x, p ** k, f, p)
-    if _tstrip(tuple((a - b) % p for a, b in _zipc(xq, x))) != ():
+    if _tsub(_tpowmod(x, p ** k, f, p), x, p):
         return False
     for r in _prime_divisors(k):
         xe = _tpowmod(x, p ** (k // r), f, p)
-        d = _tgcd(tuple((a - b) % p for a, b in _zipc(xe, x)), f, p)
-        if len(d) != 1:
+        if len(_tgcd(_tsub(xe, x, p), f, p)) != 1:
             return False
     return True
 
 
-def _zipc(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return zip(a, b)
+def _binomial_irreducible(a, k, p):
+    """Whether x^k - a, a != 0, is irreducible over F_p.
+
+    Capelli's theorem (Lidl & Niederreiter, Finite Fields, Thm 3.75 in
+    another form): if and only if a is not an r-th power for any prime r | k
+    and, when 4 | k, a is not in -4 F_p^4.
+    """
+    for r in _prime_divisors(k):
+        if pow(a, (p - 1) // math.gcd(r, p - 1), p) == 1:
+            return False
+    if k % 4 == 0:
+        b = -a * pow(4, -1, p) % p
+        if pow(b, (p - 1) // math.gcd(4, p - 1), p) == 1:
+            return False
+    return True
 
 
 class ExtElement:
@@ -422,7 +440,7 @@ class ExtElement:
         if v is None:
             return NotImplemented
         p = self.field.p
-        return ExtElement(tuple((a + b) % p for a, b in zip(self.coeffs, v)), self.field)
+        return ExtElement(tuple([(a + b) % p for a, b in zip(self.coeffs, v)]), self.field)
 
     __radd__ = __add__
 
@@ -431,14 +449,14 @@ class ExtElement:
         if v is None:
             return NotImplemented
         p = self.field.p
-        return ExtElement(tuple((a - b) % p for a, b in zip(self.coeffs, v)), self.field)
+        return ExtElement(tuple([(a - b) % p for a, b in zip(self.coeffs, v)]), self.field)
 
     def __rsub__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
         p = self.field.p
-        return ExtElement(tuple((b - a) % p for a, b in zip(self.coeffs, v)), self.field)
+        return ExtElement(tuple([(b - a) % p for a, b in zip(self.coeffs, v)]), self.field)
 
     def __mul__(self, other):
         v = self._coerce(other)
@@ -462,8 +480,8 @@ class ExtElement:
 
     def __pow__(self, e):
         f = self.field
-        z = f._kernel()
-        if z is not None:
+        if f.order <= ZECH_MAX_ORDER:
+            z = f._kernel()
             n = z.log[self.coeffs]
             if n >= 0:
                 return f._elems[n * e % z.n]
@@ -471,21 +489,12 @@ class ExtElement:
                 raise ZeroDivisionError("division by zero in extension field")
             return f.one if e == 0 else f.zero
         if e < 0:
-            base = f._inv(self.coeffs)
-            e = -e
-        else:
-            base = self.coeffs
-        r = f.one.coeffs
-        while e:
-            if e & 1:
-                r = f._mul(r, base)
-            base = f._mul(base, base)
-            e >>= 1
-        return ExtElement(r, f)
+            return ExtElement(f._tuples.fpow(f._inv(self.coeffs), -e), f)
+        return ExtElement(f._tuples.fpow(self.coeffs, e), f)
 
     def __neg__(self):
         p = self.field.p
-        return ExtElement(tuple((-a) % p for a in self.coeffs), self.field)
+        return ExtElement(tuple([(-a) % p for a in self.coeffs]), self.field)
 
     def __eq__(self, other):
         if isinstance(other, ExtElement):
@@ -526,20 +535,15 @@ class ExtField:
             inst.char = p
             inst.order = p ** k
             inst.modulus = inst._find_modulus(p, k)
-            # reduction table: x^(k+j) mod m, j = 0..k-2
-            red = []
-            cur = tuple((-c) % p for c in inst.modulus[:k])  # x^k
-            red.append(cur)
-            for _ in range(k - 2):
-                cur = inst._reduce_shift(cur)
-                red.append(cur)
-            inst._red = red
+            # element arithmetic of every extension field, and the polynomial
+            # kernel of those with q > ZECH_MAX_ORDER; it builds no tables
+            inst._tuples = TupleKernel(p, k, inst.modulus)
             inst.zero = ExtElement((0,) * k, inst)
             inst.one = ExtElement((1,) + (0,) * (k - 1), inst)
             inst.gen = ExtElement(((0, 1) + (0,) * (k - 2))[:k], inst)
             inst._nonresidue = None
             inst._emb_cache = {}
-            inst._zech = None      # ZechKernel, built by _kernel()
+            inst._zech = None      # ZechKernel of a small field, built by _kernel()
             inst._elems = None     # log -> element, zero last (log -1)
             cls._registry[(p, k)] = inst
         return inst
@@ -547,36 +551,26 @@ class ExtField:
     @staticmethod
     def _find_modulus(p, k):
         # base-p counter over the non-leading coefficients, constant term
-        # least significant; first irreducible monic wins
-        import math
-        d = math.gcd(k, p - 1)
-        c = 1
-        while True:
+        # least significant; first irreducible monic wins.  Binomials
+        # x^k + c (c < p) are decided by Capelli's theorem, the rest by
+        # Rabin's test.  No binomial is irreducible unless every prime
+        # r | k divides p - 1: else every element of F_p is an r-th power.
+        c = 1 if all((p - 1) % r == 0 for r in _prime_divisors(k)) else p
+        while c < p:
+            if _binomial_irreducible(p - c, k, p):
+                return (c,) + (0,) * (k - 1) + (1,)
+            c += 1
+        end = p ** k
+        while c < end:
             digits, v = [], c
             for _ in range(k):
                 digits.append(v % p)
                 v //= p
-            if v:
-                raise FieldError("no irreducible modulus found")  # unreachable
-            # single-digit candidates are x^k + c: skip when -c is a k-th
-            # power (then a root exists), which is the common reducible case
-            if c < p and pow((-c) % p, (p - 1) // d, p) == 1:
-                c += 1
-                continue
             f = tuple(digits) + (1,)
             if _t_irreducible(f, p):
                 return f
             c += 1
-
-    def _reduce_shift(self, cur):
-        # multiply a fully reduced length-k coefficient vector by x
-        p, k, m = self.p, self.k, self.modulus
-        out = [0] + list(cur)
-        if out[k]:
-            c = out[k]
-            for i in range(k):
-                out[i] = (out[i] - c * m[i]) % p
-        return tuple(out[:k])
+        raise FieldError("no irreducible modulus found")  # unreachable
 
     def _mul(self, a, b):
         z = self._zech
@@ -585,60 +579,41 @@ class ExtField:
             if la < 0 or lb < 0:
                 return self.zero.coeffs
             return z.exp[(la + lb) % z.n]
-        # schoolbook product reduced by the modulus: fields without tables,
-        # and the ZechKernel constructor (it runs before _zech is set)
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = conv[:k]
-        for j in range(k - 1):
-            c = conv[k + j]
-            if c:
-                row = self._red[j]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+        # fields without tables, and the ZechKernel constructor (it runs
+        # before _zech is set)
+        return self._tuples.fmul(a, b)
 
     def _kernel(self):
-        """Zech-log kernel of a field with q <= ZECH_MAX_ORDER, else None."""
+        """The polynomial kernel: Zech logs for q <= ZECH_MAX_ORDER, tables
+        built on first use; coefficient tuples for larger q."""
         z = self._zech
-        if z is None and self.order <= ZECH_MAX_ORDER:
+        if z is None:
+            if self.order > ZECH_MAX_ORDER:
+                return self._tuples
             z = self._zech = ZechKernel(self.p, self.k, self._mul)
             self._elems = [ExtElement(v, self) for v in z.exp] + [self.zero]
         return z
 
     def _encode(self, coeffs):
+        if self._zech is None:
+            return tuple([c.coeffs for c in coeffs])
         log = self._zech.log
         return tuple([log[c.coeffs] for c in coeffs])
 
     def _decode(self, code):
+        if self._zech is None:
+            return tuple([ExtElement(v, self) for v in code])
         elems = self._elems
         return tuple([elems[v] for v in code])
 
     def _inv(self, a):
+        if self.order > ZECH_MAX_ORDER:
+            return self._tuples.finv(a)
         z = self._kernel()
-        if z is not None:
-            n = z.log[a]
-            if n < 0:
-                raise ZeroDivisionError("division by zero in extension field")
-            return z.exp[-n % z.n]
-        a = _tstrip(a)
-        if not a:
+        n = z.log[a]
+        if n < 0:
             raise ZeroDivisionError("division by zero in extension field")
-        # extended Euclid against the modulus
-        p, m = self.p, self.modulus
-        r0, r1 = m, a
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _tdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _tstrip(tuple((x - y) % p for x, y in _zipc(s0, _tmul(q, s1, p))))
-        inv_lead = pow(r0[-1], -1, p)
-        s0 = tuple(c * inv_lead % p for c in s0)
-        return tuple(s0) + (0,) * (self.k - len(s0))
+        return z.exp[-n % z.n]
 
     def elem(self, x):
         if isinstance(x, ExtElement) and x.field is self:
@@ -667,13 +642,17 @@ class ExtField:
         return isinstance(x, ExtElement) and (x.field.p, x.field.k) == (self.p, self.k)
 
     def elements(self):
-        p, k = self.p, self.k
         for n in range(self.order):
-            digits, v = [], n
-            for _ in range(k):
-                digits.append(v % p)
-                v //= p
-            yield ExtElement(tuple(digits), self)
+            yield self._element(n)
+
+    def _element(self, n):
+        """Element number n of elements(): base-p digits of n, constant
+        term least significant."""
+        digits = []
+        for _ in range(self.k):
+            digits.append(n % self.p)
+            n //= self.p
+        return ExtElement(tuple(digits), self)
 
     def rand(self, rng):
         return ExtElement(tuple(rng.randrange(self.p) for _ in range(self.k)), self)
@@ -726,12 +705,23 @@ class ExtField:
         return min(r, -r, key=self.sort_key)
 
     def nonresidue(self):
+        """The first non-square in elements() order.
+
+        For a in F_p, a^((q-1)/2) = (a^((p-1)/2))^k, since a^(p^i) = a.  So
+        for odd k the non-squares of F_p stay non-squares, and as the p
+        constants come first the answer is F_p's non-residue; for even k
+        every constant is a square and the search starts after them.
+        """
         if self._nonresidue is None:
-            e = (self.order - 1) // 2
-            for x in self.elements():
-                if x and x ** e != self.one:
-                    self._nonresidue = x
-                    break
+            if self.k % 2:
+                self._nonresidue = self.elem(PrimeField(self.p).nonresidue())
+            else:
+                e = (self.order - 1) // 2
+                for n in range(self.p, self.order):
+                    x = self._element(n)
+                    if x ** e != self.one:
+                        self._nonresidue = x
+                        break
         return self._nonresidue
 
     def extension(self, k):
@@ -825,6 +815,5 @@ def common_field(f1, f2):
         raise FieldError("cannot mix QQ with finite fields")
     if f1.char != f2.char:
         raise FieldError("mixed characteristics")
-    import math
     d = math.lcm(f1.degree, f2.degree)
     return PrimeField(f1.char) if d == 1 else ExtField(f1.char, d)

@@ -1,21 +1,27 @@
 """Int-coded polynomial arithmetic over finite fields.
 
-Polynomials are tuples of ints, lowest degree first, with no trailing zero
-(the empty tuple is the zero polynomial).  Two codings share one interface
-(``mul``, ``divmod``, ``mod``, ``powmod``, ``gcd``):
+Polynomials are tuples of coefficient codes, lowest degree first, with no
+trailing zero (the empty tuple is the zero polynomial).  Three codings
+share one interface (``add``, ``sub``, ``mul``, ``divmod``, ``mod``,
+``powmod``, ``gcd``), and the field picks one by its size:
 
   * ``FpKernel`` -- F_p; a coefficient is its residue in [0, p).  The
     module-level ``_t*`` functions are the same arithmetic with p passed
-    explicitly; the modulus search and the inverse of a large F_{p^k}
-    use them directly.
-  * ``ZechKernel`` -- a small F_{p^k}; a coefficient is its discrete log
-    to a fixed primitive element g, in [0, q - 1), and -1 codes zero.
-    Multiplying adds logs; adding uses the Zech table
+    explicitly; the modulus search and ``TupleKernel.finv`` use them.
+  * ``ZechKernel`` -- F_{p^k} with q <= ``ZECH_MAX_ORDER``; a coefficient is
+    its discrete log to a fixed primitive element g, in [0, q - 1), and -1
+    codes zero.  Multiplying adds logs; adding uses the Zech table
     Z(i) = log(1 + g^i), so g^u + g^v = g^(u + Z(v - u)).
+  * ``TupleKernel`` -- larger F_{p^k}; a coefficient is its tuple of k
+    residues, and a polynomial product is one int multiply by Kronecker
+    substitution (D. Harvey, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).
 
-Both return the same polynomials as schoolbook arithmetic on field
+All three return the same polynomials as schoolbook arithmetic on field
 elements; only the coding of the coefficients differs.
 """
+
+import struct
 
 # -- F_p ---------------------------------------------------------------------
 # Inputs are tuples of residues; _tmod and the kernel expect them stripped.
@@ -25,6 +31,13 @@ def _tstrip(c):
     while n and c[n - 1] == 0:
         n -= 1
     return tuple(c[:n])
+
+
+def _tsub(a, b, p):
+    n = max(len(a), len(b))
+    a = tuple(a) + (0,) * (n - len(a))
+    b = tuple(b) + (0,) * (n - len(b))
+    return _tstrip([(x - y) % p for x, y in zip(a, b)])
 
 
 def _tmul(a, b, p):
@@ -110,6 +123,15 @@ class FpKernel:
     def __init__(self, p):
         self.p = p
 
+    def add(self, a, b):
+        p = self.p
+        if len(a) < len(b):
+            a, b = b, a
+        return _tstrip([(x + y) % p for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def sub(self, a, b):
+        return _tsub(a, b, self.p)
+
     def mul(self, a, b):
         return _tmul(a, b, self.p)
 
@@ -180,6 +202,26 @@ class ZechKernel:
         zech = [log[((v[0] + 1) % p,) + v[1:]] for v in exp]
         self.n, self.half, self.gen = n, n // 2, g
         self.exp, self.log, self.zech = exp, log, zech + zech
+
+    def add(self, a, b):
+        n, zech = self.n, self.zech
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            if v < 0:
+                continue
+            u = out[i]
+            if u < 0:
+                out[i] = v
+            else:
+                z = zech[v - u]
+                out[i] = -1 if z < 0 else (u + z) % n
+        return _zstrip(out)
+
+    def sub(self, a, b):
+        n, half = self.n, self.half
+        return self.add(a, [-1 if v < 0 else (v + half) % n for v in b])
 
     def mul(self, a, b):
         if not a or not b:
@@ -258,6 +300,279 @@ class ZechKernel:
             n, lead = self.n, a[-1]
             a = tuple(-1 if c < 0 else (c - lead) % n for c in a)
         return a
+
+
+# -- large F_{p^k}: coefficient tuples, Kronecker products -------------------
+
+_WORD = 8                 # slot bytes of the fast path: struct's "Q"
+
+
+def _pack(flat, w):
+    """The int whose w-byte slots, least significant first, hold ``flat``."""
+    if w == _WORD:
+        raw = struct.pack("<%dQ" % len(flat), *flat)
+    else:
+        raw = b"".join([v.to_bytes(w, "little") for v in flat])
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(v, n, w):
+    """The n lowest w-byte slots of the int v, least significant first."""
+    raw = v.to_bytes(n * w, "little")
+    if w == _WORD:
+        return struct.unpack("<%dQ" % n, raw)
+    return [int.from_bytes(raw[i:i + w], "little") for i in range(0, n * w, w)]
+
+
+class TupleKernel:
+    """Arithmetic over a large F_{p^k} on coefficient tuples.
+
+    A coefficient is its element's tuple of k residues (``ExtElement.coeffs``),
+    a polynomial of degree < k in the field generator y; zero is the zero
+    tuple.  Write the monic field modulus as y^k + M(y), deg M = d < k.
+
+    Products use Kronecker substitution.  A polynomial over F_q is packed
+    into one int of w-byte slots, coefficient i in slots i(2k-1) ..
+    i(2k-1)+k-1, so one int multiply leaves every coefficient of the product
+    in its own 2k-1 slots as a polynomial in y of degree <= 2k-2.  ``_fold``
+    reduces all of them at once on the packed int: y^k = -M(y) turns the top
+    k-1 slots of every coefficient into a multiple of -M, one more multiply,
+    repeated ``rounds`` times (once when d <= 1, as for the moduli of
+    F_(10007^k)); then each slot is reduced mod p.  Slots are sized so that
+    no sum carries into the next slot.  Division runs on the packed dividend:
+    a step folds only the leading coefficient c and adds c * (-m) as one
+    more multiply, so the remainder is folded once, at the end.
+    """
+
+    __slots__ = ("p", "k", "modulus", "red", "rows", "zero", "one", "stride",
+                 "wide", "pad", "neg_low", "rounds", "growth", "masks", "fw",
+                 "fpack", "funpack")
+
+    def __init__(self, p, k, modulus):
+        self.p, self.k, self.modulus = p, k, modulus
+        low = modulus[:k]
+        # red[j] = y^(k+j) reduced by the modulus, for j = 0..k-2
+        red = [tuple((-c) % p for c in low)]
+        for _ in range(k - 2):
+            top, cur = red[-1][-1], (0,) + red[-1][:-1]
+            red.append(tuple((v + top * r) % p for v, r in zip(cur, red[0])))
+        self.red = red
+        self.rows = [[(t, r) for t, r in enumerate(row) if r] for row in red]
+        self.zero = (0,) * k
+        self.one = (1,) + (0,) * (k - 1)
+        self.stride = 2 * k - 1
+        self.wide = k * (p - 1) ** 2          # bound on one slot of c * c'
+        self.pad = [0] * (k - 1)
+        d = max(i for i, c in enumerate(low) if c)
+        self.neg_low = red[0][:d + 1]         # -M(y)
+        # a round maps y-degree <= e to <= e - k + d; start at 2k - 2
+        self.rounds, e = 0, 2 * k - 2
+        while e >= k:
+            self.rounds, e = self.rounds + 1, e - k + d
+        self.growth = (1 + min(k - 1, d + 1) * (p - 1)) ** self.rounds
+        self.masks = {}                       # w -> (blocks, low, high, -M)
+        self.fw = self._width(1)              # slot bytes of fmul
+        if self.fw == _WORD:
+            self.fpack = struct.Struct("<%dQ" % k).pack
+            self.funpack = struct.Struct("<%dQ" % self.stride).unpack
+
+    # -- elements of F_q --
+
+    def fmul(self, a, b):
+        p, k = self.p, self.k
+        if k == 2:                            # y^2 = r0 + r1 y
+            (a0, a1), (b0, b1), (r0, r1) = a, b, self.red[0]
+            h = a1 * b1
+            return ((a0 * b0 + h * r0) % p, (a0 * b1 + a1 * b0 + h * r1) % p)
+        # a Kronecker product of two single coefficients, folded through
+        # the nonzero entries of red (two per row for a trinomial modulus)
+        w = self.fw
+        if w == _WORD:
+            pack = self.fpack
+            v = (int.from_bytes(pack(*a), "little")
+                 * int.from_bytes(pack(*b), "little"))
+            conv = self.funpack(v.to_bytes(w * self.stride, "little"))
+        else:
+            conv = _unpack(_pack(a, w) * _pack(b, w), self.stride, w)
+        out = list(conv[:k])
+        for h, row in zip(conv[k:], self.rows):
+            if h:
+                for t, r in row:
+                    out[t] += h * r
+        return tuple([v % p for v in out])
+
+    def finv(self, a):
+        """Inverse: a conjugate over the norm for k = 2, else the extended
+        Euclidean algorithm against the modulus."""
+        p = self.p
+        r0, r1 = self.modulus, _tstrip(a)
+        if not r1:
+            raise ZeroDivisionError("division by zero in extension field")
+        if self.k == 2:                       # y' = r1 - y, y y' = -r0
+            (a0, a1), (c0, c1) = a, self.red[0]
+            inv = pow((a0 * a0 + a0 * a1 * c1 - a1 * a1 * c0) % p, -1, p)
+            return ((a0 + a1 * c1) * inv % p, -a1 * inv % p)
+        s0, s1 = (), (1,)
+        while r1:
+            q, r = _tdivmod(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, _tsub(s0, _tmul(q, s1, p), p)
+        inv = pow(r0[-1], -1, p)
+        return tuple([c * inv % p for c in s0]) + (0,) * (self.k - len(s0))
+
+    def fpow(self, a, e):
+        """a^e for e >= 0."""
+        r = self.one
+        for bit in bin(e)[2:]:
+            r = self.fmul(r, r)
+            if bit == "1":
+                r = self.fmul(r, a)
+        return r
+
+    # -- packed polynomials --
+
+    def _width(self, n):
+        """Slot bytes for a sum of n residue products, plus one residue,
+        through the fold."""
+        bits = ((n * self.wide + self.p) * self.growth).bit_length()
+        return _WORD if bits <= 8 * _WORD else (bits + 7) // 8
+
+    def _packed(self, a, w):
+        pad = self.pad
+        flat = []
+        for c in a:
+            flat += c
+            flat += pad
+        return _pack(flat, w)
+
+    def _fold(self, v, n, w):
+        """Residues of the n coefficients of the packed v, as one flat list
+        laid out like the slots (k residues, then k - 1 zeros, per coefficient)."""
+        k, st = self.k, self.stride
+        s = 8 * w
+        blocks, low, high, neg = self.masks.get(w, (0, 0, 0, 0))
+        if blocks < n:
+            # low and high select slots 0..k-1 and k..2k-2 of each coefficient
+            rep = ((1 << s * st * n) - 1) // ((1 << s * st) - 1)
+            blocks, low, high, neg = self.masks[w] = (
+                n, rep * ((1 << s * k) - 1), rep * ((1 << s * (k - 1)) - 1),
+                _pack(self.neg_low, w))
+        for _ in range(self.rounds):
+            v = (v & low) + ((v >> s * k) & high) * neg
+        p = self.p
+        return [c % p for c in _unpack(v, n * st, w)]
+
+    def _coeffs(self, flat):
+        """Coefficient tuples of a flat residue list, trailing zeros dropped."""
+        k = self.k
+        return self._strip([tuple(flat[i:i + k])
+                            for i in range(0, len(flat), self.stride)])
+
+    def _strip(self, c):
+        zero = self.zero
+        while c and c[-1] == zero:
+            c.pop()
+        return tuple(c)
+
+    def _divisor(self, m, w):
+        """m prepared for _reduce: its degree, the packed -m without its
+        lead, and the inverse of the lead (None when it is 1)."""
+        if not m:
+            raise ZeroDivisionError("polynomial division by zero")
+        p = self.p
+        neg = [tuple([(-v) % p for v in c]) for c in m[:-1]]
+        inv = None if m[-1] == self.one else self.finv(m[-1])
+        return len(m) - 1, self._packed(neg, w), inv
+
+    def _reduce(self, v, n, div, w, quo=None):
+        """Remainder by ``div`` of the packed v with n coefficients, as a
+        flat residue list; the quotient goes into the list quo if given."""
+        dm, neg, inv = div
+        k = self.k
+        bits = 8 * w * self.stride
+        for i in range(n - 1, dm - 1, -1):
+            off = i * bits
+            top = v >> off
+            if not top:
+                continue
+            v -= top << off
+            c = self._fold(top, 1, w)[:k]
+            if not any(c):
+                continue
+            if inv is not None:
+                c = self.fmul(c, inv)
+            if quo is not None:
+                quo[i - dm] = tuple(c)
+            v += _pack(c, w) * neg << (i - dm) * bits
+        return self._fold(v, dm, w)
+
+    # -- polynomials over F_q --
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        w = self._width(min(len(a), len(b)))
+        va = self._packed(a, w)
+        vb = va if a is b else self._packed(b, w)
+        return self._coeffs(self._fold(va * vb, len(a) + len(b) - 1, w))
+
+    def divmod(self, a, b):
+        w = self._width(len(a))
+        div = self._divisor(b, w)
+        if len(a) < len(b):
+            return (), a
+        quo = [self.zero] * (len(a) - len(b) + 1)
+        r = self._reduce(self._packed(a, w), len(a), div, w, quo)
+        return tuple(quo), self._coeffs(r)
+
+    def mod(self, a, m):
+        w = self._width(len(a))
+        div = self._divisor(m, w)
+        if len(a) < len(m):
+            return a
+        return self._coeffs(self._reduce(self._packed(a, w), len(a), div, w))
+
+    def powmod(self, a, e, m):
+        if e < 0:
+            raise ValueError("negative exponent")
+        a = self.mod(a, m)
+        if e == 0:
+            return (self.one,)
+        if not a:
+            return ()
+        # r stays a flat residue list of deg m coefficients between steps
+        w = self._width(2 * len(m))
+        div = self._divisor(m, w)
+        dm, va = len(m) - 1, self._packed(a, w)
+        r = self._reduce(va, len(a), div, w)
+        for bit in bin(e)[3:]:
+            vr = _pack(r, w)
+            r = self._reduce(vr * vr, 2 * dm - 1, div, w)
+            if bit == "1":
+                r = self._reduce(_pack(r, w) * va, dm + len(a) - 1, div, w)
+        return self._coeffs(r)
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.mod(a, b)
+        if a and a[-1] != self.one:
+            inv = self.finv(a[-1])
+            a = tuple([self.fmul(c, inv) for c in a])
+        return a
+
+    def add(self, a, b):
+        p = self.p
+        if len(a) < len(b):
+            a, b = b, a
+        out = [tuple([(x + y) % p for x, y in zip(u, v)]) for u, v in zip(a, b)]
+        return self._strip(out + list(a[len(b):]))
+
+    def sub(self, a, b):
+        p = self.p
+        out = [tuple([(x - y) % p for x, y in zip(u, v)]) for u, v in zip(a, b)]
+        out += a[len(b):]
+        out += [tuple([(-y) % p for y in v]) for v in b[len(a):]]
+        return self._strip(out)
 
 
 def _prime_divisors(n):

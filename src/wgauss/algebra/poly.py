@@ -7,13 +7,15 @@ are implemented for finite fields only (squarefree split, distinct-degree,
 then Cantor-Zassenhaus equal-degree splitting, seeded deterministically
 from the input so results are reproducible).
 
-Coefficients are field elements, but over a field with an int-coded kernel
-(``field._kernel()``, see kernel.py) the hot loops -- ``*``, ``divmod``,
-``%``, ``//``, ``powmod`` and ``poly_gcd`` -- run on int codes: residues
-for F_p, Zech logarithms for F_{p^k} with q <= 4096.  A Poly encodes its
-coefficients once, on first use, and keeps the codes; results are decoded
-back to elements.  Larger extension fields and QQ use element arithmetic.
-The results are the same polynomials either way.
+Coefficients are field elements, but over a finite field the hot loops --
+``+``, ``-``, ``*``, ``divmod``, ``%``, ``//``, ``powmod`` and ``poly_gcd``
+-- run on the int-coded kernel of ``field._kernel()`` (see kernel.py), one
+of three codings chosen by field size: residues for F_p, Zech logarithms
+for F_{p^k} with q <= 4096, and tuples of residues with Kronecker products
+above.  A Poly encodes its coefficients once, on first use, and keeps the
+codes; a kernel result keeps only its codes until its coefficients are
+read.  QQ alone uses element arithmetic.  The results are the same
+polynomials either way.
 """
 
 import random
@@ -26,7 +28,7 @@ class ExtensionCapError(RuntimeError):
 
 
 class Poly:
-    __slots__ = ("field", "coeffs", "_code")
+    __slots__ = ("field", "_coeffs", "_code")
 
     def __init__(self, field, coeffs):
         cs = [field.elem(c) if not field.contains(c) else c for c in coeffs]
@@ -34,22 +36,30 @@ class Poly:
         while n and not cs[n - 1]:
             n -= 1
         self.field = field
-        self.coeffs = tuple(cs[:n])
+        self._coeffs = tuple(cs[:n])
         self._code = None
 
     @classmethod
     def _from_code(cls, field, code):
-        """Poly from the kernel's int codes (stripped) of ``field``."""
+        """Poly from the kernel's codes (stripped) of ``field``; its
+        elements are decoded on first use."""
         out = object.__new__(cls)
         out.field = field
-        out.coeffs = field._decode(code)
+        out._coeffs = None
         out._code = code
         return out
+
+    @property
+    def coeffs(self):
+        cs = self._coeffs
+        if cs is None:
+            cs = self._coeffs = self.field._decode(self._code)
+        return cs
 
     def _encoded(self):
         code = self._code
         if code is None:
-            code = self._code = self.field._encode(self.coeffs)
+            code = self._code = self.field._encode(self._coeffs)
         return code
 
     @classmethod
@@ -66,13 +76,14 @@ class Poly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        cs = self._coeffs
+        return len(self._code if cs is None else cs) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return self.degree < 0
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return self.degree >= 0
 
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
@@ -93,6 +104,10 @@ class Poly:
 
     def __add__(self, other):
         other = self._check(other)
+        kernel = self.field._kernel()
+        if kernel is not None:
+            return Poly._from_code(self.field,
+                                   kernel.add(self._encoded(), other._encoded()))
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self[i] + other[i] for i in range(n)])
 
@@ -100,6 +115,10 @@ class Poly:
 
     def __sub__(self, other):
         other = self._check(other)
+        kernel = self.field._kernel()
+        if kernel is not None:
+            return Poly._from_code(self.field,
+                                   kernel.sub(self._encoded(), other._encoded()))
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self[i] - other[i] for i in range(n)])
 
@@ -113,7 +132,7 @@ class Poly:
         if not isinstance(other, Poly):
             return Poly(self.field, [c * other for c in self.coeffs])
         other = self._check(other)
-        if not self.coeffs or not other.coeffs:
+        if not self or not other:
             return Poly.zero(self.field)
         kernel = self.field._kernel()
         if kernel is not None:

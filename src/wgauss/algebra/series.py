@@ -110,6 +110,12 @@ class TruncatedSeries:
         prec = min(self.offset + other.prec, other.offset + self.prec)
         off = self.offset + other.offset
         n = max(0, prec - off)
+        f = self.field
+        kernel = f._kernel()
+        if kernel is not None and self.coeffs and other.coeffs:
+            code = kernel.mul(f._encode(self.coeffs), f._encode(other.coeffs))
+            out = list(f._decode(code[:n])) + [f.zero] * (n - len(code))
+            return TruncatedSeries(f, out, prec, off)
         out = [self.field.zero] * n
         for i, a in enumerate(self.coeffs):
             if a:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .algebra.fields import Rationals
+from .algebra.poly import ExtensionCapError
 from .curves import curve_hash, validate
 from .divisors import Divisor
 from .gauss import (
@@ -313,7 +314,9 @@ def _reconstruct_g4(cfg, curve):
             o = contact_order(L2, (s, t), rep)
             entry["materialized"] = True
             entry["contact_order"] = o
-        except Exception:
+        except (StopIteration, ExtensionCapError):
+            # no double point off the base locus, or a member whose points
+            # need a splitting field beyond the cap: left unmaterialized
             pass
         certs.append(entry)
     verdicts = {

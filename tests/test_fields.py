@@ -12,6 +12,8 @@ from wgauss.algebra import (
     common_field,
     field_from_json,
 )
+from wgauss.algebra import fields
+from wgauss.algebra.fields import ExtElement, _binomial_irreducible, _t_irreducible
 
 
 def test_prime_field_basics():
@@ -135,3 +137,85 @@ def test_elements_enumeration_order_is_stable():
     elems = list(E.elements())
     assert len(elems) == 9
     assert elems[0] == E.zero and elems[1] == E.one
+
+
+# -- field set-up: canonical modulus and non-residue ------------------------
+
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_capelli_agrees_with_rabin_on_binomials(p):
+    # x^k + c is decided by Capelli's theorem in the modulus search; it
+    # must agree with Rabin's test, including 4 | k for p = 1 and 3 mod 4
+    for k in range(2, 7):
+        for c in range(1, p):
+            f = (c,) + (0,) * (k - 1) + (1,)
+            assert _binomial_irreducible(p - c, k, p) == _t_irreducible(f, p), (k, c)
+
+
+# (p, k) -> (modulus, nonresidue().coeffs), as found by the exhaustive
+# searches that the closed-form shortcuts replaced
+SETUP_PINS = {
+    (10007, 2): ((1, 0, 1), (2, 1)),
+    (10007, 3): ((1, 1, 0, 1), (5, 0, 0)),
+    (10007, 4): ((6, 1, 0, 0, 1), (2, 1, 0, 0)),
+    (10007, 5): ((3, 1, 0, 0, 0, 1), (5, 0, 0, 0, 0)),
+    (10007, 6): ((7, 1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0)),
+    (7, 2): ((1, 0, 1), (2, 1)),
+    (7, 3): ((2, 0, 0, 1), (3, 0, 0)),
+    (7, 4): ((1, 1, 0, 0, 1), (5, 1, 0, 0)),
+    (7, 5): ((3, 1, 0, 0, 0, 1), (3, 0, 0, 0, 0)),
+    (7, 6): ((2, 0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0)),
+    (7, 7): ((1, 6, 0, 0, 0, 0, 0, 1), (3, 0, 0, 0, 0, 0, 0)),
+    (7, 8): ((3, 1, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 0, 0)),
+    (7, 9): ((2, 0, 0, 0, 0, 0, 0, 0, 0, 1), (3, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (7, 10): ((3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (7, 11): ((3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), (3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (7, 12): ((2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+              (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("pk", sorted(SETUP_PINS), ids=str)
+def test_modulus_and_nonresidue_are_pinned(pk):
+    F = ExtField(*pk)
+    assert (F.modulus, F.nonresidue().coeffs) == SETUP_PINS[pk]
+
+
+@pytest.mark.parametrize("pk", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                                (7, 2), (7, 3), (11, 2), (13, 2), (13, 3)],
+                         ids=str)
+def test_nonresidue_is_first_nonsquare_by_brute_force(pk):
+    F = ExtField(*pk)
+    elems = list(F.elements())
+    squares = {(x * x).coeffs for x in elems}
+    first = next(x for x in elems if x.coeffs not in squares)
+    assert F.nonresidue() == first
+    assert F.sqrt(first) is None and not F.is_square(first)
+
+
+def test_large_field_setup_needs_no_search(monkeypatch):
+    # count the Rabin tests and exponentiations of building a fresh
+    # F_(10007^6): every binomial is decided in closed form, and the
+    # non-residue search skips the p constants, which are all squares
+    rabin, powers = [], []
+    real_rabin, real_pow = fields._t_irreducible, ExtElement.__pow__
+
+    def counting_rabin(f, p):
+        rabin.append(f)
+        return real_rabin(f, p)
+
+    def counting_pow(x, e):
+        powers.append(e)
+        return real_pow(x, e)
+
+    monkeypatch.setattr(fields, "_t_irreducible", counting_rabin)
+    monkeypatch.setattr(ExtElement, "__pow__", counting_pow)
+    monkeypatch.setattr(ExtField, "_registry", {})
+    F = ExtField(10007, 6)
+    assert F.modulus == SETUP_PINS[(10007, 6)][0]
+    assert rabin and not [f for f in rabin if not any(f[1:-1])]
+    assert len(rabin) < 10
+    assert F.nonresidue().coeffs == SETUP_PINS[(10007, 6)][1]
+    assert len(powers) < 10

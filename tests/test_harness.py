@@ -90,6 +90,41 @@ def test_reconstruct_g4_report():
     assert rep["verdicts"]["members_recovered"]
 
 
+def test_reconstruct_g4_certificate_failures(monkeypatch):
+    from wgauss import harness, linsys
+    from wgauss.algebra import ExtensionCapError, FieldError
+    real_roots = linsys.BranchForm.roots
+
+    def roots_and_a_generic_member(bf, cap=12):
+        # a parameter that is no root: its member has no double point
+        return real_roots(bf, cap) + [((bf.field.one, bf.field.elem(12345)), 0)]
+
+    monkeypatch.setattr(linsys.BranchForm, "roots", roots_and_a_generic_member)
+    cfg = ExperimentConfig(experiment="reconstruct", curve=G4, n=2, k=1,
+                           trials=5, seed=2)
+    rep = run_reconstruct(cfg)
+    assert rep["passed"] and len(rep["dual_certificates"]) == 13
+    assert rep["dual_certificates"][-1] == {
+        "mult": 0, "materialized": False, "contact_order": None}
+
+    # a certificate beyond the extension cap is left unmaterialized; any
+    # other failure is a fault, and is not swallowed
+    def raising(exc):
+        def contact_order(*args):
+            raise exc
+        return contact_order
+
+    monkeypatch.setattr(harness, "contact_order",
+                        raising(ExtensionCapError("splitting field degree 6 exceeds cap 2")))
+    rep = run_reconstruct(cfg)
+    assert not any(c["materialized"] for c in rep["dual_certificates"])
+    assert not rep["verdicts"]["some_certificate_materialized"]
+    monkeypatch.setattr(harness, "contact_order",
+                        raising(FieldError("mixed extension fields; coerce explicitly")))
+    with pytest.raises(FieldError):
+        run_reconstruct(cfg)
+
+
 def test_reconstruct_hyperelliptic_report():
     he_small = {"model": "hyperelliptic", "field": {"type": "prime", "p": 11},
                 "f": [0, -1, 0, 0, 0, 0, 0, 1]}

@@ -21,6 +21,8 @@ from wgauss.algebra import (
     roots_in_splitting_extension,
 )
 
+from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
+
 F7 = PrimeField(7)
 F31 = PrimeField(31)
 F10007 = PrimeField(10007)
@@ -409,7 +411,116 @@ def test_kernel_gcd_matches_reference(F, ra, rb, rc):
     assert _vecs(poly_gcd(a, b)) == _ref_gcd(F, _vecs(a), _vecs(b))
 
 
-@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+# -- large F_(p^k): coefficient tuples and Kronecker products ---------------
+# F_(67^2) is the smallest of these above ZECH_MAX_ORDER; the modulus of
+# F_(7^12) has three low terms, so its fold takes two rounds; F_(p^2) with
+# p = 2^31 - 1 needs slots wider than 64 bits.
+
+LARGE_FIELDS = [ExtField(10007, 2), ExtField(10007, 3), ExtField(10007, 6),
+                ExtField(67, 2), ExtField(7, 12), ExtField(2 ** 31 - 1, 2)]
+
+
+@st.composite
+def large_polys(draw, count):
+    """A large field and ``count`` polynomials over it; coefficients are
+    often q - 1, whose residues are all p - 1, the widest slot sums."""
+    F = draw(st.sampled_from(LARGE_FIELDS))
+    coeff = st.one_of(st.integers(0, F.order - 1), st.just(F.order - 1))
+    return F, [_poly_of_codes(F, draw(st.lists(coeff, max_size=8)))
+               for _ in range(count)]
+
+
+@given(large_polys(2))
+@settings(max_examples=60, deadline=None)
+def test_large_kernel_mul_matches_reference(drawn):
+    F, (a, b) = drawn
+    assert _vecs(a * b) == _ref_mul(F, _vecs(a), _vecs(b))
+    assert _vecs(a * a) == _ref_mul(F, _vecs(a), _vecs(a))
+
+
+@given(large_polys(2))
+@settings(max_examples=60, deadline=None)
+def test_large_kernel_divmod_matches_reference(drawn):
+    F, (a, b) = drawn
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    q, r = a.divmod(b)
+    assert (_vecs(q), _vecs(r)) == _ref_divmod(F, _vecs(a), _vecs(b))
+    assert a % b == r and a // b == q
+
+
+@given(large_polys(2), st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_large_kernel_powmod_matches_reference(drawn, e):
+    F, (a, m) = drawn
+    if m.is_zero():
+        return
+    assert _vecs(powmod(a, e, m)) == _ref_powmod(F, _vecs(a), e, _vecs(m))
+
+
+@given(large_polys(3))
+@settings(max_examples=40, deadline=None)
+def test_large_kernel_gcd_matches_reference(drawn):
+    F, (a, b, c) = drawn
+    a, b = a * c, b * c
+    assert _vecs(poly_gcd(a, b)) == _ref_gcd(F, _vecs(a), _vecs(b))
+
+
+@pytest.mark.parametrize("F", LARGE_FIELDS, ids=repr)
+def test_large_kernel_all_max_coefficients(F):
+    # every residue p - 1: the largest slot sums, and a non-monic modulus
+    top = F.elem([F.char - 1] * F.degree)
+    for n in (1, 2, 7, 20):
+        a, b = Poly(F, [top] * n), Poly(F, [top] * (n + 3))
+        assert _vecs(a * b) == _ref_mul(F, _vecs(a), _vecs(b))
+        assert _vecs(b * b) == _ref_mul(F, _vecs(b), _vecs(b))
+        q, r = b.divmod(a)
+        assert (_vecs(q), _vecs(r)) == _ref_divmod(F, _vecs(b), _vecs(a))
+    m = Poly(F, [top] * 7)
+    for e in (2, 3, F.order):
+        assert _vecs(powmod(Poly(F, [top] * 6), e, m)) == _ref_powmod(
+            F, _vecs(Poly(F, [top] * 6)), e, _vecs(m))
+    c = Poly(F, [top, F.one, top])
+    a, b = Poly(F, [top] * 5) * c, Poly(F, [top] * 4) * c
+    assert _vecs(poly_gcd(a, b)) == _ref_gcd(F, _vecs(a), _vecs(b))
+
+
+@given(st.one_of(st.tuples(kernel_field, codes, codes).map(
+    lambda t: (t[0], [_draw_poly(t[0], t[1]), _draw_poly(t[0], t[2])])),
+    large_polys(2)))
+@settings(max_examples=80, deadline=None)
+def test_kernel_add_sub_match_reference(drawn):
+    F, (a, b) = drawn
+    va, vb = _vecs(a), _vecs(b)
+    zero = (0,) * F.degree
+    va += [zero] * (len(vb) - len(va))
+    vb += [zero] * (len(va) - len(vb))
+    total = _ref_strip(F, [_ref_fadd(F, x, y) for x, y in zip(va, vb)])
+    diff = _ref_strip(F, [_ref_fadd(F, x, _ref_fneg(F, y)) for x, y in zip(va, vb)])
+    assert _vecs(a + b) == total and _vecs(b + a) == total
+    assert _vecs(a - b) == diff
+    assert a - a == Poly.zero(F) and not (a - a)
+    # a result keeps only its codes until read; it still hashes as its value
+    assert hash(a + b) == hash(Poly(F, (a + b).coeffs))
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS + LARGE_FIELDS[1:], ids=repr)
+def test_kernel_add_sub_of_unequal_lengths(F):
+    rng = random.Random(14)
+    polys = [Poly.zero(F)] + [rand_poly(F, d, rng) for d in range(4)]
+    for a in polys:
+        for b in polys:
+            total = [_ref_fadd(F, _vec(a[i]), _vec(b[i]))
+                     for i in range(max(len(a.coeffs), len(b.coeffs)))]
+            diff = [_ref_fadd(F, _vec(a[i]), _ref_fneg(F, _vec(b[i])))
+                    for i in range(len(total))]
+            assert _vecs(a + b) == _ref_strip(F, total)
+            assert _vecs(a - b) == _ref_strip(F, diff)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS + LARGE_FIELDS[1:], ids=repr)
 def test_kernel_powmod_edge_cases(F):
     rng = random.Random(12)
     one = [(1,) + (0,) * (F.degree - 1)]
@@ -456,14 +567,18 @@ def test_zech_tables(k):
         assert z.zech[i] == z.zech[i + n] == (z.log[s] if any(s) else -1)
 
 
-def test_large_extension_has_no_kernel():
-    assert ExtField(10007, 2)._kernel() is None
-    assert ExtField(7, 5)._kernel() is None          # q = 16807 > 4096
-    assert ExtField(7, 4)._kernel() is not None      # q = 2401
+def test_kernel_is_chosen_by_field_size():
+    assert isinstance(F10007._kernel(), FpKernel)
+    assert isinstance(ExtField(7, 4)._kernel(), ZechKernel)       # q = 2401
+    assert ExtField(67, 2).order > ZECH_MAX_ORDER                 # q = 4489
+    for F in (ExtField(7, 5), ExtField(67, 2), ExtField(10007, 2)):
+        assert isinstance(F._kernel(), TupleKernel)
+        assert F._zech is None and F._elems is None               # no tables
     assert QQ._kernel() is None
 
 
-@pytest.mark.parametrize("F", [ExtField(7, 3), ExtField(7, 5)], ids=repr)
+@pytest.mark.parametrize("F", [ExtField(7, 3), ExtField(7, 5)] + LARGE_FIELDS,
+                         ids=repr)
 def test_ext_inverse_and_power_match_reference(F):
     rng = random.Random(13)
     for _ in range(30):

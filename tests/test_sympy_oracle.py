@@ -1,5 +1,6 @@
-"""Differential oracle: factorization, roots and powmod over GF(p) against
-sympy's independent implementation, on seeded random inputs.
+"""Differential oracle: factorization, roots, powmod, resultants and
+discriminants over GF(p) against sympy's independent implementation, on
+seeded random inputs.
 
 sympy is not a dependency of the project; these tests skip without it.
 """
@@ -8,11 +9,12 @@ import random
 
 import pytest
 
-from wgauss.algebra import (Poly, PrimeField, factor_finite, powmod,
-                            roots_in_field)
+from wgauss.algebra import (Poly, PrimeField, discriminant, factor_finite,
+                            powmod, resultant, roots_in_field)
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+sympy = pytest.importorskip("sympy")
 
 PRIMES = [7, 31, 10007]
 
@@ -74,3 +76,45 @@ def test_powmod_matches_sympy(p):
                 assert got == Poly.one(F)   # 1, unreduced, as documented
             else:
                 assert got == _from_sympy(F, want)
+
+
+def _sympy_expr(a, x):
+    return sum(int(c.value) * x ** i for i, c in enumerate(a.coeffs))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_resultant_matches_sympy(p):
+    # The oracle is sympy's Sylvester matrix of the integer lifts, whose
+    # determinant reduced mod p is the resultant over GF(p): the lifts keep
+    # their leading coefficients.  sympy's own resultant is not used: it
+    # has the wrong sign for some inputs, e.g. Res(x^3 + 6x^2 + 4x + 6,
+    # 4x^5 + 4x^4 + x^3 + 3x), where the root product agrees with the
+    # determinant.
+    sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
+    x = sympy.Symbol("x")
+    F, polys = _inputs(p, 30, 4)
+    rng = random.Random(p + 4)
+    consts = [Poly(F, [F.rand(rng) or F.one]) for _ in range(3)]
+    pairs = list(zip(polys, polys[1:] + polys[:1]))
+    # a shared factor makes the resultant 0; constants take the short cuts
+    pairs += [(a * b, b) for a, b in pairs[:6]]
+    pairs += [(c, a) for c, a in zip(consts, polys)]
+    pairs += [(a, c) for c, a in zip(consts, polys)]
+    for a, b in pairs:
+        ea, eb = _sympy_expr(a, x), _sympy_expr(b, x)
+        if a.degree == 0 or b.degree == 0:     # no Sylvester matrix
+            want = sympy.Poly(ea, x, modulus=p).resultant(sympy.Poly(eb, x, modulus=p))
+        else:
+            want = sylvester(ea, eb, x).det()
+        assert resultant(a, b) == F.elem(int(want))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_discriminant_matches_sympy(p):
+    x = sympy.Symbol("x")
+    F, polys = _inputs(p, 30, 5)
+    for a in polys:
+        if a.degree < 1:
+            continue
+        want = sympy.Poly(_sympy_expr(a, x), x, modulus=p).discriminant()
+        assert discriminant(a) == F.elem(int(want))
