@@ -106,6 +106,18 @@ class MatrixExact:
     def rank(self):
         return len(self.rref()[1])
 
+    def rank_with_row(self, row):
+        """Rank of this matrix with ``row`` appended, from the cached RREF:
+        rank + 1 exactly when the row keeps a nonzero entry after it is
+        reduced against the pivot rows."""
+        R, pivots = self._rref or self.rref()
+        row = list(row)
+        for prow, c in zip(R.rows, pivots):
+            factor = row[c]
+            if factor:
+                row = [a - factor * b for a, b in zip(row, prow)]
+        return len(pivots) + any(row)
+
     def row_space_matrix(self):
         """Canonical basis of the row space: nonzero rows of the RREF."""
         R, pivots = self.rref()

@@ -500,11 +500,14 @@ def roots_in_field(a):
 
     Cheaper than full factorization: gcd with x^q - x isolates the product
     of distinct rational linear factors, multiplicities follow by division.
+    A linear polynomial is its own root, with no exponentiation.
     """
     _require_finite(a)
     field = a.field
     if a.degree < 1:
         return []
+    if a.degree == 1:
+        return [(-a[0] / a[1], 1)]
     x = Poly.x(field)
     lin = poly_gcd(powmod(x, field.order, a) - x, a)
     if lin.degree < 1:

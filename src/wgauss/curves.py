@@ -39,6 +39,7 @@ from .algebra.fields import (
 from .algebra.linalg import MatrixExact
 from .algebra.poly import (
     Poly,
+    distinct_roots_in_field,
     factor_finite,
     poly_gcd,
     roots_in_field,
@@ -756,45 +757,42 @@ class CanonicalG4Curve:
         return self.local_series(P, order)
 
     def points_over(self, rel_degree=1):
-        """Pencil-of-planes sweep through the axis line x0 = x1 = 0."""
+        """Pencil-of-planes sweep: every point lies on a plane through the
+        axis line x0 = x1 = 0, so the rational zeros of all q + 1 planes
+        s*x0 + t*x1 = 0 of the pencil are the points of C(F_(p^m)).
+
+        The quadric and the cubic are restricted once to the generic plane
+        (x0 = t*a, x1 = -s*a, x2 = b, x3 = c, with s and t kept as
+        variables), and each shear is applied to those forms, and their
+        c-resultant taken, once, when a plane first needs it.  Every plane
+        specializes (s, t) and takes the first shear that works for it, as
+        restricting to that plane alone would.
+        """
         if not self.field.is_finite:
             raise CurveError("enumeration requires a finite field")
         K = _ext_over(self.field, rel_degree)
-        quad = self.quadric.map_field(K)
-        cub = self.cubic.map_field(K)
-        out = []
-        params = [(K.one, t) for t in K.elements()] + [(K.zero, K.one)]
-        for (s, t) in params:
-            # plane s*x0 + t*x1 = 0, basis (t, -s, 0, 0), e2, e3
-            b0 = (t, -s, K.zero, K.zero)
-            b1 = (K.zero, K.zero, K.one, K.zero)
-            b2 = (K.zero, K.zero, K.zero, K.one)
-            conic = quad.restrict_plane(b0, b1, b2, field=K)
-            cubic = cub.restrict_plane(b0, b1, b2, field=K)
-            for (a0, bb0, c0) in _ternary_common_rational_zeros(K, conic, cubic):
-                if not a0:
-                    continue  # points on the axis line handled separately
-                coords = [a0 * u + bb0 * v + c0 * w for u, v, w in zip(b0, b1, b2)]
-                out.append(ProjectivePoint(K, coords))
-        # axis line points
-        qr = Poly(K, quad.restrict_line((0, 0, 1, 0), (0, 0, 0, 1), field=K))
-        cr = Poly(K, cub.restrict_line((0, 0, 1, 0), (0, 0, 0, 1), field=K))
-        # common zeros of the two restricted binary forms on the axis
-        g = poly_gcd(qr, cr) if qr and cr else (qr if cr.is_zero() else cr)
-        if not g.is_zero() and g.degree >= 1:
-            for r, _ in roots_in_field(g):
-                out.append(ProjectivePoint(K, [K.zero, K.zero, K.one, r]))
-        if (qr.is_zero() or qr.degree < 2) and (cr.is_zero() or cr.degree < 3):
-            P = ProjectivePoint(K, [K.zero, K.zero, K.zero, K.one])
-            if self.contains(P):
-                out.append(P)
-        seen, uniq = set(), []
-        for P in out:
-            if self.contains(P) and P.coords not in seen:
-                seen.add(P.coords)
-                uniq.append(P)
-        uniq.sort(key=lambda P: P.sort_key())
-        return K, uniq
+        images = [{(1, 0, 0, 0, 1): K.one}, {(1, 0, 0, 1, 0): -K.one},
+                  {(0, 1, 0, 0, 0): K.one}, {(0, 0, 1, 0, 0): K.one}]
+        pencil = [mp_substitute(f.map_field(K).coeffs, images, K, 5)
+                  for f in (self.quadric, self.cubic)]
+        mats, sheared = _shear_matrices(K, 3), []
+
+        def shears(s, t):
+            for i, mat in enumerate(mats):
+                if i == len(sheared):
+                    sheared.append(_shear_pencil(K, pencil, mat))
+                if sheared[i]:
+                    q, e, r = (_specialize_pencil(f, s, t) for f in sheared[i])
+                    # deg_b r <= 6
+                    yield mat, q, e, Poly(K, [r.get((j,), K.zero) for j in range(7)])
+
+        found = {}
+        for (s, t) in [(K.one, t) for t in K.elements()] + [(K.zero, K.one)]:
+            for a0, b0, c0 in _first_shear_zeros(K, shears(s, t), _rational_chart_zeros):
+                P = ProjectivePoint(K, [a0 * t, -a0 * s, b0, c0])
+                found[P.coords] = P
+        pts = filter(self.contains, found.values())
+        return K, sorted(pts, key=lambda P: P.sort_key())
 
     def describe(self):
         return {
@@ -933,15 +931,46 @@ def _shear_matrices(field, nvars):
 
 
 def _apply_shear(form_dict, mat, field, nvars):
-    images = []
-    for i in range(nvars):
-        im = {}
-        for j in range(nvars):
-            if mat.rows[i][j]:
-                key = tuple(1 if t == j else 0 for t in range(nvars))
-                im[key] = mat.rows[i][j]
-        images.append(im)
+    """Substitute x_i -> sum_j mat[i][j] x_j for the first mat.nrows of the
+    nvars variables; the others stay."""
+    unit = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    images = [{unit[j]: c for j, c in enumerate(row) if c} for row in mat.rows]
+    images += [{unit[i]: field.one} for i in range(mat.nrows, nvars)]
     return mp_substitute(form_dict, images, field, nvars)
+
+
+def _shear_pencil(field, pencil, mat):
+    """The pencil's conic and cubic, dicts in (a, b, c, s, t), with mat
+    applied to (a, b, c), and their c-resultant on the chart a = 1 as a dict
+    in (b, s, t), each grouped by (s, t)-monomial; None when a top
+    c-coefficient is zero on every plane."""
+    q, e = (_apply_shear(f, mat, field, 5) for f in pencil)
+    if not (any(k[:3] == (0, 0, 2) for k in q)
+            and any(k[:3] == (0, 0, 3) for k in e)):
+        return None
+
+    def chart(d):  # a = 1 with c moved last; i is fixed by (j, k)
+        return {(j, es, et, k): v for (i, j, k, es, et), v in d.items()}
+
+    out = []
+    for d in (q, e, _mp_resultant(field, chart(q), chart(e), 2, 3)):
+        groups = {}
+        for key, v in d.items():
+            groups.setdefault(key[-2:], []).append((key[:-2], v))
+        out.append(groups)
+    return out
+
+
+def _specialize_pencil(groups, s, t):
+    """A dict grouped by (s, t)-monomial by ``_shear_pencil``, at (s, t)."""
+    out = {}
+    for (es, et), terms in groups.items():
+        f = s ** es * t ** et
+        if f:
+            for key, v in terms:
+                v = v * f
+                out[key] = out[key] + v if key in out else v
+    return {key: v for key, v in out.items() if v}
 
 
 def _res_in_last_var(g1, g2, d1, d2, field):
@@ -1004,69 +1033,68 @@ def _ternary_common_rational_zeros(field, conic, cubic):
     Assumes the pair cuts a finite scheme (no common factor).  Points are
     returned in plane coordinates (a, b, c).
     """
-    for mat in _shear_matrices(field, 3):
-        q = _apply_shear(conic.coeffs, mat, field, 3)
-        e = _apply_shear(cubic.coeffs, mat, field, 3)
+    return _first_shear_zeros(field, (
+        (mat, _apply_shear(conic.coeffs, mat, field, 3),
+         _apply_shear(cubic.coeffs, mat, field, 3), None)
+        for mat in _shear_matrices(field, 3)), _rational_chart_zeros)
+
+
+def _first_shear_zeros(field, shears, chart_zeros):
+    """Common zeros of the first (mat, q, e, r) of ``shears`` whose chart
+    elimination works, mapped back through mat.
+
+    q and e are the sheared conic and cubic as ternary dicts; r is their
+    c-resultant on the chart a = 1 when the caller has it already, else
+    None.  ``chart_zeros(qs, es, r, g)`` gets the chart dicts, r and the gcd
+    g of the binary forms on the line a = 0 (at b = 1), and returns triples.
+    """
+    for mat, q, e, r in shears:
         if not q.get((0, 0, 2)) or not e.get((0, 0, 3)):
             continue  # need both top coefficients for a sound c-resultant
-        found = _affine_common_zeros_2(field, q, e)
-        if found is None:
-            continue
-        return [tuple(mat.apply(pt)) for pt in found]
+        qs, es = _spec_a(q, True, field), _spec_a(e, True, field)
+        if r is None:
+            r = _res_in_last_var(qs, es, 2, 3, field)
+        if r.is_zero():
+            continue  # common component through the chart; shear and retry
+        # top c-coefficients are nonzero, so every common zero on the line
+        # a = 0 has b != 0 and is found at b = 1
+        g = poly_gcd(_c_poly(_spec_a(q, False, field), field.one, 2, field),
+                     _c_poly(_spec_a(e, False, field), field.one, 3, field))
+        out = []
+        for pt in chart_zeros(qs, es, r, g):
+            K = pt[0].field
+            out.append(tuple((mat if K == field else mat.map_field(K)).apply(pt)))
+        return out
     raise ValidationInconclusive("conic-cubic intersection degenerated under all shears")
 
 
-def _affine_common_zeros_2(field, q, e):
-    """Rational common zeros of ternary dicts q (deg 2), e (deg 3), both with
-    nonzero coefficient on the top c-power.  Returns projective triples or
-    None when the chart elimination degenerates."""
-
-    def spec_a(d, a_one):
-        # substitute a = 1 (chart) or a = 0 (the line at a = 0)
-        out = {}
-        for (i, j, k), v in d.items():
-            if a_one or i == 0:
-                key = (j, k)
-                out[key] = out.get(key, field.zero) + v
-        return {k2: v2 for k2, v2 in out.items() if v2}
-
-    pts = []
-    # chart a = 1: eliminate c by resultant, verify candidates
-    qs, es = spec_a(q, True), spec_a(e, True)
-    r = _res_in_last_var(qs, es, 2, 3, field)
-    if r.is_zero():
-        return None  # common component through the chart; shear and retry
-    for b0, _ in roots_in_field(r):
-        g1 = Poly(field, [_eval_bc(qs, b0, k, field) for k in range(3)])
-        g2 = Poly(field, [_eval_bc(es, b0, k, field) for k in range(4)])
-        g = poly_gcd(g1, g2)
-        for c0, _ in roots_in_field(g):
-            pts.append((field.one, b0, c0))
-    # the line a = 0: binary forms in (b, c); top c-coefficients nonzero, so
-    # every common zero there has b != 0 and is found on the chart b = 1
-    qline = Poly(field, [_eval_line(q, k, field) for k in range(3)])
-    eline = Poly(field, [_eval_line(e, k, field) for k in range(4)])
-    g = poly_gcd(qline, eline)
-    for c0, _ in roots_in_field(g):
-        pts.append((field.zero, field.one, c0))
-    return pts
-
-
-def _eval_bc(d, b0, cdeg, field):
-    acc = field.zero
-    for (j, k), v in d.items():
-        if k == cdeg:
-            acc = acc + v * b0 ** j
-    return acc
-
-
-def _eval_line(d, cdeg, field):
-    # coefficient of c^cdeg on the line a = 0, chart b = 1
-    acc = field.zero
+def _spec_a(d, a_one, field):
+    """Ternary dict at a = 1 (the chart) or a = 0 (the line), in (b, c)."""
+    out = {}
     for (i, j, k), v in d.items():
-        if i == 0 and k == cdeg:
-            acc = acc + v
-    return acc
+        if a_one or i == 0:
+            key = (j, k)
+            out[key] = out.get(key, field.zero) + v
+    return {k2: v2 for k2, v2 in out.items() if v2}
+
+
+def _rational_chart_zeros(qs, es, r, g):
+    """Rational zeros for ``_first_shear_zeros``: c-roots over each rational
+    root b0 of r, then the rational roots of g."""
+    field = r.field
+    pts = []
+    for b0, _ in roots_in_field(r):
+        g1, g2 = _c_poly(qs, b0, 2, field), _c_poly(es, b0, 3, field)
+        pts += [(field.one, b0, c0) for c0, _ in roots_in_field(poly_gcd(g1, g2))]
+    return pts + [(field.zero, field.one, c0) for c0, _ in roots_in_field(g)]
+
+
+def _c_poly(d, b0, deg, field):
+    """A dict in (b, c) at b = b0, as a Poly in c of formal degree deg."""
+    cs = [field.zero] * (deg + 1)
+    for (j, k), v in d.items():
+        cs[k] = cs[k] + v * b0 ** j
+    return Poly(field, cs)
 
 
 def _ternary_common_zeros_ext(field, conic, cubic, cap=24):
@@ -1075,28 +1103,9 @@ def _ternary_common_zeros_ext(field, conic, cubic, cap=24):
 
     Support only (no multiplicities); assumes the intersection is finite.
     """
-    from .algebra.poly import distinct_roots_in_field
 
-    for mat in _shear_matrices(field, 3):
-        q = _apply_shear(conic.coeffs, mat, field, 3)
-        e = _apply_shear(cubic.coeffs, mat, field, 3)
-        if not q.get((0, 0, 2)) or not e.get((0, 0, 3)):
-            continue
-
-        def spec_a(d, a_one):
-            out = {}
-            for (i, j, k), v in d.items():
-                if a_one or i == 0:
-                    key = (j, k)
-                    out[key] = out.get(key, field.zero) + v
-            return {k2: v2 for k2, v2 in out.items() if v2}
-
-        qs, es = spec_a(q, True), spec_a(e, True)
-        r = _res_in_last_var(qs, es, 2, 3, field)
-        if r.is_zero():
-            continue
+    def chart_zeros(qs, es, r, g):
         pts = []
-        ok = True
         for f, _ in factor_finite(r):
             if f.degree == 0:
                 continue
@@ -1104,35 +1113,21 @@ def _ternary_common_zeros_ext(field, conic, cubic, cap=24):
             for b0 in ([-f[0]] if f.degree == 1 else
                        distinct_roots_in_field(f.map_field(K1))):
                 K = b0.field
-                g1 = Poly(K, [_eval_bc_at(qs, b0, k, K) for k in range(3)])
-                g2 = Poly(K, [_eval_bc_at(es, b0, k, K) for k in range(4)])
-                g = poly_gcd(g1, g2)
-                if g.degree >= 1:
-                    K2, croots = roots_in_splitting_extension(g, cap=cap)
+                g12 = poly_gcd(_c_poly(mp_map_field(qs, K), b0, 2, K),
+                               _c_poly(mp_map_field(es, K), b0, 3, K))
+                if g12.degree >= 1:
+                    K2, croots = roots_in_splitting_extension(g12, cap=cap)
                     for c0, _ in croots:
                         pts.append((coerce(field.one, K2), coerce(b0, K2), c0))
-        qline = Poly(field, [_eval_line(q, k, field) for k in range(3)])
-        eline = Poly(field, [_eval_line(e, k, field) for k in range(4)])
-        g = poly_gcd(qline, eline)
         if g.degree >= 1:
             K2, croots = roots_in_splitting_extension(g, cap=cap)
-            for c0, _ in croots:
-                pts.append((K2.zero, K2.one, c0))
-        out = []
-        for pt in pts:
-            K = pt[0].field if hasattr(pt[0], "field") else field
-            mk = mat.map_field(K)
-            out.append(tuple(mk.apply(pt)))
-        return out
-    raise ValidationInconclusive("conic-cubic intersection degenerated under all shears")
+            pts += [(K2.zero, K2.one, c0) for c0, _ in croots]
+        return pts
 
-
-def _eval_bc_at(d, b0, cdeg, K):
-    acc = K.zero
-    for (j, k), v in d.items():
-        if k == cdeg:
-            acc = acc + coerce(v, K) * b0 ** j
-    return acc
+    return _first_shear_zeros(field, (
+        (mat, _apply_shear(conic.coeffs, mat, field, 3),
+         _apply_shear(cubic.coeffs, mat, field, 3), None)
+        for mat in _shear_matrices(field, 3)), chart_zeros)
 
 
 def _good_reduction_field(curve_field):
@@ -1253,7 +1248,6 @@ def _verify_candidates_bivar(field, sys2, g):
             b0 = -f[0]
         else:
             fk = f.map_field(K)
-            from .algebra.poly import distinct_roots_in_field
             roots = distinct_roots_in_field(fk)
             if not roots:
                 continue
@@ -1436,7 +1430,7 @@ def _trivariate_system_zero_test(field, system):
         if not other:
             return True
         d_o = max(k[2] for k in other)
-        r = _res3_in_var2(field, base, other, d_base, d_o)
+        r = _mp_resultant(field, base, other, d_base, d_o)
         bivs.append(r)
     bivs = [b for b in bivs if b]
     if not bivs:
@@ -1469,7 +1463,6 @@ def _trivariate_system_zero_test(field, system):
         if f.degree == 1:
             a0 = -f[0]
         else:
-            from .algebra.poly import distinct_roots_in_field
             roots = distinct_roots_in_field(f.map_field(K))
             if not roots:
                 continue
@@ -1479,10 +1472,12 @@ def _trivariate_system_zero_test(field, system):
     return False
 
 
-def _res3_in_var2(field, g1, g2, d1, d2):
-    """Resultant in variable 2 of trivariate dicts; entries are bivariate."""
-    c1 = mp_coeff_list(g1, 2, field)
-    c2 = mp_coeff_list(g2, 2, field)
+def _mp_resultant(field, g1, g2, d1, d2):
+    """Resultant in the last variable of sparse multivariate dicts, with
+    formal degrees d1, d2; entries are dicts in the other variables."""
+    last = len(next(iter(g1))) - 1
+    c1 = mp_coeff_list(g1, last, field)
+    c2 = mp_coeff_list(g2, last, field)
     c1 += [dict() for _ in range(d1 + 1 - len(c1))]
     c2 += [dict() for _ in range(d2 + 1 - len(c2))]
     n = d1 + d2
@@ -1564,7 +1559,6 @@ def _verify_g4_candidate(field, K, system, a0):
         if f.degree == 1:
             b0 = -f[0]
         else:
-            from .algebra.poly import distinct_roots_in_field
             roots = distinct_roots_in_field(f.map_field(K2))
             if not roots:
                 continue

@@ -242,18 +242,30 @@ def in_multiple_locus(D, cap=12):
     return intersection_divisor(W, cap=cap).degree >= D.degree + 1
 
 
-def in_Rnk(D, k, cap=12):
-    """Membership in the (n+k)-intersection locus; empty by convention for
-    k >= n."""
+def rnk_flag(deg, n, k):
+    """The R_(n,k) rule for a degree-n divisor D with deg(span(D) . C) = deg.
+
+    k = 0 holds for every D and R_(n,k) is empty by convention for k >= n,
+    so ``deg`` is read only for 0 < k < n, where the rule is deg >= n + k.
+    One (W . C) therefore decides every k.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return True
-    n = D.degree
     if k >= n:
         return False
-    W = gauss_eval(D)
-    return intersection_divisor(W, cap=cap).degree >= n + k
+    return deg >= n + k
+
+
+def in_Rnk(D, k, cap=12):
+    """Membership of D in the (n+k)-intersection locus (see ``rnk_flag``);
+    (W . C) is computed only when the rule needs its degree."""
+    n = D.degree
+    deg = None
+    if 0 < k < n:
+        deg = intersection_divisor(gauss_eval(D), cap=cap).degree
+    return rnk_flag(deg, n, k)
 
 
 class BnkVerdict:

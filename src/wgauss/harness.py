@@ -24,6 +24,7 @@ from .gauss import (
     hyperelliptic_fiber_prediction,
     in_Rnk,
     intersection_divisor,
+    rnk_flag,
 )
 from .linsys import (
     beta,
@@ -184,27 +185,26 @@ def multiple_locus_oracle(curve, D, oracle_cap):
     oracle_cap.  Independent of the intersection-divisor test.
 
     dim |D + q| = deg(D) + 1 - rank of the stacked hyperplane conditions, so
-    for q outside supp(D) one extra coordinate row decides; coincidences fall
+    for q outside supp(D) one extra coordinate row decides: D's conditions
+    are reduced to RREF once per m, and each point's row is reduced against
+    their pivots (``MatrixExact.rank_with_row``, exact).  Coincidences fall
     back to the full computation.
     """
-    from .algebra.fields import coerce, common_field
-    from .algebra.linalg import MatrixExact
+    from .algebra.fields import common_field
     from .spans import hyperplane_conditions
     n = D.degree
     for m in range(1, oracle_cap + 1):
         K, pts = curve_points_cached(curve, m)
         fld = common_field(D.field, K)
-        base = hyperplane_conditions(D).map_field(fld).rows
+        base = hyperplane_conditions(D).map_field(fld)
         support = {P.coerce(fld) for P in D.support()}
         for q in pts:
-            qc = q.coerce(fld)
+            qc = q if K is fld else q.coerce(fld)
             if qc in support:
                 if dim_complete(D + Divisor(curve, [(q, 1)])) == 1:
                     return True
                 continue
-            row = [coerce(c, fld) for c in curve.canonical_coords(qc).coords]
-            rank = MatrixExact(fld, list(base) + [row]).rank()
-            if n + 1 - rank == 1:
+            if n + 1 - base.rank_with_row(curve.canonical_coords(qc).coords) == 1:
                 return True
     return False
 
@@ -222,9 +222,7 @@ def run_locus_census(cfg):
         D = sample_smooth_divisor(curve, n, rng)
         W = gauss_eval(D)
         deg = intersection_divisor(W, cap=cfg.ext_cap).degree
-        flags = {}
-        for k in range(0, n + 1):
-            flags[k] = bool(in_Rnk(D, k, cap=cfg.ext_cap))
+        flags = {k: rnk_flag(deg, n, k) for k in range(n + 1)}
         for k in range(0, n):
             if flags[k + 1] and not flags[k]:
                 nesting_ok = False

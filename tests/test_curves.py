@@ -260,6 +260,44 @@ def test_points_over_enumeration_g4():
     assert sub <= {P.coords for P in pts2}
 
 
+# smooth genus-4 curves over F_7: on xw = yz the restricted quadric has no
+# c^2 term, so the identity shear never works; with w^2 in the quadric and
+# w^3 in the cubic it works on the planes where the resultant survives
+POINT_TABLE_CURVES = [
+    (SEGRE, {(3, 0, 0, 0): 1, (0, 0, 3, 0): 5, (1, 0, 1, 1): 1, (1, 2, 0, 0): 5,
+             (0, 2, 0, 1): 2, (1, 0, 2, 0): 1, (0, 0, 0, 3): 1}),
+    ({**SEGRE, (0, 0, 0, 2): 1},
+     {(3, 0, 0, 0): 1, (0, 1, 2, 0): 5, (0, 0, 3, 0): 3, (0, 2, 0, 1): 5,
+      (1, 1, 1, 0): 3, (1, 0, 1, 1): 4, (0, 0, 0, 3): 1}),
+    ({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 3},
+     {(3, 0, 0, 0): 1, (0, 0, 3, 0): 4, (2, 1, 0, 0): 1, (1, 0, 1, 1): 2,
+      (0, 3, 0, 0): 3, (0, 0, 1, 2): 5, (0, 0, 0, 3): 1}),
+]
+
+
+@pytest.mark.parametrize("forms", POINT_TABLE_CURVES,
+                         ids=["segre", "segre+w2", "diagonal"])
+def test_points_over_g4_matches_brute_force_and_per_plane_path(forms):
+    from wgauss.curves import _projective_points
+    F7 = PrimeField(7)
+    g = CanonicalG4Curve(F7, *forms)
+    K, pts = g.points_over(1)
+    brute = {P for P in _projective_points(F7, 4) if not g.quadric(P) and not g.cubic(P)}
+    assert [P.coords for P in pts] == _sorted_coords(F7, brute)
+    # over F_49: the rational points of every plane s*x0 + t*x1 = 0 through
+    # the axis line, each restricted on its own
+    K2, pts2 = g.points_over(2)
+    gK = CanonicalG4Curve(K2, g.quadric.map_field(K2), g.cubic.map_field(K2), check=False)
+    planes = [(K2.one, t) for t in K2.elements()] + [(K2.zero, K2.one)]
+    per_plane = {P.coords for s, t in planes
+                 for P in gK.plane_rational_points((s, t, K2.zero, K2.zero))}
+    assert [P.coords for P in pts2] == _sorted_coords(K2, per_plane)
+
+
+def _sorted_coords(field, coords):
+    return sorted(coords, key=lambda c: [field.sort_key(x) for x in c])
+
+
 def test_quartic_points_over():
     q = PlaneQuarticCurve(F11, KLEIN)
     K, pts = q.points_over(1)

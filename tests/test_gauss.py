@@ -17,6 +17,7 @@ from wgauss.gauss import (
     in_multiple_locus,
     in_Rnk,
     intersection_divisor,
+    rnk_flag,
 )
 from wgauss.linsys import find_g13
 from wgauss.spans import NotInSmoothLocusError, ell, in_smooth_Wn, span
@@ -258,6 +259,21 @@ def test_rnk_basics():
     assert not in_Rnk(D, 2)   # k = n: empty by convention
     Dg = smooth_divisor(G4, 2, rng)
     assert in_Rnk(Dg, 0) and not in_Rnk(Dg, 1)
+
+
+def test_rnk_flag_rule():
+    # k = 0 always holds, k >= n never does (deg is not read), and in
+    # between the flag is deg >= n + k
+    for n in range(1, 5):
+        for deg in range(n, 2 * n + 2):
+            flags = [rnk_flag(deg, n, k) for k in range(n + 2)]
+            assert flags[0] and not any(flags[n:])
+            assert flags[1:n] == [deg >= n + k for k in range(1, n)]
+    assert rnk_flag(None, 2, 0) and not rnk_flag(None, 2, 2)
+    with pytest.raises(ValueError):
+        rnk_flag(5, 3, -1)
+    with pytest.raises(ValueError):
+        in_Rnk(smooth_divisor(HE, 2, random.Random(16)), -1)
 
 
 def test_rnk_hyperelliptic_via_pair_completion():

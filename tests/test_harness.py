@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -61,6 +62,41 @@ def test_locus_census_g4():
     for rec in rep["records"]:
         assert rec["in_Rnk"]["0"] is True
         assert rec["in_Rnk"]["2"] is False
+
+
+G4_F7 = {**G4, "field": {"type": "prime", "p": 7}}
+
+# write_report digests of two locus censuses: any change to a flag, a
+# degree, a witness or an oracle verdict changes them
+LOCUS_PINS = [
+    (dict(curve=G4_F7, n=2, trials=4, seed=1, oracle_cap=2),
+     "f8a48001f3394f25b8e4ddb54b5843dbd06cb729da7d42a81977ee7a50c983a8"),
+    (dict(curve=G4, n=3, trials=4, seed=2),
+     "ac4e1868b13c6f88b63486eafd26bddfc37197c325b61c5003736cef7e48c6d3"),
+]
+
+
+@pytest.mark.parametrize("kw,digest", LOCUS_PINS, ids=["g4-f7-oracle", "g4-f10007-n3"])
+def test_locus_census_report_pinned(kw, digest):
+    cfg = ExperimentConfig(experiment="locus-census", **kw)
+    blob = write_report(run_locus_census(cfg), None)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_locus_census_one_intersection_per_trial(monkeypatch):
+    from wgauss import gauss, harness
+    real, calls = gauss.intersection_divisor, []
+
+    def counted(W, cap=12):
+        calls.append(W)
+        return real(W, cap=cap)
+
+    monkeypatch.setattr(gauss, "intersection_divisor", counted)
+    monkeypatch.setattr(harness, "intersection_divisor", counted)
+    cfg = ExperimentConfig(experiment="locus-census", curve=G4, n=3, trials=5, seed=2)
+    rep = run_locus_census(cfg)
+    assert len(rep["records"]) == 5
+    assert len(calls) == 5
 
 
 def test_locus_census_hyperelliptic_witnesses():

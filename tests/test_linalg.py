@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wgauss.algebra import QQ, MatrixExact, PrimeField, plucker, rank_kernel_rref
+from wgauss.algebra import QQ, ExtField, MatrixExact, PrimeField, plucker, rank_kernel_rref
 
 F = PrimeField(10007)
 
@@ -102,3 +104,28 @@ def test_plucker_rejects_dependent_rows():
     m = MatrixExact(F, [[1, 2, 3], [2, 4, 6]])
     with pytest.raises(ValueError):
         plucker(m)
+
+
+ROW_FIELDS = [PrimeField(7), ExtField(7, 3)]
+# few distinct entries, zero among them, so that dependent rows are common
+ROW_ENTRIES = {K: [K.zero, K.one, -K.one] + list(K.elements())[-2:] for K in ROW_FIELDS}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_with_row_matches_stacked_rank(data):
+    K = data.draw(st.sampled_from(ROW_FIELDS))
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 5))
+    entry = st.sampled_from(ROW_ENTRIES[K])
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    row = [data.draw(entry) for _ in range(n)]
+    in_span = rows and data.draw(st.booleans())
+    if in_span:  # a combination of the rows
+        cs = [data.draw(entry) for _ in rows]
+        row = [sum((c * r[j] for c, r in zip(cs, rows)), K.zero) for j in range(n)]
+    base = MatrixExact(K, rows or [[K.zero] * n])
+    got = base.rank_with_row(row)
+    assert got == MatrixExact(K, list(base.rows) + [row]).rank()
+    assert base.rank_with_row(row) == got  # now from the cached RREF
+    if in_span:
+        assert got == base.rank()

@@ -22,6 +22,7 @@ from wgauss.algebra import (
 )
 
 from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
+from wgauss.algebra.poly import distinct_roots_in_field
 
 F7 = PrimeField(7)
 F31 = PrimeField(31)
@@ -170,6 +171,21 @@ def test_roots_multiplicity_sum_and_evaluation():
         assert sum(m for _, m in roots) == a.degree
         g = a.map_field(K)
         assert all(not g(r) for r, _ in roots)
+
+
+@pytest.mark.parametrize("F", [F7, ExtField(7, 3), F10007, ExtField(10007, 2)],
+                         ids=repr)
+def test_roots_in_field_linear_matches_general_path(F):
+    # a linear a skips the exponentiation; the general path, gcd with
+    # x^q - x and its split, must give the same root
+    rng = random.Random(18)
+    x = Poly.x(F)
+    for i in range(30):
+        a = Poly(F, [F.zero if i % 5 == 0 else F.rand(rng), F.rand(rng) or F.one])
+        lin = poly_gcd(powmod(x, F.order, a) - x, a)
+        assert lin == a.monic()
+        assert roots_in_field(a) == [(r, 1) for r in distinct_roots_in_field(a)]
+        assert roots_in_field(a) == [(-lin[0], 1)]
 
 
 def test_extension_cap():
