@@ -39,6 +39,7 @@ from .algebra.fields import (
 from .algebra.linalg import MatrixExact
 from .algebra.poly import (
     Poly,
+    conic_cubic_resultant,
     distinct_roots_in_field,
     factor_finite,
     poly_gcd,
@@ -763,10 +764,10 @@ class CanonicalG4Curve:
 
         The quadric and the cubic are restricted once to the generic plane
         (x0 = t*a, x1 = -s*a, x2 = b, x3 = c, with s and t kept as
-        variables), and each shear is applied to those forms, and their
-        c-resultant taken, once, when a plane first needs it.  Every plane
-        specializes (s, t) and takes the first shear that works for it, as
-        restricting to that plane alone would.
+        variables), and each shear is applied to those forms once, when a
+        plane first needs it.  Every plane specializes (s, t), takes the
+        first shear that works for it, as restricting to that plane alone
+        would, and solves its own conic and cubic.
         """
         if not self.field.is_finite:
             raise CurveError("enumeration requires a finite field")
@@ -782,9 +783,7 @@ class CanonicalG4Curve:
                 if i == len(sheared):
                     sheared.append(_shear_pencil(K, pencil, mat))
                 if sheared[i]:
-                    q, e, r = (_specialize_pencil(f, s, t) for f in sheared[i])
-                    # deg_b r <= 6
-                    yield mat, q, e, Poly(K, [r.get((j,), K.zero) for j in range(7)])
+                    yield (mat, *(_specialize_pencil(f, s, t) for f in sheared[i]))
 
         found = {}
         for (s, t) in [(K.one, t) for t in K.elements()] + [(K.zero, K.one)]:
@@ -932,7 +931,9 @@ def _shear_matrices(field, nvars):
 
 def _apply_shear(form_dict, mat, field, nvars):
     """Substitute x_i -> sum_j mat[i][j] x_j for the first mat.nrows of the
-    nvars variables; the others stay."""
+    nvars variables; the others stay.  The identity returns a copy."""
+    if mat == MatrixExact.identity(field, mat.nrows):
+        return dict(form_dict)
     unit = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     images = [{unit[j]: c for j, c in enumerate(row) if c} for row in mat.rows]
     images += [{unit[i]: field.one} for i in range(mat.nrows, nvars)]
@@ -940,20 +941,15 @@ def _apply_shear(form_dict, mat, field, nvars):
 
 
 def _shear_pencil(field, pencil, mat):
-    """The pencil's conic and cubic, dicts in (a, b, c, s, t), with mat
-    applied to (a, b, c), and their c-resultant on the chart a = 1 as a dict
-    in (b, s, t), each grouped by (s, t)-monomial; None when a top
+    """The pencil's conic and cubic, dicts in (a, b, c, s, t) with mat
+    applied to (a, b, c), each grouped by (s, t)-monomial; None when a top
     c-coefficient is zero on every plane."""
     q, e = (_apply_shear(f, mat, field, 5) for f in pencil)
     if not (any(k[:3] == (0, 0, 2) for k in q)
             and any(k[:3] == (0, 0, 3) for k in e)):
         return None
-
-    def chart(d):  # a = 1 with c moved last; i is fixed by (j, k)
-        return {(j, es, et, k): v for (i, j, k, es, et), v in d.items()}
-
     out = []
-    for d in (q, e, _mp_resultant(field, chart(q), chart(e), 2, 3)):
+    for d in (q, e):
         groups = {}
         for key, v in d.items():
             groups.setdefault(key[-2:], []).append((key[:-2], v))
@@ -1035,25 +1031,23 @@ def _ternary_common_rational_zeros(field, conic, cubic):
     """
     return _first_shear_zeros(field, (
         (mat, _apply_shear(conic.coeffs, mat, field, 3),
-         _apply_shear(cubic.coeffs, mat, field, 3), None)
+         _apply_shear(cubic.coeffs, mat, field, 3))
         for mat in _shear_matrices(field, 3)), _rational_chart_zeros)
 
 
 def _first_shear_zeros(field, shears, chart_zeros):
-    """Common zeros of the first (mat, q, e, r) of ``shears`` whose chart
+    """Common zeros of the first (mat, q, e) of ``shears`` whose chart
     elimination works, mapped back through mat.
 
-    q and e are the sheared conic and cubic as ternary dicts; r is their
-    c-resultant on the chart a = 1 when the caller has it already, else
-    None.  ``chart_zeros(qs, es, r, g)`` gets the chart dicts, r and the gcd
-    g of the binary forms on the line a = 0 (at b = 1), and returns triples.
+    ``chart_zeros(qs, es, r, g)`` gets the chart dicts (a = 1) of the sheared
+    ternary conic and cubic q and e, their c-resultant r and the gcd g of the
+    binary forms on the line a = 0 (at b = 1), and returns triples.
     """
-    for mat, q, e, r in shears:
+    for mat, q, e in shears:
         if not q.get((0, 0, 2)) or not e.get((0, 0, 3)):
             continue  # need both top coefficients for a sound c-resultant
         qs, es = _spec_a(q, True, field), _spec_a(e, True, field)
-        if r is None:
-            r = _res_in_last_var(qs, es, 2, 3, field)
+        r = conic_cubic_resultant(_b_polys(qs, 2, field), _b_polys(es, 3, field))
         if r.is_zero():
             continue  # common component through the chart; shear and retry
         # top c-coefficients are nonzero, so every common zero on the line
@@ -1066,6 +1060,12 @@ def _first_shear_zeros(field, shears, chart_zeros):
             out.append(tuple((mat if K == field else mat.map_field(K)).apply(pt)))
         return out
     raise ValidationInconclusive("conic-cubic intersection degenerated under all shears")
+
+
+def _b_polys(d, deg, field):
+    """A chart dict in (b, c) of degree deg as the Polys in b of c^0 .. c^deg."""
+    return [Poly(field, [d.get((j, k), field.zero) for j in range(deg + 1 - k)])
+            for k in range(deg + 1)]
 
 
 def _spec_a(d, a_one, field):
@@ -1126,7 +1126,7 @@ def _ternary_common_zeros_ext(field, conic, cubic, cap=24):
 
     return _first_shear_zeros(field, (
         (mat, _apply_shear(conic.coeffs, mat, field, 3),
-         _apply_shear(cubic.coeffs, mat, field, 3), None)
+         _apply_shear(cubic.coeffs, mat, field, 3))
         for mat in _shear_matrices(field, 3)), chart_zeros)
 
 

@@ -14,12 +14,7 @@ from .algebra.linalg import MatrixExact
 from .algebra.poly import Poly, poly_gcd, roots_in_splitting_extension
 from .curves import INF, CurveError, ProjectivePoint
 from .divisors import Divisor, gcd_div, pullback_x
-from .spans import (
-    NotInSmoothLocusError,
-    ell,
-    hyperplane_section,
-    span,
-)
+from .spans import NotInSmoothLocusError, hyperplane_section, span
 
 
 class UnsupportedConfiguration(RuntimeError):
@@ -170,9 +165,8 @@ def fiber(W, n=None, cap=12):
     }
     members = []
     for E in WC.subdivisors(n):
-        if ell(E) != 1:
-            continue
-        if span(E) == W.span:
+        sp = span(E)
+        if E.degree - sp.dim == 1 and sp == W.span:  # ell(E) = 1
             members.append(E)
     return FiberReport(W, WC, members, flags)
 

@@ -259,7 +259,7 @@ def hyperplane_section(curve, h, field=None, cap=12):
     b0, b1, b2 = m.kernel_basis()
     conic = curve.quadric.map_field(fld).restrict_plane(b0, b1, b2, field=fld)
     cubic = curve.cubic.map_field(fld).restrict_plane(b0, b1, b2, field=fld)
-    triples = _ternary_common_zeros_ext(fld, conic, cubic, cap=2 * cap)
+    triples = _ternary_common_zeros_ext(fld, conic, cubic, cap=cap)
     pts = []
     for (a0, a1, a2) in triples:
         K = a0.field

@@ -344,3 +344,17 @@ def test_x_value_and_points_above():
     assert c.x_value(c.infinity_points()[0]) is INF
     inf_pts = c.points_above_x(INF, F)
     assert len(inf_pts) == 1
+
+
+def test_identity_shear_returns_an_equal_copy():
+    from wgauss.curves import _apply_shear, _shear_matrices, mp_substitute
+    F7 = PrimeField(7)
+    cubic = HomForm(F7, 4, 3, G4_CUBIC).coeffs
+    ident, shear = _shear_matrices(F7, 3)[:2]
+    for nvars in (3, 4):   # a ternary cubic, and a quaternary one whose x3 stays
+        form = {k[:nvars]: v for k, v in cubic.items() if not any(k[nvars:])}
+        units = [{tuple(int(i == j) for j in range(nvars)): F7.one} for i in range(nvars)]
+        out = _apply_shear(form, ident, F7, nvars)
+        assert out == mp_substitute(form, units, F7, nvars) == form
+        assert out is not form
+        assert _apply_shear(form, shear, F7, nvars) != form

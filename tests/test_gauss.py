@@ -146,6 +146,23 @@ def test_fiber_members_all_verify():
     assert rep.cardinality <= comb(rep.WC.degree, 2)
 
 
+def test_fiber_takes_one_span_per_subdivisor(monkeypatch):
+    from wgauss import gauss, spans
+    rng = random.Random(9)
+    W = gauss_eval(smooth_divisor(G4, 3, rng))
+    real, calls = spans.span, []
+
+    def counted(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(spans, "span", counted)   # ell(E) reads it
+    monkeypatch.setattr(gauss, "span", counted)
+    rep = fiber(W)
+    assert rep.cardinality >= 1
+    assert len(calls) == len(list(rep.WC.subdivisors(3)))
+
+
 def test_expected_generic_fiber():
     assert expected_generic_fiber(HE, 2) == 4
     assert expected_generic_fiber(HE, 1) == 2

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from wgauss.algebra import ExtensionCapError
 from wgauss.harness import (
     ExperimentConfig,
     multiple_locus_oracle,
@@ -124,6 +125,34 @@ def test_reconstruct_g4_report():
     assert rep["passed"]
     assert rep["dual_total"] == 12
     assert rep["verdicts"]["members_recovered"]
+
+
+# write_report digests of a genus-4 fiber census and reconstruction: both
+# solve planes through the conic-cubic resultant ((W . C), hyperplane
+# sections), so any change to a point, a member or a certificate changes them
+PLANE_SECTION_PINS = [
+    (run_fiber_census, dict(experiment="fiber-census", curve=G4, n=3, trials=6, seed=3),
+     "b8480b7fc309c60bb47cce1526be3f2f98708a925dc1c09f5ab30534eb7ec74d"),
+    (run_reconstruct, dict(experiment="reconstruct", curve=G4, n=2, k=1, trials=3, seed=4),
+     "1efdb94341d752877fbfcdc4854c34f89249c037bfdf940072cb85c0f68a3cb5"),
+]
+
+
+@pytest.mark.parametrize("run,kw,digest", PLANE_SECTION_PINS,
+                         ids=["g4-fiber-n3", "g4-reconstruct"])
+def test_plane_section_reports_pinned(run, kw, digest):
+    blob = write_report(run(ExperimentConfig(**kw)), None)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_reconstruct_g4_hyperplane_sections_keep_the_cap():
+    # over F_11 some g^1_3 member needs a degree-6 splitting field; the
+    # hyperplane section must refuse it at ext_cap itself
+    g4_f11 = {**G4, "field": {"type": "prime", "p": 11}}
+    cfg = ExperimentConfig(experiment="reconstruct", curve=g4_f11, n=2, k=1,
+                           trials=8, seed=1, ext_cap=2)
+    with pytest.raises(ExtensionCapError, match="exceeds cap 2$"):
+        run_reconstruct(cfg)
 
 
 def test_reconstruct_g4_certificate_failures(monkeypatch):
