@@ -32,8 +32,8 @@ for name, curve in curves:
           f"{expected_generic_fiber(curve, n)}")
     for trial in range(5):
         rng = random.Random(trial)
-        D = sample_smooth_divisor(curve, n, rng)
-        rep = fiber(gauss_eval(D))
+        _, W = sample_smooth_divisor(curve, n, rng)
+        rep = fiber(W)
         tag = " (degenerate)" if rep.flags["nonreduced"] or rep.flags["weierstrass"] else ""
         print(f"  trial {trial}: deg(W.C) = {rep.WC.degree}, "
               f"cardinality = {rep.cardinality}{tag}")

@@ -758,40 +758,20 @@ class CanonicalG4Curve:
         return self.local_series(P, order)
 
     def points_over(self, rel_degree=1):
-        """Pencil-of-planes sweep: every point lies on a plane through the
-        axis line x0 = x1 = 0, so the rational zeros of all q + 1 planes
-        s*x0 + t*x1 = 0 of the pencil are the points of C(F_(p^m)).
+        """(K, the sorted points of C(K)), K = F_(q^m) for m = rel_degree.
 
-        The quadric and the cubic are restricted once to the generic plane
-        (x0 = t*a, x1 = -s*a, x2 = b, x3 = c, with s and t kept as
-        variables), and each shear is applied to those forms once, when a
-        plane first needs it.  Every plane specializes (s, t), takes the
-        first shear that works for it, as restricting to that plane alone
-        would, and solves its own conic and cubic.
+        The points are found line by line on the rulings of the quadric
+        (``rulings``): through the Segre map when the quadric has rank 4
+        and splits over K, through the vertex when it is a cone.  A rank-4
+        quadric whose determinant is not a square in K (possible only for
+        odd m) keeps the sweep over the pencil of planes through the line
+        x0 = x1 = 0.
         """
         if not self.field.is_finite:
             raise CurveError("enumeration requires a finite field")
+        from .rulings import points_over
         K = _ext_over(self.field, rel_degree)
-        images = [{(1, 0, 0, 0, 1): K.one}, {(1, 0, 0, 1, 0): -K.one},
-                  {(0, 1, 0, 0, 0): K.one}, {(0, 0, 1, 0, 0): K.one}]
-        pencil = [mp_substitute(f.map_field(K).coeffs, images, K, 5)
-                  for f in (self.quadric, self.cubic)]
-        mats, sheared = _shear_matrices(K, 3), []
-
-        def shears(s, t):
-            for i, mat in enumerate(mats):
-                if i == len(sheared):
-                    sheared.append(_shear_pencil(K, pencil, mat))
-                if sheared[i]:
-                    yield (mat, *(_specialize_pencil(f, s, t) for f in sheared[i]))
-
-        found = {}
-        for (s, t) in [(K.one, t) for t in K.elements()] + [(K.zero, K.one)]:
-            for a0, b0, c0 in _first_shear_zeros(K, shears(s, t), _rational_chart_zeros):
-                P = ProjectivePoint(K, [a0 * t, -a0 * s, b0, c0])
-                found[P.coords] = P
-        pts = filter(self.contains, found.values())
-        return K, sorted(pts, key=lambda P: P.sort_key())
+        return K, points_over(self, K)
 
     def describe(self):
         return {
@@ -940,35 +920,6 @@ def _apply_shear(form_dict, mat, field, nvars):
     return mp_substitute(form_dict, images, field, nvars)
 
 
-def _shear_pencil(field, pencil, mat):
-    """The pencil's conic and cubic, dicts in (a, b, c, s, t) with mat
-    applied to (a, b, c), each grouped by (s, t)-monomial; None when a top
-    c-coefficient is zero on every plane."""
-    q, e = (_apply_shear(f, mat, field, 5) for f in pencil)
-    if not (any(k[:3] == (0, 0, 2) for k in q)
-            and any(k[:3] == (0, 0, 3) for k in e)):
-        return None
-    out = []
-    for d in (q, e):
-        groups = {}
-        for key, v in d.items():
-            groups.setdefault(key[-2:], []).append((key[:-2], v))
-        out.append(groups)
-    return out
-
-
-def _specialize_pencil(groups, s, t):
-    """A dict grouped by (s, t)-monomial by ``_shear_pencil``, at (s, t)."""
-    out = {}
-    for (es, et), terms in groups.items():
-        f = s ** es * t ** et
-        if f:
-            for key, v in terms:
-                v = v * f
-                out[key] = out[key] + v if key in out else v
-    return {key: v for key, v in out.items() if v}
-
-
 def _res_in_last_var(g1, g2, d1, d2, field):
     """Resultant of two bivariate dicts viewed as polys in variable 1,
     with formal degrees d1, d2; entries become univariate Polys in var 0."""
@@ -1091,9 +1042,12 @@ def _rational_chart_zeros(qs, es, r, g):
 
 def _c_poly(d, b0, deg, field):
     """A dict in (b, c) at b = b0, as a Poly in c of formal degree deg."""
+    pw = [field.one]
+    for _ in range(deg):
+        pw.append(pw[-1] * b0)
     cs = [field.zero] * (deg + 1)
     for (j, k), v in d.items():
-        cs[k] = cs[k] + v * b0 ** j
+        cs[k] = cs[k] + v * pw[j]
     return Poly(field, cs)
 
 
@@ -1299,7 +1253,8 @@ def _plane_basis(curve, h):
     return None
 
 
-def _quadric_rank(field, quadric):
+def _gram_matrix(field, quadric):
+    """The symmetric matrix G of a quaternary quadric: Q(x) = x.G.x."""
     half = field.one / field.elem(2)
     rows = []
     for i in range(4):
@@ -1312,7 +1267,7 @@ def _quadric_rank(field, quadric):
                 key = tuple(1 if t in (i, j) else 0 for t in range(4))
                 row.append(quadric.coeffs.get(key, field.zero) * half)
         rows.append(row)
-    return MatrixExact(field, rows).rank()
+    return MatrixExact(field, rows)
 
 
 def _certify_smooth_g4(curve):
@@ -1335,7 +1290,7 @@ def _certify_smooth_g4(curve):
                 continue
         raise ValidationInconclusive(
             "could not certify smoothness over QQ by good reduction")
-    if _quadric_rank(field, curve.quadric) < 3:
+    if _gram_matrix(field, curve.quadric).rank() < 3:
         raise CurveError("quadric has rank < 3; the intersection is singular")
     if _cubic_multiple_of_quadric(field, curve.quadric, curve.cubic):
         raise CurveError("cubic is a multiple of the quadric")

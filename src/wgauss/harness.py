@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import __version__
-from .algebra.fields import Rationals
+from .algebra.fields import FieldError, Rationals
 from .algebra.poly import ExtensionCapError
 from .curves import curve_hash, validate
 from .divisors import Divisor
@@ -35,7 +35,7 @@ from .linsys import (
     hyperelliptic_image_witness,
     reconstruct_system,
 )
-from .spans import dim_complete, in_smooth_Wn
+from .spans import NotInSmoothLocusError, dim_complete, in_smooth_Wn
 
 
 @dataclass
@@ -91,15 +91,19 @@ def _report_skeleton(cfg, curve):
 
 
 def sample_smooth_divisor(curve, n, rng, max_tries=200):
-    """n sampled points forming a divisor in the smooth-locus preimage."""
+    """(D, gauss_eval(D)) for n sampled points forming a divisor D in the
+    smooth-locus preimage; a D off it is rejected by the Gauss map itself,
+    so each accepted D costs one span."""
     for _ in range(max_tries):
         items = {}
         while sum(items.values()) < n:
             P = curve.sample_point(rng)
             items[P] = items.get(P, 0) + 1
         D = Divisor(curve, list(items.items()))
-        if in_smooth_Wn(D):
-            return D
+        try:
+            return D, gauss_eval(D)
+        except NotInSmoothLocusError:
+            continue
     raise UnsupportedConfiguration("could not sample a smooth-locus divisor")
 
 
@@ -132,8 +136,7 @@ def run_fiber_census(cfg):
     unflagged = 0
     for i in range(cfg.trials):
         rng = _trial_rng(cfg.seed, i)
-        D = sample_smooth_divisor(curve, cfg.n, rng)
-        W = gauss_eval(D)
+        D, W = sample_smooth_divisor(curve, cfg.n, rng)
         rep = fiber(W, cfg.n, cap=cfg.ext_cap)
         flagged = rep.flags["nonreduced"] or rep.flags["weierstrass"]
         histogram[rep.cardinality] = histogram.get(rep.cardinality, 0) + 1
@@ -219,8 +222,7 @@ def run_locus_census(cfg):
     witnesses = {}
     for i in range(cfg.trials):
         rng = _trial_rng(cfg.seed, i)
-        D = sample_smooth_divisor(curve, n, rng)
-        W = gauss_eval(D)
+        D, W = sample_smooth_divisor(curve, n, rng)
         deg = intersection_divisor(W, cap=cfg.ext_cap).degree
         flags = {k: rnk_flag(deg, n, k) for k in range(n + 1)}
         for k in range(0, n):
@@ -340,13 +342,15 @@ def _reconstruct_hyperelliptic(cfg, curve):
     ok_all = True
     for i in range(cfg.trials or 20):
         rng = _trial_rng(cfg.seed, i)
-        D = sample_smooth_divisor(curve, cfg.n, rng)
+        D, W = sample_smooth_divisor(curve, cfg.n, rng)
         k = cfg.k or 1
         try:
             L, Fw = hyperelliptic_image_witness(D, k=k, cap=cfg.ext_cap)
-            ok = beta(Fw, cap=cfg.ext_cap) == gauss_eval(D)
+            ok = beta(Fw, cap=cfg.ext_cap) == W
             nc = classify_member(L, Fw)["nc"]
-        except Exception:
+        except (ExtensionCapError, FieldError):
+            # a witness whose residual or span needs a splitting field beyond
+            # the cap, or points with no common field: a failed trial
             ok, nc = False, False
         ok_all = ok_all and ok and bool(nc)
         records.append({"trial": i, "divisor": D.to_json(),
@@ -357,7 +361,7 @@ def _reconstruct_hyperelliptic(cfg, curve):
     # parameter-to-span injectivity on an exhaustive small-field sweep
     if curve.field.order is not None and curve.field.order ** cfg.k <= 2000 and cfg.k:
         rng = _trial_rng(cfg.seed, 999)
-        D = sample_smooth_divisor(curve, cfg.k, rng)
+        D, _ = sample_smooth_divisor(curve, cfg.k, rng)
         L, Fw = hyperelliptic_image_witness(D, k=cfg.k, cap=cfg.ext_cap)
         seen = set()
         injective = True

@@ -17,9 +17,9 @@ is available, giving the total dual count with multiplicity.
 import random
 from itertools import product
 
-from .algebra.fields import coerce, common_field
+from .algebra.fields import FieldError, coerce, common_field
 from .algebra.linalg import MatrixExact
-from .algebra.poly import Poly, roots_in_splitting_extension
+from .algebra.poly import ExtensionCapError, Poly, roots_in_splitting_extension
 from .curves import INF, CurveError
 from .divisors import Divisor, gcd_div, hyperelliptic_reduce, pullback_x, x_fibers
 from .gauss import GrassPoint, UnsupportedConfiguration, intersection_divisor
@@ -353,7 +353,10 @@ def dual_samples(L, trials=50, sweep_limit=10 ** 6, rng=None, cap=12):
                     continue
                 try:
                     sample = _certify_nonreduced(L, c, B)
-                except Exception:
+                except (ExtensionCapError, ArithmeticError, FieldError):
+                    # the member needs a splitting field beyond the cap, its
+                    # local series did not stabilize, or its points and the
+                    # parameter share no field: no certificate for this root
                     continue
                 if sample is not None:
                     out.append(sample)

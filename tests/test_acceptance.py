@@ -90,8 +90,8 @@ def test_criterion_01_hyperelliptic_fiber_law():
         while unflagged < 200 and trial < 500:
             rng = random.Random(1000 * n + trial)
             trial += 1
-            D = sample_smooth_divisor(HE_G3, n, rng)
-            rep = fiber(gauss_eval(D))
+            D, W = sample_smooth_divisor(HE_G3, n, rng)
+            rep = fiber(W)
             if rep.flags["nonreduced"] or rep.flags["weierstrass"]:
                 continue
             unflagged += 1
@@ -146,8 +146,8 @@ def test_criterion_03_plane_quartic_fiber_law():
     while unflagged < 200 and trial < 500:
         rng = random.Random(3000 + trial)
         trial += 1
-        D = sample_smooth_divisor(KLEIN, 2, rng)
-        rep = fiber(gauss_eval(D))
+        D, W = sample_smooth_divisor(KLEIN, 2, rng)
+        rep = fiber(W)
         if rep.flags["nonreduced"]:
             continue
         unflagged += 1
@@ -163,10 +163,11 @@ def test_criterion_03_plane_quartic_fiber_law():
             D = Divisor(KLEIN, [(P, 2)])  # tangent line: non-reduced section
             if not in_smooth_Wn(D):
                 continue
+            W = gauss_eval(D)
         else:
-            D = sample_smooth_divisor(KLEIN, 2, rng)
+            D, W = sample_smooth_divisor(KLEIN, 2, rng)
         checked += 1
-        rep = fiber(gauss_eval(D))
+        rep = fiber(W)
         if (rep.cardinality < 6) != rep.flags["nonreduced"]:
             ok = False
     elapsed = time.time() - t0
@@ -181,8 +182,8 @@ def test_criterion_04_generic_singleton_fiber():
     while unflagged < 200 and trial < 500:
         rng = random.Random(4000 + trial)
         trial += 1
-        D = sample_smooth_divisor(G4, 2, rng)
-        rep = fiber(gauss_eval(D))
+        D, W = sample_smooth_divisor(G4, 2, rng)
+        rep = fiber(W)
         if rep.flags["nonreduced"]:
             continue
         unflagged += 1
@@ -231,7 +232,7 @@ def test_criterion_05_multiple_locus_equivalence():
     while checked < 100 and trial < 400:
         rng = random.Random(5000 + trial)
         trial += 1
-        D = sample_smooth_divisor(curve, 2, rng)
+        D, _ = sample_smooth_divisor(curve, 2, rng)
         got_test = in_multiple_locus(D)
         got_oracle = multiple_locus_oracle(curve, D, cap)
         checked += 1
@@ -249,8 +250,7 @@ def test_criterion_06_rnk_stratification():
     witnesses = {1: 0, 2: 0}
     for trial in range(10_000):
         rng = random.Random(6000 + trial)
-        D = sample_smooth_divisor(curve, n, rng)
-        W = gauss_eval(D)
+        D, W = sample_smooth_divisor(curve, n, rng)
         deg = intersection_divisor(W).degree
         # degree test for k = 1, 2; range rule empties k = 3
         if deg >= n + 1:
@@ -324,17 +324,17 @@ def test_criterion_08_hyperelliptic_gauss_image():
     ok = True
     for trial in range(200):
         rng = random.Random(8000 + trial)
-        D = sample_smooth_divisor(HE_G3, 2, rng)
+        D, W = sample_smooth_divisor(HE_G3, 2, rng)
         k = 1 + (trial % 2)
         L, Fw = hyperelliptic_image_witness(D, k=k)
-        if beta(Fw) != gauss_eval(D):
+        if beta(Fw) != W:
             ok = False
         if not classify_member(L, Fw)["nc"]:
             ok = False
     # k = n: parameter-to-span injectivity on an exhaustive small-field sweep
     small = HyperellipticCurve(PrimeField(11), [0, -1, 0, 0, 0, 0, 0, 1])
     rng = random.Random(88)
-    D = sample_smooth_divisor(small, 2, rng)
+    D, _ = sample_smooth_divisor(small, 2, rng)
     L, Fw = hyperelliptic_image_witness(D, k=2)
     seen = set()
     count = 0

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -358,3 +359,84 @@ def test_identity_shear_returns_an_equal_copy():
         assert out == mp_substitute(form, units, F7, nvars) == form
         assert out is not form
         assert _apply_shear(form, shear, F7, nvars) != form
+
+
+# -- point tables through the rulings of the quadric ---------------------------
+
+def _monomials(deg):
+    return [tuple(c.count(i) for i in range(4))
+            for c in combinations_with_replacement(range(4), deg)]
+
+
+def _random_g4(p, kind, rng, draws=200):
+    """The first smooth genus-4 curve over F_p from random forms whose
+    quadric has the given type over F_p.  A cone's quadric is drawn as a
+    random ternary quadric in three random linear forms, the others as
+    random quaternary quadrics; the cubic is a random quaternary cubic."""
+    for _ in range(draws):
+        if kind == "cone":
+            lin = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
+            quad = {}
+            for i, j in combinations_with_replacement(range(3), 2):
+                a = rng.randrange(p)
+                for k in range(4):
+                    for m in range(4):
+                        key = tuple((k == r) + (m == r) for r in range(4))
+                        quad[key] = (quad.get(key, 0) + a * lin[i][k] * lin[j][m]) % p
+        else:
+            quad = {key: rng.randrange(p) for key in _monomials(2)}
+        cubic = {key: rng.randrange(p) for key in _monomials(3)}
+        desc = {"model": "canonical_g4", "field": {"type": "prime", "p": p},
+                "forms": {name: {",".join(map(str, k)): v for k, v in f.items()}
+                          for name, f in (("quadric", quad), ("cubic", cubic))}}
+        try:
+            curve = validate(desc)
+        except CurveError:
+            continue
+        if _quadric_kind(curve) == kind:
+            return curve
+    raise AssertionError(f"no smooth curve with a {kind} quadric in {draws} draws")
+
+
+def _quadric_kind(curve):
+    """The quadric's type over F_p from its number of points: (p + 1)^2 when
+    it splits, p^2 + 1 when it does not, p^2 + p + 1 for a cone."""
+    from wgauss.curves import _projective_points
+    p = curve.field.p
+    n = sum(1 for P in _projective_points(curve.field, 4) if not curve.quadric(P))
+    return {(p + 1) ** 2: "split", p * p + 1: "nonsplit", p * p + p + 1: "cone"}[n]
+
+
+def _swept(curve, K, sweep):
+    """Sorted point coordinates of the curve over K from the plane sweep."""
+    quad, cub = curve.quadric.map_field(K), curve.cubic.map_field(K)
+    found = {P.coords for P in sweep(K, quad, cub) if not quad(P.coords) and not cub(P.coords)}
+    return _sorted_coords(K, found)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize("kind", ["split", "nonsplit", "cone"])
+def test_points_over_rulings_match_brute_force_and_sweep(p, kind, monkeypatch):
+    from wgauss import rulings
+    from wgauss.curves import _projective_points
+    curve = _random_g4(p, kind, random.Random(f"rulings-{p}-{kind}"))
+    F = curve.field
+    sweep, calls = rulings._sweep_points, []
+
+    def spy(*args):
+        calls.append(args[0])
+        return sweep(*args)
+
+    monkeypatch.setattr(rulings, "_sweep_points", spy)
+    # m = 1 against brute force; only a non-split quadric at odd m sweeps
+    K, pts = curve.points_over(1)
+    brute = {P for P in _projective_points(F, 4) if not curve.quadric(P) and not curve.cubic(P)}
+    assert [P.coords for P in pts] == _sorted_coords(F, brute)
+    assert calls == ([F] if kind == "nonsplit" else [])
+    # m = 2 against the sweep: every quadric of rank 4 splits over F_(p^2)
+    K2, pts2 = curve.points_over(2)
+    assert len(calls) == (kind == "nonsplit")
+    assert [P.coords for P in pts2] == _swept(curve, K2, sweep)
+    if (p, kind) == (7, "split"):
+        K3, pts3 = curve.points_over(3)
+        assert [P.coords for P in pts3] == _swept(curve, K3, sweep)

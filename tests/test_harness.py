@@ -36,6 +36,42 @@ def test_fiber_census_reports_pass():
     assert rep["library_version"]
 
 
+
+def test_fiber_census_takes_one_span_per_trial_and_subdivisor(monkeypatch):
+    """A sampled divisor is spanned once, by the gauss_eval that accepts or
+    rejects it, and each subdivisor fiber tests once more."""
+    from wgauss import gauss, harness, spans
+    from wgauss.divisors import Divisor
+    n = {"span": 0, "eval": 0, "rejected": 0, "subdivisors": 0}
+    span, gauss_eval, subdivisors = spans.span, harness.gauss_eval, Divisor.subdivisors
+
+    def counted_span(D):
+        n["span"] += 1
+        return span(D)
+
+    def counted_eval(D):
+        n["eval"] += 1
+        try:
+            return gauss_eval(D)
+        except spans.NotInSmoothLocusError:
+            n["rejected"] += 1
+            raise
+
+    def counted_subdivisors(self, k):
+        for E in subdivisors(self, k):
+            n["subdivisors"] += 1
+            yield E
+
+    for mod in (spans, gauss):
+        monkeypatch.setattr(mod, "span", counted_span)
+    monkeypatch.setattr(harness, "gauss_eval", counted_eval)
+    monkeypatch.setattr(Divisor, "subdivisors", counted_subdivisors)
+    cfg = ExperimentConfig(experiment="fiber-census", curve=KLEIN, n=2, trials=6, seed=2)
+    assert run_fiber_census(cfg)["passed"]
+    assert n["eval"] == cfg.trials + n["rejected"]
+    assert n["subdivisors"] >= cfg.trials
+    assert n["span"] == cfg.trials + n["rejected"] + n["subdivisors"]
+
 def test_fiber_census_bit_identical():
     cfg = ExperimentConfig(experiment="fiber-census", curve=KLEIN, n=2,
                            trials=6, seed=9)
@@ -200,6 +236,15 @@ def test_reconstruct_hyperelliptic_report():
     assert rep["verdicts"]["beta_injective_on_sweep"]
 
 
+
+def test_reconstruct_hyperelliptic_k_above_n_is_a_configuration_error():
+    he_small = {"model": "hyperelliptic", "field": {"type": "prime", "p": 11},
+                "f": [0, -1, 0, 0, 0, 0, 0, 1]}
+    cfg = ExperimentConfig(experiment="reconstruct", curve=he_small, n=1, k=2,
+                           trials=2, seed=2)
+    with pytest.raises(ValueError, match="k <= n"):
+        run_reconstruct(cfg)
+
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "wgauss.cli", *args],
                           capture_output=True, text=True)
@@ -254,7 +299,7 @@ def test_json_interfaces():
     # FiberReport / LinearSpan / CompleteSystem / DualSample serialization
     import random
     from wgauss.curves import validate
-    from wgauss.gauss import fiber, gauss_eval
+    from wgauss.gauss import fiber
     from wgauss.harness import fiber_report_json, sample_smooth_divisor
     from wgauss.linsys import complete_system, dual_samples
     from wgauss.spans import span
@@ -262,8 +307,8 @@ def test_json_interfaces():
 
     curve = validate(HE_G3)
     rng = random.Random(21)
-    D = sample_smooth_divisor(curve, 2, rng)
-    rep = fiber(gauss_eval(D))
+    D, W = sample_smooth_divisor(curve, 2, rng)
+    rep = fiber(W)
     blob = fiber_report_json(rep, {"p": 10007, "ext": 1})
     assert set(blob) == {"W", "deg_WC", "fiber", "cardinality", "flags", "field"}
     assert blob["cardinality"] == len(blob["fiber"])
@@ -294,7 +339,7 @@ def test_oracle_matches_planted_structure():
     curve = validate(g4_small)
     rng = random.Random(11)
     for _ in range(3):
-        D = sample_smooth_divisor(curve, 2, rng)
+        D, _ = sample_smooth_divisor(curve, 2, rng)
         got = multiple_locus_oracle(curve, D, 2)
         assert got == in_multiple_locus(D)
 

@@ -276,6 +276,23 @@ def test_dual_samples_certificates():
         assert not core.is_reduced()
 
 
+
+def test_dual_samples_skips_only_typed_certificate_failures(monkeypatch):
+    import wgauss.linsys as linsys
+    rng = random.Random(13)
+    D, L = sample_pair_system(HE, rng)
+
+    def failing(exc):
+        def contact_order(*args):
+            raise exc
+        return contact_order
+
+    monkeypatch.setattr(linsys, "contact_order", failing(ArithmeticError("no stable series")))
+    assert dual_samples(L, trials=6, sweep_limit=10, rng=rng) == []
+    monkeypatch.setattr(linsys, "contact_order", failing(AssertionError("a fault")))
+    with pytest.raises(AssertionError):
+        dual_samples(L, trials=6, sweep_limit=10, rng=rng)
+
 def test_dual_branch_form_hyperelliptic_k1():
     rng = random.Random(14)
     D, L = sample_pair_system(HE, rng)
