@@ -163,7 +163,7 @@ class MatrixExact:
             for i in range(c + 1, n):
                 if rows[i][c]:
                     factor = rows[i][c] * inv
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+                    rows[i][c:] = [a - factor * b for a, b in zip(rows[i][c:], rows[c][c:])]
         return det
 
     def solve(self, rhs):

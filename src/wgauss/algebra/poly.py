@@ -21,6 +21,7 @@ polynomials either way.
 import random
 
 from .fields import ExtField, FieldError, PrimeField, Rationals, coerce
+from .linalg import MatrixExact
 
 
 class ExtensionCapError(RuntimeError):
@@ -317,7 +318,7 @@ def resultant(a, b):
         rows.append([f.zero] * i + arev + [f.zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([f.zero] * i + brev + [f.zero] * (size - n - 1 - i))
-    return _det(rows, f)
+    return MatrixExact(f, rows).det()
 
 
 def conic_cubic_resultant(q, e):
@@ -337,34 +338,6 @@ def conic_cubic_resultant(q, e):
     B = e3 * q1 * q0 - e2 * q0 * q2 + e0 * q22
     r = B * B * q2 - A * B * q1 + A * A * q0
     return r * (q2.field.one / q22.lead())
-
-
-def _det(rows, field):
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = field.one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return field.zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det = det * pv
-        inv = field.one / pv
-        for r in range(col + 1, n):
-            c = rows[r][col]
-            if c:
-                factor = c * inv
-                row_r, row_c = rows[r], rows[col]
-                for j in range(col, n):
-                    row_r[j] = row_r[j] - factor * row_c[j]
-    return det
 
 
 def discriminant(a):

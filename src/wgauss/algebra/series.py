@@ -45,10 +45,6 @@ class TruncatedSeries:
         """The series t + O(t^prec)."""
         return cls(field, [field.zero, field.one], prec)
 
-    @classmethod
-    def from_poly_coeffs(cls, field, coeffs, prec):
-        return cls(field, list(coeffs), prec)
-
     def is_zero(self):
         return not self.coeffs
 
@@ -63,9 +59,6 @@ class TruncatedSeries:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return self.field.zero
-
-    def coefficients_range(self, lo, hi):
-        return [self.coefficient(n) for n in range(lo, hi)]
 
     def leading(self):
         if not self.coeffs:

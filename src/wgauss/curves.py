@@ -16,10 +16,17 @@ involution-fixed point at infinity; an even-degree model has two, labelled
 by w = y/x^(g+1) with w^2 = lc(f), swapped by the involution.  The chart at
 infinity uses u = 1/x throughout.
 
-Smoothness of the plane models is decided by resultant elimination with
-candidate verification over finite fields; rational-coefficient models are
-certified through reduction at a good prime.  For small p (<= 101) an
-exhaustive rational search is available as a cross-check.
+Smoothness of both plane models is decided over F_q by one bivariate test
+on affine plane charts (``_chart_singular``): the Jacobian criterion for a
+curve f(t, w) = 0, with w eliminated against each partial by resultants and
+every candidate t verified exactly over its residue field.  A plane quartic
+is tested on the three charts x_i = 1.  A genus-4 curve C = Q n E is tested
+on the quadric itself: Q is a rank-4 quadric, split over F_q or over F_(q^2),
+or a cone, and the cubic pulled back once to P^1 x P^1, or to the lines
+through the cone's vertex, is a curve on charts isomorphic to open pieces of
+Q (``rulings``).  Rational-coefficient models are certified through
+reduction at a good prime.  For small q an exhaustive search over
+F_(q^m) is available as a cross-check.
 """
 
 import hashlib
@@ -108,12 +115,6 @@ def mp_mul(a, b, field):
             elif k in out:
                 del out[k]
     return out
-
-
-def mp_scale(a, c, field):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 def mp_substitute(a, images, field, arity):
@@ -278,9 +279,6 @@ class HyperellipticPoint:
             w = field.elem(w)
         return cls("inf", field, w=w)
 
-    def is_infinite(self):
-        return self.kind == "inf"
-
     def coerce(self, target):
         if self.kind == "aff":
             return HyperellipticPoint.affine(target, coerce(self.x, target),
@@ -386,10 +384,6 @@ class HyperellipticCurve:
         self.f = f
         self.genus = (f.degree - 1) // 2
         self.odd_model = f.degree % 2 == 1
-
-    @property
-    def ambient_dim(self):
-        return self.genus  # canonical coordinates have g entries
 
     def contains(self, P):
         if P.kind == "aff":
@@ -602,10 +596,6 @@ class PlaneQuarticCurve:
         if check:
             _certify_smooth_plane_quartic(self)
 
-    @property
-    def ambient_dim(self):
-        return 3
-
     def contains(self, P):
         return not self.form.map_field(P.field)(P.coords)
 
@@ -700,10 +690,6 @@ class CanonicalG4Curve:
         self.cubic = cubic
         if check:
             _certify_smooth_g4(self)
-
-    @property
-    def ambient_dim(self):
-        return 4
 
     def contains(self, P):
         return (not self.quadric.map_field(P.field)(P.coords)
@@ -886,27 +872,26 @@ def _plane_local_series(forms, P, order, nvars):
     return out
 
 
-# -- smoothness certification ------------------------------------------------
+# -- elimination: resultants and the conic-cubic plane solver ---------------
 
 _SHEAR_CACHE = {}
 
 
-def _shear_matrices(field, nvars):
-    """Deterministic sequence of invertible coordinate changes (cached)."""
-    key = (field, nvars)
-    if key not in _SHEAR_CACHE:
-        mats = [MatrixExact.identity(field, nvars)]
-        rng = random.Random(0xC0FFEE + nvars)
+def _shear_matrices(field):
+    """Deterministic sequence of invertible 3x3 coordinate changes for the
+    conic-cubic plane solver (cached per field)."""
+    if field not in _SHEAR_CACHE:
+        mats = [MatrixExact.identity(field, 3)]
+        rng = random.Random(0xC0FFEE + 3)
         for _ in range(14):
             while True:
-                m = MatrixExact(field, [[field.elem(rng.randrange(0, 7))
-                                         for _ in range(nvars)]
-                                        for _ in range(nvars)])
+                m = MatrixExact(field, [[field.elem(rng.randrange(0, 7)) for _ in range(3)]
+                                        for _ in range(3)])
                 if m.det():
                     mats.append(m)
                     break
-        _SHEAR_CACHE[key] = mats
-    return _SHEAR_CACHE[key]
+        _SHEAR_CACHE[field] = mats
+    return _SHEAR_CACHE[field]
 
 
 def _apply_shear(form_dict, mat, field, nvars):
@@ -983,7 +968,7 @@ def _ternary_common_rational_zeros(field, conic, cubic):
     return _first_shear_zeros(field, (
         (mat, _apply_shear(conic.coeffs, mat, field, 3),
          _apply_shear(cubic.coeffs, mat, field, 3))
-        for mat in _shear_matrices(field, 3)), _rational_chart_zeros)
+        for mat in _shear_matrices(field)), _rational_chart_zeros)
 
 
 def _first_shear_zeros(field, shears, chart_zeros):
@@ -1081,148 +1066,7 @@ def _ternary_common_zeros_ext(field, conic, cubic, cap=24):
     return _first_shear_zeros(field, (
         (mat, _apply_shear(conic.coeffs, mat, field, 3),
          _apply_shear(cubic.coeffs, mat, field, 3))
-        for mat in _shear_matrices(field, 3)), chart_zeros)
-
-
-def _good_reduction_field(curve_field):
-    return [PrimeField(p) for p in (10007, 10009, 10037, 10039, 101, 257, 65537)]
-
-
-def _certify_smooth_plane_quartic(curve):
-    field = curve.field
-    if isinstance(field, Rationals):
-        # reduce at a good prime: smooth mod p implies smooth over QQ
-        dens = [c.denominator for c in curve.form.coeffs.values()]
-        for F in _good_reduction_field(field):
-            if any(d % F.p == 0 for d in dens):
-                continue
-            try:
-                red = {k: F.elem(v) for k, v in curve.form.coeffs.items()}
-                PlaneQuarticCurve(F, HomForm(F, 3, 4, red))
-                return
-            except ValidationInconclusive:
-                continue
-            except CurveError:
-                continue
-        raise ValidationInconclusive(
-            "could not certify smoothness over QQ by good reduction")
-    partials = [HomForm(field, 3, 3, curve.form.partial(i)) for i in range(3)]
-    if _plane_system_has_common_zero(field, [p.coeffs for p in partials], 3):
-        raise CurveError("singular plane quartic")
-
-
-def _plane_system_has_common_zero(field, dicts, nvars):
-    """Does a system of ternary forms have a common projective zero over the
-    algebraic closure?  Elimination with candidate verification."""
-    assert nvars == 3
-    for mat in _shear_matrices(field, 3):
-        sheared = [_apply_shear(d, mat, field, 3) for d in dicts]
-        verdict = _sheared_system_zero_test(field, sheared)
-        if verdict is not None:
-            return verdict
-    raise ValidationInconclusive("plane smoothness elimination degenerated")
-
-
-def _sheared_system_zero_test(field, dicts):
-    # work in the chart a = 1, then the line a = 0 (chart b = 1), then (0,0,1)
-    def dehom(d, which):
-        out = {}
-        for (i, j, k), v in d.items():
-            if which == "a1":
-                key = (j, k)
-            elif i == 0 and which == "a0b1":
-                key = (k,)
-            elif which == "a0b1":
-                continue
-            out[key] = out.get(key, field.zero) + v
-        return {k2: v2 for k2, v2 in out.items() if v2}
-
-    # chart a = 1: bivariate system in (b, c)
-    sys2 = [dehom(d, "a1") for d in dicts]
-    if any(not s for s in sys2):
-        return True  # a partial vanished identically on the chart: singular
-    r = _pairwise_resultants_univar(field, sys2)
-    if r is None:
-        return None
-    g = r
-    if g.is_zero():
-        return None
-    found = _verify_candidates_bivar(field, sys2, g)
-    if found:
-        return True
-    # chart a = 0, b = 1: univariate system in c
-    sys1 = [dehom(d, "a0b1") for d in dicts]
-    polys = []
-    for s in sys1:
-        if not s:
-            return True
-        deg = max(k[0] for k in s)
-        polys.append(Poly(field, [s.get((i,), field.zero) for i in range(deg + 1)]))
-    g1 = polys[0]
-    for ppp in polys[1:]:
-        g1 = poly_gcd(g1, ppp)
-    if g1.degree >= 1:
-        return True
-    # the point (0, 0, 1)
-    if all(not mp_eval(d, (field.zero, field.zero, field.one), field) for d in dicts):
-        return True
-    return False
-
-
-def _pairwise_resultants_univar(field, sys2):
-    """gcd over pairs of Res_c(g_i, g_j) (univariate in b); None if degenerate."""
-    polys = []
-    base = sys2[0]
-    d0 = max(k[1] for k in base) if base else 0
-    for other in sys2[1:]:
-        d1 = max(k[1] for k in other) if other else 0
-        r = _res_in_last_var(base, other, d0, d1, field)
-        polys.append(r)
-    g = polys[0]
-    for r in polys[1:]:
-        if g.is_zero() and r.is_zero():
-            continue
-        if g.is_zero():
-            g = r
-            continue
-        if not r.is_zero():
-            g = poly_gcd(g, r)
-    if g.is_zero():
-        return None
-    return g
-
-
-def _verify_candidates_bivar(field, sys2, g):
-    """Check candidate first-coordinate roots of g against the system."""
-    for f, mult in factor_finite(g):
-        if f.degree == 0:
-            continue
-        K = _ext_over(field, f.degree) if f.degree > 1 else field
-        if f.degree == 1:
-            b0 = -f[0]
-        else:
-            fk = f.map_field(K)
-            roots = distinct_roots_in_field(fk)
-            if not roots:
-                continue
-            b0 = roots[0]  # Galois orbit: one representative decides
-        specs = []
-        ok = True
-        for s in sys2:
-            deg = max(k[1] for k in s)
-            cs = [K.zero] * (deg + 1)
-            for (j, k2), v in s.items():
-                cs[k2] = cs[k2] + coerce(v, K) * coerce(b0, K) ** j
-            ppp = Poly(K, cs)
-            specs.append(ppp)
-        gg = None
-        for ppp in specs:
-            if ppp.is_zero():
-                continue
-            gg = ppp if gg is None else poly_gcd(gg, ppp)
-        if gg is None or gg.degree >= 1:
-            return True
-    return False
+        for mat in _shear_matrices(field)), chart_zeros)
 
 
 def _plane_basis(curve, h):
@@ -1270,270 +1114,120 @@ def _gram_matrix(field, quadric):
     return MatrixExact(field, rows)
 
 
+# -- smoothness certification ------------------------------------------------
+
+_GOOD_PRIMES = (10007, 10009, 10037, 10039, 101, 257, 65537)
+
+
+def _certify_over_qq(forms, build):
+    """Certify a model over QQ by reduction: it is smooth if its reduction
+    at some good prime is, and ``build(F, reduced_forms)`` constructs, so
+    certifies, the reduction over F."""
+    dens = [c.denominator for form in forms for c in form.coeffs.values()]
+    for p in _GOOD_PRIMES:
+        if any(d % p == 0 for d in dens):
+            continue
+        F = PrimeField(p)
+        try:
+            build(F, [HomForm(F, f.nvars, f.degree, f.coeffs) for f in forms])
+            return
+        except CurveError:
+            continue
+    raise ValidationInconclusive("could not certify smoothness over QQ by good reduction")
+
+
+def _certify_smooth_plane_quartic(curve):
+    if isinstance(curve.field, Rationals):
+        return _certify_over_qq([curve.form], lambda F, fs: PlaneQuarticCurve(F, fs[0]))
+    for i in range(3):   # the charts x_i = 1
+        chart = _dehom(curve.form.coeffs, [j for j in range(3) if j != i])
+        if _chart_singular(curve.field, chart):
+            raise CurveError("singular plane quartic")
+
+
 def _certify_smooth_g4(curve):
+    """C = Q n E on the quadric: the cubic is pulled back once to the
+    rulings' parameter space (P^1 x P^1 for a rank-4 quadric, split over
+    F_q or F_(q^2); the lines through the vertex for a cone), where C is a
+    curve G = 0 on charts isomorphic to open pieces of Q, or of the cone
+    minus its vertex."""
     field = curve.field
     if isinstance(field, Rationals):
-        dens = ([c.denominator for c in curve.quadric.coeffs.values()]
-                + [c.denominator for c in curve.cubic.coeffs.values()])
-        for F in _good_reduction_field(field):
-            if any(d % F.p == 0 for d in dens):
-                continue
-            try:
-                CanonicalG4Curve(
-                    F,
-                    HomForm(F, 4, 2, {k: F.elem(v) for k, v in curve.quadric.coeffs.items()}),
-                    HomForm(F, 4, 3, {k: F.elem(v) for k, v in curve.cubic.coeffs.items()}))
-                return
-            except ValidationInconclusive:
-                continue
-            except CurveError:
-                continue
-        raise ValidationInconclusive(
-            "could not certify smoothness over QQ by good reduction")
-    if _gram_matrix(field, curve.quadric).rank() < 3:
+        return _certify_over_qq([curve.quadric, curve.cubic],
+                                lambda F, fs: CanonicalG4Curve(F, *fs))
+    gram = _gram_matrix(field, curve.quadric)
+    if gram.rank() < 3:
         raise CurveError("quadric has rank < 3; the intersection is singular")
-    if _cubic_multiple_of_quadric(field, curve.quadric, curve.cubic):
+    from .rulings import _cone_images, _quadric_type, _segre_images
+    kind = _quadric_type(gram)
+    K = _ext_over(field, 2) if kind == "nonsplit" else field
+    make = _cone_images if kind == "cone" else _segre_images
+    images = make(K, gram.map_field(K), field)
+    G = mp_substitute(mp_map_field(curve.cubic.coeffs, K), images, K, 4)
+    if not G:
         raise CurveError("cubic is a multiple of the quadric")
-    if _g4_singular_exists(field, curve.quadric, curve.cubic):
+    # G is keyed (u, v, s, t); on the cone G(0, v, s, t) = v^3 E(vertex), and
+    # the vertex, singular on Q, is singular on C when it lies on E
+    if kind == "cone":
+        singular = (0, 3, 0, 0) not in G
+        charts = [(1, 3), (1, 2)]             # u = 1, and s = 1 or t = 1
+    else:
+        singular = False
+        charts = [(1, 3), (1, 2), (0, 3), (0, 2)]
+    if singular or any(_chart_singular(K, _dehom(G, keep)) for keep in charts):
         raise CurveError("singular quadric-cubic intersection")
 
 
-def _cubic_multiple_of_quadric(field, quadric, cubic):
-    # is cubic = quadric * (linear)?  Solve for the linear form.
-    rows, rhs = [], []
-    monos3 = sorted({k for k in cubic.coeffs} | {
-        tuple(q + l for q, l in zip(kq, kl))
-        for kq in quadric.coeffs for kl in
-        [tuple(1 if t == i else 0 for t in range(4)) for i in range(4)]})
-    for mono in monos3:
-        row = []
-        for i in range(4):
-            kl = tuple(1 if t == i else 0 for t in range(4))
-            kq = tuple(m - l for m, l in zip(mono, kl))
-            if min(kq) < 0:
-                row.append(field.zero)
-            else:
-                row.append(quadric.coeffs.get(kq, field.zero))
-        rows.append(row)
-        rhs.append(cubic.coeffs.get(mono, field.zero))
-    sol = MatrixExact(field, rows).solve(rhs)
-    return sol is not None
+def _dehom(d, keep):
+    """A (bi)homogeneous dict on the chart where the variables outside
+    ``keep`` are 1, keyed by the exponents of ``keep``."""
+    return {tuple(k[j] for j in keep): c for k, c in d.items()}
 
 
-def _g4_singular_exists(field, quadric, cubic):
-    """Does the singular scheme of Q = E = 0 have a point over the closure?"""
-    for mat in _shear_matrices(field, 4):
-        q4 = _apply_shear(quadric.coeffs, mat, field, 4)
-        e4 = _apply_shear(cubic.coeffs, mat, field, 4)
-        verdict = _g4_singular_sheared(field, q4, e4)
-        if verdict is not None:
-            return verdict
-    raise ValidationInconclusive("genus-4 smoothness elimination degenerated")
+def _chart_singular(field, f):
+    """Has the affine curve f(t, w) = 0 (a dict keyed (i, j) for t^i w^j) a
+    singular point over the algebraic closure of ``field``?
 
-
-def _g4_singular_sheared(field, q4, e4):
-    # chart-by-chart affine check; each chart sets one coordinate to 1
-    for chart in range(4):
-        rest = [i for i in range(4) if i != chart]
-
-        def dehom(d):
-            out = {}
-            for exps, v in d.items():
-                key = tuple(exps[i] for i in rest)
-                out[key] = out.get(key, field.zero) + v
-            return {k: v for k, v in out.items() if v}
-
-        qa, ea = dehom(q4), dehom(e4)
-        grads_q = [mp_partial(qa, i, field) for i in range(3)]
-        grads_e = [mp_partial(ea, i, field) for i in range(3)]
-        minors = []
-        for i in range(3):
-            for j in range(i + 1, 3):
-                m = mp_add(mp_mul(grads_q[i], grads_e[j], field),
-                           mp_scale(mp_mul(grads_q[j], grads_e[i], field),
-                                    -field.one, field), field)
-                minors.append(m)
-        system = [qa, ea] + [m for m in minors if m]
-        if len(system) < 3:
-            return True  # all minors vanish identically: singular everywhere
-        verdict = _trivariate_system_zero_test(field, system)
-        if verdict is None:
-            return None
-        if verdict:
-            return True
-    return False
-
-
-def _trivariate_system_zero_test(field, system):
-    """Common zero over the closure of trivariate affine dicts; None if the
-    elimination degenerates (caller shears and retries)."""
-    # eliminate var 2 against the first equation
-    base = system[0]
-    if not base:
-        return True
-    d_base = max(k[2] for k in base)
-    if d_base == 0:
-        # no var-2 dependence: fall through using another base
-        reordered = sorted(system, key=lambda d: -max(k[2] for k in d) if d else 0)
-        base = reordered[0]
-        d_base = max(k[2] for k in base) if base else 0
-        if d_base == 0:
-            return None
-        system = reordered
-    bivs = []
-    for other in system[1:]:
-        if not other:
-            return True
-        d_o = max(k[2] for k in other)
-        r = _mp_resultant(field, base, other, d_base, d_o)
-        bivs.append(r)
-    bivs = [b for b in bivs if b]
-    if not bivs:
-        return None
-    # now eliminate var 1 pairwise against the first bivariate
-    b0 = bivs[0]
-    d0 = max(k[1] for k in b0)
-    gs = []
-    for other in bivs[1:]:
-        d1 = max(k[1] for k in other)
-        r = _res_in_last_var(b0, other, max(d0, 1), max(d1, 1), field)
-        gs.append(r)
-    if not gs:
-        # single bivariate: candidates are its components -- degenerate path
-        return None
+    The Jacobian criterion: a singular point is a common zero of f, f_t and
+    f_w.  w is eliminated from f against each nonzero partial, so a singular
+    point's t is a root of every resultant and of their gcd, and one root
+    of each irreducible factor of the gcd is verified exactly.  If every
+    resultant vanishes, f shares a factor with each partial, so the curve is
+    reducible or non-reduced: singular either way, as a reducible complete
+    intersection is connected.
+    """
+    if not any(k[1] for k in f):
+        f = {(j, i): c for (i, j), c in f.items()}   # eliminate a variable of f
+        if not any(k[1] for k in f):
+            return False   # f is a constant: the chart holds no point
+    parts = [h for h in (mp_partial(f, 0, field), mp_partial(f, 1, field)) if h]
+    d = max(k[1] for k in f)
     g = None
-    for r in gs:
-        if r.is_zero():
-            continue
-        g = r if g is None else poly_gcd(g, r)
-    if g is None:
-        return None
-    if g.degree < 1:
-        return False
-    # candidates: verify by substitution, one Galois representative per factor
+    for h in parts:
+        r = _res_in_last_var(f, h, d, max(k[1] for k in h), field)
+        if not r.is_zero():
+            g = r if g is None else poly_gcd(g, r)
+    return g is None or _verify_candidates_bivar(field, [f] + parts, g)
+
+
+def _verify_candidates_bivar(field, sys2, g):
+    """Has the system of dicts in (t, w) a common zero over the closure whose
+    t is a root of g?  One root of each irreducible factor of g decides its
+    Galois orbit."""
     for f, _ in factor_finite(g):
-        if f.degree == 0:
+        if f.degree < 1:
             continue
-        K = _ext_over(field, f.degree) if f.degree > 1 else field
-        if f.degree == 1:
-            a0 = -f[0]
-        else:
-            roots = distinct_roots_in_field(f.map_field(K))
-            if not roots:
-                continue
-            a0 = roots[0]
-        if _verify_g4_candidate(field, K, system, a0):
-            return True
-    return False
-
-
-def _mp_resultant(field, g1, g2, d1, d2):
-    """Resultant in the last variable of sparse multivariate dicts, with
-    formal degrees d1, d2; entries are dicts in the other variables."""
-    last = len(next(iter(g1))) - 1
-    c1 = mp_coeff_list(g1, last, field)
-    c2 = mp_coeff_list(g2, last, field)
-    c1 += [dict() for _ in range(d1 + 1 - len(c1))]
-    c2 += [dict() for _ in range(d2 + 1 - len(c2))]
-    n = d1 + d2
-    rows = []
-    zero = dict()
-    for i in range(d2):
-        rows.append([zero] * i + list(reversed(c1)) + [zero] * (n - d1 - 1 - i))
-    for i in range(d1):
-        rows.append([zero] * i + list(reversed(c2)) + [zero] * (n - d2 - 1 - i))
-    det = _mp_det(rows, field)
-    return det
-
-
-def _mp_det(rows, field):
-    """Cofactor-expansion determinant for small matrices of mp dicts."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-
-    def minor_det(rs, cols):
-        if len(cols) == 1:
-            return rs[0][cols[0]]
-        acc = {}
-        for idx, c in enumerate(cols):
-            cell = rs[0][c]
-            if not cell:
-                continue
-            sub = minor_det(rs[1:], cols[:idx] + cols[idx + 1:])
-            if not sub:
-                continue
-            term = mp_mul(cell, sub, field)
-            if idx % 2:
-                term = mp_scale(term, -field.one, field)
-            acc = mp_add(acc, term, field)
-        return acc
-
-    return minor_det(rows, tuple(range(n)))
-
-
-def _verify_g4_candidate(field, K, system, a0):
-    """Is there a common zero of the trivariate system over the closure with
-    first coordinate a0?"""
-    # substitute var0 = a0: bivariate systems over K, then eliminate again
-    sys2 = []
-    for d in system:
-        out = {}
-        for (i, j, k), v in d.items():
-            key = (j, k)
-            out[key] = out.get(key, K.zero) + coerce(v, K) * a0 ** i
-        out = {k2: v2 for k2, v2 in out.items() if v2}
-        sys2.append(out)
-    if any(not s for s in sys2):
-        nonzero = [s for s in sys2 if s]
-        if not nonzero:
-            return True
-        sys2 = nonzero
-        if len(sys2) == 1:
-            return True  # single bivariate: curve of zeros
-    base = sys2[0]
-    d0 = max(k[1] for k in base)
-    g = None
-    for other in sys2[1:]:
-        d1 = max(k[1] for k in other)
-        if d0 == 0 and d1 == 0:
-            continue
-        r = _res_in_last_var(base, other, max(d0, 1), max(d1, 1), field if K is field else K)
-        if r.is_zero():
-            continue
-        g = r if g is None else poly_gcd(g, r)
-    if g is None:
-        return True  # everything collapsed: positive-dimensional candidate
-    if g.degree < 1:
-        # also must check var1-independent consistency at "infinity" of var1:
-        return False
-    for f, _ in factor_finite(g):
-        if f.degree == 0:
-            continue
-        K2 = _ext_over(K, f.degree) if f.degree > 1 else K
-        if f.degree == 1:
-            b0 = -f[0]
-        else:
-            roots = distinct_roots_in_field(f.map_field(K2))
-            if not roots:
-                continue
-            b0 = roots[0]
-        # substitute var1 = b0 and gcd the univariates in var2
-        gg = None
-        consistent = True
+        K = _ext_over(field, f.degree)
+        t0 = -f[0] if f.degree == 1 else distinct_roots_in_field(f.map_field(K))[0]
+        common = None
         for d in sys2:
-            deg = max(k2[1] for k2 in d) if d else 0
-            cs = [K2.zero] * (deg + 1)
-            for (j, k2v), v in d.items():
-                cs[k2v] = cs[k2v] + coerce(v, K2) * coerce(b0, K2) ** j
-            ppp = Poly(K2, cs)
-            if ppp.is_zero():
-                continue
-            gg = ppp if gg is None else poly_gcd(gg, ppp)
-            if gg.degree == 0:
-                consistent = False
-                break
-        if consistent and (gg is None or gg.degree >= 1):
+            cs = [K.zero] * (max(k[1] for k in d) + 1)
+            for (i, j), v in d.items():
+                cs[j] = cs[j] + coerce(v, K) * t0 ** i
+            h = Poly(K, cs)
+            if not h.is_zero():
+                common = h if common is None else poly_gcd(common, h)
+        if common is None or common.degree >= 1:
             return True
     return False
 

@@ -191,21 +191,26 @@ def multiple_locus_oracle(curve, D, oracle_cap):
     for q outside supp(D) one extra coordinate row decides: D's conditions
     are reduced to RREF once per m, and each point's row is reduced against
     their pivots (``MatrixExact.rank_with_row``, exact).  Coincidences fall
-    back to the full computation.
+    back to the full computation, once per point of supp(D): dim |D + q|
+    does not change under field extension, and a point of D recurs in the
+    table of every m it is defined over.
     """
     from .algebra.fields import common_field
     from .spans import hyperplane_conditions
     n = D.degree
+    decided = set()
     for m in range(1, oracle_cap + 1):
         K, pts = curve_points_cached(curve, m)
         fld = common_field(D.field, K)
         base = hyperplane_conditions(D).map_field(fld)
-        support = {P.coerce(fld) for P in D.support()}
+        support = {P.coerce(fld): P for P in D.support()}
         for q in pts:
             qc = q if K is fld else q.coerce(fld)
             if qc in support:
-                if dim_complete(D + Divisor(curve, [(q, 1)])) == 1:
-                    return True
+                if support[qc] not in decided:
+                    decided.add(support[qc])
+                    if dim_complete(D + Divisor(curve, [(q, 1)])) == 1:
+                        return True
                 continue
             if n + 1 - base.rank_with_row(curve.canonical_coords(qc).coords) == 1:
                 return True

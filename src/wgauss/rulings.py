@@ -23,7 +23,7 @@ so a form in them is grouped by its (s, t)-monomial once and specialized
 per line (``_by_st``, ``_specialize_pencil``).
 """
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .algebra.fields import coerce
 from .algebra.linalg import MatrixExact
@@ -48,8 +48,7 @@ def points_over(curve, K):
         found = _sweep_points(K, quad, cub)
     else:
         make = _segre_images if kind == "split" else _cone_images
-        elems = [coerce(c, K) for c in curve.field.elements()]
-        found = _line_points(K, make(K, gram, elems), cub)
+        found = _line_points(K, make(K, gram, curve.field), cub)
     pts = {P.coords: P for P in found if not quad(P.coords) and not cub(P.coords)}
     return sorted(pts.values(), key=ProjectivePoint.sort_key)
 
@@ -68,15 +67,17 @@ def _bil(gram, x, y):
     return sum((a * b for a, b in zip(x, gram.apply(y))), gram.field.zero)
 
 
-def _isotropic(gram, basis, elems):
+def _isotropic(gram, basis, base):
     """A nonzero v in the span of ``basis`` with Q(v) = 0, or None.
 
     Each plane spanned by basis[0] and a combination y of the others with
-    coefficients from ``elems`` holds an isotropic vector iff the binary
-    form's discriminant B(x, y)^2 - Q(x) Q(y) is a square.  Planes through
-    basis[0] cover the span, so a nondegenerate Q on a span of dimension
-    >= 3 (always isotropic over a finite field) is found; a plane is
-    decided by its first y.
+    coefficients from the subfield ``base`` holds an isotropic vector iff
+    the binary form's discriminant B(x, y)^2 - Q(x) Q(y) is a square.
+    Planes through basis[0] cover the span, so a nondegenerate Q on a span
+    of dimension >= 3 (always isotropic over a finite field) is found.  A
+    plane is decided by one y, whose discriminant and Q(y) are those of
+    every multiple of y up to a square: the walk takes one tuple per line
+    (``_directions``), lazily, and leaves a large field after a few.
     """
     K = gram.field
     for b in basis:
@@ -84,10 +85,8 @@ def _isotropic(gram, basis, elems):
             return b
     x, rest = basis[0], basis[1:]
     qx = _bil(gram, x, x)
-    for cs in (product(elems, repeat=len(rest)) if len(rest) > 1 else [(K.one,)]):
+    for cs in _directions(base, K, len(rest)):
         y = [sum((c * r[i] for c, r in zip(cs, rest)), K.zero) for i in range(4)]
-        if not any(y):
-            continue
         qy, bxy = _bil(gram, y, y), _bil(gram, x, y)
         if not qy:
             return y
@@ -95,6 +94,27 @@ def _isotropic(gram, basis, elems):
         if r is not None:   # Q(qy*x + (r - bxy)*y) = 0
             return [qy * a + (r - bxy) * b for a, b in zip(x, y)]
     return None
+
+
+def _directions(base, K, n):
+    """The tuples of itertools.product(base.elements(), repeat=n) whose first
+    nonzero entry is one, in that order, coerced into K: as elements()
+    begins 0, 1, each is the first tuple of its line in product order."""
+    for lead in reversed(range(n)):
+        for tail in _tuples(base, K, n - 1 - lead):
+            yield (K.zero,) * lead + (K.one,) + tail
+
+
+def _tuples(base, K, n):
+    """itertools.product(base.elements(), repeat=n), coerced into K, without
+    listing the elements."""
+    if not n:
+        yield ()
+        return
+    for c in base.elements():
+        c = coerce(c, K)
+        for cs in _tuples(base, K, n - 1):
+            yield (c,) + cs
 
 
 def _partner(gram, v, basis):
@@ -106,14 +126,14 @@ def _partner(gram, v, basis):
     return [a - lam * b for a, b in zip(z, v)]
 
 
-def _segre_images(K, gram, elems):
+def _segre_images(K, gram, base):
     """x = M.(su, sv, tu, tv) as forms in (u, v, s, t), with M a hyperbolic
     basis: isotropic v1, v2 spanning a line of Q, w1, w2 dual to them."""
     unit = MatrixExact.identity(K, 4).rows
-    v1 = _isotropic(gram, unit, elems)
+    v1 = _isotropic(gram, unit, base)
     w1 = _partner(gram, v1, unit)
     perp = MatrixExact(K, [gram.apply(v1), gram.apply(w1)]).kernel_basis()
-    v2 = _isotropic(gram, perp, elems)
+    v2 = _isotropic(gram, perp, base)
     assert v2 is not None, "a split quadric has an isotropic vector in H^perp"
     w2 = _partner(gram, v2, perp)
     half = K.one / K.elem(2)
@@ -122,7 +142,7 @@ def _segre_images(K, gram, elems):
     return [{k: col[i] for k, col in zip(keys, cols) if col[i]} for i in range(4)]
 
 
-def _cone_images(K, gram, elems):
+def _cone_images(K, gram, base):
     """x = u*phi(s, t) + v*V as forms in (u, v, s, t): V the vertex, phi the
     base conic parametrized through one of its points P0 by the second
     intersection Q(D)*P0 - 2*B(P0, D)*D of the line from P0 towards
@@ -130,7 +150,7 @@ def _cone_images(K, gram, elems):
     V = gram.kernel_basis()[0]
     j = next(i for i, c in enumerate(V) if c)
     comp = [r for i, r in enumerate(MatrixExact.identity(K, 4).rows) if i != j]
-    P0 = _isotropic(gram, comp, elems)
+    P0 = _isotropic(gram, comp, base)
     R1, R2 = next(pair for pair in combinations(comp, 2)
                   if MatrixExact(K, [V, P0, *pair]).rank() == 4)
     b1, b2 = _bil(gram, P0, R1), _bil(gram, P0, R2)
@@ -180,7 +200,7 @@ def _sweep_points(K, quad, cub):
     images = [{(1, 0, 0, 0, 1): K.one}, {(1, 0, 0, 1, 0): -K.one},
               {(0, 1, 0, 0, 0): K.one}, {(0, 0, 1, 0, 0): K.one}]
     pencil = [mp_substitute(f.coeffs, images, K, 5) for f in (quad, cub)]
-    mats, sheared = _shear_matrices(K, 3), []
+    mats, sheared = _shear_matrices(K), []
 
     def shears(s, t):
         for i, mat in enumerate(mats):

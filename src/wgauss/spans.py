@@ -196,10 +196,6 @@ def dim_complete(D):
     return ell(D) - 1
 
 
-def is_special(D):
-    return span(D).s >= 1
-
-
 def in_smooth_Wn(D):
     """Is D in the preimage of the smooth locus, i.e. ell(D) = 1?"""
     g = D.curve.genus

@@ -72,6 +72,62 @@ def test_validate_g4_and_planted_singular():
     assert exhaustive_singular_search(good) == []
 
 
+def test_quartic_with_a_partial_vanishing_on_a_line_is_smooth():
+    # F_x = 2x(x^2 + yz) vanishes on the line x = 0, F does not
+    F3 = PrimeField(3)
+    form = {(4, 0, 0): 2, (2, 1, 1): 1, (0, 4, 0): 1, (0, 3, 1): 1, (0, 0, 4): 1}
+    c = PlaneQuarticCurve(F3, form)
+    assert exhaustive_singular_search(c, 2) == []
+
+
+def test_quartic_singular_where_its_charts_lose_a_variable():
+    # 2x^4 + 11y^3z is singular at (0 : 0 : 1); on the chart z = 1 it is
+    # 2x^4 + 11y^3, whose partials each lose a variable
+    F13 = PrimeField(13)
+    form = {(4, 0, 0): 2, (0, 3, 1): 11}
+    with pytest.raises(CurveError, match="singular plane quartic"):
+        PlaneQuarticCurve(F13, form)
+    c = PlaneQuarticCurve(F13, form, check=False)
+    assert [P.coords for P in exhaustive_singular_search(c)] == [(0, 0, 1)]
+
+
+def _conjugate_singular_pair(curve):
+    """The singular points of the curve: none over F_3, a conjugate pair
+    (1 : +-i : 0 ...) over F_9, with i^2 = -1."""
+    assert exhaustive_singular_search(curve, 1) == []
+    pts = exhaustive_singular_search(curve, 2)
+    K = pts[0].field
+    i = K.sqrt(K.elem(-1))
+    rest = [K.zero] * (len(pts[0].coords) - 2)
+    assert len(pts) == 2
+    assert {P.coords for P in pts} == {(K.one, r, *rest) for r in (i, -i)}
+
+
+def test_quartic_with_nodes_only_over_f9_is_rejected():
+    # F = m^2 + xz*m + z^2 (x^2 + yz + z^2), m = x^2 + y^2, lies in
+    # (m, z)^2: nodes at the conjugate points m = z = 0
+    F3 = PrimeField(3)
+    form = {(4, 0, 0): 1, (2, 2, 0): 2, (0, 4, 0): 1, (3, 0, 1): 1, (1, 2, 1): 1,
+            (2, 0, 2): 1, (0, 1, 3): 1, (0, 0, 4): 1}
+    with pytest.raises(CurveError, match="singular plane quartic"):
+        PlaneQuarticCurve(F3, form)
+    _conjugate_singular_pair(PlaneQuarticCurve(F3, form, check=False))
+
+
+def test_genus4_singular_only_over_f9_is_rejected():
+    # Q = m + x2 (x0 + x1) + x3^2 and E = x2 m + x0 x2^2 + x1 x3^2 with
+    # m = x0^2 + x1^2: E lies in (x2, x3, m)^2, so C is singular at the two
+    # conjugate points of Q on the line x2 = x3 = 0
+    F3 = PrimeField(3)
+    quad = {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (1, 0, 1, 0): 1, (0, 1, 1, 0): 1,
+            (0, 0, 0, 2): 1}
+    cubic = {(2, 0, 1, 0): 1, (0, 2, 1, 0): 1, (1, 0, 2, 0): 1, (0, 1, 0, 2): 1}
+    with pytest.raises(CurveError, match="singular quadric-cubic intersection"):
+        CanonicalG4Curve(F3, quad, cubic)
+    _conjugate_singular_pair(CanonicalG4Curve(F3, HomForm(F3, 4, 2, quad),
+                                              HomForm(F3, 4, 3, cubic), check=False))
+
+
 def test_validate_over_qq_by_reduction():
     c = PlaneQuarticCurve(QQ, {k: QQ.elem(v) for k, v in KLEIN.items()})
     assert c.genus == 3
@@ -351,7 +407,7 @@ def test_identity_shear_returns_an_equal_copy():
     from wgauss.curves import _apply_shear, _shear_matrices, mp_substitute
     F7 = PrimeField(7)
     cubic = HomForm(F7, 4, 3, G4_CUBIC).coeffs
-    ident, shear = _shear_matrices(F7, 3)[:2]
+    ident, shear = _shear_matrices(F7)[:2]
     for nvars in (3, 4):   # a ternary cubic, and a quaternary one whose x3 stays
         form = {k[:nvars]: v for k, v in cubic.items() if not any(k[nvars:])}
         units = [{tuple(int(i == j) for j in range(nvars)): F7.one} for i in range(nvars)]

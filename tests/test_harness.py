@@ -344,6 +344,26 @@ def test_oracle_matches_planted_structure():
         assert got == in_multiple_locus(D)
 
 
+def test_oracle_decides_each_point_of_the_divisor_once(monkeypatch):
+    # a plane quartic has no g^1_2, so no q gives dim |P + q| = 1 and the
+    # oracle walks all three tables, in each of which the rational point P
+    # of D recurs
+    from wgauss import harness
+    from wgauss.curves import ProjectivePoint, validate
+    from wgauss.divisors import Divisor
+    curve = validate(dict(KLEIN, field={"type": "prime", "p": 5}))
+    D = Divisor(curve, [(ProjectivePoint(curve.field, [1, 0, 0]), 1)])
+    dim_complete, calls = harness.dim_complete, []
+
+    def counted(E):
+        calls.append(E)
+        return dim_complete(E)
+
+    monkeypatch.setattr(harness, "dim_complete", counted)
+    assert multiple_locus_oracle(curve, D, 3) is False
+    assert len(calls) == 1
+
+
 def _fake_runner(result):
     def run(cfg):
         if isinstance(result, BaseException):

@@ -1,18 +1,23 @@
 """Differential oracle: factorization, roots, powmod, resultants (the
 closed-form conic-cubic one too) and discriminants over GF(p) against
-sympy's independent implementation, on seeded random inputs.
+sympy's independent implementation, and the smoothness certificates of
+plane quartics and genus-4 curves against sympy's Groebner bases, on seeded
+random inputs.
 
 sympy is a test-only dependency (the ``test`` extra); these tests skip
 without it.
 """
 
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from wgauss.algebra import (Poly, PrimeField, discriminant, factor_finite,
                             powmod, resultant, roots_in_field)
 from wgauss.algebra.poly import conic_cubic_resultant
+from wgauss.curves import CurveError, HomForm, _gram_matrix, validate
+from wgauss.rulings import _quadric_type
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -142,3 +147,95 @@ def test_conic_cubic_resultant_matches_sympy(p):
         want = sympy.Poly(sylvester(eq, ee, c).det(), b, modulus=p)
         got = conic_cubic_resultant(q, e)
         assert got == Poly(F, [int(x) for x in reversed(want.all_coeffs())] if want else [])
+
+
+# -- smoothness certificates against Groebner bases ---------------------------
+
+SMALL_PRIMES = [3, 5, 7, 11, 13]
+
+
+def _monomials(nvars, deg):
+    return [tuple(c.count(i) for i in range(nvars))
+            for c in combinations_with_replacement(range(nvars), deg)]
+
+
+def _groebner_singular(p, forms):
+    """Has the curve cut out by the forms (dicts keyed by exponent tuples)
+    a singular point over the closure of GF(p)?  Each chart x_i = 1 holds
+    one iff the forms and the maximal minors of their Jacobian generate a
+    proper ideal, that is, a reduced Groebner basis other than [1]."""
+    nvars = len(next(iter(forms[0])))
+    xs = sympy.symbols(f"x0:{nvars}")
+    exprs = [sum(c * sympy.prod([x ** e for x, e in zip(xs, k)]) for k, c in f.items())
+             for f in forms]
+    for i in range(nvars):
+        rest = xs[:i] + xs[i + 1:]
+        eqs = [e.subs(xs[i], 1) for e in exprs]
+        jac = sympy.Matrix([[sympy.diff(e, x) for x in rest] for e in eqs])
+        eqs += [jac[:, list(cols)].det() for cols in combinations(range(nvars - 1), len(forms))]
+        eqs = [e for e in map(sympy.expand, eqs) if e != 0]
+        if not eqs or sympy.groebner(eqs, *rest, modulus=p, order="grevlex").exprs != [1]:
+            return True
+    return False
+
+
+def _certified_singular(desc):
+    try:
+        validate(desc)
+    except CurveError:
+        return True
+    return False
+
+
+def _json_form(f):
+    return {",".join(map(str, k)): v for k, v in f.items()}
+
+
+def test_quartic_certificates_match_groebner_bases():
+    verdicts = []
+    for i in range(40):
+        rng = random.Random(f"quartic-{i}")
+        p = rng.choice(SMALL_PRIMES)
+        form = {m: rng.randrange(1, p) for m in rng.sample(_monomials(3, 4), rng.randrange(2, 9))}
+        desc = {"model": "plane_quartic", "field": {"type": "prime", "p": p},
+                "form": _json_form(form)}
+        verdicts.append(_certified_singular(desc))
+        assert verdicts[-1] == _groebner_singular(p, [form]), desc
+    assert set(verdicts) == {True, False}
+
+
+def _random_g4_forms(rng, p, cone):
+    """A random quadric (every other one a cone: a ternary quadric in three
+    random linear forms) and a random sparse cubic."""
+    if cone:
+        lin = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
+        quad = {}
+        for a, b in combinations_with_replacement(range(3), 2):
+            c = rng.randrange(p)
+            for k in range(4):
+                for m in range(4):
+                    key = tuple((k == r) + (m == r) for r in range(4))
+                    quad[key] = (quad.get(key, 0) + c * lin[a][k] * lin[b][m]) % p
+        quad = {k: v for k, v in quad.items() if v}
+    else:
+        quad = {m: rng.randrange(p) for m in _monomials(4, 2)}
+    cubic = {m: rng.randrange(1, p) for m in rng.sample(_monomials(4, 3), rng.randrange(3, 12))}
+    return quad or {(1, 0, 0, 1): 1}, cubic
+
+
+def test_genus4_certificates_match_groebner_bases():
+    verdicts, kinds = [], set()
+    for i in range(16):
+        rng = random.Random(f"g4-{i}")
+        p = rng.choice(SMALL_PRIMES)
+        quad, cubic = _random_g4_forms(rng, p, cone=i % 2)
+        F = PrimeField(p)
+        gram = _gram_matrix(F, HomForm(F, 4, 2, quad))
+        if gram.rank() >= 3:
+            kinds.add(_quadric_type(gram))
+        desc = {"model": "canonical_g4", "field": {"type": "prime", "p": p},
+                "forms": {"quadric": _json_form(quad), "cubic": _json_form(cubic)}}
+        verdicts.append(_certified_singular(desc))
+        assert verdicts[-1] == _groebner_singular(p, [quad, cubic]), desc
+    assert set(verdicts) == {True, False}
+    assert kinds == {"split", "nonsplit", "cone"}
