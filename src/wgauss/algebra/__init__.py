@@ -18,7 +18,6 @@ from .poly import (
     Poly,
     discriminant,
     factor_finite,
-    is_irreducible,
     poly_gcd,
     poly_xgcd,
     powmod,
@@ -26,20 +25,14 @@ from .poly import (
     roots_in_field,
     roots_in_splitting_extension,
 )
-from .series import (
-    SingularSeedError,
-    TruncatedSeries,
-    series_solve,
-    series_solve_system2,
-)
+from .series import SingularSeedError, TruncatedSeries, series_solve
 
 __all__ = [
     "QQ", "ExtElement", "ExtField", "FieldError", "FpElement", "PrimeField",
     "Rationals", "coerce", "common_field", "field_from_json",
     "MatrixExact", "plucker", "rank_kernel_rref",
     "ExtensionCapError", "Poly", "discriminant", "factor_finite",
-    "is_irreducible", "poly_gcd", "poly_xgcd", "powmod", "resultant",
+    "poly_gcd", "poly_xgcd", "powmod", "resultant",
     "roots_in_field", "roots_in_splitting_extension",
     "SingularSeedError", "TruncatedSeries", "series_solve",
-    "series_solve_system2",
 ]

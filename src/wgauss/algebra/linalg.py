@@ -142,29 +142,7 @@ class MatrixExact:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        f = self.field
-        rows = [list(r) for r in self.rows]
-        n = len(rows)
-        det = f.one
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                return f.zero
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = -det
-            pv = rows[c][c]
-            det = det * pv
-            inv = f.one / pv
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    factor = rows[i][c] * inv
-                    rows[i][c:] = [a - factor * b for a, b in zip(rows[i][c:], rows[c][c:])]
-        return det
+        return bareiss_det(self.rows, self.field.one)
 
     def solve(self, rhs):
         """One solution x of A x = rhs, or None if inconsistent."""
@@ -186,6 +164,36 @@ class MatrixExact:
 
     def sort_key(self):
         return tuple(tuple(self.field.sort_key(c) for c in row) for row in self.rows)
+
+
+def bareiss_det(rows, one):
+    """Determinant of a square matrix, given as rows, over an integral domain
+    whose ``/`` divides exactly: a field, or F[x] with ``Poly``'s exact
+    division.  ``one`` is the ring's unit, the determinant of a 0x0 matrix.
+
+    Bareiss's fraction-free elimination: after step k every entry below and
+    right of the pivot is a (k+1)-minor, so each division by the previous
+    pivot is exact.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    if not n:
+        return one
+    sign, prev = 1, one
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return rows[k][k]   # the zero of the ring
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pk, rk = rows[k][k], rows[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - ri[k] * rk[j]) / prev
+        prev = pk
+    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
 
 
 def _dot(a, b, field):

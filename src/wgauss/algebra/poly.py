@@ -181,6 +181,13 @@ class Poly:
             rem.pop()
         return Poly(self.field, q), Poly(self.field, rem)
 
+    def __truediv__(self, other):
+        """Exact quotient; raises ArithmeticError on a nonzero remainder."""
+        q, r = self.divmod(other)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        return q
+
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
@@ -566,10 +573,3 @@ def roots_in_splitting_extension(a, cap=12):
     assert sum(m for _, m in out) == a.degree
     return target, out
 
-
-def is_irreducible(a):
-    _require_finite(a)
-    if a.degree < 1:
-        return False
-    fs = factor_finite(a)
-    return len(fs) == 1 and fs[0][1] == 1

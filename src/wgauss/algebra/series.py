@@ -1,10 +1,20 @@
-"""Truncated Laurent series over an exact field.
+"""Truncated Laurent series over an exact field, and one Newton solver.
 
 A series holds coefficients for exponents offset, offset+1, ..., prec-1
 and claims nothing at prec or beyond.  Negative offsets give Laurent tails;
 ordinary power-series work keeps offset >= 0.  Arithmetic tracks precision:
 adding series of different precision truncates to the weaker one, and
 multiplication propagates precision the standard way.
+
+``series_solve`` computes every local parametrization: it solves r = 1 or 2
+equations F(t, y_1, .., y_r) = 0 for power series y_a(t) from a seed with
+an invertible Jacobian, by Newton iteration with doubling precision (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 9).  Each equation and each
+Jacobian entry is grouped once by y-monomial into a coefficient list in t,
+so t is never multiplied; each step builds the powers of every y_a once and
+shares them between the equations and their partials.  The update divides
+by the Jacobian determinant: a series inverse for r = 1, Cramer's rule for
+r = 2.
 """
 
 from .fields import FieldError
@@ -59,11 +69,6 @@ class TruncatedSeries:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return self.field.zero
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero series has no leading coefficient")
-        return self.coeffs[0]
 
     def _align(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -162,13 +167,6 @@ class TruncatedSeries:
         """Multiply by t^n."""
         return TruncatedSeries(self.field, list(self.coeffs), self.prec + n, self.offset + n)
 
-    def derivative(self):
-        out = []
-        for i, c in enumerate(self.coeffs):
-            out.append(c * (self.offset + i))
-        off = self.offset - 1
-        return TruncatedSeries(self.field, out, self.prec - 1, off)
-
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
             return (self.field == other.field and self.offset == other.offset
@@ -181,130 +179,87 @@ class TruncatedSeries:
         return f"<{body} + O(t^{self.prec})>"
 
 
-def evaluate_poly(coeffs, s):
-    """Evaluate a polynomial (coefficient list, lowest first) at a series."""
-    field = s.field
-    acc = TruncatedSeries.zero(field, s.prec + 1)
-    for c in reversed(list(coeffs)):
-        acc = acc * s + c
-    return acc
+def series_solve(eqs, seeds, order, field):
+    """Solve eqs(t, y(t)) = 0 mod t^order for y = (y_1, .., y_r), r =
+    len(eqs) in {1, 2}, with y_a(0) = seeds[a]; returns the list of the r
+    series, each of precision ``order``.
 
-
-def evaluate_bivariate(eq, t, y):
-    """Evaluate {(i, j): c} meaning sum c * t^i * y^j at series t, y."""
-    field = y.field
-    max_j = max(j for (_, j) in eq)
-    # collect as polynomial in y with series coefficients in t
-    by_j = {}
-    for (i, j), c in eq.items():
-        by_j.setdefault(j, {})[i] = c
-    acc = TruncatedSeries.zero(field, y.prec + 1)
-    for j in range(max_j, -1, -1):
-        acc = acc * y
-        if j in by_j:
-            d = by_j[j]
-            cs = [d.get(i, field.zero) for i in range(max(d) + 1)]
-            acc = acc + evaluate_poly(cs, t)
-    return acc
-
-
-def bivariate_dy(eq):
-    out = {}
-    for (i, j), c in eq.items():
-        if j >= 1:
-            out[(i, j - 1)] = out.get((i, j - 1), 0) + c * j
-    return {k: v for k, v in out.items()}
-
-
-def series_solve(eq, y0, order, field=None):
-    """Solve eq(t, y(t)) = 0 mod t^order for y with y(0) = y0.
-
-    ``eq`` is a bivariate dict {(i, j): coeff} for the monomial t^i y^j.
-    Requires eq(0, y0) = 0 and d(eq)/dy nonzero at (0, y0); otherwise raises
-    SingularSeedError.  Newton iteration with doubling precision.
+    Each equation is a dict {(i, j_1, .., j_r): coeff} for the monomial
+    t^i y_1^j_1 .. y_r^j_r.  Requires eqs(0, seeds) = 0 and an invertible
+    Jacobian in y at (0, seeds); otherwise raises SingularSeedError.
     """
-    if field is None:
-        field = y0.field
-    y0 = field.elem(y0) if not field.contains(y0) else y0
-    eq = {k: (field.elem(v) if not field.contains(v) else v) for k, v in eq.items()}
-    c0 = sum((c * y0 ** j for (i, j), c in eq.items() if i == 0), field.zero)
-    if c0:
-        raise SingularSeedError("seed does not satisfy the equation")
-    deq = bivariate_dy(eq)
-    d0 = sum((c * y0 ** j for (i, j), c in deq.items() if i == 0), field.zero)
-    if not d0:
-        raise SingularSeedError("vanishing derivative at the seed point")
-    prec = 1
-    y = TruncatedSeries.constant(field, y0, 1)
-    while prec < order:
-        prec = min(2 * prec, order)
-        y = TruncatedSeries(field, list(y.coeffs), prec, y.offset)
-        t = TruncatedSeries.var(field, prec)
-        fy = evaluate_bivariate(eq, t, y)
-        dfy = evaluate_bivariate(deq, t, y)
-        y = y - fy * dfy.inverse()
-        y = y.truncate(prec)
-    return y.truncate(order)
+    r = len(eqs)
+    if r not in (1, 2) or len(seeds) != r:
+        raise ValueError("series_solve takes one or two equations, one seed each")
+    grouped = [_by_y_monomial(eq, field) for eq in eqs]
+    jacobian = [[_y_partial(g, a) for a in range(r)] for g in grouped]
+    top = [max((J[a] for g in grouped for J in g), default=0) for a in range(r)]
 
+    def newton_terms(ys, prec):
+        """Residuals, Jacobian and its determinant at ys, to precision prec."""
+        powers = []
+        for y, d in zip(ys, top):
+            pw = [TruncatedSeries.constant(field, field.one, prec)]
+            for _ in range(d):
+                pw.append(pw[-1] * y)
+            powers.append(pw)
+        monomials = {}
 
-def series_solve_system2(eq1, eq2, y0, z0, order, field):
-    """Solve two trivariate equations eq(t, y, z) = 0 for (y(t), z(t)).
+        def value(g):
+            acc = TruncatedSeries.zero(field, prec)
+            for J, cs in g.items():
+                m = monomials.get(J)
+                if m is None:
+                    m = powers[0][J[0]] if r == 1 else powers[0][J[0]] * powers[1][J[1]]
+                    monomials[J] = m
+                acc = acc + (m * cs[0] if len(cs) == 1
+                             else TruncatedSeries(field, cs, prec) * m)
+            return acc
 
-    Equations are dicts {(i, j, k): coeff} for t^i y^j z^k.  The 2x2 Jacobian
-    in (y, z) must be invertible at the seed.
-    """
-    def ev(eq, t, y, z):
-        acc = TruncatedSeries.zero(field, order + 1)
-        for (i, j, k), c in eq.items():
-            term = TruncatedSeries.constant(field, field.elem(c), t.prec)
-            if i:
-                term = term * t ** i
-            if j:
-                term = term * y ** j
-            if k:
-                term = term * z ** k
-            acc = acc + term
-        return acc
+        res = [value(g) for g in grouped]
+        jac = [[value(d) for d in row] for row in jacobian]
+        det = jac[0][0] if r == 1 else jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+        return res, jac, det
 
-    def dvar(eq, axis):
-        out = {}
-        for (i, j, k), c in eq.items():
-            if axis == 1 and j >= 1:
-                key = (i, j - 1, k)
-                out[key] = out.get(key, field.zero) + field.elem(c) * j
-            if axis == 2 and k >= 1:
-                key = (i, j, k - 1)
-                out[key] = out.get(key, field.zero) + field.elem(c) * k
-        return out
-
-    d11, d12 = dvar(eq1, 1), dvar(eq1, 2)
-    d21, d22 = dvar(eq2, 1), dvar(eq2, 2)
-
-    y = TruncatedSeries.constant(field, field.elem(y0), 1)
-    z = TruncatedSeries.constant(field, field.elem(z0), 1)
-    prec = 1
-    t1 = TruncatedSeries.var(field, 1)
-    f1, f2 = ev(eq1, t1, y, z), ev(eq2, t1, y, z)
-    if not f1.is_zero() or not f2.is_zero():
-        raise SingularSeedError("seed does not satisfy the system")
-    a = ev(d11, t1, y, z).coefficient(0)
-    b = ev(d12, t1, y, z).coefficient(0)
-    c = ev(d21, t1, y, z).coefficient(0)
-    d = ev(d22, t1, y, z).coefficient(0)
-    if not (a * d - b * c):
+    ys = [TruncatedSeries.constant(field, _elem(field, s), 1) for s in seeds]
+    res, _, det = newton_terms(ys, 1)
+    if any(not f.is_zero() for f in res):
+        raise SingularSeedError("seed does not satisfy the equations")
+    if det.is_zero():
         raise SingularSeedError("singular Jacobian at the seed point")
+    prec = 1
     while prec < order:
         prec = min(2 * prec, order)
-        y = TruncatedSeries(field, list(y.coeffs), prec, y.offset)
-        z = TruncatedSeries(field, list(z.coeffs), prec, z.offset)
-        t = TruncatedSeries.var(field, prec)
-        f1, f2 = ev(eq1, t, y, z), ev(eq2, t, y, z)
-        a, b = ev(d11, t, y, z), ev(d12, t, y, z)
-        c, d = ev(d21, t, y, z), ev(d22, t, y, z)
-        det = a * d - b * c
+        ys = [TruncatedSeries(field, list(y.coeffs), prec, y.offset) for y in ys]
+        res, jac, det = newton_terms(ys, prec)
         dinv = det.inverse()
-        dy = (d * f1 - b * f2) * dinv
-        dz = (a * f2 - c * f1) * dinv
-        y = (y - dy).truncate(prec)
-        z = (z - dz).truncate(prec)
-    return y.truncate(order), z.truncate(order)
+        if r == 1:
+            steps = [res[0] * dinv]
+        else:   # Cramer's rule
+            (a, b), (c, d) = jac
+            steps = [(d * res[0] - b * res[1]) * dinv, (a * res[1] - c * res[0]) * dinv]
+        ys = [(y - s).truncate(prec) for y, s in zip(ys, steps)]
+    return [y.truncate(order) for y in ys]
+
+
+def _elem(field, c):
+    return c if field.contains(c) else field.elem(c)
+
+
+def _by_y_monomial(eq, field):
+    """{(j_1, .., j_r): [coefficients of t^0, t^1, ..]} for an equation."""
+    out = {}
+    for (i, *J), c in eq.items():
+        cs = out.setdefault(tuple(J), [])
+        cs.extend([field.zero] * (i + 1 - len(cs)))
+        cs[i] = cs[i] + _elem(field, c)
+    return out
+
+
+def _y_partial(grouped, a):
+    """The derivative in y_a of an equation grouped by y-monomial."""
+    out = {}
+    for J, cs in grouped.items():
+        if J[a]:
+            out[J[:a] + (J[a] - 1,) + J[a + 1:]] = [c * J[a] for c in cs]
+    return out

@@ -32,7 +32,6 @@ F_(q^m) is available as a cross-check.
 import hashlib
 import json
 import random
-from math import comb
 
 from .algebra.fields import (
     QQ,
@@ -43,7 +42,7 @@ from .algebra.fields import (
     coerce,
     field_from_json,
 )
-from .algebra.linalg import MatrixExact
+from .algebra.linalg import MatrixExact, bareiss_det
 from .algebra.poly import (
     Poly,
     conic_cubic_resultant,
@@ -53,11 +52,7 @@ from .algebra.poly import (
     roots_in_field,
     roots_in_splitting_extension,
 )
-from .algebra.series import (
-    TruncatedSeries,
-    series_solve,
-    series_solve_system2,
-)
+from .algebra.series import TruncatedSeries, series_solve
 
 
 class CurveError(ValueError):
@@ -481,14 +476,13 @@ class HyperellipticCurve:
                 # parameter t = x - x0, solve y(t)^2 = f(x0 + t)
                 eq = {(i, 0): -c for i, c in enumerate(shifted.coeffs)}
                 eq[(0, 2)] = fld.one
-                y = series_solve(eq, P.y, order, fld)
+                y, = series_solve([eq], [P.y], order, fld)
                 x = TruncatedSeries(fld, [P.x, fld.one], order)
                 return x, y
             # Weierstrass point: parameter t = y, solve f(x0 + X(t)) = t^2
             eq = {(0, j): c for j, c in enumerate(shifted.coeffs)}
             eq[(2, 0)] = eq.get((2, 0), fld.zero) - fld.one
-            eq = {k: v for k, v in eq.items() if v}
-            X = series_solve(eq, fld.zero, order, fld)
+            X, = series_solve([eq], [fld.zero], order, fld)
             x = X + TruncatedSeries.constant(fld, P.x, order)
             y = TruncatedSeries(fld, [fld.zero, fld.one], order)
             return x, y
@@ -500,7 +494,7 @@ class HyperellipticCurve:
             r = Poly(fld, rev.coeffs[1:])
             eq = {(0, j + 1): c for j, c in enumerate(r.coeffs)}
             eq[(2, 0)] = -fld.one
-            u = series_solve({k: v for k, v in eq.items() if v}, fld.zero, need, fld)
+            u, = series_solve([eq], [fld.zero], need, fld)
             x = u.inverse()
             w = TruncatedSeries(fld, [fld.zero, fld.one], need)
             y = w * x ** (g + 1)
@@ -508,7 +502,7 @@ class HyperellipticCurve:
         # even model, two points; parameter t = u, solve w(t)^2 = rev(t)
         eq = {(j, 0): c for j, c in enumerate(rev.coeffs)}
         eq[(0, 2)] = eq.get((0, 2), fld.zero) - fld.one
-        w = series_solve({k: v for k, v in eq.items() if v}, P.w, need, fld)
+        w, = series_solve([eq], [P.w], need, fld)
         u = TruncatedSeries(fld, [fld.zero, fld.one], need)
         x = u.inverse()
         y = w * x ** (g + 1)
@@ -794,81 +788,38 @@ def _plane_local_series(forms, P, order, nvars):
 
     Returns ``nvars`` regular series: the normalization coordinate is the
     constant 1, the parameter coordinate is linear in t, the remaining ones
-    solve the system.
+    solve the r = len(forms) chart equations.  The parameter is the first
+    chart variable whose complementary r x r Jacobian minor is nonzero at P.
     """
     fld = P.field
     coords = P.coords
     norm = next(i for i, c in enumerate(coords) if c)  # == 1 after normalization
     rest = [i for i in range(nvars) if i != norm]
-    # affine forms in the chart variables, as dicts over ``rest``
-    affs = []
-    for form in forms:
-        d = {}
-        for exps, c in form.map_field(fld).coeffs.items():
-            key = tuple(exps[i] for i in rest)
-            d[key] = d.get(key, fld.zero) + c
-        affs.append({k: v for k, v in d.items() if v})
     vals = [coords[i] for i in rest]
-
-    if len(forms) == 1:
-        # plane curve: choose solved variable by nonzero partial
-        aff = affs[0]
-        parts = [mp_eval(mp_partial(aff, i, fld), vals, fld) for i in range(2)]
-        solve_i = 1 if parts[1] else 0
-        param_i = 1 - solve_i
-        if not parts[solve_i]:
-            raise CurveError("singular point hit in local_series")
-        # eq(t, Y): substitute param var = val + t, solved var = Y
-        eq = {}
-        for (e0, e1), c in aff.items():
-            ep = (e0, e1)[param_i]
-            es = (e0, e1)[solve_i]
-            for i in range(ep + 1):
-                key = (i, es)
-                add = c * comb(ep, i) * vals[param_i] ** (ep - i)
-                if add:
-                    eq[key] = eq.get(key, fld.zero) + add
-        y = series_solve({k: v for k, v in eq.items() if v}, vals[solve_i], order, fld)
-        t_series = TruncatedSeries(fld, [vals[param_i], fld.one], order)
-        out = [None] * nvars
-        out[norm] = TruncatedSeries.constant(fld, fld.one, order)
-        out[rest[param_i]] = t_series
-        out[rest[solve_i]] = y
-        return out
-
-    # complete intersection in P^3: pick parameter variable with invertible
-    # 2x2 Jacobian minor in the remaining two
-    jac = [[mp_eval(mp_partial(aff, i, fld), vals, fld) for i in range(3)]
+    affs = [_dehom(form.map_field(fld).coeffs, rest) for form in forms]
+    jac = [[mp_eval(mp_partial(aff, i, fld), vals, fld) for i in range(len(rest))]
            for aff in affs]
-    choice = None
-    for param_i in range(3):
-        o1, o2 = [i for i in range(3) if i != param_i]
-        det = jac[0][o1] * jac[1][o2] - jac[0][o2] * jac[1][o1]
-        if det:
-            choice = (param_i, o1, o2)
+    for param in range(len(rest)):
+        solved = [i for i in range(len(rest)) if i != param]
+        if MatrixExact(fld, [[row[i] for i in solved] for row in jac]).det():
             break
-    if choice is None:
+    else:
         raise CurveError("singular point hit in local_series")
-    param_i, o1, o2 = choice
-
-    def shifted_eq(aff):
-        eq = {}
-        for exps, c in aff.items():
-            ep, e1, e2 = exps[param_i], exps[o1], exps[o2]
-            for i in range(ep + 1):
-                key = (i, e1, e2)
-                add = c * comb(ep, i) * vals[param_i] ** (ep - i)
-                if add:
-                    eq[key] = eq.get(key, fld.zero) + add
-        return {k: v for k, v in eq.items() if v}
-
-    y, z = series_solve_system2(shifted_eq(affs[0]), shifted_eq(affs[1]),
-                                vals[o1], vals[o2], order, fld)
+    # chart equations in (t, y_1, .., y_r): the parameter variable becomes
+    # val + t, the a-th solved variable y_a
+    r = len(forms)
+    unit = [tuple(int(a == b) for b in range(r + 1)) for a in range(r + 1)]
+    images = [None] * len(rest)
+    images[param] = {unit[0]: fld.one, (0,) * (r + 1): vals[param]}
+    for a, i in enumerate(solved, 1):
+        images[i] = {unit[a]: fld.one}
+    eqs = [mp_substitute(aff, images, fld, r + 1) for aff in affs]
     out = [None] * nvars
     out[norm] = TruncatedSeries.constant(fld, fld.one, order)
-    out[rest[param_i]] = TruncatedSeries(fld, [vals[param_i], fld.one], order)
-    out[rest[o1]] = y
-    out[rest[o2]] = z
+    out[rest[param]] = TruncatedSeries(fld, [vals[param], fld.one], order)
+    ys = series_solve(eqs, [vals[i] for i in solved], order, fld)
+    for i, y in zip(solved, ys):
+        out[rest[i]] = y
     return out
 
 
@@ -927,36 +878,7 @@ def _res_in_last_var(g1, g2, d1, d2, field):
     for i in range(d1):
         rows.append([Poly.zero(field)] * i + list(reversed(p2))
                     + [Poly.zero(field)] * (n - d2 - 1 - i))
-    return _poly_det(rows, field)
-
-
-def _poly_det(rows, field):
-    """Determinant of a matrix of Polys by fraction-free elimination."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    sign = 1
-    prev = Poly.one(field)
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if not rows[i][k].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return Poly.zero(field)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                q, r = num.divmod(prev)
-                assert r.is_zero()
-                rows[i][j] = q
-            rows[i][k] = Poly.zero(field)
-        prev = rows[k][k]
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return bareiss_det(rows, Poly.one(field))
 
 
 def _ternary_common_rational_zeros(field, conic, cubic):
@@ -1098,17 +1020,18 @@ def _plane_basis(curve, h):
 
 
 def _gram_matrix(field, quadric):
-    """The symmetric matrix G of a quaternary quadric: Q(x) = x.G.x."""
+    """The symmetric matrix G of a quadratic form: Q(x) = x.G.x."""
     half = field.one / field.elem(2)
+    n = quadric.nvars
     rows = []
-    for i in range(4):
+    for i in range(n):
         row = []
-        for j in range(4):
+        for j in range(n):
             if i == j:
-                key = tuple(2 if t == i else 0 for t in range(4))
+                key = tuple(2 if t == i else 0 for t in range(n))
                 row.append(quadric.coeffs.get(key, field.zero))
             else:
-                key = tuple(1 if t in (i, j) else 0 for t in range(4))
+                key = tuple(1 if t in (i, j) else 0 for t in range(n))
                 row.append(quadric.coeffs.get(key, field.zero) * half)
         rows.append(row)
     return MatrixExact(field, rows)

@@ -18,7 +18,7 @@ import random
 from itertools import product
 
 from .algebra.fields import FieldError, coerce, common_field
-from .algebra.linalg import MatrixExact
+from .algebra.linalg import MatrixExact, bareiss_det
 from .algebra.poly import ExtensionCapError, Poly, roots_in_splitting_extension
 from .curves import INF, CurveError
 from .divisors import Divisor, gcd_div, hyperelliptic_reduce, pullback_x, x_fibers
@@ -559,8 +559,7 @@ def _g13_branch_form(L, verify_points):
         [pb, pc * two, pd * three, Poly.zero(fld)],
         [Poly.zero(fld), pb, pc * two, pd * three],
     ]
-    from .curves import _poly_det
-    disc = _poly_det(rows, fld)
+    disc = bareiss_det(rows, Poly.one(fld))
     if disc.is_zero():
         raise UnsupportedConfiguration("degenerate discriminant")
     return BranchForm(fld, disc, 12)
@@ -594,7 +593,7 @@ def trisecants_through(curve, P, cap=12):
     lines of the quadric through P (components of the tangent-plane conic)."""
     if curve.model != "canonical_g4":
         raise UnsupportedConfiguration("trisecants live on the genus-4 model")
-    from .curves import mp_partial, mp_eval
+    from .curves import _gram_matrix, mp_eval, mp_partial, mp_substitute
     from .gauss import _binary_restriction_divisor
     fld = P.field
     quad = curve.quadric.map_field(fld)
@@ -608,20 +607,7 @@ def trisecants_through(curve, P, cap=12):
     pc = MatrixExact(fld, [list(v) for v in basis]).transpose().solve(list(P.coords))
     assert pc is not None
     # rank-2 conic: vertex = kernel of its matrix, split off the two lines
-    half = fld.one / fld.elem(2)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            if i == j:
-                key = tuple(2 if t == i else 0 for t in range(3))
-                row.append(conic.coeffs.get(key, fld.zero))
-            else:
-                key = tuple(1 if t in (i, j) else 0 for t in range(3))
-                row.append(conic.coeffs.get(key, fld.zero) * half)
-        rows.append(row)
-    M = MatrixExact(fld, rows)
-    ker = M.kernel_basis()
+    ker = _gram_matrix(fld, conic).kernel_basis()
     if len(ker) != 1:
         raise UnsupportedConfiguration("tangent conic does not have rank 2")
     vertex = ker[0]
@@ -636,7 +622,6 @@ def trisecants_through(curve, P, cap=12):
     images = [
         {(1, 0): comp[0][i], (0, 1): comp[1][i]} for i in range(3)
     ]
-    from .curves import mp_substitute
     restr = mp_substitute(conic.coeffs, [
         {k: v for k, v in im.items() if v} for im in images], fld, 2)
     cs = [fld.zero] * 3

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from wgauss.algebra import QQ, ExtField, PrimeField
+from wgauss.algebra import QQ, ExtField, PrimeField, TruncatedSeries
 from wgauss.curves import (
     INF,
     CanonicalG4Curve,
@@ -11,6 +11,7 @@ from wgauss.curves import (
     HomForm,
     HyperellipticCurve,
     PlaneQuarticCurve,
+    ProjectivePoint,
     curve_from_json,
     curve_hash,
     curve_to_json,
@@ -229,6 +230,7 @@ def test_local_param_t0_returns_point_and_residual():
     for _ in range(10):
         P = c.sample_point(rng)
         x, y = c.local_series(P, 6)
+        assert x.prec == y.prec == 6
         assert x.coefficient(0) == P.x and y.coefficient(0) == P.y
         acc = x * 0
         for i, co in enumerate(c.f.coeffs):
@@ -258,22 +260,43 @@ def test_local_param_even_infinity():
         assert (y * y - acc).is_zero()
 
 
+def _form_at_series(form, s):
+    acc = s[0] * 0
+    for exps, co in form.coeffs.items():
+        term = s[0] * 0 + co
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * s[i]
+        acc = acc + term
+    return acc
+
+
 def test_g4_local_series_residuals():
     g = CanonicalG4Curve(F, SEGRE, G4_CUBIC)
     rng = random.Random(8)
     for _ in range(5):
         P = g.sample_point(rng)
         s = g.local_series(P, 5)
+        assert all(c.prec == 5 for c in s)
         for form in (g.quadric, g.cubic):
-            acc = s[0] * 0
-            for exps, co in form.coeffs.items():
-                term = s[0] * 0 + co
-                for i, e in enumerate(exps):
-                    for _ in range(e):
-                        term = term * s[i]
-                acc = acc + term
-            assert acc.is_zero()
+            assert _form_at_series(form, s).is_zero()
         assert [c.coefficient(0) for c in s] == list(P.coords)
+
+
+def test_quartic_local_series_residuals():
+    q = PlaneQuarticCurve(F, KLEIN)
+    rng = random.Random(9)
+    # on the chart x = 1 of (1 : 0 : 0) the curve is y + y^3 z + z^3 = 0,
+    # whose z-partial vanishes there: z is the parameter and y is solved
+    corner = ProjectivePoint(F, [1, 0, 0])
+    for P in [q.sample_point(rng) for _ in range(5)] + [corner]:
+        s = q.local_series(P, 7)
+        assert all(c.prec == 7 for c in s)
+        assert [c.coefficient(0) for c in s] == list(P.coords)
+        assert _form_at_series(q.form, s).is_zero()
+    s = q.local_series(corner, 7)
+    assert s[2] == TruncatedSeries.var(F, 7)
+    assert s[1].valuation() == 3
 
 
 def test_curve_json_roundtrip():

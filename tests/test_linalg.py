@@ -1,10 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgauss.algebra import QQ, ExtField, MatrixExact, PrimeField, plucker, rank_kernel_rref
+from wgauss.algebra import QQ, ExtField, MatrixExact, Poly, PrimeField, plucker, rank_kernel_rref
+from wgauss.algebra.linalg import bareiss_det
 
 F = PrimeField(10007)
 
@@ -60,6 +62,34 @@ def test_det_and_solve_over_qq():
     assert m.det() == QQ.elem(-2)
     x = m.solve([QQ.elem(5), QQ.elem(11)])
     assert x == (QQ.elem(1), QQ.elem(2))
+
+
+def _leibniz_det(rows, zero, one):
+    n = len(rows)
+    acc = zero
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        acc = acc + term if sign == 1 else acc - term
+    return acc
+
+
+def test_bareiss_det_matches_leibniz_over_fields_and_fx():
+    rng = random.Random(33)
+    F7 = PrimeField(7)
+    for n in range(1, 5):
+        for _ in range(10):
+            # sparse entries, so zero pivots and row swaps occur
+            rows = [[F7.rand(rng) if rng.random() < 0.5 else F7.zero for _ in range(n)]
+                    for _ in range(n)]
+            assert MatrixExact(F7, rows).det() == _leibniz_det(rows, F7.zero, F7.one)
+            prows = [[Poly(F7, [F7.rand(rng) for _ in range(rng.randrange(3))])
+                      for _ in range(n)] for _ in range(n)]
+            one = Poly.one(F7)
+            assert bareiss_det(prows, one) == _leibniz_det(prows, Poly.zero(F7), one)
+    assert MatrixExact(F, []).det() == F.one
 
 
 def test_plucker_axis_plane():

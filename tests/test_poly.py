@@ -647,3 +647,10 @@ def test_conic_cubic_resultant_matches_sylvester_determinant(drawn):
     ql = [u * u, u * v + u * v, v * v]
     el = [u * e[0], v * e[0] + u * e[1], v * e[1] + u * e[2], v * e[2]]
     assert conic_cubic_resultant(ql, el).is_zero()
+
+
+def test_poly_division_is_exact():
+    a, b = Poly(F7, [1, 2, 3]), Poly(F7, [4, 1])
+    assert (a * b) / b == a
+    with pytest.raises(ArithmeticError):
+        (a * b + 1) / b

@@ -9,9 +9,7 @@ from wgauss.algebra import (
     SingularSeedError,
     TruncatedSeries,
     series_solve,
-    series_solve_system2,
 )
-from wgauss.algebra.series import evaluate_bivariate
 
 F = PrimeField(10007)
 
@@ -19,7 +17,8 @@ F = PrimeField(10007)
 def test_binomial_series():
     # y^2 = 1 + t at (0, 1): 1 + t/2 - t^2/8
     eq = {(0, 2): QQ.elem(-1), (0, 0): QQ.elem(1), (1, 0): QQ.elem(1)}
-    y = series_solve(eq, Fraction(1), 3, QQ)
+    y, = series_solve([eq], [Fraction(1)], 3, QQ)
+    assert y.prec == 3
     assert y.coefficient(0) == 1
     assert y.coefficient(1) == Fraction(1, 2)
     assert y.coefficient(2) == Fraction(-1, 8)
@@ -37,30 +36,33 @@ def test_residual_zero_random_seeds():
         y0 = F.sqrt(c0)
         eq = {(0, 2): F.elem(-1), (0, 0): c0, (1, 0): c1, (2, 0): c2, (3, 0): c3}
         N = 8
-        y = series_solve(eq, y0, N, F)
+        y, = series_solve([eq], [y0], N, F)
+        assert y.prec == N
         t = TruncatedSeries.var(F, N)
-        res = evaluate_bivariate(eq, t, y)
+        res = TruncatedSeries.zero(F, N)
+        for (i, j), c in eq.items():
+            res = res + t ** i * y ** j * c
         assert res.is_zero()
 
 
 def test_doubling_consistency():
     eq = {(0, 2): F.elem(-1), (0, 0): F.elem(4), (1, 0): F.elem(3), (2, 0): F.elem(5)}
     y0 = F.elem(2)
-    y8 = series_solve(eq, y0, 8, F)
-    y4 = series_solve(eq, y0, 4, F)
+    y8, = series_solve([eq], [y0], 8, F)
+    y4, = series_solve([eq], [y0], 4, F)
     assert y8.truncate(4) == y4
 
 
 def test_singular_seed_rejected():
     eq = {(0, 2): F.elem(1), (1, 0): F.elem(-1)}  # y^2 = t at (0,0)
     with pytest.raises(SingularSeedError):
-        series_solve(eq, F.zero, 4, F)
+        series_solve([eq], [F.zero], 4, F)
 
 
 def test_bad_seed_rejected():
     eq = {(0, 2): F.elem(-1), (0, 0): F.elem(2)}
     with pytest.raises(SingularSeedError):
-        series_solve(eq, F.elem(5), 4, F)
+        series_solve([eq], [F.elem(5)], 4, F)
 
 
 def test_laurent_inverse():
@@ -88,7 +90,8 @@ def test_system_solve_two_vars():
     # y^2 = 1 + t, z = y + t z^2 near (y, z) = (1, 1)
     eq1 = {(0, 0, 0): QQ.elem(1), (1, 0, 0): QQ.elem(1), (0, 2, 0): QQ.elem(-1)}
     eq2 = {(0, 1, 0): QQ.elem(1), (1, 0, 2): QQ.elem(1), (0, 0, 1): QQ.elem(-1)}
-    y, z = series_solve_system2(eq1, eq2, Fraction(1), Fraction(1), 5, QQ)
+    y, z = series_solve([eq1, eq2], [Fraction(1), Fraction(1)], 5, QQ)
+    assert y.prec == z.prec == 5
     assert y.coefficient(1) == Fraction(1, 2)
     # check residuals
     t = TruncatedSeries.var(QQ, 5)
@@ -96,3 +99,19 @@ def test_system_solve_two_vars():
     assert r1.is_zero()
     r2 = y + t * z * z - z
     assert r2.is_zero()
+
+
+def test_system_singular_jacobian_rejected():
+    # y^2 = t, z = y at (y, z) = (0, 0): the seed solves the system, but
+    # the Jacobian in (y, z) is [[0, 0], [-1, 1]]
+    eq1 = {(0, 2, 0): F.one, (1, 0, 0): F.elem(-1)}
+    eq2 = {(0, 0, 1): F.one, (0, 1, 0): F.elem(-1)}
+    with pytest.raises(SingularSeedError):
+        series_solve([eq1, eq2], [F.zero, F.zero], 4, F)
+
+
+def test_system_bad_seed_rejected():
+    eq1 = {(0, 1, 0): F.one, (0, 0, 0): F.elem(-2)}
+    eq2 = {(0, 0, 1): F.one, (1, 0, 0): F.one}
+    with pytest.raises(SingularSeedError):
+        series_solve([eq1, eq2], [F.elem(3), F.zero], 4, F)
