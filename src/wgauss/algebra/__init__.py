@@ -12,7 +12,7 @@ from .fields import (
     common_field,
     field_from_json,
 )
-from .linalg import MatrixExact, plucker, rank_kernel_rref
+from .linalg import MatrixExact, plucker
 from .poly import (
     ExtensionCapError,
     Poly,
@@ -30,7 +30,7 @@ from .series import SingularSeedError, TruncatedSeries, series_solve
 __all__ = [
     "QQ", "ExtElement", "ExtField", "FieldError", "FpElement", "PrimeField",
     "Rationals", "coerce", "common_field", "field_from_json",
-    "MatrixExact", "plucker", "rank_kernel_rref",
+    "MatrixExact", "plucker",
     "ExtensionCapError", "Poly", "discriminant", "factor_finite",
     "poly_gcd", "poly_xgcd", "powmod", "resultant",
     "roots_in_field", "roots_in_splitting_extension",

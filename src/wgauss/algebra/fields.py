@@ -131,13 +131,13 @@ class Rationals:
         if x < 0:
             return False
         n, d = x.numerator, x.denominator
-        rn, rd = _isqrt(n), _isqrt(d)
+        rn, rd = math.isqrt(n), math.isqrt(d)
         return rn * rn == n and rd * rd == d
 
     def sqrt(self, x):
         if not self.is_square(x):
             return None
-        return Fraction(_isqrt(x.numerator), _isqrt(x.denominator))
+        return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
 
     def describe(self):
         return {"type": "rational"}
@@ -150,10 +150,6 @@ class Rationals:
 
     def __hash__(self):
         return hash("QQ")
-
-
-def _isqrt(n):
-    return math.isqrt(n)
 
 
 QQ = Rationals()
@@ -222,8 +218,6 @@ class FpElement:
         return FpElement(v * pow(self.value, -1, self.field.p), self.field)
 
     def __pow__(self, e):
-        if e < 0:
-            return FpElement(pow(self.value, e, self.field.p), self.field)
         return FpElement(pow(self.value, e, self.field.p), self.field)
 
     def __neg__(self):
@@ -810,8 +804,6 @@ def common_field(f1, f2):
     if f1 == f2:
         return f1
     if f1 is QQ or f2 is QQ or isinstance(f1, Rationals) or isinstance(f2, Rationals):
-        if f1 == f2:
-            return f1
         raise FieldError("cannot mix QQ with finite fields")
     if f1.char != f2.char:
         raise FieldError("mixed characteristics")

@@ -53,9 +53,6 @@ class MatrixExact:
     def __repr__(self):
         return f"MatrixExact({self.nrows}x{self.ncols} over {self.field!r})"
 
-    def transpose(self):
-        return MatrixExact(self.field, list(zip(*self.rows)) if self.rows else [])
-
     def __mul__(self, other):
         if isinstance(other, MatrixExact):
             if other.field != self.field:
@@ -201,12 +198,6 @@ def _dot(a, b, field):
     for x, y in zip(a, b):
         acc = acc + x * y
     return acc
-
-
-def rank_kernel_rref(mat):
-    """(rank, kernel basis, RREF) bundle for a MatrixExact."""
-    R, pivots = mat.rref()
-    return len(pivots), mat.kernel_basis(), R
 
 
 def plucker(mat):

@@ -328,25 +328,6 @@ def resultant(a, b):
     return MatrixExact(f, rows).det()
 
 
-def conic_cubic_resultant(q, e):
-    """Res_c(q, e) of q = q2 c^2 + q1 c + q0 and e = e3 c^3 + ... + e0,
-    given as coefficient lists [q0, q1, q2] and [e0, .., e3] of Polys (in
-    some other variable), with q2 a nonzero constant.
-
-    Equal to the 5x5 Sylvester determinant with q's rows first, in closed
-    form (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
-    q2^2 e = A c + B mod q, so Res(q, e) = Res(q, A c + B) / q2^2, and
-    Res(q, A c + B) = B^2 q2 - A B q1 + A^2 q0.
-    """
-    q0, q1, q2 = q
-    e0, e1, e2, e3 = e
-    q22 = q2 * q2
-    A = e3 * (q1 * q1 - q0 * q2) - e2 * q1 * q2 + e1 * q22
-    B = e3 * q1 * q0 - e2 * q0 * q2 + e0 * q22
-    r = B * B * q2 - A * B * q1 + A * A * q0
-    return r * (q2.field.one / q22.lead())
-
-
 def discriminant(a):
     """Res(a, a') / lc(a), with the usual sign (-1)^(d(d-1)/2)."""
     d = a.degree

@@ -67,10 +67,8 @@ def gauss_eval(D):
 def _binary_restriction_divisor(curve, b0, b1, field, cap):
     """Divisor cut on the line through b0, b1 by the quadric and cubic, via
     the gcd of the two restricted binary forms.  Genus-4 model only."""
-    q_coeffs = curve.quadric.restrict_line(b0, b1, field=field)
-    e_coeffs = curve.cubic.restrict_line(b0, b1, field=field)
-    pq = Poly(field, q_coeffs)
-    pe = Poly(field, e_coeffs)
+    pq = curve.quadric.pullback([b0, b1], field)
+    pe = curve.cubic.pullback([b0, b1], field)
     if pq.is_zero() and pe.is_zero():
         raise CurveError("line lies on the curve; impossible for a smooth model")
     if pq.is_zero():

@@ -438,7 +438,7 @@ class BranchForm:
         return out
 
 
-def dual_branch_form(L, verify_points=5):
+def dual_branch_form(L):
     """The full branch form of a pencil (r = 1).
 
     Supported cases: hyperelliptic pencils pulled back from P^1 (members are
@@ -456,7 +456,7 @@ def dual_branch_form(L, verify_points=5):
         d = 2 * g + 2
         return BranchForm(fld, f.monic(), d)
     if curve.model == "canonical_g4":
-        return _g13_branch_form(L, verify_points)
+        return _g13_branch_form(L)
     raise UnsupportedConfiguration(f"no branch form for model {curve.model}")
 
 
@@ -476,7 +476,11 @@ def _line_intersection_point(l1, l2):
     return ker[0], fld
 
 
-def _g13_branch_form(L, verify_points):
+# members on which the moving-line family is checked against the pencil
+_BRANCH_CHECKS = 5
+
+
+def _g13_branch_form(L):
     """Moving-line family for a base-point-free pencil of trisecants."""
     curve = L.curve
     fld = L.field
@@ -541,7 +545,7 @@ def _g13_branch_form(L, verify_points):
 
     a, b, c, d = (uv_coeff(j) for j in range(4))
     # verify the family reproduces members at a few parameters
-    check = anchors + [(fld.one, fld.elem(2 + i)) for i in range(max(0, verify_points - 3))]
+    check = anchors + [(fld.one, fld.elem(2 + i)) for i in range(_BRANCH_CHECKS - 3)]
     for (s, t) in check:
         bp = [x * s + y * t for x, y in zip(u0, u1)]
         bq = [x * s + y * t for x, y in zip(w0, w1)]
@@ -590,63 +594,30 @@ def reconstruct_system(W_samples, n=None, k=None, cap=12):
 
 def trisecants_through(curve, P, cap=12):
     """The degree-3 members through a point of the genus-4 model: cut by the
-    lines of the quadric through P (components of the tangent-plane conic)."""
+    lines of the quadric through P, the two components of the conic that
+    the tangent plane of the quadric at P cuts (``rulings._conic_lines``),
+    each over the splitting field of its own points."""
     if curve.model != "canonical_g4":
         raise UnsupportedConfiguration("trisecants live on the genus-4 model")
-    from .curves import _gram_matrix, mp_eval, mp_partial, mp_substitute
-    from .gauss import _binary_restriction_divisor
+    from .curves import _gram_matrix
+    from .rulings import _conic_lines, _cut, space_point
     fld = P.field
     quad = curve.quadric.map_field(fld)
-    grad = [mp_eval(mp_partial(quad.coeffs, i, fld), P.coords, fld)
-            for i in range(4)]
-    if not any(grad):
+    normal = _gram_matrix(fld, quad).apply(P.coords)   # half the gradient
+    if not any(normal):
         raise CurveError("singular quadric point")
-    basis = MatrixExact(fld, [grad]).kernel_basis()
-    conic = quad.restrict_plane(*basis, field=fld)
-    # P in plane coordinates
-    pc = MatrixExact(fld, [list(v) for v in basis]).transpose().solve(list(P.coords))
-    assert pc is not None
-    # rank-2 conic: vertex = kernel of its matrix, split off the two lines
-    ker = _gram_matrix(fld, conic).kernel_basis()
-    if len(ker) != 1:
+    basis = MatrixExact(fld, [normal]).kernel_basis()
+    gram = _gram_matrix(fld, quad.restrict_plane(*basis, field=fld))
+    if gram.rank() != 2:
         raise UnsupportedConfiguration("tangent conic does not have rank 2")
-    vertex = ker[0]
-    # complete to a basis of the plane coordinates
-    comp = []
-    for e in MatrixExact.identity(fld, 3).rows:
-        cand = MatrixExact(fld, [vertex] + comp + [e])
-        if cand.rank() == len(comp) + 2:
-            comp.append(e)
-        if len(comp) == 2:
-            break
-    images = [
-        {(1, 0): comp[0][i], (0, 1): comp[1][i]} for i in range(3)
-    ]
-    restr = mp_substitute(conic.coeffs, [
-        {k: v for k, v in im.items() if v} for im in images], fld, 2)
-    cs = [fld.zero] * 3
-    for (i, j), v in restr.items():
-        cs[j] = cs[j] + v
-    bq = Poly(fld, cs)
-    # roots of the binary quadratic give the two line directions
-    dirs = []
-    if bq.degree >= 1:
-        K, roots = roots_in_splitting_extension(bq, cap=cap)
-        for r, _ in roots:
-            dirs.append((K, [coerce(a, K) + r * coerce(b, K)
-                             for a, b in zip(comp[0], comp[1])]))
-    if bq.degree < 2:
-        dirs.append((fld, list(comp[1])))
+    K, V, dirs = _conic_lines(gram, cap)
+    basis = [[coerce(c, K) for c in v] for v in basis]
+    cubic = curve.cubic.restrict_plane(*basis, field=K)
     members = []
-    for K, d in dirs:
-        # the line joins the vertex and the direction point, in P^3 coords
-        v3 = [sum((coerce(basis[j][i], K) * coerce(vertex[j], K) for j in range(3)),
-                  K.zero) for i in range(4)]
-        d3 = [sum((coerce(basis[j][i], K) * coerce(d[j], K) for j in range(3)),
-                  K.zero) for i in range(4)]
-        member = _binary_restriction_divisor(curve, v3, d3, K, cap)
-        assert member.degree == 3
-        members.append(member)
+    for d in dirs:
+        _, zeros = _cut(cubic, [([V, d], 1)], cap)
+        members.append(Divisor(curve, [(space_point(basis, x), m) for x, m in zeros],
+                               field=K))
     return members
 
 

@@ -1,8 +1,10 @@
-"""Points of a canonical genus-4 curve through the rulings of its quadric.
+"""A canonical genus-4 curve through its quadric: point tables and plane
+sections.
 
 C = Q n E lies on the unique quadric Q, and the g^1_3's of C are cut by the
 lines of Q (Hartshorne IV Ex. 5.5.2).  Over K = F_(q^m), p odd, with Gram
-matrix G of Q (Q(x) = x.G.x, polar form B(x, y) = x.G.y):
+matrix G of Q (Q(x) = x.G.x, polar form B(x, y) = x.G.y), the points of
+C(K) are found line by line on the rulings:
 
   * rank 4, det G a square in K (Q split over K): a hyperbolic basis M
     gives Q(M.x) = x0*x3 - x1*x2, and the Segre map
@@ -18,6 +20,15 @@ matrix G of Q (Q(x) = x.G.x, polar form B(x, y) = x.G.y):
     quadratic extension of K; this happens only for odd m): the points are
     swept over the pencil of planes through the line x0 = x1 = 0.
 
+A plane section H n C is the conic H n Q cut by E, and one solver serves
+hyperplane sections, a plane's rational points, the sweep and trisecants.
+A smooth conic is parametrized through a K-point P0 by x(t) = Q(D)*P0 -
+2*B(P0, D)*D, D = R1 + t*R2; the roots of the pulled-back sextic S(t), with
+multiplicity, are the section's points with their intersection
+multiplicities, the degree deficit of S the point at t = oo.  A line pair
+is split into its two lines, a double line counts twice, and each line is
+cut by E.
+
 Binary forms and line parameters share one variable order, (u, v, s, t),
 so a form in them is grouped by its (s, t)-monomial once and specialized
 per line (``_by_st``, ``_specialize_pencil``).
@@ -27,14 +38,13 @@ from itertools import combinations
 
 from .algebra.fields import coerce
 from .algebra.linalg import MatrixExact
+from .algebra.poly import Poly, roots_in_field, roots_in_splitting_extension
 from .curves import (
+    CurveError,
+    HomForm,
     ProjectivePoint,
-    _apply_shear,
     _binary_rational_points,
-    _first_shear_zeros,
     _gram_matrix,
-    _rational_chart_zeros,
-    _shear_matrices,
     mp_substitute,
 )
 
@@ -86,7 +96,7 @@ def _isotropic(gram, basis, base):
     x, rest = basis[0], basis[1:]
     qx = _bil(gram, x, x)
     for cs in _directions(base, K, len(rest)):
-        y = [sum((c * r[i] for c, r in zip(cs, rest)), K.zero) for i in range(4)]
+        y = [sum((c * r[i] for c, r in zip(cs, rest)), K.zero) for i in range(len(x))]
         qy, bxy = _bil(gram, y, y), _bil(gram, x, y)
         if not qy:
             return y
@@ -153,16 +163,9 @@ def _cone_images(K, gram, base):
     P0 = _isotropic(gram, comp, base)
     R1, R2 = next(pair for pair in combinations(comp, 2)
                   if MatrixExact(K, [V, P0, *pair]).rank() == 4)
-    b1, b2 = _bil(gram, P0, R1), _bil(gram, P0, R2)
-    two = K.elem(2)
-    out = []
-    for p, r1, r2, v in zip(P0, R1, R2, V):
-        im = {(1, 0, 2, 0): _bil(gram, R1, R1) * p - two * b1 * r1,
-              (1, 0, 1, 1): two * (_bil(gram, R1, R2) * p - b1 * r2 - b2 * r1),
-              (1, 0, 0, 2): _bil(gram, R2, R2) * p - two * b2 * r2,
-              (0, 1, 0, 0): v}
-        out.append({k: c for k, c in im.items() if c})
-    return out
+    keys = [(1, 0, 2, 0), (1, 0, 1, 1), (1, 0, 0, 2), (0, 1, 0, 0)]
+    return [{k: c for k, c in zip(keys, cs) if c}
+            for cs in zip(*_conic_param(gram, P0, R1, R2), V)]
 
 
 def _line_points(K, images, cub):
@@ -173,7 +176,7 @@ def _line_points(K, images, cub):
     out = []
     for s, t in _p1(K):
         c = _specialize_pencil(pulled, s, t)
-        roots = _binary_rational_points(K, [c.get((3 - j, j), K.zero) for j in range(4)])
+        roots = _binary_rational_points(Poly(K, [c.get((3 - j, j), K.zero) for j in range(4)]), 3)
         if roots:
             xs = [_specialize_pencil(g, s, t) for g in ims]
             A = [x.get((1, 0), K.zero) for x in xs]
@@ -181,6 +184,145 @@ def _line_points(K, images, cub):
             out += [ProjectivePoint(K, [u * a + v * b for a, b in zip(A, B)])
                     for u, v in roots]
     return out
+
+
+# -- plane sections: the conic H n Q cut by the cubic ------------------------
+
+def plane_section(conic, cubic, cap):
+    """(L, [(x, m)]): the common zeros x of a ternary conic and cubic over K,
+    in plane coordinates over L, with their intersection multiplicities m.
+
+    L is the splitting field of the whole section, reached from K by one
+    embedding; beyond degree ``cap`` it raises ExtensionCapError.
+    """
+    K = conic.field
+    F, comps = _components(conic, cap)
+    L, zeros = _cut(cubic if F == K else cubic.map_field(F), comps, cap)
+    if F != K:
+        # conjugate lines: solve again in L, with K embedded in L directly
+        return plane_section(conic.map_field(L), cubic.map_field(L), cap)
+    return L, zeros
+
+
+def plane_rational_zeros(conic, cubic):
+    """The distinct K-rational common zeros of a ternary conic and cubic over
+    K, as normalized plane coordinates."""
+    K = conic.field
+    F, comps = _components(conic, 2 * K.degree)
+    if F != K:   # conjugate lines: their vertex is the one rational point
+        V = _gram_matrix(K, conic).kernel_basis()[0]
+        return [] if cubic(V) else [ProjectivePoint(K, V).coords]
+    _, zeros = _cut(cubic, comps)
+    return list(dict.fromkeys(ProjectivePoint(K, x).coords for x, _ in zeros))
+
+
+def space_point(basis, x):
+    """The point sum_j x[j]*basis[j] of P^3, in the field of x."""
+    L = x[0].field
+    return ProjectivePoint(L, [sum((c * coerce(b[i], L) for c, b in zip(x, basis)), L.zero)
+                               for i in range(len(basis[0]))])
+
+
+def _components(conic, cap):
+    """(F, [(A, m)]): the conic as the images of P^1 under t -> sum_j A[j] t^j
+    (t = oo giving A[-1]) over F, each counted m times.  A smooth conic is
+    parametrized through one of its K-points, a line pair is split over the
+    field F of its lines (``_conic_lines``), and a double line counts twice."""
+    K = conic.field
+    gram = _gram_matrix(K, conic)
+    rank = gram.rank()
+    if rank == 3:
+        P0 = _isotropic(gram, MatrixExact.identity(K, 3).rows, K)
+        return K, [(_conic_param(gram, P0, *_complement(P0)), 1)]
+    if rank == 1:
+        return K, [(gram.kernel_basis(), 2)]
+    F, V, dirs = _conic_lines(gram, cap)
+    return F, [([V, d], 1) for d in dirs]
+
+
+def _conic_lines(gram, cap):
+    """(F, V, dirs): the lines of a rank-2 conic run from its vertex V
+    towards c1 + r*c2 for the roots r of Q(c1 + r*c2), in root order, and
+    towards c2 when that quadratic drops degree; c1, c2 are the unit
+    vectors of ``_complement(V)`` and F is the splitting field of the
+    quadratic.  ``find_g13`` takes the first rational trisecant, so this
+    basis and this order decide which pencil it returns."""
+    K = gram.field
+    V = gram.kernel_basis()[0]
+    c1, c2 = _complement(V)
+    bq = Poly(K, [_bil(gram, c1, c1), K.elem(2) * _bil(gram, c1, c2), _bil(gram, c2, c2)])
+    F, roots = roots_in_splitting_extension(bq, cap)
+    V, c1, c2 = ([coerce(c, F) for c in v] for v in (V, c1, c2))
+    dirs = [[a + r * b for a, b in zip(c1, c2)] for r, _ in roots]
+    if bq.degree < 2:
+        dirs.append(c2)
+    return F, V, dirs
+
+
+def _complement(v):
+    """The unit vectors other than the one at v's last nonzero coordinate."""
+    K = v[0].field
+    j = max(i for i, c in enumerate(v) if c)
+    return [row for i, row in enumerate(MatrixExact.identity(K, len(v)).rows) if i != j]
+
+
+def _conic_param(gram, P0, R1, R2):
+    """[A0, A1, A2] with Q(D)*P0 - 2*B(P0, D)*D = A0 + A1*t + A2*t^2 for
+    D = R1 + t*R2: the second intersection of the conic with the line from
+    its point P0 towards D, a bijection from P^1 when P0, R1, R2 are a
+    basis."""
+    two = gram.field.elem(2)
+    b1, b2 = _bil(gram, P0, R1), _bil(gram, P0, R2)
+    q11, q12, q22 = _bil(gram, R1, R1), _bil(gram, R1, R2), _bil(gram, R2, R2)
+    return [[q11 * p - two * b1 * r1 for p, r1 in zip(P0, R1)],
+            [two * (q12 * p - b1 * r2 - b2 * r1) for p, r1, r2 in zip(P0, R1, R2)],
+            [q22 * p - two * b2 * r2 for p, r2 in zip(P0, R2)]]
+
+
+def _cut(form, comps, cap=None):
+    """(L, [(x, m)]): the zeros of the form on the components (A, m) of
+    ``_components``, with multiplicities, over the splitting field L of all
+    of them; with no cap, only the rational ones (L = K).  A component on
+    which the form vanishes raises CurveError."""
+    K = form.field
+    pulled = [(A, m, form.pullback(A)) for A, m in comps]
+    if not all(S for *_, S in pulled):
+        raise CurveError("a component lies on the form")
+    prod = pulled[0][2]
+    for *_, S in pulled[1:]:
+        prod = prod * S
+    L, roots = (K, roots_in_field(prod)) if cap is None else \
+        roots_in_splitting_extension(prod, cap)
+    out = []
+    for A, m, S in pulled:
+        if L != K:
+            A, S = [[coerce(c, L) for c in a] for a in A], S.map_field(L)
+        for r, k in roots:
+            k = k if len(pulled) == 1 else _root_multiplicity(S, r)
+            if k:
+                out.append((_at(A, r), k * m))
+        top = form.degree * (len(A) - 1)
+        if S.degree < top:
+            out.append((A[-1], (top - S.degree) * m))
+    return L, out
+
+
+def _at(A, r):
+    """sum_j A[j] r^j."""
+    out = A[-1]
+    for a in reversed(A[:-1]):
+        out = [x * r + y for x, y in zip(out, a)]
+    return out
+
+
+def _root_multiplicity(S, r):
+    """The multiplicity of r as a root of S (0 when it is none)."""
+    lin, m = Poly(S.field, [-r, S.field.one]), 0
+    while True:
+        S, rem = S.divmod(lin)
+        if rem:
+            return m
+        m += 1
 
 
 # -- the pencil-of-planes sweep (non-split quadrics) ------------------------
@@ -192,39 +334,18 @@ def _sweep_points(K, quad, cub):
 
     The quadric and the cubic are restricted once to the generic plane
     (x0 = t*a, x1 = -s*a, x2 = b, x3 = c, with s and t kept as variables),
-    and each shear is applied to those forms once, when a plane first needs
-    it.  Every plane specializes (s, t), takes the first shear that works
-    for it, as restricting to that plane alone would, and solves its own
-    conic and cubic.
+    and each plane specializes (s, t) and solves its own conic and cubic.
     """
     images = [{(1, 0, 0, 0, 1): K.one}, {(1, 0, 0, 1, 0): -K.one},
               {(0, 1, 0, 0, 0): K.one}, {(0, 0, 1, 0, 0): K.one}]
-    pencil = [mp_substitute(f.coeffs, images, K, 5) for f in (quad, cub)]
-    mats, sheared = _shear_matrices(K), []
-
-    def shears(s, t):
-        for i, mat in enumerate(mats):
-            if i == len(sheared):
-                sheared.append(_shear_pencil(K, pencil, mat))
-            if sheared[i]:
-                yield (mat, *(_specialize_pencil(f, s, t) for f in sheared[i]))
-
+    pencil = [_by_st(mp_substitute(f.coeffs, images, K, 5)) for f in (quad, cub)]
     out = []
     for s, t in _p1(K):
-        for a0, b0, c0 in _first_shear_zeros(K, shears(s, t), _rational_chart_zeros):
-            out.append(ProjectivePoint(K, [a0 * t, -a0 * s, b0, c0]))
+        conic, cubic = (HomForm(K, 3, d, _specialize_pencil(f, s, t))
+                        for f, d in zip(pencil, (2, 3)))
+        for a, b, c in plane_rational_zeros(conic, cubic):
+            out.append(ProjectivePoint(K, [a * t, -a * s, b, c]))
     return out
-
-
-def _shear_pencil(field, pencil, mat):
-    """The pencil's conic and cubic, dicts in (a, b, c, s, t) with mat
-    applied to (a, b, c), each grouped by (s, t)-monomial; None when a top
-    c-coefficient is zero on every plane."""
-    q, e = (_apply_shear(f, mat, field, 5) for f in pencil)
-    if not (any(k[:3] == (0, 0, 2) for k in q)
-            and any(k[:3] == (0, 0, 3) for k in e)):
-        return None
-    return [_by_st(q), _by_st(e)]
 
 
 # -- shared -----------------------------------------------------------------

@@ -20,11 +20,7 @@ from math import comb
 from .algebra.fields import coerce, common_field
 from .algebra.linalg import MatrixExact, plucker
 from .algebra.poly import Poly, roots_in_splitting_extension
-from .curves import (
-    INF,
-    ProjectivePoint,
-    _ternary_common_zeros_ext,
-)
+from .curves import INF, ProjectivePoint
 from .divisors import Divisor, pullback_x, x_fibers
 
 
@@ -211,7 +207,12 @@ def sing_shift(curve, D, p):
 
 
 def hyperplane_section(curve, h, field=None, cap=12):
-    """The divisor phi^*(H) of a hyperplane h (coefficient vector), degree 2g-2."""
+    """The divisor phi^*(H) of a hyperplane h (coefficient vector), degree 2g-2.
+
+    On the genus-4 model its points lie in the splitting field of the whole
+    section (``rulings.plane_section``), and a field beyond degree ``cap``
+    raises ExtensionCapError.
+    """
     g = curve.genus
     fld = field
     if fld is None:
@@ -233,57 +234,19 @@ def hyperplane_section(curve, h, field=None, cap=12):
         D = pullback_x(curve, p1, field=fld)
         assert D.degree == 2 * g - 2
         return D
-    if curve.model == "plane_quartic":
-        m = MatrixExact(fld, [h])
-        b0, b1 = m.kernel_basis()
-        form = curve.form.map_field(fld)
-        quart = Poly(fld, form.restrict_line(b0, b1, field=fld))
-        d = 4
-        items = []
-        if quart.degree >= 1:
-            K, roots = roots_in_splitting_extension(quart, cap=cap)
-            for r, mult in roots:
-                coords = [coerce(a, K) + r * coerce(b, K) for a, b in zip(b0, b1)]
-                items.append((ProjectivePoint(K, coords), mult))
-        if quart.degree < d:
-            items.append((ProjectivePoint(fld, list(b1)), d - max(quart.degree, 0)))
-        D = Divisor(curve, items, field=fld)
-        assert D.degree == 4
-        return D
-    # canonical genus-4 model: plane section of degree 6
-    m = MatrixExact(fld, [h])
-    b0, b1, b2 = m.kernel_basis()
-    conic = curve.quadric.map_field(fld).restrict_plane(b0, b1, b2, field=fld)
-    cubic = curve.cubic.map_field(fld).restrict_plane(b0, b1, b2, field=fld)
-    triples = _ternary_common_zeros_ext(fld, conic, cubic, cap=cap)
-    pts = []
-    for (a0, a1, a2) in triples:
-        K = a0.field
-        coords = [a0 * coerce(u, K) + a1 * coerce(v, K) + a2 * coerce(w, K)
-                  for u, v, w in zip(b0, b1, b2)]
-        P = ProjectivePoint(K, coords)
-        assert curve.contains(P)
-        pts.append(P)
-    if len(pts) == 2 * g - 2:
-        items = [(P, 1) for P in pts]  # six distinct points: all simple
-    else:
-        items = [(P, _section_multiplicity(curve, P, h)) for P in pts]
-    D = Divisor(curve, items, field=None)
-    assert D.degree == 2 * g - 2, f"plane section degree {D.degree} != {2 * g - 2}"
+    basis = MatrixExact(fld, [h]).kernel_basis()
+    if curve.model == "plane_quartic":   # the line H cut by the quartic
+        from .rulings import _cut
+        _, zeros = _cut(curve.form.map_field(fld), [(basis, 1)], cap)
+        items = [(ProjectivePoint(x[0].field, x), m) for x, m in zeros]
+    else:   # canonical genus 4: the conic H n Q cut by the cubic
+        from .rulings import plane_section, space_point
+        conic, cubic = (f.restrict_plane(*basis, field=fld) for f in (curve.quadric, curve.cubic))
+        _, zeros = plane_section(conic, cubic, cap)
+        items = [(space_point(basis, x), m) for x, m in zeros]
+    D = Divisor(curve, items, field=fld)
+    assert D.degree == 2 * g - 2, f"section degree {D.degree} != {2 * g - 2}"
     return D
-
-
-def _section_multiplicity(curve, P, h, max_order=8):
-    """ord_t of the hyperplane form along the local parametrization at P."""
-    series = curve.canonical_series(P, max_order)
-    fld = series[0].field
-    acc = series[0] * 0
-    for c, s in zip(h, series):
-        acc = acc + s * coerce(c, fld)
-    v = acc.valuation()
-    if v is None:
-        raise ArithmeticError("hyperplane vanishes to full precision at a point")
-    return v
 
 
 def residual(D, cap=12):

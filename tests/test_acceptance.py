@@ -18,7 +18,6 @@ from wgauss.algebra import (
     factor_finite,
     plucker,
     poly_gcd,
-    rank_kernel_rref,
     resultant,
 )
 from wgauss.curves import (
@@ -447,7 +446,7 @@ def test_criterion_12_kernel_property_suites():
     for _ in range(1000):
         nr, nc = rng.randrange(1, 5), rng.randrange(1, 5)
         m = MatrixExact(F, [[F.rand(rng) for _ in range(nc)] for _ in range(nr)])
-        rank, kernel, R = rank_kernel_rref(m)
+        rank, kernel, R = m.rank(), m.kernel_basis(), m.rref()[0]
         if rank + len(kernel) != m.ncols:
             ok = False
         if R.rref()[0] != R:

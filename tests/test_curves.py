@@ -340,9 +340,8 @@ def test_points_over_enumeration_g4():
     assert sub <= {P.coords for P in pts2}
 
 
-# smooth genus-4 curves over F_7: on xw = yz the restricted quadric has no
-# c^2 term, so the identity shear never works; with w^2 in the quadric and
-# w^3 in the cubic it works on the planes where the resultant survives
+# smooth genus-4 curves over F_7 on the quadrics xw = yz, xw = yz + w^2 and
+# a diagonal one
 POINT_TABLE_CURVES = [
     (SEGRE, {(3, 0, 0, 0): 1, (0, 0, 3, 0): 5, (1, 0, 1, 1): 1, (1, 2, 0, 0): 5,
              (0, 2, 0, 1): 2, (1, 0, 2, 0): 1, (0, 0, 0, 3): 1}),
@@ -426,20 +425,6 @@ def test_x_value_and_points_above():
     assert len(inf_pts) == 1
 
 
-def test_identity_shear_returns_an_equal_copy():
-    from wgauss.curves import _apply_shear, _shear_matrices, mp_substitute
-    F7 = PrimeField(7)
-    cubic = HomForm(F7, 4, 3, G4_CUBIC).coeffs
-    ident, shear = _shear_matrices(F7)[:2]
-    for nvars in (3, 4):   # a ternary cubic, and a quaternary one whose x3 stays
-        form = {k[:nvars]: v for k, v in cubic.items() if not any(k[nvars:])}
-        units = [{tuple(int(i == j) for j in range(nvars)): F7.one} for i in range(nvars)]
-        out = _apply_shear(form, ident, F7, nvars)
-        assert out == mp_substitute(form, units, F7, nvars) == form
-        assert out is not form
-        assert _apply_shear(form, shear, F7, nvars) != form
-
-
 # -- point tables through the rulings of the quadric ---------------------------
 
 def _monomials(deg):
@@ -447,11 +432,12 @@ def _monomials(deg):
             for c in combinations_with_replacement(range(4), deg)]
 
 
-def _random_g4(p, kind, rng, draws=200):
+def _random_g4(p, kind, rng, draws=200, kind_of=None):
     """The first smooth genus-4 curve over F_p from random forms whose
-    quadric has the given type over F_p.  A cone's quadric is drawn as a
-    random ternary quadric in three random linear forms, the others as
-    random quaternary quadrics; the cubic is a random quaternary cubic."""
+    quadric has the given type over F_p, by ``kind_of`` (default: counted
+    points).  A cone's quadric is drawn as a random ternary quadric in three
+    random linear forms, the others as random quaternary quadrics; the cubic
+    is a random quaternary cubic."""
     for _ in range(draws):
         if kind == "cone":
             lin = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
@@ -472,7 +458,7 @@ def _random_g4(p, kind, rng, draws=200):
             curve = validate(desc)
         except CurveError:
             continue
-        if _quadric_kind(curve) == kind:
+        if (kind_of or _quadric_kind)(curve) == kind:
             return curve
     raise AssertionError(f"no smooth curve with a {kind} quadric in {draws} draws")
 
@@ -519,3 +505,74 @@ def test_points_over_rulings_match_brute_force_and_sweep(p, kind, monkeypatch):
     if (p, kind) == (7, "split"):
         K3, pts3 = curve.points_over(3)
         assert [P.coords for P in pts3] == _swept(curve, K3, sweep)
+
+
+# -- plane sections: the conic H n Q cut by the cubic ----------------------------
+
+def _tangent_planes(curve, K, rng):
+    """At a random point P of C(K): the tangent plane of the quadric (a line
+    pair, or a double line on a cone) and a plane through the tangent line
+    of C."""
+    from wgauss.curves import mp_eval, mp_partial
+    gK = curve if K == curve.field else CanonicalG4Curve(
+        K, curve.quadric.map_field(K), curve.cubic.map_field(K), check=False)
+    P = gK.sample_point(rng)
+    gq, ge = ([mp_eval(mp_partial(f.map_field(K).coeffs, i, K), P.coords, K) for i in range(4)]
+              for f in (curve.quadric, curve.cubic))
+    b = K.rand(rng)
+    return [gq, [x + b * y for x, y in zip(gq, ge)]]
+
+
+def _planes(curve, K, rng, n):
+    """n random planes over K and two tangent ones."""
+    out = [[K.rand(rng) for _ in range(4)] for _ in range(n)]
+    return [h for h in out if any(h)] + _tangent_planes(curve, K, rng)
+
+
+def _gram_kind(curve):
+    from wgauss.curves import _gram_matrix
+    from wgauss.rulings import _quadric_type
+    return _quadric_type(_gram_matrix(curve.field, curve.quadric))
+
+
+def _valuation(curve, P, h, order=8):
+    """ord_t of the hyperplane form along the local parametrization at P."""
+    series = curve.canonical_series(P, order)
+    acc = series[0] * 0
+    for c, s in zip(h, series):
+        acc = acc + s * c
+    return acc.valuation()
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_g4_hyperplane_sections_lie_on_the_plane_with_series_multiplicities(p):
+    from wgauss.algebra.fields import coerce
+    from wgauss.spans import hyperplane_section
+    rng = random.Random(f"sections-{p}")
+    for kind in ("split", "nonsplit", "cone"):
+        curve = _random_g4(p, kind, rng, kind_of=_gram_kind)
+        for K in (curve.field, ExtField(p, 2)):
+            for h in _planes(curve, K, rng, 2):
+                D = hyperplane_section(curve, h)
+                assert D.degree == 6
+                hD = [coerce(c, D.field) for c in h]
+                for P, m in D.items:
+                    assert curve.contains(P)
+                    assert not sum((a * b for a, b in zip(hD, P.coords)), D.field.zero)
+                    assert m == _valuation(curve, P, hD)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_plane_rational_points_match_brute_force(p):
+    from wgauss.curves import _projective_points
+    rng = random.Random(f"plane-points-{p}")
+    for kind in ("split", "nonsplit", "cone"):
+        curve = _random_g4(p, kind, rng, kind_of=_gram_kind)
+        F = curve.field
+        brute = [P for P in _projective_points(F, 4)
+                 if not curve.quadric(P) and not curve.cubic(P)]
+        for h in _planes(curve, F, rng, 6):
+            got = [P.coords for P in curve.plane_rational_points(h)]
+            assert len(got) == len(set(got))
+            assert set(got) == {P for P in brute
+                                if not sum((a * b for a, b in zip(h, P)), F.zero)}

@@ -22,7 +22,7 @@ from wgauss.algebra import (
 )
 
 from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
-from wgauss.algebra.poly import conic_cubic_resultant, distinct_roots_in_field
+from wgauss.algebra.poly import distinct_roots_in_field
 
 F7 = PrimeField(7)
 F31 = PrimeField(31)
@@ -612,41 +612,6 @@ def test_ext_inverse_and_power_match_reference(F):
         F.one / F.zero
     with pytest.raises(ZeroDivisionError):
         F.zero ** -1
-
-
-# -- closed-form conic-cubic resultant ---------------------------------------
-
-@st.composite
-def conic_cubic(draw):
-    """A field and the coefficients (Polys in b) of q = q2 c^2 + q1 c + q0,
-    q2 a nonzero constant, and of e = e3 c^3 + ... + e0; any other
-    coefficient, e3 included, may be zero."""
-    F = draw(st.sampled_from([F7, ExtField(7, 3), F10007, ExtField(10007, 2)]))
-    coeff = st.one_of(st.just(0), st.integers(0, F.order - 1))
-
-    def b_poly(size):
-        return _poly_of_codes(F, draw(st.lists(coeff, max_size=size)))
-
-    q2 = _poly_of_codes(F, [draw(st.integers(1, F.order - 1))])
-    return F, [b_poly(4), b_poly(4), q2], [b_poly(5), b_poly(4), b_poly(3), b_poly(1)]
-
-
-@given(conic_cubic())
-@settings(max_examples=100, deadline=None)
-def test_conic_cubic_resultant_matches_sylvester_determinant(drawn):
-    from wgauss.curves import _res_in_last_var
-    F, q, e = drawn
-
-    def as_dict(cs):   # dict in (b, c) with c-coefficients cs
-        return {(j, k): v for k, a in enumerate(cs) for j, v in enumerate(a.coeffs) if v}
-
-    want = _res_in_last_var(as_dict(q), as_dict(e), 2, 3, F)
-    assert conic_cubic_resultant(q, e) == want
-    # a common factor q2 c + q0 makes the resultant vanish
-    u, v = q[0], q[2]
-    ql = [u * u, u * v + u * v, v * v]
-    el = [u * e[0], v * e[0] + u * e[1], v * e[1] + u * e[2], v * e[2]]
-    assert conic_cubic_resultant(ql, el).is_zero()
 
 
 def test_poly_division_is_exact():

@@ -1,8 +1,7 @@
-"""Differential oracle: factorization, roots, powmod, resultants (the
-closed-form conic-cubic one too) and discriminants over GF(p) against
-sympy's independent implementation, and the smoothness certificates of
-plane quartics and genus-4 curves against sympy's Groebner bases, on seeded
-random inputs.
+"""Differential oracle: factorization, roots, powmod, resultants and
+discriminants over GF(p) against sympy's independent implementation, and
+the smoothness certificates of plane quartics and genus-4 curves against
+sympy's Groebner bases, on seeded random inputs.
 
 sympy is a test-only dependency (the ``test`` extra); these tests skip
 without it.
@@ -15,7 +14,6 @@ import pytest
 
 from wgauss.algebra import (Poly, PrimeField, discriminant, factor_finite,
                             powmod, resultant, roots_in_field)
-from wgauss.algebra.poly import conic_cubic_resultant
 from wgauss.curves import CurveError, HomForm, _gram_matrix, validate
 from wgauss.rulings import _quadric_type
 
@@ -125,28 +123,6 @@ def test_discriminant_matches_sympy(p):
             continue
         want = sympy.Poly(_sympy_expr(a, x), x, modulus=p).discriminant()
         assert discriminant(a) == F.elem(int(want))
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_conic_cubic_resultant_matches_sympy(p):
-    # Res_c of q = q2 c^2 + q1(b) c + q0(b) and e = e3 c^3 + ... + e0(b)
-    # against the determinant of sympy's Sylvester matrix in c of the
-    # integer lifts, reduced mod p; q2 and e3 are nonzero constants, as in
-    # the plane solves
-    sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
-    b, c = sympy.symbols("b c")
-    F, polys = _inputs(p, 40, 6)
-    rng = random.Random(p + 6)
-    zero = Poly.zero(F)
-    for i in range(0, 40, 5):
-        q0, q1, e0, e1, e2 = (zero if rng.random() < 0.2 else a for a in polys[i:i + 5])
-        q2, e3 = (Poly(F, [F.rand(rng) or F.one]) for _ in range(2))
-        q, e = [q0, q1, q2], [e0, e1, e2, e3]
-        eq = sum(_sympy_expr(a, b) * c ** k for k, a in enumerate(q))
-        ee = sum(_sympy_expr(a, b) * c ** k for k, a in enumerate(e))
-        want = sympy.Poly(sylvester(eq, ee, c).det(), b, modulus=p)
-        got = conic_cubic_resultant(q, e)
-        assert got == Poly(F, [int(x) for x in reversed(want.all_coeffs())] if want else [])
 
 
 # -- smoothness certificates against Groebner bases ---------------------------
