@@ -23,7 +23,7 @@ print(f"pencil found: degree {L.degree}, dimension {L.r}")
 params = [(F.one, F.elem(j)) for j in range(5)]
 members = [L.member(c) for c in params]
 spans = [beta(E) for E in members]
-print("member spans are lines:", all(W.span.dim == 1 for W in spans))
+print("member spans are lines:", all(W.dim == 1 for W in spans))
 
 # forget the pencil; rebuild it from the spans
 L2, recovered = reconstruct_system(spans)

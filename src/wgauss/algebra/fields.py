@@ -314,18 +314,7 @@ class PrimeField:
         return pow(x.value, (self.p - 1) // 2, self.p) == 1
 
     def sqrt(self, x):
-        """Deterministic square root in F_p, or None for non-residues."""
-        a, p = x.value, self.p
-        if a == 0:
-            return self.zero
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        if p % 4 == 3:
-            r = pow(a, (p + 1) // 4, p)
-        else:
-            r = _tonelli(a, p)
-        r = min(r, p - r)
-        return FpElement(r, self)
+        return _sqrt(self, x)
 
     def nonresidue(self):
         if self._nonresidue is None:
@@ -353,25 +342,32 @@ class PrimeField:
         return hash(("Fp", self.p))
 
 
-def _tonelli(a, p):
-    # Tonelli-Shanks for p = 1 mod 4; a is a known residue
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+def _sqrt(field, x):
+    """The square root of x in a finite field of odd order q with the
+    smaller sort key of r, -r, or None for a non-square: x^((q+1)/4) when
+    q = 3 mod 4, else Tonelli-Shanks with the field's first non-residue."""
+    if not x:
+        return field.zero
+    q, one = field.order, field.one
+    if x ** ((q - 1) // 2) != one:
+        return None
+    if q % 4 == 3:
+        r = x ** ((q + 1) // 4)
+    else:
+        m, s = q - 1, 0
+        while m % 2 == 0:
+            m //= 2
+            s += 1
+        c, t, r = field.nonresidue() ** m, x ** m, x ** ((m + 1) // 2)
+        while t != one:
+            i, t2 = 0, t
+            while t2 != one:
+                t2 = t2 * t2
+                i += 1
+            b = c ** (1 << (s - i - 1))
+            s, c = i, b * b
+            t, r = t * c, r * b
+    return min(r, -r, key=field.sort_key)
 
 
 def _t_irreducible(f, p):
@@ -672,31 +668,7 @@ class ExtField:
         return x ** ((self.order - 1) // 2) == self.one
 
     def sqrt(self, x):
-        """Square root in F_q via Tonelli-Shanks; None for non-residues."""
-        if not x:
-            return self.zero
-        q = self.order
-        if x ** ((q - 1) // 2) != self.one:
-            return None
-        if q % 4 == 3:
-            r = x ** ((q + 1) // 4)
-            return min(r, -r, key=self.sort_key)
-        else:
-            m, s = q - 1, 0
-            while m % 2 == 0:
-                m //= 2
-                s += 1
-            z = self.nonresidue()
-            mm, c, t, r = s, z ** m, x ** m, x ** ((m + 1) // 2)
-            while t != self.one:
-                i, t2 = 0, t
-                while t2 != self.one:
-                    t2 = t2 * t2
-                    i += 1
-                b = c ** (1 << (mm - i - 1))
-                mm, c = i, b * b
-                t, r = t * c, r * b
-        return min(r, -r, key=self.sort_key)
+        return _sqrt(self, x)
 
     def nonresidue(self):
         """The first non-square in elements() order.

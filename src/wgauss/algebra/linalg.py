@@ -193,6 +193,15 @@ def bareiss_det(rows, one):
     return rows[-1][-1] if sign == 1 else -rows[-1][-1]
 
 
+def sylvester(a, b, zero):
+    """The Sylvester matrix, as rows, of two polynomials given by their
+    coefficients highest degree first, of formal degrees m = len(a) - 1 and
+    n = len(b) - 1: n shifted copies of a, then m shifted copies of b."""
+    m, n = len(a) - 1, len(b) - 1
+    return ([[zero] * i + list(a) + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + list(b) + [zero] * (m - 1 - i) for i in range(m)])
+
+
 def _dot(a, b, field):
     acc = field.zero
     for x, y in zip(a, b):

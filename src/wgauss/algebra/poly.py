@@ -21,7 +21,7 @@ polynomials either way.
 import random
 
 from .fields import ExtField, FieldError, PrimeField, Rationals, coerce
-from .linalg import MatrixExact
+from .linalg import bareiss_det, sylvester
 
 
 class ExtensionCapError(RuntimeError):
@@ -308,24 +308,9 @@ def resultant(a, b):
     f = a.field
     if b.field != f:
         raise FieldError("mixed-field inputs to resultant")
-    m, n = a.degree, b.degree
-    if m < 0 or n < 0:
+    if a.degree < 0 or b.degree < 0:
         return f.zero
-    if m == 0 and n == 0:
-        return f.one
-    if m == 0:
-        return a.coeffs[0] ** n
-    if n == 0:
-        return b.coeffs[0] ** m
-    size = m + n
-    rows = []
-    arev = [a.coeffs[m - i] for i in range(m + 1)]
-    brev = [b.coeffs[n - i] for i in range(n + 1)]
-    for i in range(n):
-        rows.append([f.zero] * i + arev + [f.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([f.zero] * i + brev + [f.zero] * (size - n - 1 - i))
-    return MatrixExact(f, rows).det()
+    return bareiss_det(sylvester(a.coeffs[::-1], b.coeffs[::-1], f.zero), f.one)
 
 
 def discriminant(a):
@@ -554,3 +539,30 @@ def roots_in_splitting_extension(a, cap=12):
     assert sum(m for _, m in out) == a.degree
     return target, out
 
+
+
+def binary_roots(forms, cap=None):
+    """(K, [((s, t), m)]): the common zeros (s : t) of binary forms, given as
+    (Poly in t/s, formal degree) pairs over one field, with multiplicity.
+
+    A zero form imposes nothing.  The zeros with s = 1 are the roots of the
+    forms' gcd: with ``cap``, all of them, over its splitting field K (see
+    ``roots_in_splitting_extension``); without, those in the forms' own
+    field K.  (0 : 1) comes last, with the least degree deficit of the
+    forms.  Raises ValueError when every form is zero.
+    """
+    live = [(S, d) for S, d in forms if S]
+    if not live:
+        raise ValueError("every binary form vanishes")
+    g = live[0][0]
+    for S, _ in live[1:]:
+        g = poly_gcd(g, S)
+    base = K = g.field
+    roots = []
+    if g.degree >= 1:
+        K, roots = (K, roots_in_field(g)) if cap is None else roots_in_splitting_extension(g, cap)
+    out = [((K.one, r), m) for r, m in roots]
+    inf = min(d - S.degree for S, d in live)
+    if inf:
+        out.append(((base.zero, base.one), inf))
+    return K, out

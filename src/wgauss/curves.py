@@ -42,9 +42,11 @@ from .algebra.fields import (
     coerce,
     field_from_json,
 )
-from .algebra.linalg import MatrixExact, bareiss_det
+from .algebra.linalg import MatrixExact, bareiss_det, sylvester
+from .algebra.mpoly import mp_coeff_list, mp_eval, mp_map_field, mp_partial, mp_substitute
 from .algebra.poly import (
     Poly,
+    binary_roots,
     distinct_roots_in_field,
     factor_finite,
     poly_gcd,
@@ -81,95 +83,6 @@ class _P1Infinity:
 
 
 INF = _P1Infinity()
-
-
-# -- sparse multivariate polynomials (dict keyed by exponent tuples) --------
-
-def mp_add(a, b, field):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        nv = v if w is None else w + v
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
-
-
-def mp_mul(a, b, field):
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            w = out.get(k)
-            nv = va * vb if w is None else w + va * vb
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-    return out
-
-
-def mp_substitute(a, images, field, arity):
-    """Substitute images[i] (a dict of the output arity) for variable i."""
-    out = {}
-    cache = [{} for _ in images]
-
-    def power(i, e):
-        if e == 0:
-            return {(0,) * arity: field.one}
-        got = cache[i].get(e)
-        if got is None:
-            got = mp_mul(power(i, e - 1), images[i], field)
-            cache[i][e] = got
-        return got
-
-    for exps, c in a.items():
-        term = {(0,) * arity: c}
-        for i, e in enumerate(exps):
-            if e:
-                term = mp_mul(term, power(i, e), field)
-        out = mp_add(out, term, field)
-    return out
-
-
-def mp_eval(a, point, field):
-    acc = field.zero
-    for exps, c in a.items():
-        t = c
-        for x, e in zip(point, exps):
-            if e:
-                t = t * x ** e
-        acc = acc + t
-    return acc
-
-
-def mp_partial(a, i, field):
-    out = {}
-    for exps, c in a.items():
-        if exps[i]:
-            k = tuple(e - (1 if j == i else 0) for j, e in enumerate(exps))
-            v = c * exps[i]
-            if v:
-                out[k] = out.get(k, field.zero) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def mp_map_field(a, target):
-    return {k: coerce(v, target) for k, v in a.items()}
-
-
-def mp_coeff_list(a, var, field):
-    """View as a polynomial in variable ``var``: list of dicts without that var."""
-    if not a:
-        return []
-    d = max(k[var] for k in a)
-    out = [dict() for _ in range(d + 1)]
-    for exps, c in a.items():
-        rest = exps[:var] + exps[var + 1:]
-        out[exps[var]][rest] = c
-    return out
 
 
 class HomForm:
@@ -590,6 +503,7 @@ class PlaneQuarticCurve:
             raise CurveError("expected a ternary quartic form")
         self.field = field
         self.form = form
+        self.forms = (form,)
         if check:
             _certify_smooth_plane_quartic(self)
 
@@ -612,10 +526,13 @@ class PlaneQuarticCurve:
             m = MatrixExact(F, [b0, b1])
             if m.rank() != 2:
                 continue
-            pts = _binary_rational_points(self.form.pullback([b0, b1]), 4)
+            S = self.form.pullback([b0, b1])
+            if not S:
+                raise CurveError("restriction vanished identically")
+            _, pts = binary_roots([(S, 4)])
             if not pts:
                 continue
-            s0, t0 = pts[rng.randrange(len(pts))]
+            (s0, t0), _ = pts[rng.randrange(len(pts))]
             coords = [s0 * a + t0 * b for a, b in zip(b0, b1)]
             P = ProjectivePoint(F, coords)
             assert self.contains(P)
@@ -623,7 +540,7 @@ class PlaneQuarticCurve:
         raise SamplingExhausted("no point found within budget")
 
     def local_series(self, P, order):
-        return _plane_local_series([self.form], P, order, nvars=3)
+        return _plane_local_series(self.forms, P, order, nvars=3)
 
     def canonical_series(self, P, order):
         return self.local_series(P, order)
@@ -684,6 +601,7 @@ class CanonicalG4Curve:
         self.field = field
         self.quadric = quadric
         self.cubic = cubic
+        self.forms = (quadric, cubic)
         if check:
             _certify_smooth_g4(self)
 
@@ -744,7 +662,7 @@ class CanonicalG4Curve:
         return [space_point(basis, x) for x in zeros]
 
     def local_series(self, P, order):
-        return _plane_local_series([self.quadric, self.cubic], P, order, nvars=4)
+        return _plane_local_series(self.forms, P, order, nvars=4)
 
     def canonical_series(self, P, order):
         return self.local_series(P, order)
@@ -779,18 +697,6 @@ class CanonicalG4Curve:
     def __hash__(self):
         return hash(("g4", self.field, tuple(sorted(self.quadric.coeffs)),
                      tuple(sorted(self.cubic.coeffs))))
-
-
-def _binary_rational_points(poly, d):
-    """Rational projective roots (s, t) of a binary form of degree d, given
-    as a Poly in t/s."""
-    field = poly.field
-    if poly.is_zero():
-        raise CurveError("restriction vanished identically")
-    out = [(field.one, r) for r, _ in roots_in_field(poly)]
-    if poly.degree < d:
-        out.append((field.zero, field.one))
-    return out
 
 
 def _plane_local_series(forms, P, order, nvars):
@@ -859,25 +765,16 @@ def _shear_matrices(field):
 def _res_in_last_var(g1, g2, d1, d2, field):
     """Resultant of two bivariate dicts viewed as polys in variable 1,
     with formal degrees d1, d2; entries become univariate Polys in var 0."""
-    c1 = mp_coeff_list(g1, 1, field)
-    c2 = mp_coeff_list(g2, 1, field)
+    zero = Poly.zero(field)
 
-    def as_poly(d):
-        if not d:
-            return Poly.zero(field)
-        deg = max(k[0] for k in d)
-        return Poly(field, [d.get((i,), field.zero) for i in range(deg + 1)])
+    def coeff_polys(g, d):   # highest power of variable 1 first
+        out = []
+        for c in mp_coeff_list(g, 1):
+            deg = max((k[0] for k in c), default=-1)
+            out.append(Poly(field, [c.get((i,), field.zero) for i in range(deg + 1)]))
+        return [zero] * (d + 1 - len(out)) + out[::-1]
 
-    p1 = [as_poly(c) for c in c1] + [Poly.zero(field)] * (d1 + 1 - len(c1))
-    p2 = [as_poly(c) for c in c2] + [Poly.zero(field)] * (d2 + 1 - len(c2))
-    n = d1 + d2
-    rows = []
-    for i in range(d2):
-        rows.append([Poly.zero(field)] * i + list(reversed(p1))
-                    + [Poly.zero(field)] * (n - d1 - 1 - i))
-    for i in range(d1):
-        rows.append([Poly.zero(field)] * i + list(reversed(p2))
-                    + [Poly.zero(field)] * (n - d2 - 1 - i))
+    rows = sylvester(coeff_polys(g1, d1), coeff_polys(g2, d2), zero)
     return bareiss_det(rows, Poly.one(field))
 
 
@@ -1114,14 +1011,6 @@ def validate(description):
     if model == "plane_quartic":
         return PlaneQuarticCurve(field, form)
     return CanonicalG4Curve(field, quad, cub)
-
-
-def curve_to_json(curve):
-    return curve.describe()
-
-
-def curve_from_json(obj):
-    return validate(obj)
 
 
 def curve_hash(curve):

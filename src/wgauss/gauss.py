@@ -9,50 +9,13 @@ field, keeping those with the right span and ell = 1.
 
 from math import comb
 
-from .algebra.fields import coerce
-from .algebra.linalg import MatrixExact
-from .algebra.poly import Poly, poly_gcd, roots_in_splitting_extension
-from .curves import INF, CurveError, ProjectivePoint
-from .divisors import Divisor, gcd_div, pullback_x
-from .spans import NotInSmoothLocusError, hyperplane_section, span
-
-
-class UnsupportedConfiguration(RuntimeError):
-    """Curve model / dimension combination outside the supported ranges."""
-
-
-class GrassPoint:
-    """A point of G(n-1, g-1): an (n-1)-plane via its dual hyperplane basis."""
-
-    __slots__ = ("span", "n")
-
-    def __init__(self, linear_span, n):
-        if linear_span.dim != n - 1:
-            raise ValueError(f"span has dimension {linear_span.dim}, expected {n - 1}")
-        self.span = linear_span
-        self.n = n
-
-    @property
-    def curve(self):
-        return self.span.curve
-
-    def plucker(self):
-        return self.span.plucker()
-
-    def __eq__(self, other):
-        if isinstance(other, GrassPoint):
-            return self.n == other.n and self.span == other.span
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.span.curve))
-
-    def __repr__(self):
-        return f"GrassPoint(n={self.n}, {self.span!r})"
+from .curves import CurveError
+from .divisors import Divisor
+from .spans import NotInSmoothLocusError, UnsupportedConfiguration, _meet, span
 
 
 def gauss_eval(D):
-    """span(D) as a Grassmannian point; defined only on the smooth locus."""
+    """span(D), a point of G(n-1, g-1); defined only on the smooth locus."""
     n = D.degree
     g = D.curve.genus
     if not 1 <= n <= g - 1:
@@ -61,77 +24,14 @@ def gauss_eval(D):
     if D.degree - sp.dim != 1:  # ell(D) != 1
         raise NotInSmoothLocusError(
             f"ell(D) = {D.degree - sp.dim} >= 2: Gauss map undefined here")
-    return GrassPoint(sp, n)
-
-
-def _binary_restriction_divisor(curve, b0, b1, field, cap):
-    """Divisor cut on the line through b0, b1 by the quadric and cubic, via
-    the gcd of the two restricted binary forms.  Genus-4 model only."""
-    pq = curve.quadric.pullback([b0, b1], field)
-    pe = curve.cubic.pullback([b0, b1], field)
-    if pq.is_zero() and pe.is_zero():
-        raise CurveError("line lies on the curve; impossible for a smooth model")
-    if pq.is_zero():
-        g, inf_ord = pe.monic(), 3 - pe.degree
-    elif pe.is_zero():
-        g, inf_ord = pq.monic(), 2 - pq.degree
-    else:
-        g = poly_gcd(pq, pe)
-        inf_ord = min(2 - pq.degree, 3 - pe.degree)
-    items = []
-    if g.degree >= 1:
-        K, roots = roots_in_splitting_extension(g, cap=cap)
-        for r, m in roots:
-            coords = [coerce(a, K) + r * coerce(b, K) for a, b in zip(b0, b1)]
-            P = ProjectivePoint(K, coords)
-            assert curve.contains(P)
-            items.append((P, m))
-    if inf_ord:
-        P = ProjectivePoint(field, list(b1))
-        assert curve.contains(P)
-        items.append((P, inf_ord))
-    return Divisor(curve, items, field=field)
+    return sp
 
 
 def intersection_divisor(W, cap=12):
     """(W . C): gcd of the hyperplane sections over hyperplanes through W."""
-    sp = W.span if isinstance(W, GrassPoint) else W
-    curve = sp.curve
-    g = curve.genus
-    fld = sp.field
-    rows = sp.hyperplanes.rows
-    if not rows:
+    if not W.hyperplanes.rows:
         raise UnsupportedConfiguration("W = P^(g-1) has no intersection divisor")
-    if curve.model == "hyperelliptic":
-        polys = [Poly(fld, row) for row in rows]
-        gpoly = polys[0]
-        for q in polys[1:]:
-            gpoly = poly_gcd(gpoly, q)
-        inf_ord = min((g - 1) - q.degree for q in polys)
-        p1 = []
-        if gpoly.degree >= 1:
-            K, roots = roots_in_splitting_extension(gpoly, cap=cap)
-            p1.extend(roots)
-        if inf_ord:
-            p1.append((INF, inf_ord))
-        return pullback_x(curve, p1, field=fld)
-    if curve.model == "plane_quartic":
-        if len(rows) == 1:
-            return hyperplane_section(curve, rows[0], field=fld, cap=cap)
-        if len(rows) == 2:
-            d1 = hyperplane_section(curve, rows[0], field=fld, cap=cap)
-            d2 = hyperplane_section(curve, rows[1], field=fld, cap=cap)
-            return gcd_div(d1, d2)
-        raise UnsupportedConfiguration("plane quartic supports dim(W) in {0, 1}")
-    if curve.model == "canonical_g4":
-        if len(rows) == 1:
-            return hyperplane_section(curve, rows[0], field=fld, cap=cap)
-        if len(rows) == 2:
-            m = MatrixExact(fld, rows)
-            b0, b1 = m.kernel_basis()
-            return _binary_restriction_divisor(curve, b0, b1, fld, cap)
-        raise UnsupportedConfiguration("genus-4 model supports dim(W) in {1, 2}")
-    raise UnsupportedConfiguration(f"unsupported model {curve.model}")
+    return _meet(W.curve, W.hyperplanes.rows, W.field, cap)
 
 
 class FiberReport:
@@ -153,7 +53,7 @@ class FiberReport:
 
 def fiber(W, n=None, cap=12):
     """Enumerate the Gauss fiber over W among degree-n subdivisors of (W.C)."""
-    n = n or W.n
+    n = n or W.dim + 1
     curve = W.curve
     WC = intersection_divisor(W, cap=cap)
     flags = {
@@ -164,7 +64,7 @@ def fiber(W, n=None, cap=12):
     members = []
     for E in WC.subdivisors(n):
         sp = span(E)
-        if E.degree - sp.dim == 1 and sp == W.span:  # ell(E) = 1
+        if E.degree - sp.dim == 1 and sp == W:  # ell(E) = 1
             members.append(E)
     return FiberReport(W, WC, members, flags)
 

@@ -18,13 +18,15 @@ import random
 from itertools import product
 
 from .algebra.fields import FieldError, coerce, common_field
-from .algebra.linalg import MatrixExact, bareiss_det
-from .algebra.poly import ExtensionCapError, Poly, roots_in_splitting_extension
+from .algebra.linalg import MatrixExact, bareiss_det, sylvester
+from .algebra.mpoly import mp_substitute
+from .algebra.poly import ExtensionCapError, Poly, binary_roots
 from .curves import INF, CurveError
 from .divisors import Divisor, gcd_div, hyperelliptic_reduce, pullback_x, x_fibers
-from .gauss import GrassPoint, UnsupportedConfiguration, intersection_divisor
+from .gauss import UnsupportedConfiguration, intersection_divisor
 from .spans import (
     NotSpecialError,
+    _line_section,
     ell,
     hyperplane_conditions,
     hyperplane_section,
@@ -196,13 +198,11 @@ def linear_equiv(D, E, cap=12):
 
 
 def beta(F, cap=12):
-    """The span of a member of a complete special system, as a GrassPoint."""
+    """The span of a member of a complete special system."""
     sp = span(F)
-    l = F.degree - sp.dim
-    if l < 2:
+    if F.degree - sp.dim < 2:   # ell(F) < 2
         raise ValueError("beta expects a member of a positive-dimensional system")
-    n = F.degree - l + 1
-    return GrassPoint(sp, n)
+    return sp
 
 
 def classify_member(L, E):
@@ -427,15 +427,7 @@ class BranchForm:
 
     def roots(self, cap=12):
         """[(parameter (s, t), multiplicity)] over splitting extensions."""
-        out = []
-        inf_ord = self.formal_degree - self.poly.degree
-        if self.poly.degree >= 1:
-            K, roots = roots_in_splitting_extension(self.poly, cap=cap)
-            for r, m in roots:
-                out.append(((K.one, r), m))
-        if inf_ord:
-            out.append(((self.field.zero, self.field.one), inf_ord))
-        return out
+        return binary_roots([(self.poly, self.formal_degree)], cap)[1]
 
 
 def dual_branch_form(L):
@@ -467,13 +459,10 @@ def _member_line(L, c):
     return sp
 
 
-def _line_intersection_point(l1, l2):
+def _line_meet(l1, l2):
+    """A basis, over their common field, of the vectors on both lines."""
     fld = common_field(l1.field, l2.field)
-    stacked = l1.hyperplanes.map_field(fld).stack(l2.hyperplanes.map_field(fld))
-    ker = stacked.kernel_basis()
-    if len(ker) != 1:
-        raise UnsupportedConfiguration("member lines do not meet the residual line")
-    return ker[0], fld
+    return l1.hyperplanes.map_field(fld).stack(l2.hyperplanes.map_field(fld)).kernel_basis()
 
 
 # members on which the moving-line family is checked against the pencil
@@ -501,11 +490,15 @@ def _g13_branch_form(L):
             break
     if Bsecond is None:
         raise UnsupportedConfiguration("could not find two transversal lines")
+    if _line_meet(Bprime, Bsecond):   # on a cone, at its vertex
+        raise UnsupportedConfiguration("the transversal lines meet")
 
     def moving_point(transversal):
-        pts = [_line_intersection_point(l, transversal)[0] for l in lines]
+        pts = [_line_meet(l, transversal) for l in lines]
+        if any(len(p) != 1 for p in pts):
+            raise UnsupportedConfiguration("member lines do not meet the residual line")
         fld2 = transversal.field
-        x0, x1, xm = [[coerce(v, fld2) for v in p] for p in pts]
+        x0, x1, xm = [[coerce(v, fld2) for v in p] for p, in pts]
         sol = MatrixExact(fld2, [[x0[i], x1[i]] for i in range(4)]).solve(xm)
         if sol is None or not sol[0] or not sol[1]:
             raise UnsupportedConfiguration("anchor normalization failed")
@@ -517,8 +510,6 @@ def _g13_branch_form(L):
     # family line at (s : t): join of u0 s + u1 t and w0 s + w1 t
     # substitute x_i -> u*b'(s,t)_i + v*b''(s,t)_i into the cubic (and the
     # quadric as a sanity check): 4-variable exponents (u, v, s, t)
-    from .curves import mp_substitute
-
     def family(form):
         images = []
         for i in range(4):
@@ -549,20 +540,13 @@ def _g13_branch_form(L):
     for (s, t) in check:
         bp = [x * s + y * t for x, y in zip(u0, u1)]
         bq = [x * s + y * t for x, y in zip(w0, w1)]
-        from .gauss import _binary_restriction_divisor
-        got = _binary_restriction_divisor(curve, bp, bq, fld, L.cap)
-        if got != L.member((s, t)):
+        if _line_section(curve, [bp, bq], fld, L.cap) != L.member((s, t)):
             raise UnsupportedConfiguration("family does not match the members")
     # branch form = Res_(u,v)(dG/du, dG/dv) for the family cubic G
     three = fld.elem(3)
     two = fld.elem(2)
     pa, pb, pc, pd = (Poly(fld, cs) for cs in (a, b, c, d))
-    rows = [
-        [pa * three, pb * two, pc, Poly.zero(fld)],
-        [Poly.zero(fld), pa * three, pb * two, pc],
-        [pb, pc * two, pd * three, Poly.zero(fld)],
-        [Poly.zero(fld), pb, pc * two, pd * three],
-    ]
+    rows = sylvester([pa * three, pb * two, pc], [pb, pc * two, pd * three], Poly.zero(fld))
     disc = bareiss_det(rows, Poly.one(fld))
     if disc.is_zero():
         raise UnsupportedConfiguration("degenerate discriminant")
@@ -594,28 +578,26 @@ def reconstruct_system(W_samples, n=None, k=None, cap=12):
 
 def trisecants_through(curve, P, cap=12):
     """The degree-3 members through a point of the genus-4 model: cut by the
-    lines of the quadric through P, the two components of the conic that
-    the tangent plane of the quadric at P cuts (``rulings._conic_lines``),
-    each over the splitting field of its own points."""
+    lines of the quadric through P, the components of the conic that the
+    tangent plane of the quadric at P cuts (``rulings._components``: a line
+    pair, or on a cone the double line through the vertex, taken once), each
+    over the splitting field of its own points."""
     if curve.model != "canonical_g4":
         raise UnsupportedConfiguration("trisecants live on the genus-4 model")
     from .curves import _gram_matrix
-    from .rulings import _conic_lines, _cut, space_point
+    from .rulings import _components, _cut, space_point
     fld = P.field
     quad = curve.quadric.map_field(fld)
     normal = _gram_matrix(fld, quad).apply(P.coords)   # half the gradient
     if not any(normal):
         raise CurveError("singular quadric point")
     basis = MatrixExact(fld, [normal]).kernel_basis()
-    gram = _gram_matrix(fld, quad.restrict_plane(*basis, field=fld))
-    if gram.rank() != 2:
-        raise UnsupportedConfiguration("tangent conic does not have rank 2")
-    K, V, dirs = _conic_lines(gram, cap)
+    K, comps = _components(quad.restrict_plane(*basis, field=fld), cap)
     basis = [[coerce(c, K) for c in v] for v in basis]
     cubic = curve.cubic.restrict_plane(*basis, field=K)
     members = []
-    for d in dirs:
-        _, zeros = _cut(cubic, [([V, d], 1)], cap)
+    for A, _ in comps:
+        _, zeros = _cut(cubic, [(A, 1)], cap)
         members.append(Divisor(curve, [(space_point(basis, x), m) for x, m in zeros],
                                field=K))
     return members

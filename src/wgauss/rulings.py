@@ -38,15 +38,9 @@ from itertools import combinations
 
 from .algebra.fields import coerce
 from .algebra.linalg import MatrixExact
-from .algebra.poly import Poly, roots_in_field, roots_in_splitting_extension
-from .curves import (
-    CurveError,
-    HomForm,
-    ProjectivePoint,
-    _binary_rational_points,
-    _gram_matrix,
-    mp_substitute,
-)
+from .algebra.mpoly import mp_substitute
+from .algebra.poly import Poly, binary_roots, roots_in_field, roots_in_splitting_extension
+from .curves import CurveError, HomForm, ProjectivePoint, _gram_matrix
 
 
 def points_over(curve, K):
@@ -176,13 +170,16 @@ def _line_points(K, images, cub):
     out = []
     for s, t in _p1(K):
         c = _specialize_pencil(pulled, s, t)
-        roots = _binary_rational_points(Poly(K, [c.get((3 - j, j), K.zero) for j in range(4)]), 3)
+        S = Poly(K, [c.get((3 - j, j), K.zero) for j in range(4)])
+        if not S:
+            raise CurveError("restriction vanished identically")
+        _, roots = binary_roots([(S, 3)])
         if roots:
             xs = [_specialize_pencil(g, s, t) for g in ims]
             A = [x.get((1, 0), K.zero) for x in xs]
             B = [x.get((0, 1), K.zero) for x in xs]
             out += [ProjectivePoint(K, [u * a + v * b for a, b in zip(A, B)])
-                    for u, v in roots]
+                    for (u, v), _ in roots]
     return out
 
 

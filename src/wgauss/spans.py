@@ -19,9 +19,9 @@ from math import comb
 
 from .algebra.fields import coerce, common_field
 from .algebra.linalg import MatrixExact, plucker
-from .algebra.poly import Poly, roots_in_splitting_extension
-from .curves import INF, ProjectivePoint
-from .divisors import Divisor, pullback_x, x_fibers
+from .algebra.poly import Poly, binary_roots
+from .curves import INF, CurveError, ProjectivePoint
+from .divisors import Divisor, gcd_div, pullback_x, x_fibers
 
 
 class NotSpecialError(ValueError):
@@ -30,6 +30,10 @@ class NotSpecialError(ValueError):
 
 class NotInSmoothLocusError(ValueError):
     """Gauss-map style operation on a divisor with ell >= 2."""
+
+
+class UnsupportedConfiguration(RuntimeError):
+    """Curve model / dimension combination outside the supported ranges."""
 
 
 class LinearSpan:
@@ -223,30 +227,48 @@ def hyperplane_section(curve, h, field=None, cap=12):
     h = [coerce(c, fld) for c in h]
     if not any(h):
         raise ValueError("zero hyperplane")
-    if curve.model == "hyperelliptic":
-        hp = Poly(fld, h)
-        inf_ord = (g - 1) - hp.degree
-        K, roots = roots_in_splitting_extension(hp, cap=cap) if hp.degree >= 1 \
-            else (fld, [])
-        p1 = [(r, m) for r, m in roots]
-        if inf_ord:
-            p1.append((INF, inf_ord))
-        D = pullback_x(curve, p1, field=fld)
-        assert D.degree == 2 * g - 2
-        return D
-    basis = MatrixExact(fld, [h]).kernel_basis()
-    if curve.model == "plane_quartic":   # the line H cut by the quartic
-        from .rulings import _cut
-        _, zeros = _cut(curve.form.map_field(fld), [(basis, 1)], cap)
-        items = [(ProjectivePoint(x[0].field, x), m) for x, m in zeros]
-    else:   # canonical genus 4: the conic H n Q cut by the cubic
-        from .rulings import plane_section, space_point
-        conic, cubic = (f.restrict_plane(*basis, field=fld) for f in (curve.quadric, curve.cubic))
-        _, zeros = plane_section(conic, cubic, cap)
-        items = [(space_point(basis, x), m) for x, m in zeros]
-    D = Divisor(curve, items, field=fld)
+    D = _meet(curve, [h], fld, cap)
     assert D.degree == 2 * g - 2, f"section degree {D.degree} != {2 * g - 2}"
     return D
+
+
+def _meet(curve, rows, fld, cap):
+    """(L . C) for the linear space L cut out by the independent hyperplane
+    ``rows`` over fld: the pullback of the common zeros of the rows' binary
+    forms on a hyperelliptic curve; on a plane model, the zeros of the
+    curve's forms on a line, the conic H n Q cut by the cubic on a genus-4
+    plane, and the gcd of the sections of its two lines at a plane
+    quartic's point."""
+    if curve.model == "hyperelliptic":
+        _, zeros = binary_roots([(Poly(fld, row), curve.genus - 1) for row in rows], cap)
+        return pullback_x(curve, [(t if s else INF, m) for (s, t), m in zeros], field=fld)
+    basis = MatrixExact(fld, rows).kernel_basis()
+    if len(basis) == 2:
+        return _line_section(curve, basis, fld, cap)
+    if len(basis) == 3 and curve.model == "canonical_g4":
+        from .rulings import plane_section, space_point
+        conic, cubic = (f.restrict_plane(*basis, field=fld) for f in curve.forms)
+        _, zeros = plane_section(conic, cubic, cap)
+        return Divisor(curve, [(space_point(basis, x), m) for x, m in zeros], field=fld)
+    if len(basis) == 1 and curve.model == "plane_quartic":
+        return gcd_div(*(_meet(curve, [row], fld, cap) for row in rows))
+    raise UnsupportedConfiguration(
+        f"no intersection divisor for a {len(basis) - 1}-plane on the {curve.model} model")
+
+
+def _line_section(curve, basis, fld, cap):
+    """The divisor cut on a plane model by the line through basis[0] and
+    basis[1] (over fld): the common zeros of the curve's forms on it."""
+    forms = [(f.pullback(basis, fld), f.degree) for f in curve.forms]
+    if not any(S for S, _ in forms):
+        raise CurveError("line lies on the curve; impossible for a smooth model")
+    K, zeros = binary_roots(forms, cap)
+    b0, b1 = ([coerce(c, K) for c in b] for b in basis)
+    items = []
+    for (s, t), m in zeros:
+        s, t = coerce(s, K), coerce(t, K)
+        items.append((ProjectivePoint(K, [s * a + t * b for a, b in zip(b0, b1)]), m))
+    return Divisor(curve, items, field=fld)
 
 
 def residual(D, cap=12):

@@ -12,9 +12,7 @@ from wgauss.curves import (
     HyperellipticCurve,
     PlaneQuarticCurve,
     ProjectivePoint,
-    curve_from_json,
     curve_hash,
-    curve_to_json,
     exhaustive_singular_search,
     validate,
 )
@@ -308,8 +306,8 @@ def test_curve_json_roundtrip():
         HyperellipticCurve(QQ, [QQ.elem("1/2"), 1, 0, 0, 0, 1]),
     ]
     for c in curves:
-        blob = curve_to_json(c)
-        c2 = curve_from_json(blob)
+        blob = c.describe()
+        c2 = validate(blob)
         assert c2 == c
         assert curve_hash(c2) == curve_hash(c)
 
@@ -513,7 +511,7 @@ def _tangent_planes(curve, K, rng):
     """At a random point P of C(K): the tangent plane of the quadric (a line
     pair, or a double line on a cone) and a plane through the tangent line
     of C."""
-    from wgauss.curves import mp_eval, mp_partial
+    from wgauss.algebra.mpoly import mp_eval, mp_partial
     gK = curve if K == curve.field else CanonicalG4Curve(
         K, curve.quadric.map_field(K), curve.cubic.map_field(K), check=False)
     P = gK.sample_point(rng)

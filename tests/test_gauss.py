@@ -8,7 +8,6 @@ from wgauss.curves import CanonicalG4Curve, HyperellipticCurve, PlaneQuarticCurv
 from wgauss.divisors import Divisor, gcd_div
 from wgauss.gauss import (
     BnkVerdict,
-    GrassPoint,
     expected_generic_fiber,
     fiber,
     gauss_eval,
@@ -20,7 +19,14 @@ from wgauss.gauss import (
     rnk_flag,
 )
 from wgauss.linsys import find_g13
-from wgauss.spans import NotInSmoothLocusError, ell, in_smooth_Wn, span
+from wgauss.spans import (
+    LinearSpan,
+    NotInSmoothLocusError,
+    ell,
+    hyperplane_section,
+    in_smooth_Wn,
+    span,
+)
 
 F = PrimeField(10007)
 HE = HyperellipticCurve(F, [0, -1, 0, 0, 0, 0, 0, 1])
@@ -45,8 +51,8 @@ def test_gauss_eval_n1_is_canonical_point():
     rng = random.Random(1)
     P = HE.sample_point(rng)
     W = gauss_eval(Divisor(HE, [(P, 1)]))
-    assert W.span.dim == 0
-    assert W.span.contains_vector(HE.canonical_coords(P).coords)
+    assert W.dim == 0
+    assert W.contains_vector(HE.canonical_coords(P).coords)
 
 
 def test_gauss_eval_conjugation_invariance():
@@ -70,9 +76,9 @@ def test_quartic_gauss_is_the_line():
     rng = random.Random(4)
     P, Q = KLEIN.sample_point(rng), KLEIN.sample_point(rng)
     W = gauss_eval(Divisor(KLEIN, [(P, 1), (Q, 1)]))
-    assert W.span.dim == 1
-    assert W.span.contains_vector(P.coords)
-    assert W.span.contains_vector(Q.coords)
+    assert W.dim == 1
+    assert W.contains_vector(P.coords)
+    assert W.contains_vector(Q.coords)
 
 
 def test_intersection_divisor_hyperelliptic_conjugate_fill():
@@ -115,6 +121,56 @@ def test_intersection_divisor_g4_identity():
         assert intersection_divisor(W) == D
 
 
+def _wc_curve(name):
+    """A hyperelliptic curve over F_11, Klein over F_13, or a random smooth
+    genus-4 curve "g4-<p>-<quadric type>"."""
+    if name == "he-11":
+        return HyperellipticCurve(PrimeField(11), [0, -1, 0, 0, 0, 0, 0, 1])
+    if name == "klein-13":
+        return PlaneQuarticCurve(PrimeField(13), {(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1})
+    from test_curves import _gram_kind, _random_g4
+    _, p, kind = name.split("-")
+    return _random_g4(int(p), kind, random.Random(f"wc-{name}"), kind_of=_gram_kind)
+
+
+def _random_spans(curve, r, rng, count):
+    """``count`` spans cut by r independent hyperplanes: spans of random
+    divisors of degree g - r (the first with a doubled point when g - r > 1),
+    then random subspaces."""
+    F, g = curve.field, curve.genus
+    out = []
+    while len(out) < count // 2:
+        pts = [curve.sample_point(rng) for _ in range(g - r)]
+        if not out and g - r > 1:
+            pts[1] = pts[0]
+        D = Divisor(curve, [(P, 1) for P in pts])
+        W = span(D)
+        if W.s == r:
+            out.append((D, W))
+    while len(out) < count:
+        W = LinearSpan(curve, F, [[F.rand(rng) for _ in range(g)] for _ in range(r)])
+        if W.s == r:
+            out.append((None, W))
+    return out
+
+
+@pytest.mark.parametrize("name", ["he-11", "klein-13"] + [
+    f"g4-{p}-{kind}" for p in (7, 11) for kind in ("split", "nonsplit", "cone")])
+def test_intersection_divisor_is_the_gcd_of_its_hyperplane_sections(name):
+    curve = _wc_curve(name)
+    rng = random.Random(f"wc-spans-{name}")
+    r_supported = (1, 2)   # a hyperplane and a codimension-2 space, on every model
+    for r in r_supported:
+        for D, W in _random_spans(curve, r, rng, 6):
+            rows = W.hyperplanes.rows
+            want = hyperplane_section(curve, rows[0], field=W.field)
+            for h in rows[1:]:
+                want = gcd_div(want, hyperplane_section(curve, h, field=W.field))
+            WC = intersection_divisor(W)
+            assert WC == want
+            assert D is None or D <= WC
+
+
 def test_fiber_cardinalities_all_models():
     rng = random.Random(8)
     # hyperelliptic: 2^n
@@ -142,7 +198,7 @@ def test_fiber_members_all_verify():
     rep = fiber(W)
     for E in rep.fiber:
         assert ell(E) == 1
-        assert span(E) == W.span
+        assert span(E) == W
     assert rep.cardinality <= comb(rep.WC.degree, 2)
 
 

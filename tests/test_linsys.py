@@ -196,10 +196,8 @@ def test_nc_counterexample_pattern_outside_gauss_image():
     flags = classify_member(L, Fdiv)
     assert flags["nc"] is False
     # the span is outside the Gauss image: no degree-4 fiber member
-    from wgauss.gauss import fiber, GrassPoint
-    sp = span(Fdiv)
-    Wg = GrassPoint(sp, 4)
-    rep = fiber(Wg, 4)
+    from wgauss.gauss import fiber
+    rep = fiber(span(Fdiv), 4)
     assert rep.cardinality == 0
 
 
@@ -262,7 +260,7 @@ def test_beta_dimension():
     L = find_g13(G4, seed=8)
     E = L.member((1, 4))
     W = beta(E)
-    assert W.span.dim == W.n - 1 == 1
+    assert W.dim == 1
 
 
 def test_dual_samples_certificates():
@@ -397,3 +395,27 @@ def test_trisecants_and_unique_g13_pair():
     for a in f1:
         for b in f2:
             assert a != b
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_cone_has_one_trisecant_pencil_and_no_branch_form(p):
+    # the tangent plane of a cone meets it in the double line through the
+    # vertex: one trisecant through each point, and the g^1_3 is
+    # self-residual, so every member line passes through the vertex and the
+    # moving-line family has no two disjoint transversals
+    from test_curves import _gram_kind, _random_g4
+    from wgauss.gauss import UnsupportedConfiguration
+    from wgauss.harness import ExperimentConfig, run_reconstruct
+    for i in range(3):
+        curve = _random_g4(p, "cone", random.Random(f"cone-{p}-{i}"), kind_of=_gram_kind)
+        P = curve.sample_point(random.Random(i))
+        members = trisecants_through(curve, P)
+        assert len(members) == 1
+        (m,) = members
+        assert m.degree == 3 and span(m).dim == 1 and m.mult_of(P) >= 1
+        L = find_g13(curve, seed=i)
+        assert (L.degree, L.r) == (3, 1)
+        cfg = ExperimentConfig(experiment="reconstruct", curve=curve.describe(),
+                               n=2, k=1, trials=3, seed=i)
+        with pytest.raises(UnsupportedConfiguration, match="transversal lines meet"):
+            run_reconstruct(cfg)

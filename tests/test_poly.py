@@ -22,7 +22,7 @@ from wgauss.algebra import (
 )
 
 from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
-from wgauss.algebra.poly import distinct_roots_in_field
+from wgauss.algebra.poly import binary_roots, distinct_roots_in_field
 
 F7 = PrimeField(7)
 F31 = PrimeField(31)
@@ -619,3 +619,32 @@ def test_poly_division_is_exact():
     assert (a * b) / b == a
     with pytest.raises(ArithmeticError):
         (a * b + 1) / b
+
+
+def test_binary_roots_zero_forms_infinity_and_both_modes():
+    x = Poly.x(F7)
+    S = (x - 2) * (x - 3) * (x * x - 3)   # 3 is not a square mod 7
+    inf = (F7.zero, F7.one)
+    # a zero form imposes nothing; the deficit 6 - 4 is the multiplicity at (0 : 1)
+    K, zeros = binary_roots([(S, 6), (Poly.zero(F7), 5)])
+    assert K == F7
+    assert zeros == [((F7.one, F7.elem(2)), 1), ((F7.one, F7.elem(3)), 1), (inf, 2)]
+    # with a cap, every root, over the splitting field, (0 : 1) still last
+    K2, zeros2 = binary_roots([(S, 6)], cap=2)
+    assert K2 == ExtField(7, 2)
+    assert [m for _, m in zeros2] == [1, 1, 1, 1, 2] and zeros2[-1] == (inf, 2)
+    finite = [t for (s, t), _ in zeros2[:-1]]
+    assert all(s == K2.one for (s, _), _ in zeros2[:-1])
+    assert all(not S.map_field(K2)(t) for t in finite)
+    assert [z for z in finite if z in (K2.elem(2), K2.elem(3))] == [K2.elem(2), K2.elem(3)]
+    assert sorted(finite, key=K2.sort_key) == finite
+    with pytest.raises(ExtensionCapError):
+        binary_roots([(S, 6)], cap=1)
+    # common zeros: the gcd's roots, and the least deficit at (0 : 1)
+    T = (x - 2) ** 2 * (x - 5)
+    K, zeros = binary_roots([(S * (x - 2), 7), (T, 4)])
+    assert zeros == [((F7.one, F7.elem(2)), 2), (inf, 1)]
+    assert binary_roots([(S * (x - 2), 5), (T, 3)], cap=12) == \
+        (F7, [((F7.one, F7.elem(2)), 2)])
+    with pytest.raises(ValueError):
+        binary_roots([(Poly.zero(F7), 3), (Poly.zero(F7), 2)])
