@@ -108,12 +108,7 @@ class MatrixExact:
         rank + 1 exactly when the row keeps a nonzero entry after it is
         reduced against the pivot rows."""
         R, pivots = self._rref or self.rref()
-        row = list(row)
-        for prow, c in zip(R.rows, pivots):
-            factor = row[c]
-            if factor:
-                row = [a - factor * b for a, b in zip(row, prow)]
-        return len(pivots) + any(row)
+        return len(pivots) + any(reduce_row(row, zip(pivots, R.rows)))
 
     def row_space_matrix(self):
         """Canonical basis of the row space: nonzero rows of the RREF."""
@@ -161,6 +156,17 @@ class MatrixExact:
 
     def sort_key(self):
         return tuple(tuple(self.field.sort_key(c) for c in row) for row in self.rows)
+
+
+def reduce_row(row, echelon):
+    """``row`` reduced against ``echelon``: pairs (pivot column, row), each row
+    one at its pivot and zero at the earlier pivots (as in an RREF)."""
+    row = list(row)
+    for c, prow in echelon:
+        factor = row[c]
+        if factor:
+            row = [a - factor * b for a, b in zip(row, prow)]
+    return row
 
 
 def bareiss_det(rows, one):

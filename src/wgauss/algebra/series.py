@@ -77,16 +77,30 @@ class TruncatedSeries:
             raise FieldError("mixed-field series")
         return other
 
+    @classmethod
+    def _exact(cls, field, coeffs, prec, offset):
+        """The series of ``coeffs``, elements of ``field``, from t^offset and
+        padded with zeros to prec, without ``__init__``'s coercion."""
+        i = next((i for i, c in enumerate(coeffs[:max(0, prec - offset)]) if c), None)
+        s = cls.__new__(cls)
+        s.field, s.prec, s.offset, s.coeffs = field, prec, prec, ()
+        if i is not None:
+            s.offset = offset + i
+            s.coeffs = tuple(coeffs[i:prec - offset]) + (field.zero,) * (prec - offset - len(coeffs))
+        return s
+
     def __add__(self, other):
         other = self._align(other)
+        f = self.field
         prec = min(self.prec, other.prec)
         lo = min(self.offset, other.offset, prec)
-        out = []
-        for n in range(lo, prec):
-            a = self.coefficient(n) if n < self.prec else self.field.zero
-            b = other.coefficient(n) if n < other.prec else self.field.zero
-            out.append(a + b)
-        return TruncatedSeries(self.field, out, prec, lo)
+        kernel = f._kernel()
+        if kernel is None:
+            return TruncatedSeries(f, [self.coefficient(n) + other.coefficient(n)
+                                       for n in range(lo, prec)], prec, lo)
+        a, b = (f._encode((f.zero,) * (s.offset - lo) + s.coeffs[:max(0, prec - s.offset)])
+                for s in (self, other))
+        return TruncatedSeries._exact(f, f._decode(kernel.add(a, b)), prec, lo)
 
     __radd__ = __add__
 
@@ -112,8 +126,7 @@ class TruncatedSeries:
         kernel = f._kernel()
         if kernel is not None and self.coeffs and other.coeffs:
             code = kernel.mul(f._encode(self.coeffs), f._encode(other.coeffs))
-            out = list(f._decode(code[:n])) + [f.zero] * (n - len(code))
-            return TruncatedSeries(f, out, prec, off)
+            return TruncatedSeries._exact(f, f._decode(code[:n]), prec, off)
         out = [self.field.zero] * n
         for i, a in enumerate(self.coeffs):
             if a:

@@ -24,7 +24,7 @@ class Divisor:
             fld = common_field(fld, P.field)
         merged = {}
         for P, m in pts:
-            Pc = P.coerce(fld)
+            Pc = P if P.field == fld else P.coerce(fld)
             merged[Pc] = merged.get(Pc, 0) + m
         out = sorted(merged.items(), key=lambda pm: pm[0].sort_key())
         self.curve = curve

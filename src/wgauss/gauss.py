@@ -2,16 +2,18 @@
 
 gauss_eval sends a divisor D with ell(D) = 1 to its span, a point of the
 Grassmannian G(n-1, g-1).  The intersection divisor (W . C) of a subspace W
-is the gcd of the hyperplane sections over hyperplanes containing W; fibers
-of the Gauss map are enumerated as subdivisors of (W . C) over the splitting
-field, keeping those with the right span and ell = 1.
+is the gcd of the hyperplane sections over hyperplanes containing W.  The
+fiber over W is the subdivisors E of (W . C) whose conditions have rank
+dim W + 1: span(E) lies in W, so that says ell(E) = 1 and span(E) = W.
 """
 
 from math import comb
 
 from .curves import CurveError
 from .divisors import Divisor
-from .spans import NotInSmoothLocusError, UnsupportedConfiguration, _meet, span
+from .algebra.linalg import reduce_row
+from .spans import (NotInSmoothLocusError, UnsupportedConfiguration, _meet,
+                    condition_rows, span)
 
 
 def gauss_eval(D):
@@ -52,7 +54,11 @@ class FiberReport:
 
 
 def fiber(W, n=None, cap=12):
-    """Enumerate the Gauss fiber over W among degree-n subdivisors of (W.C)."""
+    """The degree-n E <= (W . C) with ell(E) = 1 and span(E) = W, in the order
+    of ``WC.subdivisors(n)``.  Every hyperplane through W contains E, so E is
+    one iff its conditions have rank n = dim W + 1.  A depth-first walk over
+    the multiplicities reduces the rows of (W . C), computed once, prefix by
+    prefix, and cuts a prefix of degree above its rank (no row is regained)."""
     n = n or W.dim + 1
     curve = W.curve
     WC = intersection_divisor(W, cap=cap)
@@ -61,11 +67,33 @@ def fiber(W, n=None, cap=12):
         "weierstrass": (curve.model == "hyperelliptic"
                         and any(curve.is_weierstrass(P) for P in WC.support())),
     }
+    groups = condition_rows(WC)
+    slot = {P: (gi, halve) for gi, (_, pts) in enumerate(groups) for P, halve in pts}
+    items = [(P, m) + slot[P] for P, m in WC.items]
     members = []
-    for E in WC.subdivisors(n):
-        sp = span(E)
-        if E.degree - sp.dim == 1 and sp == W:  # ell(E) = 1
-            members.append(E)
+
+    def walk(i, remaining, left, acc, basis, taken):
+        """left: degree of items[i:]; basis: prefix rows' echelon; taken: rows per group"""
+        if not remaining:
+            members.append(Divisor(curve, acc, field=WC.field))
+            return
+        P, m, gi, halve = items[i]
+        basis, taken = list(basis), list(taken)
+        for e in range(max(0, remaining - left + m), min(m, remaining) + 1):
+            k = max(taken[gi], (e + 1) // 2 if halve else e)
+            for row in groups[gi][0][taken[gi]:k]:
+                row = reduce_row(row, basis)
+                c = next((j for j, x in enumerate(row) if x), None)
+                if c is not None:
+                    inv = WC.field.one / row[c]
+                    basis.append((c, [x * inv for x in row]))
+            taken[gi] = k
+            if n - remaining + e > len(basis):
+                break
+            walk(i + 1, remaining - e, left - m, acc + [(P, e)], basis, taken)
+
+    if n == W.dim + 1 <= WC.degree:
+        walk(0, n, WC.degree, [], [], [0] * len(groups))
     return FiberReport(W, WC, members, flags)
 
 

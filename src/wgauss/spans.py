@@ -131,46 +131,39 @@ class LinearSpan:
         return out
 
 
-def _pair_order(kind, group):
-    if kind == "branch":
-        (_, m), = group
-        return (m + 1) // 2
-    (_, a), (_, b) = group
-    return max(a, b)
+def condition_rows(D):
+    """D's hyperplane conditions as [(rows, [(P, halve), ..])], a group per
+    point on a plane model and per x-fiber on a hyperelliptic one.  E <= D
+    imposes the first k rows of a group, k the most its points P need:
+    mult_E(P), or ceil(mult_E(P) / 2) at a branch point (``halve``)."""
+    curve = D.curve
+    g = curve.genus
+    fld = D.field
+    out = []
+    if curve.model != "hyperelliptic":
+        for P, m in D.items:
+            if m == 1:
+                rows = [[coerce(c, fld) for c in P.coords]]
+            else:
+                series = curve.canonical_series(P, m)
+                rows = [[coerce(s.coefficient(l), fld) for s in series] for l in range(m)]
+            out.append((rows, [(P, False)]))
+        return out
+    for t0, kind, group in x_fibers(curve, D):
+        k = max(m if kind == "pair" else (m + 1) // 2 for _, m in group)
+        if t0 is INF:
+            rows = [[fld.one if j == g - 1 - l else fld.zero for j in range(g)]
+                    for l in range(k)]
+        else:
+            rows = [[t0 ** (j - l) * comb(j, l) if j >= l else fld.zero for j in range(g)]
+                    for l in range(k)]
+        out.append((rows, [(P, kind == "branch") for P, _ in group]))
+    return out
 
 
 def hyperplane_conditions(D):
     """Matrix whose kernel is the space of hyperplanes h with D <= phi^* H."""
-    curve = D.curve
-    g = curve.genus
-    fld = D.field
-    rows = []
-    if curve.model == "hyperelliptic":
-        for t0, kind, group in x_fibers(curve, D):
-            k = _pair_order(kind, group)
-            if t0 is INF:
-                for l in range(k):
-                    row = [fld.zero] * g
-                    row[g - 1 - l] = fld.one
-                    rows.append(row)
-            else:
-                for l in range(k):
-                    row = []
-                    for j in range(g):
-                        if j < l:
-                            row.append(fld.zero)
-                        else:
-                            row.append(t0 ** (j - l) * comb(j, l))
-                    rows.append(row)
-    else:
-        for P, m in D.items:
-            if m == 1:
-                rows.append([coerce(c, fld) for c in P.coords])
-            else:
-                series = curve.canonical_series(P, m)
-                for l in range(m):
-                    rows.append([coerce(s.coefficient(l), fld) for s in series])
-    return MatrixExact(fld, rows) if rows else MatrixExact(fld, [])
+    return MatrixExact(D.field, [r for rows, _ in condition_rows(D) for r in rows])
 
 
 def span(D):

@@ -202,7 +202,7 @@ def test_fiber_members_all_verify():
     assert rep.cardinality <= comb(rep.WC.degree, 2)
 
 
-def test_fiber_takes_one_span_per_subdivisor(monkeypatch):
+def test_fiber_takes_no_span(monkeypatch):
     from wgauss import gauss, spans
     rng = random.Random(9)
     W = gauss_eval(smooth_divisor(G4, 3, rng))
@@ -216,7 +216,67 @@ def test_fiber_takes_one_span_per_subdivisor(monkeypatch):
     monkeypatch.setattr(gauss, "span", counted)
     rep = fiber(W)
     assert rep.cardinality >= 1
-    assert len(calls) == len(list(rep.WC.subdivisors(3)))
+    assert calls == []
+
+
+def _through_infinity():
+    """inf + P on the odd model: (W . C) = 2 inf + P + iota(P)."""
+    rng = random.Random(56)
+    P = HE.sample_point(rng)
+    while not P.y:
+        P = HE.sample_point(rng)
+    inf = HE.infinity_points()[0]
+    return Divisor(HE, [(inf, 1), (P, 1)])
+
+
+EVEN = HyperellipticCurve(F, [1, 1, 0, 0, 0, 0, 0, 0, 1])  # genus 3, two infs
+
+
+def _even_model():
+    """inf1 + P on the even model: (W . C) = inf1 + inf2 + P + iota(P)."""
+    inf1, _ = EVEN.infinity_points()
+    rng = random.Random(57)
+    P = EVEN.sample_point(rng)
+    while not P.y:
+        P = EVEN.sample_point(rng)
+    return Divisor(EVEN, [(inf1, 1), (P, 1)])
+
+
+def _double_point(curve, rng, extra=0):
+    """2P plus ``extra`` further points: a non-reduced (W . C)."""
+    P = curve.sample_point(rng)
+    while curve.model == "hyperelliptic" and curve.is_weierstrass(P):
+        P = curve.sample_point(rng)
+    return Divisor(curve, [(P, 2)] + [(curve.sample_point(rng), 1) for _ in range(extra)])
+
+
+FIBER_GUARD = {   # name -> divisors D whose fibers over span(D) are compared
+    "he-odd": lambda rng: [smooth_divisor(HE, 2, rng), _double_point(HE, rng),
+                           _through_infinity()],
+    "he-even": lambda rng: [smooth_divisor(EVEN, 2, rng), _double_point(EVEN, rng),
+                            _even_model()],
+    "klein": lambda rng: [smooth_divisor(KLEIN, 2, rng), _double_point(KLEIN, rng)],
+    "g4": lambda rng: [smooth_divisor(G4, 3, rng), smooth_divisor(G4, 2, rng),
+                       _double_point(G4, rng, extra=1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_GUARD))
+def test_fiber_by_rank_matches_the_span_test(name):
+    """The rank walk keeps exactly the subdivisors E of (W . C) with
+    ell(E) = 1 and span(E) = W, in subdivisor order."""
+    seen = {"nonreduced": False, "weierstrass": False}
+    for D in FIBER_GUARD[name](random.Random(14)):
+        W = gauss_eval(D)
+        rep = fiber(W)
+        want = [E for E in rep.WC.subdivisors(D.degree) if ell(E) == 1 and span(E) == W]
+        assert rep.fiber == want
+        assert all(span(E) == W for E in rep.fiber)
+        assert D in rep.fiber
+        for flag, on in rep.flags.items():
+            seen[flag] |= on
+    assert seen["nonreduced"]
+    assert seen["weierstrass"] == (name == "he-odd")
 
 
 def test_expected_generic_fiber():
@@ -268,12 +328,8 @@ def test_prediction_degenerate_cases():
 
 def test_fiber_through_infinity():
     # divisor containing the odd-model infinity point (a Weierstrass point)
-    rng = random.Random(56)
-    P = HE.sample_point(rng)
-    while not P.y:
-        P = HE.sample_point(rng)
+    D = _through_infinity()
     inf = HE.infinity_points()[0]
-    D = Divisor(HE, [(inf, 1), (P, 1)])
     assert in_smooth_Wn(D)
     rep = fiber(gauss_eval(D))
     assert rep.WC.degree == 4
@@ -285,15 +341,10 @@ def test_fiber_through_infinity():
 
 
 def test_fiber_even_model():
-    curve = HyperellipticCurve(F, [1, 1, 0, 0, 0, 0, 0, 0, 1])  # genus 3, two infs
-    inf1, inf2 = curve.infinity_points()
-    rng = random.Random(57)
-    P = curve.sample_point(rng)
-    while not P.y:
-        P = curve.sample_point(rng)
+    inf1, inf2 = EVEN.infinity_points()
     # infinity pair behaves like any conjugate pair: not in the smooth locus
-    assert not in_smooth_Wn(Divisor(curve, [(inf1, 1), (inf2, 1)]))
-    D = Divisor(curve, [(inf1, 1), (P, 1)])
+    assert not in_smooth_Wn(Divisor(EVEN, [(inf1, 1), (inf2, 1)]))
+    D = _even_model()
     assert in_smooth_Wn(D)
     rep = fiber(gauss_eval(D))
     assert rep.WC.degree == 4

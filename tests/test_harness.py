@@ -37,9 +37,9 @@ def test_fiber_census_reports_pass():
 
 
 
-def test_fiber_census_takes_one_span_per_trial_and_subdivisor(monkeypatch):
+def test_fiber_census_takes_one_span_per_trial(monkeypatch):
     """A sampled divisor is spanned once, by the gauss_eval that accepts or
-    rejects it, and each subdivisor fiber tests once more."""
+    rejects it; fiber takes no span and enumerates no subdivisors."""
     from wgauss import gauss, harness, spans
     from wgauss.divisors import Divisor
     n = {"span": 0, "eval": 0, "rejected": 0, "subdivisors": 0}
@@ -69,8 +69,9 @@ def test_fiber_census_takes_one_span_per_trial_and_subdivisor(monkeypatch):
     cfg = ExperimentConfig(experiment="fiber-census", curve=KLEIN, n=2, trials=6, seed=2)
     assert run_fiber_census(cfg)["passed"]
     assert n["eval"] == cfg.trials + n["rejected"]
-    assert n["subdivisors"] >= cfg.trials
-    assert n["span"] == cfg.trials + n["rejected"] + n["subdivisors"]
+    assert n["subdivisors"] == 0
+    assert n["span"] == cfg.trials + n["rejected"]
+
 
 def test_fiber_census_bit_identical():
     cfg = ExperimentConfig(experiment="fiber-census", curve=KLEIN, n=2,
