@@ -499,7 +499,10 @@ class ExtElement:
         return any(self.coeffs)
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
+        c = self.coeffs
+        if not any(c[1:]):   # in F_p: hash like the FpElement it equals
+            return hash((self.field.p, 1, c[0]))
+        return hash((self.field.p, self.field.k, c))
 
     def __repr__(self):
         return f"{list(self.coeffs)}:F{self.field.p}^{self.field.k}"

@@ -9,18 +9,20 @@ it backwards from Grassmannian samples using intersection divisors.
 
 Non-reduced members correspond to parameter hyperplanes tangent (through
 the associated morphism phi_L) to the image curve; dual_samples harvests
-them together with contact-order certificates.  For pencils on the genus-4
-model and for pencils on hyperelliptic curves the full branch binary form
-is available, giving the total dual count with multiplicity.
+them together with contact-order certificates.  For pencils on
+hyperelliptic curves and for the g^1_3's of the genus-4 model the full
+branch binary form is available, giving the total dual count with
+multiplicity: a g^1_3's members are cut by the lines of one ruling of the
+quadric Q, or by the lines through the vertex of a cone (``rulings``), and
+its branch form is the discriminant of the cubic on those lines.
 """
 
 import random
 from itertools import product
 
 from .algebra.fields import FieldError, coerce, common_field
-from .algebra.linalg import MatrixExact, bareiss_det, sylvester
-from .algebra.mpoly import mp_substitute
-from .algebra.poly import ExtensionCapError, Poly, binary_roots
+from .algebra.linalg import MatrixExact
+from .algebra.poly import ExtensionCapError, binary_roots
 from .curves import INF, CurveError
 from .divisors import Divisor, gcd_div, hyperelliptic_reduce, pullback_x, x_fibers
 from .gauss import UnsupportedConfiguration, intersection_divisor
@@ -45,8 +47,7 @@ class InequivalentSamplesError(ValueError):
 class CompleteSystem:
     """|D| presented by a residual divisor and a hyperplane basis."""
 
-    __slots__ = ("curve", "field", "degree", "r", "F", "basis", "cap",
-                 "_base_locus", "_unit_members")
+    __slots__ = ("curve", "field", "degree", "r", "F", "basis", "cap", "_base_locus")
 
     def __init__(self, curve, field, degree, F, basis, cap=12):
         self.curve = curve
@@ -57,9 +58,9 @@ class CompleteSystem:
         self.r = len(self.basis) - 1
         self.cap = cap
         self._base_locus = None
-        self._unit_members = None
 
-    def hyperplane_of(self, c):
+    def member(self, c):
+        """The member divisor with parameter c in P^r."""
         fld = self.field
         for ci in c:
             if hasattr(ci, "field"):
@@ -67,36 +68,17 @@ class CompleteSystem:
         cs = [coerce(ci, fld) for ci in c]
         if not any(cs):
             raise ValueError("zero parameter")
-        h = [fld.zero] * len(self.basis[0])
-        for ci, row in zip(cs, self.basis):
-            if ci:
-                for j, v in enumerate(row):
-                    h[j] = h[j] + ci * coerce(v, fld)
-        return h, fld
-
-    def member(self, c):
-        """The member divisor with parameter c in P^r."""
-        h, fld = self.hyperplane_of(c)
-        sec = hyperplane_section(self.curve, h, field=fld, cap=self.cap)
-        return sec - self.F
-
-    def unit_members(self):
-        if self._unit_members is None:
-            out = []
-            for i in range(self.r + 1):
-                c = [0] * (self.r + 1)
-                c[i] = 1
-                out.append(self.member(c))
-            self._unit_members = out
-        return self._unit_members
+        h = [sum((ci * coerce(v, fld) for ci, v in zip(cs, col)), fld.zero)
+             for col in zip(*self.basis)]
+        return hyperplane_section(self.curve, h, field=fld, cap=self.cap) - self.F
 
     def base_locus(self):
         """gcd of the members (a basis suffices)."""
         if self._base_locus is None:
-            members = self.unit_members()
-            B = members[0]
-            for E in members[1:]:
-                B = gcd_div(B, E)
+            B = None
+            for i in range(self.r + 1):
+                E = self.member([int(i == j) for j in range(self.r + 1)])
+                B = E if B is None else gcd_div(B, E)
             self._base_locus = B
         return self._base_locus
 
@@ -333,10 +315,10 @@ def dual_samples(L, trials=50, sweep_limit=10 ** 6, rng=None, cap=12):
 
     Each sample carries the unique parameter hyperplane, a repeated point of
     the member, and the verified contact order (>= 2) of the hyperplane with
-    the image curve at that point.  Pencils use the discriminant of the
-    member family when available; small parameter spaces are swept
-    exhaustively; otherwise parameters are drawn at random (and the list may
-    come back short).
+    the image curve at that point.  Pencils use the roots of their branch
+    form when it exists and its roots fit the cap; small parameter spaces
+    are swept exhaustively; otherwise parameters are drawn at random (and the
+    list may come back short).
     """
     B = L.base_locus()
     fld = L.curve.field
@@ -346,8 +328,12 @@ def dual_samples(L, trials=50, sweep_limit=10 ** 6, rng=None, cap=12):
             bf = dual_branch_form(L)
         except UnsupportedConfiguration:
             bf = None
-        if bf is not None:
-            for (s, t), _m in bf.roots(cap=cap):
+        try:
+            roots = None if bf is None else bf.roots(cap=cap)
+        except ExtensionCapError:   # roots beyond the cap: sweep instead
+            roots = None
+        if roots is not None:
+            for (s, t), _m in roots:
                 c = _branch_parameter(L, (s, t))
                 if c is None:
                     continue
@@ -435,122 +421,37 @@ def dual_branch_form(L):
 
     Supported cases: hyperelliptic pencils pulled back from P^1 (members are
     g^1_2 translates: the branch form is the ramification form of the double
-    cover, degree 2g+2) and base-point-free pencils of collinear members on
-    the genus-4 model (moving-line family; degree 12 by Riemann-Hurwitz).
+    cover, degree 2g+2) and the g^1_3's of the genus-4 model, cones
+    included, over the pencil's field: the discriminant of the cubic on the
+    ruling lines that cut the members (degree 12 by Riemann-Hurwitz).
     """
     if L.r != 1:
         raise UnsupportedConfiguration("branch forms are defined for pencils")
     curve = L.curve
-    fld = curve.field
     if curve.model == "hyperelliptic":
-        g = curve.genus
-        f = curve.f
-        d = 2 * g + 2
-        return BranchForm(fld, f.monic(), d)
-    if curve.model == "canonical_g4":
-        return _g13_branch_form(L)
-    raise UnsupportedConfiguration(f"no branch form for model {curve.model}")
-
-
-def _member_line(L, c):
-    sp = span(L.member(c))
-    if sp.dim != 1:
-        raise UnsupportedConfiguration("members are not collinear")
-    return sp
-
-
-def _line_meet(l1, l2):
-    """A basis, over their common field, of the vectors on both lines."""
-    fld = common_field(l1.field, l2.field)
-    return l1.hyperplanes.map_field(fld).stack(l2.hyperplanes.map_field(fld)).kernel_basis()
-
-
-# members on which the moving-line family is checked against the pencil
-_BRANCH_CHECKS = 5
-
-
-def _g13_branch_form(L):
-    """Moving-line family for a base-point-free pencil of trisecants."""
-    curve = L.curve
+        return BranchForm(curve.field, curve.f.monic(), 2 * curve.genus + 2)
+    if curve.model != "canonical_g4":
+        raise UnsupportedConfiguration(f"no branch form for model {curve.model}")
+    from .rulings import branch_discriminant, line_at, pencil_lines
     fld = L.field
     if L.base_locus().degree != 0:
         raise UnsupportedConfiguration("branch form needs a base-point-free pencil")
-    anchors = [(fld.one, fld.zero), (fld.zero, fld.one), (fld.one, fld.one)]
-    lines = [_member_line(L, c) for c in anchors]
-    # two transversal lines: the residual line and another member of its pencil
-    Bprime = span(L.F)
-    if Bprime.dim != 1:
-        raise UnsupportedConfiguration("residual is not a line")
-    complementary = complete_system(L.F, cap=L.cap)
-    Bsecond = None
-    for c in anchors + [(fld.one, fld.elem(2))]:
-        sp = span(complementary.member(c))
-        if sp.dim == 1 and sp != Bprime:
-            Bsecond = sp
-            break
-    if Bsecond is None:
-        raise UnsupportedConfiguration("could not find two transversal lines")
-    if _line_meet(Bprime, Bsecond):   # on a cone, at its vertex
-        raise UnsupportedConfiguration("the transversal lines meet")
-
-    def moving_point(transversal):
-        pts = [_line_meet(l, transversal) for l in lines]
-        if any(len(p) != 1 for p in pts):
-            raise UnsupportedConfiguration("member lines do not meet the residual line")
-        fld2 = transversal.field
-        x0, x1, xm = [[coerce(v, fld2) for v in p] for p, in pts]
-        sol = MatrixExact(fld2, [[x0[i], x1[i]] for i in range(4)]).solve(xm)
-        if sol is None or not sol[0] or not sol[1]:
-            raise UnsupportedConfiguration("anchor normalization failed")
-        lam, mu = sol
-        return [v * lam for v in x0], [v * mu for v in x1]
-
-    u0, u1 = moving_point(Bprime)
-    w0, w1 = moving_point(Bsecond)
-    # family line at (s : t): join of u0 s + u1 t and w0 s + w1 t
-    # substitute x_i -> u*b'(s,t)_i + v*b''(s,t)_i into the cubic (and the
-    # quadric as a sanity check): 4-variable exponents (u, v, s, t)
-    def family(form):
-        images = []
-        for i in range(4):
-            im = {}
-            for key, val in ((( 1, 0, 1, 0), u0[i]), ((1, 0, 0, 1), u1[i]),
-                             ((0, 1, 1, 0), w0[i]), ((0, 1, 0, 1), w1[i])):
-                if val:
-                    im[key] = val
-            images.append(im)
-        return mp_substitute(form.map_field(fld).coeffs, images, fld, 4)
-
-    qfam = family(curve.quadric)
-    if qfam:
-        raise UnsupportedConfiguration("family lines do not lie on the quadric")
-    efam = family(curve.cubic)
-
-    def uv_coeff(j):
-        # binary cubic in (s, t) multiplying u^(3-j) v^j
-        cs = [fld.zero] * 4
-        for (eu, ev, es, et), v in efam.items():
-            if ev == j:
-                cs[et] = cs[et] + v
-        return cs
-
-    a, b, c, d = (uv_coeff(j) for j in range(4))
-    # verify the family reproduces members at a few parameters
-    check = anchors + [(fld.one, fld.elem(2 + i)) for i in range(_BRANCH_CHECKS - 3)]
-    for (s, t) in check:
-        bp = [x * s + y * t for x, y in zip(u0, u1)]
-        bq = [x * s + y * t for x, y in zip(w0, w1)]
-        if _line_section(curve, [bp, bq], fld, L.cap) != L.member((s, t)):
-            raise UnsupportedConfiguration("family does not match the members")
-    # branch form = Res_(u,v)(dG/du, dG/dv) for the family cubic G
-    three = fld.elem(3)
-    two = fld.elem(2)
-    pa, pb, pc, pd = (Poly(fld, cs) for cs in (a, b, c, d))
-    rows = sylvester([pa * three, pb * two, pc], [pb, pc * two, pd * three], Poly.zero(fld))
-    disc = bareiss_det(rows, Poly.one(fld))
+    lines = pencil_lines(curve, fld, L.basis)
+    if lines is None:
+        raise UnsupportedConfiguration("the pencil is cut by no ruling of Q over its field")
+    # the ruling lines against the pencil's members
+    check = [(fld.zero, fld.one)] + [(fld.one, fld.elem(i)) for i in range(_BRANCH_CHECKS - 1)]
+    for c in check:
+        if _line_section(curve, line_at(fld, lines, *c), fld, L.cap) != L.member(c):
+            raise UnsupportedConfiguration("ruling lines do not match the members")
+    disc = branch_discriminant(curve.cubic.map_field(fld), lines)
     if disc.is_zero():
         raise UnsupportedConfiguration("degenerate discriminant")
     return BranchForm(fld, disc, 12)
+
+
+# members on which the ruling lines are checked against the pencil
+_BRANCH_CHECKS = 5
 
 
 def reconstruct_system(W_samples, n=None, k=None, cap=12):

@@ -29,6 +29,13 @@ multiplicities, the degree deficit of S the point at t = oo.  A line pair
 is split into its two lines, a double line counts twice, and each line is
 cut by E.
 
+A g^1_3 is cut by the planes through a line of Q: each plane meets Q in
+that line and a moving line, of the other ruling (of the same on a cone),
+which cuts the member.  On the rulings' parameters the moving line is a
+linear function of the pencil's parameter c, and the discriminant of the
+cubic on it is the pencil's branch form, of degree 12 in c
+(``pencil_lines``, ``branch_discriminant``).
+
 Binary forms and line parameters share one variable order, (u, v, s, t),
 so a form in them is grouped by its (s, t)-monomial once and specialized
 per line (``_by_st``, ``_specialize_pencil``).
@@ -166,7 +173,6 @@ def _line_points(K, images, cub):
     """Points u*A(s, t) + v*B(s, t) of the images over the K-roots (u : v)
     of the pulled-back cubic, line by line."""
     pulled = _by_st(mp_substitute(cub.coeffs, images, K, 4))
-    ims = [_by_st(im) for im in images]
     out = []
     for s, t in _p1(K):
         c = _specialize_pencil(pulled, s, t)
@@ -175,12 +181,66 @@ def _line_points(K, images, cub):
             raise CurveError("restriction vanished identically")
         _, roots = binary_roots([(S, 3)])
         if roots:
-            xs = [_specialize_pencil(g, s, t) for g in ims]
-            A = [x.get((1, 0), K.zero) for x in xs]
-            B = [x.get((0, 1), K.zero) for x in xs]
+            A, B = line_at(K, images, s, t)
             out += [ProjectivePoint(K, [u * a + v * b for a, b in zip(A, B)])
                     for (u, v), _ in roots]
     return out
+
+
+def line_at(K, images, s, t):
+    """[A, B]: the line u*A + v*B of images keyed (u, v, s, t) at (s, t)."""
+    xs = [_specialize_pencil(_by_st(x), s, t) for x in images]
+    return [[x.get(key, K.zero) for x in xs] for key in ((1, 0), (0, 1))]
+
+
+# -- a g^1_3: the lines of a pencil of planes through a line of Q ------------
+
+def pencil_lines(curve, K, planes):
+    """x(u, v, c0, c1): the line that the plane c0*h0 + c1*h1 cuts on Q
+    besides the axis of the pencil ``planes`` = (h0, h1) over K, a line of Q;
+    None when Q does not split over K or the axis is no line of Q.
+
+    On the rulings' parameters x(u, v, s, t) the planes pull back to f_c =
+    l*g_c, with l the axis and g_c = c0*g0 + c1*g1 the moving line.  When it
+    has fixed (s : t), (g0, g1) is the kernel of (g0, g1) -> f0*g1 - f1*g0
+    on linear forms in (s, t), and the line of c is x at the zero mu(c) of
+    g_c; when it has fixed (u : v) that kernel is zero: the rulings swap.
+    """
+    gram = _gram_matrix(K, curve.quadric.map_field(K))
+    kind = _quadric_type(gram)
+    if kind == "nonsplit":
+        return None
+    images = (_cone_images if kind == "cone" else _segre_images)(K, gram, curve.field)
+    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    for ims in (images, [{k[2:] + k[:2]: c for k, c in im.items()} for im in images]):
+        f0, f1 = (mp_substitute(dict(zip(units, h)), ims, K, 4) for h in planes)
+        # the columns f0*s, f0*t, -f1*s, -f1*t of (x1, y1, x0, y0), for the
+        # forms g_i = x_i*s + y_i*t
+        cols = [{(a, b, c + 1 - j, d + j): w * e for (a, b, c, d), w in f.items()}
+                for f, e in ((f0, 1), (f1, -1)) for j in (0, 1)]
+        rows = [[col.get(k, K.zero) for col in cols] for k in sorted(set().union(*cols))]
+        ker = MatrixExact(K, rows).kernel_basis()
+        if len(ker) == 1:
+            x1, y1, x0, y0 = ker[0]
+            mu = [{units[2]: y0, units[3]: y1}, {units[2]: -x0, units[3]: -x1}]
+            return [mp_substitute(im, [{units[0]: K.one}, {units[1]: K.one}, *mu], K, 4)
+                    for im in ims]
+    return None
+
+
+def branch_discriminant(cubic, lines):
+    """The discriminant b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 + 18abcd of the
+    binary cubic a*u^3 + b*u^2*v + c*u*v^2 + d*v^3 that the cubic pulls back
+    to on ``pencil_lines``: a form of degree 12 in (c0 : c1) (a, b, c, d of
+    degrees 3, 3, 3, 3, or 6, 4, 2, 0 on a cone) as a Poly in c1 at c0 = 1,
+    vanishing at the members with a repeated point."""
+    K = cubic.field
+    coeffs = [[K.zero] * 7 for _ in range(4)]
+    for (_, ev, _, e1), w in mp_substitute(cubic.coeffs, lines, K, 4).items():
+        coeffs[ev][e1] = coeffs[ev][e1] + w
+    a, b, c, d = (Poly(K, cs) for cs in coeffs)
+    return b * b * c * c - a * c * c * c * 4 - b * b * b * d * 4 - a * a * d * d * 27 + \
+        a * b * c * d * 18
 
 
 # -- plane sections: the conic H n Q cut by the cubic ------------------------

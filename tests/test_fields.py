@@ -219,3 +219,16 @@ def test_large_field_setup_needs_no_search(monkeypatch):
     assert len(rabin) < 10
     assert F.nonresidue().coeffs == SETUP_PINS[(10007, 6)][1]
     assert len(powers) < 10
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_hash_agrees_with_eq_on_the_prime_subfield(p, k):
+    Fp, Fq = PrimeField(p), ExtField(p, k)
+    for a in range(p):
+        x, y = Fp.elem(a), Fq.elem(a)
+        assert x == y and hash(x) == hash(y)
+    # as dict keys, F_p inside F_(p^k) is one set of p elements
+    keys = {Fp.elem(a): a for a in range(p)}
+    assert all(keys[Fq.elem(a)] == a for a in range(p))
+    assert len(set(keys) | set(Fq.elements())) == p ** k

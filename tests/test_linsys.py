@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
-from wgauss.algebra import PrimeField
+from wgauss.algebra import ExtensionCapError, PrimeField
 from wgauss.curves import CanonicalG4Curve, HyperellipticCurve
 from wgauss.divisors import Divisor, hyperelliptic_reduce, pullback_x
 from wgauss.gauss import gauss_eval, intersection_divisor
 from wgauss.linsys import (
+    BranchForm,
     InequivalentSamplesError,
     MemberError,
     beta,
@@ -397,15 +398,37 @@ def test_trisecants_and_unique_g13_pair():
             assert a != b
 
 
+def _raised_in(exc, fn):
+    """Was ``exc`` raised inside a call of ``fn``?"""
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code is fn.__code__:
+            return True
+        tb = tb.tb_next
+    return False
+
+
+def _passes_or_caps_in_roots(cfg):
+    """run_reconstruct(cfg) passes, or stops in BranchForm.roots because the
+    roots need a splitting field beyond the cap."""
+    from wgauss.harness import run_reconstruct
+    try:
+        report = run_reconstruct(cfg)
+    except ExtensionCapError as exc:
+        assert _raised_in(exc, BranchForm.roots)
+        return "cap"
+    assert report["passed"]
+    return "passed"
+
+
 @pytest.mark.parametrize("p", [11, 13])
-def test_cone_has_one_trisecant_pencil_and_no_branch_form(p):
+def test_cone_has_one_trisecant_pencil_and_a_branch_form(p):
     # the tangent plane of a cone meets it in the double line through the
     # vertex: one trisecant through each point, and the g^1_3 is
-    # self-residual, so every member line passes through the vertex and the
-    # moving-line family has no two disjoint transversals
+    # self-residual, cut by the lines through the vertex, on which the
+    # cubic's discriminant is the branch form
     from test_curves import _gram_kind, _random_g4
-    from wgauss.gauss import UnsupportedConfiguration
-    from wgauss.harness import ExperimentConfig, run_reconstruct
+    from wgauss.harness import ExperimentConfig
     for i in range(3):
         curve = _random_g4(p, "cone", random.Random(f"cone-{p}-{i}"), kind_of=_gram_kind)
         P = curve.sample_point(random.Random(i))
@@ -415,7 +438,112 @@ def test_cone_has_one_trisecant_pencil_and_no_branch_form(p):
         assert m.degree == 3 and span(m).dim == 1 and m.mult_of(P) >= 1
         L = find_g13(curve, seed=i)
         assert (L.degree, L.r) == (3, 1)
+        bf = dual_branch_form(L)
+        assert bf.formal_degree == 12 and bf.poly
         cfg = ExperimentConfig(experiment="reconstruct", curve=curve.describe(),
                                n=2, k=1, trials=3, seed=i)
-        with pytest.raises(UnsupportedConfiguration, match="transversal lines meet"):
-            run_reconstruct(cfg)
+        _passes_or_caps_in_roots(cfg)
+
+
+def test_dual_samples_sweeps_a_cone_whose_branch_roots_exceed_the_cap():
+    # the form's roots need F_(11^18): the pencil is swept over P^1(F_11)
+    # instead, and finds the one rational non-reduced member it found
+    # before cones had a branch form
+    from test_curves import _gram_kind, _random_g4
+    curve = _random_g4(11, "cone", random.Random("cone-11-0"), kind_of=_gram_kind)
+    L = find_g13(curve, seed=0)
+    with pytest.raises(ExtensionCapError):
+        dual_branch_form(L).roots(cap=12)
+    samples = dual_samples(L)
+    assert [(s.to_json()["parameter"], s.order) for s in samples] == [([1, 9], 2)]
+    assert samples[0].member == L.member(samples[0].parameter)
+
+
+def _g4_curve(p, kind, label):
+    from test_curves import _gram_kind, _random_g4
+    return _random_g4(p, kind, random.Random(label), kind_of=_gram_kind)
+
+
+# (p, quadric type, i) -> the monic branch form of find_g13(curve, seed=i) on
+# the curve drawn from "branch-{p}-{type}-{i}", as computed from the
+# transversal-line family the ruling form replaced (F_(p^k) coefficients as
+# coefficient lists); None is the bench curve G4 with seed 9
+BRANCH_FORM_PINS = {
+    (11, "split", 6): [6, 10, 2, 2, 2, 7, 4, 2, 6, 6, 2, 2, 1],
+    (13, "split", 7): [[7, 0], [1, 0], [3, 0], [3, 0], [0, 0], [1, 0], [2, 0],
+                       [11, 0], [8, 0], [11, 0], [1, 0], [2, 0], [1, 0]],
+    (19, "split", 3): [[10, 0], [18, 0], [5, 0], [2, 0], [18, 0], [12, 0], [6, 0],
+                       [18, 0], [13, 0], [11, 0], [9, 0], [5, 0], [1, 0]],
+    (11, "nonsplit", 2): [[8, 2, 4, 1], [3, 8, 5, 4], [0, 4, 8, 2], [10, 4, 8, 2],
+                          [7, 10, 9, 5], [5, 2, 4, 1], [9, 5, 10, 8], [7, 9, 7, 10],
+                          [0, 3, 6, 7], [8, 2, 4, 1], [5, 8, 5, 4], [0, 3, 6, 7],
+                          [1, 0, 0, 0]],
+    (19, "nonsplit", 1): [[14, 9, 12, 10], [1, 0, 0, 0], [7, 0, 0, 0], [8, 4, 18, 15],
+                          [0, 15, 1, 4], [0, 15, 1, 4], [6, 16, 15, 3], [5, 18, 5, 1],
+                          [12, 18, 5, 1], [12, 4, 18, 15], [13, 12, 16, 7],
+                          [6, 18, 5, 1], [1, 0, 0, 0]],
+    (23, "nonsplit", 2): [[4, 9, 10, 13], [18, 10, 6, 17], [17, 18, 20, 3],
+                          [4, 11, 2, 21], [5, 7, 18, 5], [12, 15, 9, 14],
+                          [11, 16, 5, 18], [1, 6, 22, 1], [5, 12, 21, 2],
+                          [22, 14, 13, 10], [2, 7, 18, 5], [20, 21, 8, 15],
+                          [1, 0, 0, 0]],
+    None: [[1, 0], [0, 0], [0, 0], [10003, 0], [0, 0], [0, 0], [8160, 0], [0, 0],
+           [0, 0], [1849, 0], [0, 0], [0, 0], [1, 0]],
+}
+
+
+@pytest.mark.parametrize("key", list(BRANCH_FORM_PINS), ids=str)
+def test_g13_branch_form_is_pinned(key):
+    if key is None:
+        L = find_g13(G4, seed=9)
+    else:
+        p, kind, i = key
+        L = find_g13(_g4_curve(p, kind, f"branch-{p}-{kind}-{i}"), seed=i)
+    bf = dual_branch_form(L)
+    assert bf.formal_degree == 12
+    assert [L.field.to_json(c) for c in bf.poly.monic().coeffs] == BRANCH_FORM_PINS[key]
+
+
+@pytest.mark.parametrize("p, kind, i", [(7, "split", 1), (7, "nonsplit", 4),
+                                        (13, "cone", 4)])
+def test_g13_branch_form_vanishes_at_the_non_reduced_members(p, kind, i):
+    # an oracle independent of the form: over P^1(F_p), the form vanishes
+    # exactly where the member, less the base locus, has a repeated point
+    L = find_g13(_g4_curve(p, kind, f"oracle-{p}-{kind}-{i}"), seed=i)
+    fld = L.field
+    bf = dual_branch_form(L)
+    assert bf.formal_degree == 12
+    zeros = []
+    for c0, c1 in [(fld.zero, fld.one)] + [(fld.one, fld.elem(j)) for j in range(p)]:
+        zero = bf.poly.degree < 12 if not c0 else not bf.poly(c1)
+        assert zero == (not (L.member((c0, c1)) - L.base_locus()).is_reduced())
+        zeros.append(zero)
+    assert any(zeros)
+
+
+def test_g4_reconstruct_sweep_raises_no_field_error():
+    # xw = yz and x^3 + y^3 + z^3 + w^3 plus three random cubic terms: each
+    # reconstruction passes or stops, typed, at the branch form's roots
+    from itertools import combinations_with_replacement
+    from wgauss.curves import CurveError, validate
+    from wgauss.harness import ExperimentConfig
+    monomials = [tuple(c.count(v) for v in range(4))
+                 for c in combinations_with_replacement(range(4), 3)]
+    outcomes, i = [], 0
+    while len(outcomes) < 6:
+        rng = random.Random(f"g4-sweep-{i}")
+        i += 1
+        p = rng.choice([11, 13, 17, 19, 23])
+        cubic = {m: 1 for m in monomials if 3 in m}
+        cubic.update((m, rng.randrange(1, p)) for m in rng.sample(
+            [m for m in monomials if 3 not in m], 3))
+        desc = {"model": "canonical_g4", "field": {"type": "prime", "p": p},
+                "forms": {"quadric": {"1,0,0,1": 1, "0,1,1,0": -1},
+                          "cubic": {",".join(map(str, k)): v for k, v in cubic.items()}}}
+        try:
+            validate(desc)
+        except CurveError:
+            continue
+        outcomes.append(_passes_or_caps_in_roots(ExperimentConfig(
+            experiment="reconstruct", curve=desc, n=2, k=1, trials=3, seed=0)))
+    assert "passed" in outcomes
