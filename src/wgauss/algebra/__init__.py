@@ -1,13 +1,11 @@
 """Exact field, polynomial, power-series, and linear-algebra kernel."""
 
 from .fields import (
-    QQ,
     ExtElement,
     ExtField,
     FieldError,
     FpElement,
     PrimeField,
-    Rationals,
     coerce,
     common_field,
     field_from_json,
@@ -28,8 +26,8 @@ from .poly import (
 from .series import SingularSeedError, TruncatedSeries, series_solve
 
 __all__ = [
-    "QQ", "ExtElement", "ExtField", "FieldError", "FpElement", "PrimeField",
-    "Rationals", "coerce", "common_field", "field_from_json",
+    "ExtElement", "ExtField", "FieldError", "FpElement", "PrimeField",
+    "coerce", "common_field", "field_from_json",
     "MatrixExact", "plucker",
     "ExtensionCapError", "Poly", "discriminant", "factor_finite",
     "poly_gcd", "poly_xgcd", "powmod", "resultant",

@@ -1,12 +1,13 @@
-"""Exact base fields: the rationals, prime fields F_p, and their extensions.
+"""Exact base fields: prime fields F_p and their extensions F_{p^k}.
 
 Field objects are lightweight descriptors that construct elements and
 provide field-level services (square roots, enumeration, extensions).
 Elements overload the arithmetic operators, so polynomial and matrix code
-is written once and runs over any of the three kinds of field.
+is written once and runs over either kind of field.  There is no field of
+characteristic 0: a model over Q is reduced mod a large prime (p >= 10007
+stands in for generic characteristic) before it is handed to the library.
 
 Representations:
-  * rationals      -- plain ``fractions.Fraction`` (no wrapper class)
   * F_p            -- ``FpElement`` holding an int in [0, p)
   * F_{p^k}        -- ``ExtElement`` holding a length-k tuple of ints,
                       coefficients of 1, x, ..., x^{k-1} modulo a fixed
@@ -22,7 +23,7 @@ element, from log/Zech tables built on first use and kept on the field;
 larger F_{p^k} as its own coefficient tuple, with Kronecker products and
 no tables.  Element multiplication, ``_inv`` and ``__pow__`` read the log
 tables of a small field and use the tuple kernel's ``fmul``/``finv``/
-``fpow`` otherwise.  QQ has no kernel.
+``fpow`` otherwise.
 
 The modulus of F_{p^k} is deterministic: monic x^k + c with the non-leading
 coefficient block c enumerated as a base-p counter (constant term least
@@ -40,7 +41,6 @@ constant is a square, the search starts after the p constants.
 """
 
 import math
-from fractions import Fraction
 
 from .kernel import (ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel,
                      _prime_divisors, _tgcd, _tpowmod, _tsub)
@@ -72,87 +72,6 @@ def _is_prime(n):
         else:
             return False
     return True
-
-
-class Rationals:
-    """The field of rational numbers; elements are ``Fraction``."""
-
-    char = 0
-    degree = 1
-    order = None
-    is_finite = False
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def elem(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
-        raise FieldError(f"cannot coerce {x!r} into QQ")
-
-    def contains(self, x):
-        return isinstance(x, Fraction)
-
-    def _kernel(self):
-        return None
-
-    def encode_int(self, x):
-        # injective-enough mix for seeding deterministic randomness
-        return ((x.numerator << 32) ^ x.denominator) & ((1 << 62) - 1)
-
-    def sort_key(self, x):
-        return (x.numerator, x.denominator)
-
-    def to_json(self, x):
-        return str(x) if x.denominator != 1 else int(x)
-
-    def from_json(self, obj):
-        return self.elem(obj)
-
-    def is_square(self, x):
-        if x < 0:
-            return False
-        n, d = x.numerator, x.denominator
-        rn, rd = math.isqrt(n), math.isqrt(d)
-        return rn * rn == n and rd * rd == d
-
-    def sqrt(self, x):
-        if not self.is_square(x):
-            return None
-        return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
-
-    def describe(self):
-        return {"type": "rational"}
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("QQ")
-
-
-QQ = Rationals()
 
 
 class FpElement:
@@ -243,7 +162,6 @@ class FpElement:
 class PrimeField:
     """F_p for an odd prime p."""
 
-    is_finite = True
     degree = 1
 
     _registry = {}
@@ -280,10 +198,6 @@ class PrimeField:
             return x
         if isinstance(x, int):
             return FpElement(x, self)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise FieldError("denominator divisible by p")
-            return FpElement(x.numerator * pow(x.denominator, -1, self.p), self)
         raise FieldError(f"cannot coerce {x!r} into F_{self.p}")
 
     def contains(self, x):
@@ -306,7 +220,7 @@ class PrimeField:
         return x.value
 
     def from_json(self, obj):
-        return self.elem(int(obj))
+        return self.elem(_json_int(obj))
 
     def is_square(self, x):
         if x.value == 0:
@@ -511,8 +425,6 @@ class ExtElement:
 class ExtField:
     """F_{p^k} = F_p[x]/(m) with the canonical modulus for (p, k)."""
 
-    is_finite = True
-
     _registry = {}
 
     def __new__(cls, p, k):
@@ -624,11 +536,6 @@ class ExtField:
             if len(c) > self.k:
                 raise FieldError("coefficient vector too long")
             return ExtElement(c + (0,) * (self.k - len(c)), self)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise FieldError("denominator divisible by p")
-            v = x.numerator * pow(x.denominator, -1, self.p) % self.p
-            return ExtElement((v,) + (0,) * (self.k - 1), self)
         raise FieldError(f"cannot coerce {x!r} into F_{self.p}^{self.k}")
 
     def contains(self, x):
@@ -663,7 +570,9 @@ class ExtField:
         return list(x.coeffs)
 
     def from_json(self, obj):
-        return self.elem(obj)
+        if isinstance(obj, list):
+            return self.elem([_json_int(v) for v in obj])
+        return self.elem(_json_int(obj))
 
     def is_square(self, x):
         if not x:
@@ -731,24 +640,28 @@ class ExtField:
         return hash(("Fq", self.p, self.k))
 
 
+def _json_int(v):
+    """A JSON integer; a float, string or bool is no number of a field."""
+    if type(v) is not int:
+        raise FieldError(f"expected an integer, got {v!r}")
+    return v
+
+
 def field_from_json(obj):
     t = obj.get("type")
     if t == "rational":
-        return QQ
+        raise FieldError("rational models are not supported; reduce the model "
+                         "mod a large prime such as 10007 first")
     if t == "prime":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(_json_int(obj["p"]))
     if t == "extension":
-        return ExtField(int(obj["p"]), int(obj["k"]))
+        return ExtField(_json_int(obj["p"]), _json_int(obj["k"]))
     raise FieldError(f"unknown field descriptor {obj!r}")
 
 
 def coerce(x, target):
     """Map an element into ``target``, embedding extensions as needed."""
-    if target is QQ or isinstance(target, Rationals):
-        if isinstance(x, (Fraction, int)):
-            return QQ.elem(x)
-        raise FieldError("cannot coerce finite-field element into QQ")
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return target.elem(x)
     if isinstance(x, FpElement):
         if x.field.p != target.char:
@@ -778,8 +691,6 @@ def common_field(f1, f2):
     """Smallest field containing both (same characteristic required)."""
     if f1 == f2:
         return f1
-    if f1 is QQ or f2 is QQ or isinstance(f1, Rationals) or isinstance(f2, Rationals):
-        raise FieldError("cannot mix QQ with finite fields")
     if f1.char != f2.char:
         raise FieldError("mixed characteristics")
     d = math.lcm(f1.degree, f2.degree)

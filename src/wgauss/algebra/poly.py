@@ -1,26 +1,25 @@
-"""Dense univariate polynomials over an exact field.
+"""Dense univariate polynomials over a finite field.
 
 Coefficients are stored lowest degree first with a nonzero leading
 coefficient (empty tuple for the zero polynomial).  A Poly carries its
 field explicitly; mixing fields raises.  Factorization and root finding
-are implemented for finite fields only (squarefree split, distinct-degree,
-then Cantor-Zassenhaus equal-degree splitting, seeded deterministically
-from the input so results are reproducible).
+use a squarefree split, distinct-degree, then Cantor-Zassenhaus
+equal-degree splitting, seeded deterministically from the input so
+results are reproducible.
 
-Coefficients are field elements, but over a finite field the hot loops --
-``+``, ``-``, ``*``, ``divmod``, ``%``, ``//``, ``powmod`` and ``poly_gcd``
--- run on the int-coded kernel of ``field._kernel()`` (see kernel.py), one
-of three codings chosen by field size: residues for F_p, Zech logarithms
-for F_{p^k} with q <= 4096, and tuples of residues with Kronecker products
+Coefficients are field elements, but the hot loops -- ``+``, ``-``, ``*``,
+``divmod``, ``%``, ``//``, ``powmod`` and ``poly_gcd`` -- run on the
+int-coded kernel of ``field._kernel()`` (see kernel.py), one of three
+codings chosen by field size: residues for F_p, Zech logarithms for
+F_{p^k} with q <= 4096, and tuples of residues with Kronecker products
 above.  A Poly encodes its coefficients once, on first use, and keeps the
 codes; a kernel result keeps only its codes until its coefficients are
-read.  QQ alone uses element arithmetic.  The results are the same
-polynomials either way.
+read.
 """
 
 import random
 
-from .fields import ExtField, FieldError, PrimeField, Rationals, coerce
+from .fields import ExtField, FieldError, PrimeField, coerce
 from .linalg import bareiss_det, sylvester
 
 
@@ -105,23 +104,15 @@ class Poly:
 
     def __add__(self, other):
         other = self._check(other)
-        kernel = self.field._kernel()
-        if kernel is not None:
-            return Poly._from_code(self.field,
-                                   kernel.add(self._encoded(), other._encoded()))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] + other[i] for i in range(n)])
+        return Poly._from_code(self.field, self.field._kernel().add(
+            self._encoded(), other._encoded()))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        kernel = self.field._kernel()
-        if kernel is not None:
-            return Poly._from_code(self.field,
-                                   kernel.sub(self._encoded(), other._encoded()))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] - other[i] for i in range(n)])
+        return Poly._from_code(self.field, self.field._kernel().sub(
+            self._encoded(), other._encoded()))
 
     def __rsub__(self, other):
         return self._check(other) - self
@@ -135,16 +126,8 @@ class Poly:
         other = self._check(other)
         if not self or not other:
             return Poly.zero(self.field)
-        kernel = self.field._kernel()
-        if kernel is not None:
-            return Poly._from_code(self.field,
-                                   kernel.mul(self._encoded(), other._encoded()))
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly._from_code(self.field, self.field._kernel().mul(
+            self._encoded(), other._encoded()))
 
     __rmul__ = __mul__
 
@@ -161,25 +144,8 @@ class Poly:
         other = self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        kernel = self.field._kernel()
-        if kernel is not None:
-            q, r = kernel.divmod(self._encoded(), other._encoded())
-            return Poly._from_code(self.field, q), Poly._from_code(self.field, r)
-        rem = list(self.coeffs)
-        db = other.degree
-        inv = self.field.one / other.lead()
-        q = [self.field.zero] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            if not rem[-1]:
-                rem.pop()
-                continue
-            c = rem[-1] * inv
-            q[len(rem) - 1 - db] = c
-            off = len(rem) - 1 - db
-            for i in range(db + 1):
-                rem[off + i] = rem[off + i] - c * other.coeffs[i]
-            rem.pop()
-        return Poly(self.field, q), Poly(self.field, rem)
+        q, r = self.field._kernel().divmod(self._encoded(), other._encoded())
+        return Poly._from_code(self.field, q), Poly._from_code(self.field, r)
 
     def __truediv__(self, other):
         """Exact quotient; raises ArithmeticError on a nonzero remainder."""
@@ -192,12 +158,9 @@ class Poly:
         return self.divmod(other)[0]
 
     def __mod__(self, other):
-        kernel = self.field._kernel()
-        if kernel is not None:
-            other = self._check(other)
-            return Poly._from_code(self.field,
-                                   kernel.mod(self._encoded(), other._encoded()))
-        return self.divmod(other)[1]
+        other = self._check(other)
+        return Poly._from_code(self.field, self.field._kernel().mod(
+            self._encoded(), other._encoded()))
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -260,12 +223,7 @@ def poly_gcd(a, b):
     """Monic greatest common divisor; rejects mixed-field inputs."""
     if a.field != b.field:
         raise FieldError("mixed-field inputs to gcd")
-    kernel = a.field._kernel()
-    if kernel is not None:
-        return Poly._from_code(a.field, kernel.gcd(a._encoded(), b._encoded()))
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    return Poly._from_code(a.field, a.field._kernel().gcd(a._encoded(), b._encoded()))
 
 
 def poly_xgcd(a, b):
@@ -287,20 +245,9 @@ def poly_xgcd(a, b):
 
 def powmod(base, e, mod):
     """base^e mod ``mod``, for e >= 0 (e = 0 gives 1, unreduced)."""
-    kernel = base.field._kernel()
-    if kernel is not None and mod.field == base.field:
-        return Poly._from_code(base.field,
-                               kernel.powmod(base._encoded(), e, mod._encoded()))
-    if e < 0:
-        raise ValueError("negative exponent")
-    r = Poly.one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            r = (r * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return r
+    mod = base._check(mod)
+    return Poly._from_code(base.field, base.field._kernel().powmod(
+        base._encoded(), e, mod._encoded()))
 
 
 def resultant(a, b):
@@ -325,11 +272,6 @@ def discriminant(a):
 
 # -- finite-field factorization --------------------------------------------
 
-def _require_finite(f):
-    if isinstance(f.field, Rationals):
-        raise FieldError("unsupported operation over the rationals")
-
-
 def _seed_of(a):
     v = 0xD1F
     for c in a.coeffs:
@@ -340,7 +282,6 @@ def _seed_of(a):
 
 def squarefree_decomposition(a):
     """[(squarefree factor, multiplicity)] over a finite field, a monic."""
-    _require_finite(a)
     field = a.field
     p = field.char
     out = []
@@ -431,9 +372,8 @@ def equal_degree_split(a, d, rng):
 def factor_finite(a):
     """[(irreducible monic factor, multiplicity)], deterministic order.
 
-    The product of factor^mult equals monic(a); base field must be finite.
+    The product of factor^mult equals monic(a).
     """
-    _require_finite(a)
     if a.degree < 0:
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(_seed_of(a))
@@ -448,7 +388,6 @@ def factor_finite(a):
 
 def distinct_roots_in_field(a):
     """All roots of a lying in its own (finite) coefficient field, no multiplicity."""
-    _require_finite(a)
     field = a.field
     x = Poly.x(field)
     xq = powmod(x, field.order, a)
@@ -467,7 +406,6 @@ def roots_in_field(a):
     of distinct rational linear factors, multiplicities follow by division.
     A linear polynomial is its own root, with no exponentiation.
     """
-    _require_finite(a)
     field = a.field
     if a.degree < 1:
         return []
@@ -517,7 +455,6 @@ def roots_in_splitting_extension(a, cap=12):
     degree lcm over the irreducible factors.  Degrees beyond ``cap`` raise
     ExtensionCapError.  Multiplicities sum to deg(a).
     """
-    _require_finite(a)
     if a.degree < 0:
         raise ValueError("zero polynomial")
     import math

@@ -94,13 +94,9 @@ class TruncatedSeries:
         f = self.field
         prec = min(self.prec, other.prec)
         lo = min(self.offset, other.offset, prec)
-        kernel = f._kernel()
-        if kernel is None:
-            return TruncatedSeries(f, [self.coefficient(n) + other.coefficient(n)
-                                       for n in range(lo, prec)], prec, lo)
         a, b = (f._encode((f.zero,) * (s.offset - lo) + s.coeffs[:max(0, prec - s.offset)])
                 for s in (self, other))
-        return TruncatedSeries._exact(f, f._decode(kernel.add(a, b)), prec, lo)
+        return TruncatedSeries._exact(f, f._decode(f._kernel().add(a, b)), prec, lo)
 
     __radd__ = __add__
 
@@ -121,19 +117,11 @@ class TruncatedSeries:
         # product precision: each factor's uncertainty shifted by the other's valuation
         prec = min(self.offset + other.prec, other.offset + self.prec)
         off = self.offset + other.offset
-        n = max(0, prec - off)
         f = self.field
-        kernel = f._kernel()
-        if kernel is not None and self.coeffs and other.coeffs:
-            code = kernel.mul(f._encode(self.coeffs), f._encode(other.coeffs))
-            return TruncatedSeries._exact(f, f._decode(code[:n]), prec, off)
-        out = [self.field.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if i + j < n:
-                        out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.field, out, prec, off)
+        if not (self.coeffs and other.coeffs):
+            return TruncatedSeries(f, [], prec, off)
+        code = f._kernel().mul(f._encode(self.coeffs), f._encode(other.coeffs))
+        return TruncatedSeries._exact(f, f._decode(code[:max(0, prec - off)]), prec, off)
 
     __rmul__ = __mul__
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 all verdicts pass; 2 a theorem-check verdict failed;
-3 unsupported configuration; 4 I/O or parse errors.  Any other exception,
-among them ``FieldError`` and ``NotInSmoothLocusError``, is a fault of the
-library rather than of the configuration: it propagates with its traceback
-(exit status 1).
+Exit codes: 0 all verdicts pass; 2 a theorem-check verdict failed, or
+``curve validate`` found the curve invalid; 3 unsupported configuration,
+among them an invalid curve file given to an experiment and a splitting
+field beyond ``--ext-cap`` (``ExtensionCapError``); 4 I/O or parse errors.
+Any other exception, among them ``FieldError`` and
+``NotInSmoothLocusError``, is a fault of the library rather than of the
+configuration: it propagates with its traceback (exit status 1).
 """
 
 import argparse
@@ -12,6 +14,7 @@ import json
 import sys
 
 from .algebra.fields import FieldError
+from .algebra.poly import ExtensionCapError
 from .curves import CurveError, ValidationInconclusive, validate
 from .gauss import UnsupportedConfiguration
 from .harness import (
@@ -136,6 +139,10 @@ def main(argv=None):
         return EXIT_OK if report["passed"] else EXIT_VERDICT
     except (UnsupportedConfiguration, ValidationInconclusive) as e:
         print(f"unsupported configuration: {e}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except ExtensionCapError as e:
+        print(f"unsupported configuration: {e}; a larger --ext-cap admits "
+              f"larger splitting fields", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except CurveError as e:
         print(f"curve error: {e}", file=sys.stderr)

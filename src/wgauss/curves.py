@@ -24,24 +24,15 @@ is tested on the three charts x_i = 1.  A genus-4 curve C = Q n E is tested
 on the quadric itself: Q is a rank-4 quadric, split over F_q or over F_(q^2),
 or a cone, and the cubic pulled back once to P^1 x P^1, or to the lines
 through the cone's vertex, is a curve on charts isomorphic to open pieces of
-Q (``rulings``).  Rational-coefficient models are certified through
-reduction at a good prime.  For small q an exhaustive search over
-F_(q^m) is available as a cross-check.
+Q (``rulings``).  For small q an exhaustive search over F_(q^m) is
+available as a cross-check.
 """
 
 import hashlib
 import json
 import random
 
-from .algebra.fields import (
-    QQ,
-    ExtField,
-    FieldError,
-    PrimeField,
-    Rationals,
-    coerce,
-    field_from_json,
-)
+from .algebra.fields import ExtField, FieldError, PrimeField, coerce, field_from_json
 from .algebra.linalg import MatrixExact, bareiss_det, sylvester
 from .algebra.mpoly import mp_coeff_list, mp_eval, mp_map_field, mp_partial, mp_substitute
 from .algebra.poly import (
@@ -259,8 +250,6 @@ def _ext_over(field, factor):
     """Extension of ``field`` by the given relative degree."""
     if factor == 1:
         return field
-    if isinstance(field, Rationals):
-        raise FieldError("extensions of QQ are not supported")
     return ExtField(field.char, field.degree * factor)
 
 
@@ -269,8 +258,6 @@ def _sqrt_in_tower(field, a):
     r = field.sqrt(a)
     if r is not None:
         return field, r
-    if isinstance(field, Rationals):
-        raise FieldError("square root requires a quadratic extension of QQ")
     up = _ext_over(field, 2)
     r = up.sqrt(coerce(a, up))
     assert r is not None
@@ -283,8 +270,8 @@ class HyperellipticCurve:
     model = "hyperelliptic"
 
     def __init__(self, field, f_coeffs):
-        if field is not QQ and not isinstance(field, (PrimeField, Rationals)):
-            raise CurveError("base field must be QQ or a prime field")
+        if not isinstance(field, PrimeField):
+            raise CurveError("base field must be a prime field")
         f = Poly(field, f_coeffs)
         if f.degree < 5:
             raise CurveError(f"degree {f.degree} too small (genus would be < 2)")
@@ -355,8 +342,6 @@ class HyperellipticCurve:
         return K, pts
 
     def sample_point(self, rng, budget=10000):
-        if not self.field.is_finite:
-            raise CurveError("point sampling requires a finite base field")
         for _ in range(budget):
             x0 = self.field.rand(rng)
             z = self.f(x0)
@@ -456,8 +441,6 @@ class HyperellipticCurve:
 
     def points_over(self, rel_degree=1):
         """All points with coordinates in the degree-``rel_degree`` extension."""
-        if not self.field.is_finite:
-            raise CurveError("enumeration requires a finite field")
         K = _ext_over(self.field, rel_degree)
         fl = self.f.map_field(K)
         out = []
@@ -517,8 +500,6 @@ class PlaneQuarticCurve:
         return P
 
     def sample_point(self, rng, budget=2000):
-        if not self.field.is_finite:
-            raise CurveError("point sampling requires a finite base field")
         F = self.field
         for _ in range(budget):
             b0 = [F.rand(rng) for _ in range(3)]
@@ -546,8 +527,6 @@ class PlaneQuarticCurve:
         return self.local_series(P, order)
 
     def points_over(self, rel_degree=1):
-        if not self.field.is_finite:
-            raise CurveError("enumeration requires a finite field")
         K = _ext_over(self.field, rel_degree)
         form = self.form.map_field(K)
         out = []
@@ -616,8 +595,6 @@ class CanonicalG4Curve:
         return P
 
     def sample_point(self, rng, budget=2000):
-        if not self.field.is_finite:
-            raise CurveError("point sampling requires a finite base field")
         F = self.field
         for _ in range(budget):
             h = [F.rand(rng) for _ in range(4)]
@@ -677,8 +654,6 @@ class CanonicalG4Curve:
         odd m) keeps the sweep over the pencil of planes through the line
         x0 = x1 = 0.
         """
-        if not self.field.is_finite:
-            raise CurveError("enumeration requires a finite field")
         from .rulings import points_over
         K = _ext_over(self.field, rel_degree)
         return K, points_over(self, K)
@@ -819,29 +794,7 @@ def _gram_matrix(field, quadric):
 
 # -- smoothness certification ------------------------------------------------
 
-_GOOD_PRIMES = (10007, 10009, 10037, 10039, 101, 257, 65537)
-
-
-def _certify_over_qq(forms, build):
-    """Certify a model over QQ by reduction: it is smooth if its reduction
-    at some good prime is, and ``build(F, reduced_forms)`` constructs, so
-    certifies, the reduction over F."""
-    dens = [c.denominator for form in forms for c in form.coeffs.values()]
-    for p in _GOOD_PRIMES:
-        if any(d % p == 0 for d in dens):
-            continue
-        F = PrimeField(p)
-        try:
-            build(F, [HomForm(F, f.nvars, f.degree, f.coeffs) for f in forms])
-            return
-        except CurveError:
-            continue
-    raise ValidationInconclusive("could not certify smoothness over QQ by good reduction")
-
-
 def _certify_smooth_plane_quartic(curve):
-    if isinstance(curve.field, Rationals):
-        return _certify_over_qq([curve.form], lambda F, fs: PlaneQuarticCurve(F, fs[0]))
     for i in range(3):   # the charts x_i = 1
         chart = _dehom(curve.form.coeffs, [j for j in range(3) if j != i])
         if _chart_singular(curve.field, chart):
@@ -855,9 +808,6 @@ def _certify_smooth_g4(curve):
     curve G = 0 on charts isomorphic to open pieces of Q, or of the cone
     minus its vertex."""
     field = curve.field
-    if isinstance(field, Rationals):
-        return _certify_over_qq([curve.quadric, curve.cubic],
-                                lambda F, fs: CanonicalG4Curve(F, *fs))
     gram = _gram_matrix(field, curve.quadric)
     if gram.rank() < 3:
         raise CurveError("quadric has rank < 3; the intersection is singular")
@@ -938,8 +888,6 @@ def _verify_candidates_bivar(field, sys2, g):
 def exhaustive_singular_search(curve, rel_degree=1):
     """Rational singular points by brute force (small fields; cross-check)."""
     field = curve.field
-    if not field.is_finite:
-        raise CurveError("exhaustive search requires a finite field")
     K = _ext_over(field, rel_degree)
     found = []
     if curve.model == "plane_quartic":

@@ -149,17 +149,11 @@ class Divisor:
 
 
 def divisor_from_json(curve, obj):
-    from .algebra.fields import ExtField, PrimeField, Rationals
-    items = []
+    from .algebra.fields import ExtField, PrimeField
+    items, p = [], curve.field.char
     for rec in obj:
         d = int(rec.get("ext_degree", 1))
-        base = curve.field
-        if isinstance(base, Rationals):
-            fld = base
-        elif d == 1:
-            fld = PrimeField(base.char)
-        else:
-            fld = ExtField(base.char, d)
+        fld = PrimeField(p) if d == 1 else ExtField(p, d)
         coords = rec["point"]
         if curve.model == "hyperelliptic":
             if coords and coords[0] == "inf":

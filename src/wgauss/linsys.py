@@ -347,7 +347,7 @@ def dual_samples(L, trials=50, sweep_limit=10 ** 6, rng=None, cap=12):
                 if sample is not None:
                     out.append(sample)
             return out
-    if fld.is_finite and fld.order ** L.r <= sweep_limit:
+    if fld.order ** L.r <= sweep_limit:
         params = L.rational_parameters()
         exhaustive = True
     else:

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from wgauss.algebra import QQ, ExtField, PrimeField, TruncatedSeries
+from wgauss.algebra import ExtField, PrimeField, TruncatedSeries
 from wgauss.curves import (
     INF,
     CanonicalG4Curve,
@@ -125,11 +125,6 @@ def test_genus4_singular_only_over_f9_is_rejected():
         CanonicalG4Curve(F3, quad, cubic)
     _conjugate_singular_pair(CanonicalG4Curve(F3, HomForm(F3, 4, 2, quad),
                                               HomForm(F3, 4, 3, cubic), check=False))
-
-
-def test_validate_over_qq_by_reduction():
-    c = PlaneQuarticCurve(QQ, {k: QQ.elem(v) for k, v in KLEIN.items()})
-    assert c.genus == 3
 
 
 def test_sample_point_on_curve_and_deterministic():
@@ -303,7 +298,6 @@ def test_curve_json_roundtrip():
         HyperellipticCurve(F, [1, 1, 0, 0, 0, 0, 0, 0, 1]),
         PlaneQuarticCurve(F, KLEIN),
         CanonicalG4Curve(F, SEGRE, G4_CUBIC),
-        HyperellipticCurve(QQ, [QQ.elem("1/2"), 1, 0, 0, 0, 1]),
     ]
     for c in curves:
         blob = c.describe()

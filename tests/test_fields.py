@@ -1,10 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from wgauss.algebra import (
-    QQ,
     ExtField,
     FieldError,
     PrimeField,
@@ -115,21 +113,22 @@ def test_common_field():
     assert common_field(F, ExtField(5, 4)) == ExtField(5, 4)
     with pytest.raises(FieldError):
         common_field(F, PrimeField(7))
-    with pytest.raises(FieldError):
-        common_field(QQ, F)
-
-
-def test_rationals():
-    a = QQ.elem("3/4")
-    assert a == Fraction(3, 4)
-    assert QQ.is_square(Fraction(9, 16))
-    assert QQ.sqrt(Fraction(9, 16)) == Fraction(3, 4)
-    assert QQ.sqrt(Fraction(2)) is None
 
 
 def test_field_json_roundtrip():
-    for f in (QQ, PrimeField(31), ExtField(11, 3)):
+    for f in (PrimeField(31), ExtField(11, 3)):
         assert field_from_json(f.describe()) == f
+    # numbers in a description are JSON integers, never truncated or parsed
+    E = ExtField(11, 3)
+    assert E.from_json([1, 2]) == E.elem((1, 2)) and E.from_json(3) == E.elem(3)
+    bad = [(PrimeField(31).from_json, [1.5, "1/2", True]),
+           (E.from_json, [[1, 2.0], ["1/2"], [True], 1.5]),
+           (field_from_json, [{"type": "prime", "p": 31.0}, {"type": "rational"},
+                              {"type": "extension", "p": 11, "k": "3"}])]
+    for parse, objs in bad:
+        for obj in objs:
+            with pytest.raises(FieldError):
+                parse(obj)
 
 
 def test_elements_enumeration_order_is_stable():

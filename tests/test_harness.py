@@ -378,6 +378,7 @@ def _fake_runner(result):
     ({"passed": False}, 2),
     ("unsupported", 3),
     (ValueError("degree 9 out of range 1..2"), 3),
+    (ExtensionCapError("splitting field degree 18 exceeds cap 12"), 3),
 ])
 def test_cli_exit_paths(tmp_path, monkeypatch, outcome, code):
     from wgauss import cli
@@ -399,14 +400,23 @@ def test_cli_io_exit_paths(tmp_path):
     assert cli.main(["fiber-census", "--curve", str(broken), "--n", "2"]) == 4
 
 
-def test_cli_bad_field_is_a_curve_error(tmp_path):
+def test_cli_bad_field_is_a_curve_error(tmp_path, capsys):
+    # a field or number the description cannot supply: p = 4, a rational
+    # field, a float coefficient, a fraction written as a string, a float p
     from wgauss import cli
-    path = tmp_path / "p4.json"
-    path.write_text(json.dumps({"model": "hyperelliptic",
-                                "field": {"type": "prime", "p": 4},
-                                "f": [0, -1, 0, 0, 0, 0, 0, 1]}))
-    assert cli.main(["curve", "validate", str(path)]) == 2
-    assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == 3
+    f = [0, -1, 0, 0, 0, 0, 0, 1]
+    cases = [({"type": "prime", "p": 4}, f, "not an odd prime"),
+             ({"type": "rational"}, f, "large prime such as 10007"),
+             ({"type": "prime", "p": 10007}, [1.5] + f[1:], "expected an integer"),
+             ({"type": "prime", "p": 10007}, ["1/2"] + f[1:], "expected an integer"),
+             ({"type": "extension", "p": 7.0, "k": 2}, f, "expected an integer")]
+    path = tmp_path / "bad.json"
+    for field, coeffs, message in cases:
+        path.write_text(json.dumps({"model": "hyperelliptic", "field": field, "f": coeffs}))
+        assert cli.main(["curve", "validate", str(path)]) == 2
+        assert message in capsys.readouterr().out
+        assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == 3
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", ["field", "smooth-locus"])

@@ -1,10 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from wgauss.algebra import (
-    QQ,
     PrimeField,
     SingularSeedError,
     TruncatedSeries,
@@ -16,12 +14,12 @@ F = PrimeField(10007)
 
 def test_binomial_series():
     # y^2 = 1 + t at (0, 1): 1 + t/2 - t^2/8
-    eq = {(0, 2): QQ.elem(-1), (0, 0): QQ.elem(1), (1, 0): QQ.elem(1)}
-    y, = series_solve([eq], [Fraction(1)], 3, QQ)
+    eq = {(0, 2): F.elem(-1), (0, 0): F.elem(1), (1, 0): F.elem(1)}
+    y, = series_solve([eq], [F.one], 3, F)
     assert y.prec == 3
     assert y.coefficient(0) == 1
-    assert y.coefficient(1) == Fraction(1, 2)
-    assert y.coefficient(2) == Fraction(-1, 8)
+    assert y.coefficient(1) == F.one / 2
+    assert y.coefficient(2) == -F.one / 8
 
 
 def test_residual_zero_random_seeds():
@@ -67,7 +65,7 @@ def test_bad_seed_rejected():
 
 def test_laurent_inverse():
     # 1 / (t^2 (1 + t)) = t^-2 - t^-1 + 1 - t + ...
-    s = TruncatedSeries(QQ, [1, 1], 6, offset=2)
+    s = TruncatedSeries(F, [1, 1], 6, offset=2)
     inv = s.inverse()
     assert inv.valuation() == -2
     assert inv.coefficient(-2) == 1
@@ -79,8 +77,8 @@ def test_laurent_inverse():
 
 
 def test_mul_precision_tracking():
-    a = TruncatedSeries(QQ, [1, 1], 3, offset=1)   # t + t^2 + O(t^3)
-    b = TruncatedSeries(QQ, [1], 2, offset=0)      # 1 + O(t^2)
+    a = TruncatedSeries(F, [1, 1], 3, offset=1)   # t + t^2 + O(t^3)
+    b = TruncatedSeries(F, [1], 2, offset=0)      # 1 + O(t^2)
     c = a * b
     assert c.prec == 3  # min(1 + 2, 0 + 3)
     assert c.coefficient(1) == 1
@@ -88,13 +86,13 @@ def test_mul_precision_tracking():
 
 def test_system_solve_two_vars():
     # y^2 = 1 + t, z = y + t z^2 near (y, z) = (1, 1)
-    eq1 = {(0, 0, 0): QQ.elem(1), (1, 0, 0): QQ.elem(1), (0, 2, 0): QQ.elem(-1)}
-    eq2 = {(0, 1, 0): QQ.elem(1), (1, 0, 2): QQ.elem(1), (0, 0, 1): QQ.elem(-1)}
-    y, z = series_solve([eq1, eq2], [Fraction(1), Fraction(1)], 5, QQ)
+    eq1 = {(0, 0, 0): F.elem(1), (1, 0, 0): F.elem(1), (0, 2, 0): F.elem(-1)}
+    eq2 = {(0, 1, 0): F.elem(1), (1, 0, 2): F.elem(1), (0, 0, 1): F.elem(-1)}
+    y, z = series_solve([eq1, eq2], [F.one, F.one], 5, F)
     assert y.prec == z.prec == 5
-    assert y.coefficient(1) == Fraction(1, 2)
+    assert y.coefficient(1) == F.one / 2
     # check residuals
-    t = TruncatedSeries.var(QQ, 5)
+    t = TruncatedSeries.var(F, 5)
     r1 = y * y - (1 + t)
     assert r1.is_zero()
     r2 = y + t * z * z - z
