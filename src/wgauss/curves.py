@@ -294,11 +294,7 @@ class HyperellipticCurve:
 
     def infinity_points(self):
         """Points at infinity over the smallest field where they live."""
-        if self.odd_model:
-            return [HyperellipticPoint.infinity(self.field)]
-        fld, w = _sqrt_in_tower(self.field, self.f.lead())
-        return [HyperellipticPoint.infinity(fld, w),
-                HyperellipticPoint.infinity(fld, -w)]
+        return self.points_above_x(INF, self.field)
 
     def involution(self, P):
         if P.kind == "aff":

@@ -149,10 +149,10 @@ class Divisor:
 
 
 def divisor_from_json(curve, obj):
-    from .algebra.fields import ExtField, PrimeField
+    from .algebra.fields import ExtField, PrimeField, _json_int
     items, p = [], curve.field.char
     for rec in obj:
-        d = int(rec.get("ext_degree", 1))
+        d = _json_int(rec.get("ext_degree", 1))
         fld = PrimeField(p) if d == 1 else ExtField(p, d)
         coords = rec["point"]
         if curve.model == "hyperelliptic":
@@ -167,7 +167,7 @@ def divisor_from_json(curve, obj):
             P = ProjectivePoint(fld, [fld.from_json(c) for c in coords])
         if not curve.contains(P):
             raise CurveError("point in divisor JSON does not lie on the curve")
-        items.append((P, int(rec["mult"])))
+        items.append((P, _json_int(rec["mult"])))
     return Divisor(curve, items)
 
 

@@ -187,33 +187,3 @@ def in_Rnk(D, k, cap=12):
         deg = intersection_divisor(gauss_eval(D), cap=cap).degree
     return rnk_flag(deg, n, k)
 
-
-class BnkVerdict:
-    __slots__ = ("value", "mode", "deg")
-
-    def __init__(self, value, mode, deg):
-        self.value = value
-        self.mode = mode
-        self.deg = deg
-
-    def __bool__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"BnkVerdict({self.value}, mode={self.mode}, deg_WC={self.deg})"
-
-
-def in_Bnk(W, n, k, mode="geq", cap=12):
-    """Gauss-image stratification test: deg(W . C) compared against n + k.
-
-    mode "exact" demands equality (valid when no larger system exists),
-    "geq" uses the inclusion-style inequality.  The verdict records the mode
-    and the computed degree.
-    """
-    if mode not in ("exact", "geq"):
-        raise ValueError("mode must be 'exact' or 'geq'")
-    if k == 0 and mode == "geq":
-        return BnkVerdict(True, mode, None)
-    deg = intersection_divisor(W, cap=cap).degree
-    value = (deg == n + k) if mode == "exact" else (deg >= n + k)
-    return BnkVerdict(value, mode, deg)

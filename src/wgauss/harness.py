@@ -22,20 +22,19 @@ from .gauss import (
     fiber,
     gauss_eval,
     hyperelliptic_fiber_prediction,
-    in_Rnk,
     intersection_divisor,
     rnk_flag,
 )
 from .linsys import (
     beta,
+    certify_dual,
     classify_member,
-    contact_order,
     dual_branch_form,
     find_g13,
     hyperelliptic_image_witness,
     reconstruct_system,
 )
-from .spans import NotInSmoothLocusError, dim_complete, in_smooth_Wn
+from .spans import NotInSmoothLocusError, dim_complete
 
 
 @dataclass
@@ -98,25 +97,6 @@ def sample_smooth_divisor(curve, n, rng, max_tries=200):
         except NotInSmoothLocusError:
             continue
     raise UnsupportedConfiguration("could not sample a smooth-locus divisor")
-
-
-def fiber_report_json(rep, field_info):
-    return {
-        "W": [repr_elem(c) for c in rep.W.plucker()],
-        "deg_WC": rep.WC.degree,
-        "fiber": [E.to_json() for E in rep.fiber],
-        "cardinality": rep.cardinality,
-        "flags": {"nonreduced": rep.flags["nonreduced"],
-                  "weierstrass": rep.flags["weierstrass"]},
-        "field": field_info,
-    }
-
-
-def repr_elem(c):
-    f = c.field if hasattr(c, "field") else None
-    if f is None:
-        return str(c)
-    return f.to_json(c)
 
 
 def run_fiber_census(cfg):
@@ -245,16 +225,19 @@ def run_locus_census(cfg):
         records.append(rec)
     planted = []
     if curve.model == "canonical_g4" and n == 2 and 1 not in witnesses:
-        # members of a trisecant pencil supply witnesses for k = 1
+        # members of a trisecant pencil supply witnesses for k = 1, decided
+        # by the trials' own steps: the Gauss map, then one (W . C)
         try:
             L = find_g13(curve, seed=cfg.seed, cap=cfg.ext_cap)
             for j in range(6):
                 E = L.member((curve.field.one, curve.field.elem(j)))
                 pts = [P for P, m in E.items for _ in range(m)]
                 D = Divisor(curve, [(pts[0], 1), (pts[1], 1)])
-                if D.degree != 2 or not in_smooth_Wn(D):
+                try:
+                    W = gauss_eval(D)
+                except NotInSmoothLocusError:
                     continue
-                if in_Rnk(D, 1, cap=cfg.ext_cap):
+                if rnk_flag(intersection_divisor(W, cap=cfg.ext_cap).degree, n, 1):
                     witnesses[1] = D.to_json()
                     planted.append({"k": 1, "divisor": D.to_json()})
                     break
@@ -303,20 +286,14 @@ def _reconstruct_g4(cfg, curve):
     bf = dual_branch_form(L2)
     total = bf.total_multiplicity()
     certs = []
-    for (s, t), m in bf.roots(cap=cfg.ext_cap):
-        entry = {"mult": m, "materialized": False, "contact_order": None}
+    for st, m in bf.roots(cap=cfg.ext_cap):
         try:
-            E = L2.member((s, t))
-            core = E - L2.base_locus()
-            rep = next(P for P, mm in core.items if mm >= 2)
-            o = contact_order(L2, (s, t), rep)
-            entry["materialized"] = True
-            entry["contact_order"] = o
-        except (StopIteration, ExtensionCapError):
-            # no double point off the base locus, or a member whose points
-            # need a splitting field beyond the cap: left unmaterialized
-            pass
-        certs.append(entry)
+            sample = certify_dual(L2, st)
+        except ExtensionCapError:
+            # a member whose points need a splitting field beyond the cap
+            sample = None
+        certs.append({"mult": m, "materialized": sample is not None,
+                      "contact_order": sample.order if sample else None})
     verdicts = {
         "members_recovered": member_match,
         "dual_total_multiplicity": total == 2 * curve.genus - 2 + 2 * L.degree,

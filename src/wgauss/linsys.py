@@ -32,8 +32,12 @@ from .spans import (
     ell,
     hyperplane_conditions,
     hyperplane_section,
+    residual,
     span,
 )
+
+# a parameter space P^r(F_q) is swept point by point only when q^r is at most this
+SWEEP_LIMIT = 10 ** 6
 
 
 class MemberError(ValueError):
@@ -105,21 +109,28 @@ class CompleteSystem:
         lead = next(v for v in c if v)
         return tuple(v / lead for v in c)
 
-    def rational_parameters(self):
-        """All of P^r over the base field (finite fields, small r)."""
+    def contains(self, E):
+        """Is E linearly equivalent to the members, i.e. is E + F a
+        hyperplane section?"""
+        return (E.degree == self.degree
+                and hyperplane_conditions(E + self.F).rank() < self.curve.genus)
+
+    def rational_parameters(self, limit=SWEEP_LIMIT):
+        """All of P^r over the base field; raises UnsupportedConfiguration
+        when q^r exceeds ``limit``."""
         fld = self.curve.field
+        count = fld.order ** self.r
+        if count > limit:
+            raise UnsupportedConfiguration(
+                f"rational sweep of size ~{count} exceeds limit {limit}")
         elems = list(fld.elements())
         for lead in range(self.r + 1):
             prefix = [fld.zero] * lead + [fld.one]
             for tail in product(elems, repeat=self.r - lead):
                 yield tuple(prefix) + tail
 
-    def members_rational(self, limit=10 ** 6):
-        count = self.curve.field.order ** self.r
-        if count > limit:
-            raise UnsupportedConfiguration(
-                f"rational sweep of size ~{count} exceeds limit {limit}")
-        for c in self.rational_parameters():
+    def members_rational(self, limit=SWEEP_LIMIT):
+        for c in self.rational_parameters(limit):
             yield c, self.member(c)
 
     def __repr__(self):
@@ -139,7 +150,6 @@ class CompleteSystem:
 
 def complete_system(D, cap=12):
     """The complete linear system |D| of a special effective divisor."""
-    from .spans import residual
     sp = span(D)
     if sp.s < 1:
         raise NotSpecialError("complete_system requires a special divisor")
@@ -156,8 +166,7 @@ def linear_equiv(D, E, cap=12):
     """Linear equivalence test for effective divisors of equal degree.
 
     Hyperelliptic models compare canonical forms; otherwise D must be
-    special and the test asks whether E plus a residual of D is a
-    hyperplane section.
+    special and E must lie in |D| (``CompleteSystem.contains``).
     """
     if D.curve != E.curve:
         raise CurveError("mixed curves")
@@ -169,14 +178,7 @@ def linear_equiv(D, E, cap=12):
     if curve.model == "hyperelliptic":
         a, b = hyperelliptic_reduce(D), hyperelliptic_reduce(E)
         return a.k == b.k and a.B == b.B
-    from .spans import residual
-    sp = span(D)
-    if sp.s < 1:
-        raise NotSpecialError("linear equivalence implemented for special divisors")
-    F = residual(D, cap=cap)
-    total = E + F
-    M = hyperplane_conditions(total)
-    return M.rank() < curve.genus
+    return complete_system(D, cap=cap).contains(E)
 
 
 def beta(F, cap=12):
@@ -310,59 +312,35 @@ class DualSample:
         }
 
 
-def dual_samples(L, trials=50, sweep_limit=10 ** 6, rng=None, cap=12):
+def dual_samples(L, cap=12):
     """Non-reduced members of L as dual-hypersurface points.
 
     Each sample carries the unique parameter hyperplane, a repeated point of
     the member, and the verified contact order (>= 2) of the hyperplane with
-    the image curve at that point.  Pencils use the roots of their branch
-    form when it exists and its roots fit the cap; small parameter spaces
-    are swept exhaustively; otherwise parameters are drawn at random (and the
-    list may come back short).
+    the image curve at that point (``certify_dual``).  Pencils use the roots
+    of their branch form when it exists and its roots fit the cap; otherwise
+    P^r(F_q) is swept when q^r <= SWEEP_LIMIT, and any other system raises
+    UnsupportedConfiguration.
     """
-    B = L.base_locus()
-    fld = L.curve.field
-    out = []
-    if L.r == 1:
-        try:
-            bf = dual_branch_form(L)
-        except UnsupportedConfiguration:
-            bf = None
-        try:
-            roots = None if bf is None else bf.roots(cap=cap)
-        except ExtensionCapError:   # roots beyond the cap: sweep instead
-            roots = None
-        if roots is not None:
-            for (s, t), _m in roots:
-                c = _branch_parameter(L, (s, t))
-                if c is None:
-                    continue
-                try:
-                    sample = _certify_nonreduced(L, c, B)
-                except (ExtensionCapError, ArithmeticError, FieldError):
-                    # the member needs a splitting field beyond the cap, its
-                    # local series did not stabilize, or its points and the
-                    # parameter share no field: no certificate for this root
-                    continue
-                if sample is not None:
-                    out.append(sample)
-            return out
-    if fld.order ** L.r <= sweep_limit:
+    try:
+        roots = dual_branch_form(L).roots(cap=cap)
+    except (UnsupportedConfiguration, ExtensionCapError):
+        # no branch form, or roots beyond the cap: sweep instead
         params = L.rational_parameters()
-        exhaustive = True
     else:
-        rng = rng or random.Random(0)
-        params = (tuple(fld.rand(rng) for _ in range(L.r + 1))
-                  for _ in range(trials * 4))
-        exhaustive = False
+        params = filter(None, (_branch_parameter(L, st) for st, _ in roots))
+    out = []
     for c in params:
-        if not any(1 for v in c if v):
+        try:
+            sample = certify_dual(L, c)
+        except (ExtensionCapError, ArithmeticError, FieldError):
+            # the member needs a splitting field beyond the cap, its local
+            # series did not stabilize, or its points and the parameter share
+            # no field: no certificate for this parameter
             continue
-        sample = _certify_nonreduced(L, c, B)
         if sample is not None:
+            assert sample.order >= 2, "contact certificate failed"
             out.append(sample)
-            if len(out) >= trials and not exhaustive:
-                break
     return out
 
 
@@ -386,15 +364,17 @@ def _branch_parameter(L, st):
     return (s, t)
 
 
-def _certify_nonreduced(L, c, B):
+def certify_dual(L, c):
+    """The DualSample of parameter c: its member, the first point of
+    multiplicity >= 2 off the base locus and the contact order there; None
+    when the member is reduced off the base locus.  The order is returned,
+    not checked."""
     E = L.member(c)
-    core = E - B
-    if core.is_reduced():
+    core = E - L.base_locus()
+    P = next((P for P, m in core.items if m >= 2), None)
+    if P is None:
         return None
-    Prep = next(P for P, m in core.items if m >= 2)
-    o = contact_order(L, c, Prep)
-    assert o >= 2, "contact certificate failed"
-    return DualSample(tuple(c), Prep, o, E)
+    return DualSample(tuple(c), P, contact_order(L, c, P), E)
 
 
 class BranchForm:
@@ -465,10 +445,9 @@ def reconstruct_system(W_samples, n=None, k=None, cap=12):
         raise ValueError("need at least one sample")
     members = [intersection_divisor(W, cap=cap) for W in W_samples]
     first = members[0]
-    for E in members[1:]:
-        if not linear_equiv(first, E, cap=cap):
-            raise InequivalentSamplesError("samples from distinct systems")
     L = complete_system(first, cap=cap)
+    if not all(L.contains(E) for E in members[1:]):
+        raise InequivalentSamplesError("samples from distinct systems")
     if n is not None and first.degree != n + (k or 0):
         raise ValueError("sample degrees do not match the requested (n, k)")
     for W, E in zip(W_samples, members):
@@ -529,9 +508,9 @@ def find_g13(curve, seed=0, cap=12):
 
 
 def hyperelliptic_image_witness(D, k=1, cap=12):
-    """Conjugate-double the first k points of D: a system member F with
-    beta(F) = gauss_eval(D) and F in the conjugate-choice set."""
-    from .gauss import gauss_eval
+    """Conjugate-double the first k points of D: (L, F) with L = |F|, where
+    F should satisfy beta(F) = gauss_eval(D) and lie in the conjugate-choice
+    set (``classify_member(L, F)["nc"]``); the caller checks both."""
     curve = D.curve
     if curve.model != "hyperelliptic":
         raise CurveError("witness construction is hyperelliptic-only")
@@ -549,10 +528,4 @@ def hyperelliptic_image_witness(D, k=1, cap=12):
         else:
             items.append((P, 1))
     F = Divisor(curve, items, field=D.field)
-    W = gauss_eval(D)
-    bW = beta(F, cap=cap)
-    assert bW == W, "doubled divisor span differs from the Gauss image point"
-    L = complete_system(F, cap=cap)
-    flags = classify_member(L, F)
-    assert flags["nc"], "constructed witness must admit conjugate-free choices"
-    return L, F
+    return complete_system(F, cap=cap), F

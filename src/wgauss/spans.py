@@ -75,14 +75,6 @@ class LinearSpan:
             self._plucker = plucker(MatrixExact(self.field, basis))
         return self._plucker
 
-    def map_field(self, target):
-        sp = LinearSpan.__new__(LinearSpan)
-        sp.curve = self.curve
-        sp.field = target
-        sp.hyperplanes = self.hyperplanes.map_field(target)
-        sp._plucker = None
-        return sp
-
     def __eq__(self, other):
         if not isinstance(other, LinearSpan):
             return NotImplemented

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from wgauss.algebra import ExtField, PrimeField
+from wgauss.algebra import ExtField, FieldError, PrimeField
 from wgauss.curves import INF, CurveError, HyperellipticCurve, PlaneQuarticCurve
 from wgauss.divisors import (
     Divisor,
@@ -202,6 +202,9 @@ def test_divisor_json_roundtrip():
     R = K.sample_point(rng)
     DK = Divisor(K, [(R, 2)])
     assert divisor_from_json(K, DK.to_json()) == DK
+    # a degree or multiplicity that is no JSON integer is refused, not truncated
+    with pytest.raises(FieldError):
+        divisor_from_json(CURVE, [{"point": [0, 0], "ext_degree": 1.5, "mult": 2.7}])
 
 
 def test_x_fibers_classification():

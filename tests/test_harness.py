@@ -111,10 +111,14 @@ LOCUS_PINS = [
      "f8a48001f3394f25b8e4ddb54b5843dbd06cb729da7d42a81977ee7a50c983a8"),
     (dict(curve=G4, n=3, trials=4, seed=2),
      "ac4e1868b13c6f88b63486eafd26bddfc37197c325b61c5003736cef7e48c6d3"),
+    # no trial finds a k = 1 witness: the report carries a planted one
+    (dict(curve=G4, n=2, trials=2, seed=0),
+     "35071c4d1a6d194bc957eb8c929512a994ecdccccfe2070fe4e772cb2e4db0f7"),
 ]
 
 
-@pytest.mark.parametrize("kw,digest", LOCUS_PINS, ids=["g4-f7-oracle", "g4-f10007-n3"])
+@pytest.mark.parametrize("kw,digest", LOCUS_PINS,
+                         ids=["g4-f7-oracle", "g4-f10007-n3", "g4-planted"])
 def test_locus_census_report_pinned(kw, digest):
     cfg = ExperimentConfig(experiment="locus-census", **kw)
     blob = write_report(run_locus_census(cfg), None)
@@ -193,7 +197,7 @@ def test_reconstruct_g4_hyperplane_sections_keep_the_cap():
 
 
 def test_reconstruct_g4_certificate_failures(monkeypatch):
-    from wgauss import harness, linsys
+    from wgauss import linsys
     from wgauss.algebra import ExtensionCapError, FieldError
     real_roots = linsys.BranchForm.roots
 
@@ -216,12 +220,12 @@ def test_reconstruct_g4_certificate_failures(monkeypatch):
             raise exc
         return contact_order
 
-    monkeypatch.setattr(harness, "contact_order",
+    monkeypatch.setattr(linsys, "contact_order",
                         raising(ExtensionCapError("splitting field degree 6 exceeds cap 2")))
     rep = run_reconstruct(cfg)
     assert not any(c["materialized"] for c in rep["dual_certificates"])
     assert not rep["verdicts"]["some_certificate_materialized"]
-    monkeypatch.setattr(harness, "contact_order",
+    monkeypatch.setattr(linsys, "contact_order",
                         raising(FieldError("mixed extension fields; coerce explicitly")))
     with pytest.raises(FieldError):
         run_reconstruct(cfg)
@@ -235,6 +239,24 @@ def test_reconstruct_hyperelliptic_report():
     rep = run_reconstruct(cfg)
     assert rep["passed"]
     assert rep["verdicts"]["beta_injective_on_sweep"]
+
+
+def test_reconstruct_hyperelliptic_classifies_each_witness_once(monkeypatch):
+    from wgauss import harness, linsys
+    real, calls = linsys.classify_member, []
+
+    def counted(L, E):
+        calls.append(E)
+        return real(L, E)
+
+    monkeypatch.setattr(linsys, "classify_member", counted)
+    monkeypatch.setattr(harness, "classify_member", counted)
+    he_small = {"model": "hyperelliptic", "field": {"type": "prime", "p": 11},
+                "f": [0, -1, 0, 0, 0, 0, 0, 1]}
+    cfg = ExperimentConfig(experiment="reconstruct", curve=he_small, n=2, k=1,
+                           trials=5, seed=2)
+    assert run_reconstruct(cfg)["passed"]
+    assert len(calls) == cfg.trials
 
 
 
@@ -297,24 +319,17 @@ def test_cli_bn_table(tmp_path):
 
 
 def test_json_interfaces():
-    # FiberReport / LinearSpan / CompleteSystem / DualSample serialization
+    # LinearSpan / CompleteSystem / DualSample serialization
     import random
     from wgauss.curves import validate
-    from wgauss.gauss import fiber
-    from wgauss.harness import fiber_report_json, sample_smooth_divisor
+    from wgauss.harness import sample_smooth_divisor
     from wgauss.linsys import complete_system, dual_samples
     from wgauss.spans import span
     from wgauss.divisors import Divisor
 
     curve = validate(HE_G3)
     rng = random.Random(21)
-    D, W = sample_smooth_divisor(curve, 2, rng)
-    rep = fiber(W)
-    blob = fiber_report_json(rep, {"p": 10007, "ext": 1})
-    assert set(blob) == {"W", "deg_WC", "fiber", "cardinality", "flags", "field"}
-    assert blob["cardinality"] == len(blob["fiber"])
-    assert json.loads(json.dumps(blob)) == blob
-
+    D, _ = sample_smooth_divisor(curve, 2, rng)
     sp = span(D)
     sj = sp.to_json()
     assert sj["ambient"] == 3 and len(sj["hyperplanes"]) == sp.s
@@ -325,7 +340,7 @@ def test_json_interfaces():
     L = complete_system(pair)
     lj = L.to_json()
     assert lj["dim"] == 1 and len(lj["basis"]) == 2
-    samples = dual_samples(L, trials=2)
+    samples = dual_samples(L)
     assert samples and json.dumps([s.to_json() for s in samples])
 
 

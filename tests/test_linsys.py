@@ -6,7 +6,7 @@ import pytest
 from wgauss.algebra import ExtensionCapError, PrimeField
 from wgauss.curves import CanonicalG4Curve, HyperellipticCurve
 from wgauss.divisors import Divisor, hyperelliptic_reduce, pullback_x
-from wgauss.gauss import gauss_eval, intersection_divisor
+from wgauss.gauss import UnsupportedConfiguration, gauss_eval, intersection_divisor
 from wgauss.linsys import (
     BranchForm,
     InequivalentSamplesError,
@@ -267,7 +267,7 @@ def test_beta_dimension():
 def test_dual_samples_certificates():
     rng = random.Random(13)
     D, L = sample_pair_system(HE, rng)
-    samples = dual_samples(L, trials=6, sweep_limit=10, rng=rng)
+    samples = dual_samples(L)
     assert samples, "expected at least one non-reduced member"
     for s in samples:
         assert s.order >= 2
@@ -287,10 +287,23 @@ def test_dual_samples_skips_only_typed_certificate_failures(monkeypatch):
         return contact_order
 
     monkeypatch.setattr(linsys, "contact_order", failing(ArithmeticError("no stable series")))
-    assert dual_samples(L, trials=6, sweep_limit=10, rng=rng) == []
+    assert dual_samples(L) == []
     monkeypatch.setattr(linsys, "contact_order", failing(AssertionError("a fault")))
     with pytest.raises(AssertionError):
-        dual_samples(L, trials=6, sweep_limit=10, rng=rng)
+        dual_samples(L)
+
+def test_dual_samples_refuses_a_large_sweep():
+    # the canonical system of y^2 = x^7 - x: a net (r = 2) with no branch
+    # form, and 10007^2 parameters are too many to sweep
+    rng = random.Random(17)
+    P, Q = (HE.sample_point(rng) for _ in range(2))
+    assert P.y and Q.y and P.x != Q.x
+    D = Divisor(HE, [(P, 1), (HE.involution(P), 1), (Q, 1), (HE.involution(Q), 1)])
+    L = complete_system(D)
+    assert L.r == 2
+    with pytest.raises(UnsupportedConfiguration, match="exceeds limit"):
+        dual_samples(L)
+
 
 def test_dual_branch_form_hyperelliptic_k1():
     rng = random.Random(14)
@@ -328,16 +341,13 @@ def test_dual_branch_form_g13_riemann_hurwitz():
 def test_member_spans_stay_in_exact_stratum():
     # with no larger system available, every member span cuts exactly n + k
     # points, including the non-reduced members
-    from wgauss.gauss import in_Bnk
     L = find_g13(G4, seed=12)
     bf = dual_branch_form(L)
     params = [(F.one, F.elem(j)) for j in range(6)] + [(F.zero, F.one)]
     params += [st for (st, m) in bf.roots(cap=12)]  # branch parameters too
     for c in params:
         E = L.member(c)
-        W = beta(E)
-        v = in_Bnk(W, 2, 1, mode="exact")
-        assert v.value and v.deg == 3
+        assert intersection_divisor(beta(E)).degree == 2 + 1
 
 
 def test_reconstruct_system_roundtrip():
@@ -351,6 +361,23 @@ def test_reconstruct_system_roundtrip():
     # single sample: the complete system of (W . C)
     L3, got3 = reconstruct_system([Ws[0]])
     assert got3[0] == members[0]
+
+
+def test_reconstruct_system_takes_one_residual(monkeypatch):
+    from wgauss import linsys, spans
+    L = find_g13(G4, seed=10)
+    Ws = [beta(L.member((F.one, F.elem(i)))) for i in range(8)]
+    real, calls = spans.residual, []
+
+    def counted(D, cap=12):
+        calls.append(D)
+        return real(D, cap=cap)
+
+    for mod in (spans, linsys):
+        monkeypatch.setattr(mod, "residual", counted, raising=False)
+    L2, got = reconstruct_system(Ws, n=2, k=1)
+    assert L2.r == 1 and len(got) == 8
+    assert len(calls) == 1
 
 
 def test_reconstruct_rejects_mixed_systems():
