@@ -341,7 +341,7 @@ def _reconstruct_hyperelliptic(cfg, curve):
         seen = set()
         injective = True
         count = 0
-        for c, E in L.members_rational(limit=3000):
+        for c, E in L.members_rational():
             key = tuple(map(repr, beta(E, cap=cfg.ext_cap).plucker()))
             if key in seen:
                 injective = False

@@ -115,22 +115,22 @@ class CompleteSystem:
         return (E.degree == self.degree
                 and hyperplane_conditions(E + self.F).rank() < self.curve.genus)
 
-    def rational_parameters(self, limit=SWEEP_LIMIT):
+    def rational_parameters(self):
         """All of P^r over the base field; raises UnsupportedConfiguration
-        when q^r exceeds ``limit``."""
+        when q^r exceeds SWEEP_LIMIT."""
         fld = self.curve.field
         count = fld.order ** self.r
-        if count > limit:
+        if count > SWEEP_LIMIT:
             raise UnsupportedConfiguration(
-                f"rational sweep of size ~{count} exceeds limit {limit}")
+                f"rational sweep of size ~{count} exceeds limit {SWEEP_LIMIT}")
         elems = list(fld.elements())
         for lead in range(self.r + 1):
             prefix = [fld.zero] * lead + [fld.one]
             for tail in product(elems, repeat=self.r - lead):
                 yield tuple(prefix) + tail
 
-    def members_rational(self, limit=SWEEP_LIMIT):
-        for c in self.rational_parameters(limit):
+    def members_rational(self):
+        for c in self.rational_parameters():
             yield c, self.member(c)
 
     def __repr__(self):
