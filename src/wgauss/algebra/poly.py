@@ -478,28 +478,33 @@ def roots_in_splitting_extension(a, cap=12):
 
 
 
-def binary_roots(forms, cap=None):
-    """(K, [((s, t), m)]): the common zeros (s : t) of binary forms, given as
-    (Poly in t/s, formal degree) pairs over one field, with multiplicity.
-
-    A zero form imposes nothing.  The zeros with s = 1 are the roots of the
-    forms' gcd: with ``cap``, all of them, over its splitting field K (see
-    ``roots_in_splitting_extension``); without, those in the forms' own
-    field K.  (0 : 1) comes last, with the least degree deficit of the
-    forms.  Raises ValueError when every form is zero.
-    """
+def binary_gcd(forms):
+    """The gcd (g, d) of binary forms given as (Poly in t/s, formal degree)
+    over one field; zero forms impose nothing, and d - deg g, the least
+    degree deficit, is the multiplicity of (0 : 1).  ValueError if all vanish."""
     live = [(S, d) for S, d in forms if S]
     if not live:
         raise ValueError("every binary form vanishes")
     g = live[0][0]
     for S, _ in live[1:]:
         g = poly_gcd(g, S)
+    return g, g.degree + min(d - S.degree for S, d in live)
+
+
+def binary_roots(forms, cap=None):
+    """(K, [((s, t), m)]): the common zeros (s : t) of binary forms, the
+    zeros of their ``binary_gcd``, with multiplicity.
+
+    The zeros with s = 1 are the roots of the gcd: with ``cap``, all of them,
+    over its splitting field K (see ``roots_in_splitting_extension``);
+    without, those in the forms' own field K.  (0 : 1) comes last.
+    """
+    g, d = binary_gcd(forms)
     base = K = g.field
     roots = []
     if g.degree >= 1:
         K, roots = (K, roots_in_field(g)) if cap is None else roots_in_splitting_extension(g, cap)
     out = [((K.one, r), m) for r, m in roots]
-    inf = min(d - S.degree for S, d in live)
-    if inf:
-        out.append(((base.zero, base.one), inf))
+    if d > g.degree:
+        out.append(((base.zero, base.one), d - g.degree))
     return K, out

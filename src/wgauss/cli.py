@@ -16,7 +16,6 @@ import sys
 from .algebra.fields import FieldError
 from .algebra.poly import ExtensionCapError
 from .curves import CurveError, ValidationInconclusive, validate
-from .gauss import UnsupportedConfiguration
 from .harness import (
     ExperimentConfig,
     run_bn_table,
@@ -25,7 +24,7 @@ from .harness import (
     run_reconstruct,
     write_report,
 )
-from .spans import NotInSmoothLocusError
+from .spans import NotInSmoothLocusError, UnsupportedConfiguration
 
 EXIT_OK = 0
 EXIT_VERDICT = 2

@@ -2,18 +2,18 @@
 
 gauss_eval sends a divisor D with ell(D) = 1 to its span, a point of the
 Grassmannian G(n-1, g-1).  The intersection divisor (W . C) of a subspace W
-is the gcd of the hyperplane sections over hyperplanes containing W.  The
+is the gcd of the hyperplane sections over hyperplanes containing W; its
+degree, which decides the loci, comes from a gcd form with no root found.  The
 fiber over W is the subdivisors E of (W . C) whose conditions have rank
 dim W + 1: span(E) lies in W, so that says ell(E) = 1 and span(E) = W.
 """
 
 from math import comb
 
-from .curves import CurveError
+from .curves import CurveError, ProjectivePoint
 from .divisors import Divisor
 from .algebra.linalg import reduce_row
-from .spans import (NotInSmoothLocusError, UnsupportedConfiguration, _meet,
-                    condition_rows, span)
+from .spans import NotInSmoothLocusError, _meet, _meet_form, condition_rows, span
 
 
 def gauss_eval(D):
@@ -31,9 +31,20 @@ def gauss_eval(D):
 
 def intersection_divisor(W, cap=12):
     """(W . C): gcd of the hyperplane sections over hyperplanes through W."""
-    if not W.hyperplanes.rows:
-        raise UnsupportedConfiguration("W = P^(g-1) has no intersection divisor")
     return _meet(W.curve, W.hyperplanes.rows, W.field, cap)
+
+
+def intersection_degree(W):
+    """deg (W . C), read from the rational stage of ``intersection_divisor``
+    without finding a point: the degree of the gcd form (twice it on the
+    hyperelliptic model, whose form lives on P^1), 2g - 2 on a genus-4
+    plane, and at a plane quartic's point 1 if it lies on the curve."""
+    basis, form = _meet_form(W.curve, W.hyperplanes.rows, W.field)
+    if form is not None:
+        return form[1] * (1 if basis else 2)
+    if len(basis) == 3:
+        return 2 * W.curve.genus - 2
+    return int(W.curve.contains(ProjectivePoint(W.field, basis[0])))
 
 
 class FiberReport:
@@ -155,11 +166,10 @@ def hyperelliptic_fiber_prediction(D):
     return members, strict
 
 
-def in_multiple_locus(D, cap=12):
+def in_multiple_locus(D):
     """Is D in the multiple locus: some other divisor shares its span,
     equivalently deg((span D) . C) >= deg D + 1."""
-    W = gauss_eval(D)
-    return intersection_divisor(W, cap=cap).degree >= D.degree + 1
+    return intersection_degree(gauss_eval(D)) >= D.degree + 1
 
 
 def rnk_flag(deg, n, k):
@@ -178,12 +188,9 @@ def rnk_flag(deg, n, k):
     return deg >= n + k
 
 
-def in_Rnk(D, k, cap=12):
+def in_Rnk(D, k):
     """Membership of D in the (n+k)-intersection locus (see ``rnk_flag``);
-    (W . C) is computed only when the rule needs its degree."""
+    deg (W . C) is computed only when the rule needs it."""
     n = D.degree
-    deg = None
-    if 0 < k < n:
-        deg = intersection_divisor(gauss_eval(D), cap=cap).degree
-    return rnk_flag(deg, n, k)
+    return rnk_flag(intersection_degree(gauss_eval(D)) if 0 < k < n else None, n, k)
 

@@ -17,12 +17,11 @@ from .algebra.poly import ExtensionCapError
 from .curves import curve_hash, validate
 from .divisors import Divisor
 from .gauss import (
-    UnsupportedConfiguration,
     expected_generic_fiber,
     fiber,
     gauss_eval,
     hyperelliptic_fiber_prediction,
-    intersection_divisor,
+    intersection_degree,
     rnk_flag,
 )
 from .linsys import (
@@ -34,7 +33,7 @@ from .linsys import (
     hyperelliptic_image_witness,
     reconstruct_system,
 )
-from .spans import NotInSmoothLocusError, dim_complete
+from .spans import NotInSmoothLocusError, UnsupportedConfiguration, dim_complete
 
 
 @dataclass
@@ -201,7 +200,7 @@ def run_locus_census(cfg):
     for i in range(cfg.trials):
         rng = _trial_rng(cfg.seed, i)
         D, W = sample_smooth_divisor(curve, n, rng)
-        deg = intersection_divisor(W, cap=cfg.ext_cap).degree
+        deg = intersection_degree(W)
         flags = {k: rnk_flag(deg, n, k) for k in range(n + 1)}
         for k in range(0, n):
             if flags[k + 1] and not flags[k]:
@@ -237,7 +236,7 @@ def run_locus_census(cfg):
                     W = gauss_eval(D)
                 except NotInSmoothLocusError:
                     continue
-                if rnk_flag(intersection_divisor(W, cap=cfg.ext_cap).degree, n, 1):
+                if rnk_flag(intersection_degree(W), n, 1):
                     witnesses[1] = D.to_json()
                     planted.append({"k": 1, "divisor": D.to_json()})
                     break

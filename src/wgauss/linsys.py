@@ -25,10 +25,12 @@ from .algebra.linalg import MatrixExact
 from .algebra.poly import ExtensionCapError, binary_roots
 from .curves import INF, CurveError
 from .divisors import Divisor, gcd_div, hyperelliptic_reduce, pullback_x, x_fibers
-from .gauss import UnsupportedConfiguration, intersection_divisor
+from .gauss import intersection_divisor
 from .spans import (
     NotSpecialError,
-    _line_section,
+    UnsupportedConfiguration,
+    _form_zeros,
+    _line_form,
     ell,
     hyperplane_conditions,
     hyperplane_section,
@@ -422,7 +424,8 @@ def dual_branch_form(L):
     # the ruling lines against the pencil's members
     check = [(fld.zero, fld.one)] + [(fld.one, fld.elem(i)) for i in range(_BRANCH_CHECKS - 1)]
     for c in check:
-        if _line_section(curve, line_at(fld, lines, *c), fld, L.cap) != L.member(c):
+        B = line_at(fld, lines, *c)
+        if _form_zeros(curve, B, _line_form(curve, B, fld), fld, L.cap) != L.member(c):
             raise UnsupportedConfiguration("ruling lines do not match the members")
     disc = branch_discriminant(curve.cubic.map_field(fld), lines)
     if disc.is_zero():

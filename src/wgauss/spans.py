@@ -19,7 +19,7 @@ from math import comb
 
 from .algebra.fields import coerce, common_field
 from .algebra.linalg import MatrixExact, plucker
-from .algebra.poly import Poly, binary_roots
+from .algebra.poly import Poly, binary_gcd, binary_roots
 from .curves import INF, CurveError, ProjectivePoint
 from .divisors import Divisor, gcd_div, pullback_x, x_fibers
 
@@ -189,12 +189,6 @@ def in_smooth_Wn(D):
     return ell(D) == 1
 
 
-def sing_shift(curve, D, p):
-    """D + p + iota(p): lands in the singular-locus preimage (ell >= 2)."""
-    extra = Divisor(curve, [(p, 1), (curve.involution(p), 1)])
-    return D + extra
-
-
 def hyperplane_section(curve, h, field=None, cap=12):
     """The divisor phi^*(H) of a hyperplane h (coefficient vector), degree 2g-2.
 
@@ -217,37 +211,52 @@ def hyperplane_section(curve, h, field=None, cap=12):
     return D
 
 
-def _meet(curve, rows, fld, cap):
-    """(L . C) for the linear space L cut out by the independent hyperplane
-    ``rows`` over fld: the pullback of the common zeros of the rows' binary
-    forms on a hyperelliptic curve; on a plane model, the zeros of the
-    curve's forms on a line, the conic H n Q cut by the cubic on a genus-4
-    plane, and the gcd of the sections of its two lines at a plane
-    quartic's point."""
+def _meet_form(curve, rows, fld):
+    """The rational stage of (L . C), L cut out by the independent hyperplane
+    ``rows`` over fld: (basis of L, form), form the ``binary_gcd`` whose zeros
+    are (L . C), pulled back from P^1 when basis is None (hyperelliptic), and
+    None on a genus-4 plane or at a plane quartic's point."""
+    if not rows:
+        raise UnsupportedConfiguration("W = P^(g-1) has no intersection divisor")
     if curve.model == "hyperelliptic":
-        _, zeros = binary_roots([(Poly(fld, row), curve.genus - 1) for row in rows], cap)
-        return pullback_x(curve, [(t if s else INF, m) for (s, t), m in zeros], field=fld)
+        return None, binary_gcd([(Poly(fld, row), curve.genus - 1) for row in rows])
     basis = MatrixExact(fld, rows).kernel_basis()
     if len(basis) == 2:
-        return _line_section(curve, basis, fld, cap)
-    if len(basis) == 3 and curve.model == "canonical_g4":
-        from .rulings import plane_section, space_point
-        conic, cubic = (f.restrict_plane(*basis, field=fld) for f in curve.forms)
-        _, zeros = plane_section(conic, cubic, cap)
-        return Divisor(curve, [(space_point(basis, x), m) for x, m in zeros], field=fld)
-    if len(basis) == 1 and curve.model == "plane_quartic":
-        return gcd_div(*(_meet(curve, [row], fld, cap) for row in rows))
+        return basis, _line_form(curve, basis, fld)
+    if (len(basis), curve.model) in ((3, "canonical_g4"), (1, "plane_quartic")):
+        return basis, None
     raise UnsupportedConfiguration(
         f"no intersection divisor for a {len(basis) - 1}-plane on the {curve.model} model")
 
 
-def _line_section(curve, basis, fld, cap):
-    """The divisor cut on a plane model by the line through basis[0] and
-    basis[1] (over fld): the common zeros of the curve's forms on it."""
+def _meet(curve, rows, fld, cap):
+    """(L . C) from ``_meet_form``: its form's zeros, the conic H n Q cut by
+    the cubic on a genus-4 plane, the gcd of two line sections at a point."""
+    basis, form = _meet_form(curve, rows, fld)
+    if form is not None:
+        return _form_zeros(curve, basis, form, fld, cap)
+    if len(basis) == 3:
+        from .rulings import plane_section, space_point
+        conic, cubic = (f.restrict_plane(*basis, field=fld) for f in curve.forms)
+        _, zeros = plane_section(conic, cubic, cap)
+        return Divisor(curve, [(space_point(basis, x), m) for x, m in zeros], field=fld)
+    return gcd_div(*(_meet(curve, [row], fld, cap) for row in rows))
+
+
+def _line_form(curve, basis, fld):
+    """The gcd of the curve's forms on the line through basis[0] and basis[1]."""
     forms = [(f.pullback(basis, fld), f.degree) for f in curve.forms]
     if not any(S for S, _ in forms):
         raise CurveError("line lies on the curve; impossible for a smooth model")
-    K, zeros = binary_roots(forms, cap)
+    return binary_gcd(forms)
+
+
+def _form_zeros(curve, basis, form, fld, cap):
+    """The divisor of the zeros of a ``_meet_form`` form: pulled back from
+    P^1 (basis None), else on the line through basis[0] and basis[1]."""
+    K, zeros = binary_roots([form], cap)
+    if basis is None:
+        return pullback_x(curve, [(t if s else INF, m) for (s, t), m in zeros], field=fld)
     b0, b1 = ([coerce(c, K) for c in b] for b in basis)
     items = []
     for (s, t), m in zeros:

@@ -13,6 +13,7 @@ from wgauss.gauss import (
     hyperelliptic_fiber_prediction,
     in_multiple_locus,
     in_Rnk,
+    intersection_degree,
     intersection_divisor,
     rnk_flag,
 )
@@ -20,6 +21,7 @@ from wgauss.linsys import find_g13
 from wgauss.spans import (
     LinearSpan,
     NotInSmoothLocusError,
+    UnsupportedConfiguration,
     ell,
     hyperplane_section,
     in_smooth_Wn,
@@ -275,6 +277,54 @@ def test_fiber_by_rank_matches_the_span_test(name):
             seen[flag] |= on
     assert seen["nonreduced"]
     assert seen["weierstrass"] == (name == "he-odd")
+
+
+def _degree_guard(name, rng):
+    """The spaces W whose (W . C) is compared with ``intersection_degree``:
+    spans of divisors, then random spaces of codimension 1 and 2."""
+    if name.startswith("he"):
+        curve = HE if name == "he-odd" else EVEN
+        P = smooth_divisor(curve, 1, rng).support()[0]
+        named = FIBER_GUARD[name](rng) + [Divisor(curve, [(P, 1), (curve.involution(P), 1)])]
+        if curve is HE:   # (0, 0) is a Weierstrass point of y^2 = x^7 - x
+            weier = HE.points_above_x(F.zero, F)[0]
+            named += [Divisor(HE, [(weier, 1)]), Divisor(HE, [(weier, 1), (P, 1)])]
+    elif name == "klein":
+        named = FIBER_GUARD[name](rng) + [smooth_divisor(KLEIN, 1, rng)]
+    elif name == "g4":
+        L = find_g13(G4, seed=5)   # its members span trisecant lines
+        named = FIBER_GUARD[name](rng) + [_double_point(G4, rng)] + [
+            L.member((1, j)) for j in range(3)]
+    else:
+        named = []
+    curve = named[0].curve if named else _wc_curve(name)
+    rand = [W for r in (1, 2) for _, W in _random_spans(curve, r, rng, 4)]
+    return [span(D) for D in named] + rand
+
+
+@pytest.mark.parametrize("name", ["he-odd", "he-even", "klein", "g4", "g4-11-cone"])
+def test_intersection_degree_is_the_degree_of_the_intersection_divisor(name):
+    seen = {"nonreduced": False, "weierstrass": False, "degrees": set()}
+    for W in _degree_guard(name, random.Random(f"degree-{name}")):
+        WC = intersection_divisor(W)
+        assert intersection_degree(W) == WC.degree
+        seen["nonreduced"] |= not WC.is_reduced()
+        seen["weierstrass"] |= any(W.curve.model == "hyperelliptic" and W.curve.is_weierstrass(P)
+                                   for P in WC.support())
+        seen["degrees"].add(WC.degree)
+    assert seen["nonreduced"]
+    assert seen["weierstrass"] == (name == "he-odd")
+    assert {"he-odd": {2, 4}, "he-even": {2, 4}, "klein": {0, 1, 4},
+            "g4": {2, 3, 6}, "g4-11-cone": {2, 6}}[name] <= seen["degrees"]
+
+
+def test_intersection_degree_raises_where_the_divisor_does():
+    P = G4.sample_point(random.Random(17))
+    for W in (span(Divisor(G4, [(P, 1)])), LinearSpan(G4, F, []), LinearSpan(HE, F, [])):
+        with pytest.raises(UnsupportedConfiguration):
+            intersection_divisor(W)
+        with pytest.raises(UnsupportedConfiguration):
+            intersection_degree(W)
 
 
 def test_expected_generic_fiber():

