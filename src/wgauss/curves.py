@@ -30,7 +30,6 @@ available as a cross-check.
 
 import hashlib
 import json
-import random
 
 from .algebra.fields import ExtField, FieldError, PrimeField, coerce, field_from_json
 from .algebra.linalg import MatrixExact, bareiss_det, sylvester
@@ -603,36 +602,10 @@ class CanonicalG4Curve:
         raise SamplingExhausted("no point found within budget")
 
     def plane_rational_points(self, h):
-        """Rational points of the curve on the plane with normal vector h.
-
-        ``sample_point`` indexes this list with its rng, so the order decides
-        which point a seeded run draws, and seeded reports (the pinned bench
-        digests among them) keep their bytes only while it stays fixed: in
-        the coordinates y = M^-1 x of the first shear M of
-        ``_shear_matrices`` whose last column is off the restricted conic
-        and cubic, the points with y0 != 0 come first, by (y1/y0, y2/y0),
-        then the others, by y2/y1.
-        """
-        from .rulings import plane_rational_zeros, space_point
-        F = self.field
-        basis = _plane_basis(self, h)
-        if basis is None:
-            raise ValidationInconclusive("no usable basis for the plane")
-        conic = self.quadric.restrict_plane(*basis)
-        cub = self.cubic.restrict_plane(*basis)
-        zeros = plane_rational_zeros(conic, cub)
-        if len(zeros) > 1:
-            mat = next((m for m in _shear_matrices(F)
-                        if conic(col := [r[2] for r in m.rows]) and cub(col)), None)
-            if mat is None:
-                raise ValidationInconclusive("no shear orders the plane's points")
-
-            def key(x):
-                y = ProjectivePoint(F, mat.solve(x))
-                return (not y.coords[0], y.sort_key())
-
-            zeros.sort(key=key)
-        return [space_point(basis, x) for x in zeros]
+        """The rational points on the plane h . x = 0, in the order that
+        ``sample_point`` draws from (``rulings.plane_rational_points``)."""
+        from .rulings import plane_rational_points
+        return plane_rational_points(self, h)
 
     def local_series(self, P, order):
         return _plane_local_series(self.forms, P, order, nvars=4)
@@ -710,28 +683,7 @@ def _plane_local_series(forms, P, order, nvars):
     return out
 
 
-# -- resultants, plane bases and the point order of a plane ------------------
-
-_SHEAR_CACHE = {}
-
-
-def _shear_matrices(field):
-    """Deterministic sequence of invertible 3x3 coordinate changes, cached
-    per field; the first that suits a plane orders its rational points
-    (``plane_rational_points``)."""
-    if field not in _SHEAR_CACHE:
-        mats = [MatrixExact.identity(field, 3)]
-        rng = random.Random(0xC0FFEE + 3)
-        for _ in range(14):
-            while True:
-                m = MatrixExact(field, [[field.elem(rng.randrange(0, 7)) for _ in range(3)]
-                                        for _ in range(3)])
-                if m.det():
-                    mats.append(m)
-                    break
-        _SHEAR_CACHE[field] = mats
-    return _SHEAR_CACHE[field]
-
+# -- resultants -------------------------------------------------------------
 
 def _res_in_last_var(g1, g2, d1, d2, field):
     """Resultant of two bivariate dicts viewed as polys in variable 1,
@@ -747,27 +699,6 @@ def _res_in_last_var(g1, g2, d1, d2, field):
 
     rows = sylvester(coeff_polys(g1, d1), coeff_polys(g2, d2), zero)
     return bareiss_det(rows, Poly.one(field))
-
-
-def _plane_basis(curve, h):
-    """Basis of the plane h . x = 0 with the last vector off the curve."""
-    F = curve.field
-    m = MatrixExact(F, [h])
-    ker = m.kernel_basis()
-    if len(ker) != 3:
-        return None
-    b0, b1, b2 = ker
-    # b2 off the curve; the basis fixes the coordinates that order the points
-    candidates = [b2, b0, b1,
-                  tuple(a + b for a, b in zip(b2, b0)),
-                  tuple(a + b for a, b in zip(b2, b1)),
-                  tuple(a + b + c for a, b, c in zip(b0, b1, b2))]
-    for cand in candidates:
-        if curve.quadric(cand) or curve.cubic(cand):
-            for pair in ((b0, b1), (b0, b2), (b1, b2)):
-                if MatrixExact(F, [*pair, cand]).rank() == 3:
-                    return (*pair, cand)
-    return None
 
 
 def _gram_matrix(field, quadric):

@@ -98,7 +98,14 @@ def sample_smooth_divisor(curve, n, rng, max_tries=200):
     raise UnsupportedConfiguration("could not sample a smooth-locus divisor")
 
 
+def _require_trials(cfg):
+    """A census over no trials decides nothing: refuse it, as ``--n 0`` is."""
+    if cfg.trials < 1:
+        raise ValueError(f"need at least one trial, got {cfg.trials}")
+
+
 def run_fiber_census(cfg):
+    _require_trials(cfg)
     curve = validate(cfg.curve)
     expected = expected_generic_fiber(curve, cfg.n)
     records = []
@@ -190,6 +197,7 @@ def multiple_locus_oracle(curve, D, oracle_cap):
 
 
 def run_locus_census(cfg):
+    _require_trials(cfg)
     curve = validate(cfg.curve)
     n = cfg.n
     records = []

@@ -426,10 +426,13 @@ def _monomials(deg):
 
 def _random_g4(p, kind, rng, draws=200, kind_of=None):
     """The first smooth genus-4 curve over F_p from random forms whose
-    quadric has the given type over F_p, by ``kind_of`` (default: counted
-    points).  A cone's quadric is drawn as a random ternary quadric in three
-    random linear forms, the others as random quaternary quadrics; the cubic
-    is a random quaternary cubic."""
+    quadric has the given type over F_p, by ``kind_of``.  By default the
+    type comes from counted points for p <= 13, an independent check of the
+    Gram matrix's, and from the Gram matrix above, where counting the
+    points of P^3(F_p) would not finish.  A cone's quadric is drawn as a
+    random ternary quadric in three random linear forms, the others as
+    random quaternary quadrics; the cubic is a random quaternary cubic."""
+    kind_of = kind_of or (_quadric_kind if p <= 13 else _gram_kind)
     for _ in range(draws):
         if kind == "cone":
             lin = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
@@ -450,7 +453,7 @@ def _random_g4(p, kind, rng, draws=200, kind_of=None):
             curve = validate(desc)
         except CurveError:
             continue
-        if (kind_of or _quadric_kind)(curve) == kind:
+        if kind_of(curve) == kind:
             return curve
     raise AssertionError(f"no smooth curve with a {kind} quadric in {draws} draws")
 
@@ -554,17 +557,26 @@ def test_g4_hyperplane_sections_lie_on_the_plane_with_series_multiplicities(p):
                     assert m == _valuation(curve, P, hD)
 
 
-@pytest.mark.parametrize("p", [7, 11])
-def test_plane_rational_points_match_brute_force(p):
+@pytest.mark.parametrize("p", [7, 11, 10007])
+def test_plane_rational_points_match_brute_force(p, monkeypatch):
+    # the residue path's list equals the element path's, in order, since
+    # sample_point indexes it; at small p, as a set, every point on the plane
+    from wgauss import rulings
     from wgauss.curves import _projective_points
     rng = random.Random(f"plane-points-{p}")
     for kind in ("split", "nonsplit", "cone"):
-        curve = _random_g4(p, kind, rng, kind_of=_gram_kind)
+        curve = _random_g4(p, kind, rng)
         F = curve.field
+        planes = _planes(curve, F, rng, 6)
+        got = [[P.coords for P in curve.plane_rational_points(h)] for h in planes]
+        with monkeypatch.context() as m:
+            m.setattr(rulings, "_residue_zeros", lambda curve, basis: None)
+            assert got == [[P.coords for P in curve.plane_rational_points(h)] for h in planes]
+        if p > 13:
+            continue
         brute = [P for P in _projective_points(F, 4)
                  if not curve.quadric(P) and not curve.cubic(P)]
-        for h in _planes(curve, F, rng, 6):
-            got = [P.coords for P in curve.plane_rational_points(h)]
-            assert len(got) == len(set(got))
-            assert set(got) == {P for P in brute
+        for h, pts in zip(planes, got):
+            assert len(pts) == len(set(pts))
+            assert set(pts) == {P for P in brute
                                 if not sum((a * b for a, b in zip(h, P)), F.zero)}

@@ -418,6 +418,17 @@ def test_cli_exit_paths(tmp_path, monkeypatch, outcome, code):
     assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == code
 
 
+@pytest.mark.parametrize("command", ["fiber-census", "locus-census"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_census_without_trials_is_refused(tmp_path, capsys, command, trials):
+    # zero records would pass every verdict vacuously
+    from wgauss import cli
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(HE_G3))
+    assert cli.main([command, "--curve", str(path), "--n", "2", "--trials", trials]) == 3
+    assert "need at least one trial" in capsys.readouterr().err
+
+
 def test_cli_io_exit_paths(tmp_path):
     from wgauss import cli
     assert cli.main(["fiber-census", "--curve", str(tmp_path / "nope.json"),
