@@ -17,7 +17,6 @@ from .poly import (
     discriminant,
     factor_finite,
     poly_gcd,
-    poly_xgcd,
     powmod,
     resultant,
     roots_in_field,
@@ -30,7 +29,7 @@ __all__ = [
     "coerce", "common_field", "field_from_json",
     "MatrixExact", "plucker",
     "ExtensionCapError", "Poly", "discriminant", "factor_finite",
-    "poly_gcd", "poly_xgcd", "powmod", "resultant",
+    "poly_gcd", "powmod", "resultant",
     "roots_in_field", "roots_in_splitting_extension",
     "SingularSeedError", "TruncatedSeries", "series_solve",
 ]

@@ -41,9 +41,9 @@ constant is a square, the search starts after the p constants.
 """
 
 import math
+from itertools import product
 
-from .kernel import (ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel,
-                     _prime_divisors, _tgcd, _tpowmod, _tsub)
+from .kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel, _prime_divisors
 
 
 class FieldError(ValueError):
@@ -256,6 +256,17 @@ class PrimeField:
         return hash(("Fp", self.p))
 
 
+def projective_points(field, n):
+    """P^(n-1) over a finite field as the n-tuples whose first nonzero entry
+    is one: by the position of that entry, then in itertools.product order
+    over ``elements()``."""
+    elems = list(field.elements())
+    for lead in range(n):
+        head = (field.zero,) * lead + (field.one,)
+        for tail in product(elems, repeat=n - 1 - lead):
+            yield head + tail
+
+
 def _sqrt(field, x):
     """The square root of x in a finite field of odd order q with the
     smaller sort key of r, -r, or None for a non-square: x^((q+1)/4) when
@@ -286,13 +297,13 @@ def _sqrt(field, x):
 
 def _t_irreducible(f, p):
     # Rabin test: x^(p^k) = x mod f, and gcd(x^(p^(k/r)) - x, f) = 1
-    k = len(f) - 1
+    k, kern = len(f) - 1, FpKernel(p)
     x = (0, 1)
-    if _tsub(_tpowmod(x, p ** k, f, p), x, p):
+    if kern.sub(kern.powmod(x, p ** k, f), x):
         return False
     for r in _prime_divisors(k):
-        xe = _tpowmod(x, p ** (k // r), f, p)
-        if len(_tgcd(_tsub(xe, x, p), f, p)) != 1:
+        xe = kern.powmod(x, p ** (k // r), f)
+        if len(kern.gcd(kern.sub(xe, x), f)) != 1:
             return False
     return True
 

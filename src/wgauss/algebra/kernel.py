@@ -6,8 +6,7 @@ share one interface (``add``, ``sub``, ``mul``, ``divmod``, ``mod``,
 ``powmod``, ``gcd``), and the field picks one by its size:
 
   * ``FpKernel`` -- F_p; a coefficient is its residue in [0, p).  The
-    module-level ``_t*`` functions are the same arithmetic with p passed
-    explicitly; the modulus search and ``TupleKernel.finv`` use them.
+    modulus search and ``TupleKernel.finv`` use it on their own residues.
   * ``ZechKernel`` -- F_{p^k} with q <= ``ZECH_MAX_ORDER``; a coefficient is
     its discrete log to a fixed primitive element g, in [0, q - 1), and -1
     codes zero.  Multiplying adds logs; adding uses the Zech table
@@ -24,95 +23,13 @@ elements; only the coding of the coefficients differs.
 import struct
 
 # -- F_p ---------------------------------------------------------------------
-# Inputs are tuples of residues; _tmod and the kernel expect them stripped.
+# Inputs are tuples of residues; the kernel expects them stripped.
 
 def _tstrip(c):
     n = len(c)
     while n and c[n - 1] == 0:
         n -= 1
     return tuple(c[:n])
-
-
-def _tsub(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _tstrip([(x - y) % p for x, y in zip(a, b)])
-
-
-def _tmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _tstrip(out)
-
-
-def _tdivmod(a, b, p):
-    a, b = list(a), _tstrip(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        q[len(a) - 1 - db] = c
-        off = len(a) - 1 - db
-        for i in range(db + 1):
-            a[off + i] = (a[off + i] - c * b[i]) % p
-        a.pop()
-    return _tstrip(q), _tstrip(a)
-
-
-def _tmod(a, m, p):
-    # the remainder of _tdivmod, for the inner loops of powmod and gcd: the
-    # products are accumulated as plain ints and reduced once at the end
-    if not m:
-        raise ZeroDivisionError("polynomial division by zero")
-    dm = len(m) - 1
-    if len(a) <= dm:
-        return a
-    inv = pow(m[-1], -1, p)
-    low = m[:-1]
-    r = list(a)
-    while len(r) > dm:
-        c = r.pop() * inv % p
-        if c:
-            for i, mi in enumerate(low, len(r) - dm):
-                r[i] -= c * mi
-    return _tstrip([v % p for v in r])
-
-
-def _tpowmod(a, e, m, p):
-    if e < 0:
-        raise ValueError("negative exponent")
-    a = _tmod(a, m, p)
-    if e == 0:
-        return (1,)
-    r = a
-    for bit in bin(e)[3:]:
-        r = _tmod(_tmul(r, r, p), m, p)
-        if bit == "1":
-            r = _tmod(_tmul(r, a, p), m, p)
-    return r
-
-
-def _tgcd(a, b, p):
-    """Monic gcd (the zero polynomial for gcd(0, 0))."""
-    a, b = _tstrip(a), _tstrip(b)
-    while b:
-        a, b = b, _tmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
 
 
 class FpKernel:
@@ -130,22 +47,85 @@ class FpKernel:
         return _tstrip([(x + y) % p for x, y in zip(a, b)] + list(a[len(b):]))
 
     def sub(self, a, b):
-        return _tsub(a, b, self.p)
+        p = self.p
+        n = max(len(a), len(b))
+        a = tuple(a) + (0,) * (n - len(a))
+        b = tuple(b) + (0,) * (n - len(b))
+        return _tstrip([(x - y) % p for x, y in zip(a, b)])
 
     def mul(self, a, b):
-        return _tmul(a, b, self.p)
+        if not a or not b:
+            return ()
+        p = self.p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] = (out[i + j] + ai * bj) % p
+        return _tstrip(out)
 
     def divmod(self, a, b):
-        return _tdivmod(a, b, self.p)
+        p = self.p
+        a, b = list(a), _tstrip(b)
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        q = [0] * max(0, len(a) - db)
+        while len(a) - 1 >= db and a:
+            if a[-1] == 0:
+                a.pop()
+                continue
+            c = a[-1] * inv % p
+            q[len(a) - 1 - db] = c
+            off = len(a) - 1 - db
+            for i in range(db + 1):
+                a[off + i] = (a[off + i] - c * b[i]) % p
+            a.pop()
+        return _tstrip(q), _tstrip(a)
 
     def mod(self, a, m):
-        return _tmod(a, m, self.p)
+        # the remainder of divmod, for the inner loops of powmod and gcd: the
+        # products are accumulated as plain ints and reduced once at the end
+        if not m:
+            raise ZeroDivisionError("polynomial division by zero")
+        dm = len(m) - 1
+        if len(a) <= dm:
+            return a
+        p = self.p
+        inv = pow(m[-1], -1, p)
+        low = m[:-1]
+        r = list(a)
+        while len(r) > dm:
+            c = r.pop() * inv % p
+            if c:
+                for i, mi in enumerate(low, len(r) - dm):
+                    r[i] -= c * mi
+        return _tstrip([v % p for v in r])
 
     def powmod(self, a, e, m):
-        return _tpowmod(a, e, m, self.p)
+        if e < 0:
+            raise ValueError("negative exponent")
+        a = self.mod(a, m)
+        if e == 0:
+            return (1,)
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mod(self.mul(r, r), m)
+            if bit == "1":
+                r = self.mod(self.mul(r, a), m)
+        return r
 
     def gcd(self, a, b):
-        return _tgcd(a, b, self.p)
+        """Monic gcd (the zero polynomial for gcd(0, 0))."""
+        a, b = _tstrip(a), _tstrip(b)
+        while b:
+            a, b = b, self.mod(a, b)
+        if a:
+            p = self.p
+            inv = pow(a[-1], -1, p)
+            a = tuple(c * inv % p for c in a)
+        return a
 
 
 # -- small F_{p^k}: Zech logarithms ------------------------------------------
@@ -412,11 +392,11 @@ class TupleKernel:
             (a0, a1), (c0, c1) = a, self.red[0]
             inv = pow((a0 * a0 + a0 * a1 * c1 - a1 * a1 * c0) % p, -1, p)
             return ((a0 + a1 * c1) * inv % p, -a1 * inv % p)
-        s0, s1 = (), (1,)
+        fp, s0, s1 = FpKernel(p), (), (1,)
         while r1:
-            q, r = _tdivmod(r0, r1, p)
+            q, r = fp.divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _tsub(s0, _tmul(q, s1, p), p)
+            s0, s1 = s1, fp.sub(s0, fp.mul(q, s1))
         inv = pow(r0[-1], -1, p)
         return tuple([c * inv % p for c in s0]) + (0,) * (self.k - len(s0))
 

@@ -30,10 +30,6 @@ class MatrixExact:
         return cls(field, [[field.one if i == j else field.zero for j in range(n)]
                            for i in range(n)])
 
-    @classmethod
-    def zero(cls, field, m, n):
-        return cls(field, [[field.zero] * n for _ in range(m)])
-
     @property
     def nrows(self):
         return len(self.rows)
@@ -64,11 +60,6 @@ class MatrixExact:
 
     def apply(self, vec):
         return tuple(_dot(r, vec, self.field) for r in self.rows)
-
-    def stack(self, other):
-        if other.field != self.field:
-            raise FieldError("mixed-field matrices")
-        return MatrixExact(self.field, list(self.rows) + list(other.rows))
 
     def rref(self):
         """(RREF matrix, pivot column tuple).  Cached; RREF is canonical."""
@@ -135,20 +126,6 @@ class MatrixExact:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
         return bareiss_det(self.rows, self.field.one)
-
-    def solve(self, rhs):
-        """One solution x of A x = rhs, or None if inconsistent."""
-        f = self.field
-        n = self.ncols
-        aug = MatrixExact(f, [list(r) + [b] for r, b in zip(self.rows, rhs)])
-        R, pivots = aug.rref()
-        for i in range(len(pivots)):
-            if pivots[i] == n:
-                return None
-        x = [f.zero] * n
-        for i, pc in enumerate(pivots):
-            x[pc] = R.rows[i][n]
-        return tuple(x)
 
     def map_field(self, target):
         from .fields import coerce

@@ -226,23 +226,6 @@ def poly_gcd(a, b):
     return Poly._from_code(a.field, a.field._kernel().gcd(a._encoded(), b._encoded()))
 
 
-def poly_xgcd(a, b):
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while r1:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = f.one / r0.lead()
-    return r0 * inv, s0 * inv, t0 * inv
-
-
 def powmod(base, e, mod):
     """base^e mod ``mod``, for e >= 0 (e = 0 gives 1, unreduced)."""
     mod = base._check(mod)

@@ -50,11 +50,6 @@ class TruncatedSeries:
     def constant(cls, field, value, prec):
         return cls(field, [value], prec)
 
-    @classmethod
-    def var(cls, field, prec):
-        """The series t + O(t^prec)."""
-        return cls(field, [field.zero, field.one], prec)
-
     def is_zero(self):
         return not self.coeffs
 

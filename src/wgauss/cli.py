@@ -100,8 +100,7 @@ def main(argv=None):
 
         if args.command == "bn-table":
             cfg = ExperimentConfig(experiment="bn-table", g_min=args.g_min,
-                                   g_max=args.g_max, fmt=args.format,
-                                   out=args.out)
+                                   g_max=args.g_max, fmt=args.format)
             try:
                 blob = run_bn_table(cfg)
             except ValueError as e:
@@ -124,7 +123,6 @@ def main(argv=None):
             seed=args.seed,
             ext_cap=args.ext_cap,
             oracle_cap=getattr(args, "oracle_cap", 0),
-            out=args.out,
         )
         runner = {
             "fiber-census": run_fiber_census,

@@ -31,7 +31,7 @@ available as a cross-check.
 import hashlib
 import json
 
-from .algebra.fields import ExtField, FieldError, PrimeField, coerce, field_from_json
+from .algebra.fields import FieldError, PrimeField, coerce, field_from_json, projective_points
 from .algebra.linalg import MatrixExact, bareiss_det, sylvester
 from .algebra.mpoly import mp_coeff_list, mp_eval, mp_map_field, mp_partial, mp_substitute
 from .algebra.poly import (
@@ -98,10 +98,6 @@ class HomForm:
 
     def __call__(self, point):
         return mp_eval(self.coeffs, point, self.field)
-
-    def partial(self, i):
-        d = mp_partial(self.coeffs, i, self.field)
-        return d  # raw dict; degree-0 partials of linear forms are fine as dicts
 
     def map_field(self, target):
         return HomForm(target, self.nvars, self.degree, mp_map_field(self.coeffs, target))
@@ -245,19 +241,12 @@ class ProjectivePoint:
         return "(" + " : ".join(repr(c) for c in self.coords) + ")"
 
 
-def _ext_over(field, factor):
-    """Extension of ``field`` by the given relative degree."""
-    if factor == 1:
-        return field
-    return ExtField(field.char, field.degree * factor)
-
-
 def _sqrt_in_tower(field, a):
     """(field', root) with root^2 = a; extends by degree 2 when needed."""
     r = field.sqrt(a)
     if r is not None:
         return field, r
-    up = _ext_over(field, 2)
+    up = field.extension(2)
     r = up.sqrt(coerce(a, up))
     assert r is not None
     return up, r
@@ -306,9 +295,6 @@ class HyperellipticCurve:
         if P.kind == "aff":
             return not P.y
         return self.odd_model
-
-    def x_value(self, P):
-        return P.x if P.kind == "aff" else INF
 
     def points_above_x(self, t0, field):
         """Points of the fiber of the x-map over t0 (INF allowed), with the
@@ -436,7 +422,7 @@ class HyperellipticCurve:
 
     def points_over(self, rel_degree=1):
         """All points with coordinates in the degree-``rel_degree`` extension."""
-        K = _ext_over(self.field, rel_degree)
+        K = self.field.extension(rel_degree)
         fl = self.f.map_field(K)
         out = []
         for x0 in K.elements():
@@ -522,7 +508,7 @@ class PlaneQuarticCurve:
         return self.local_series(P, order)
 
     def points_over(self, rel_degree=1):
-        K = _ext_over(self.field, rel_degree)
+        K = self.field.extension(rel_degree)
         form = self.form.map_field(K)
         out = []
         # affine chart x = 1, plus the line at infinity x = 0
@@ -576,6 +562,7 @@ class CanonicalG4Curve:
         self.quadric = quadric
         self.cubic = cubic
         self.forms = (quadric, cubic)
+        self.gram = _gram_matrix(field, quadric)
         if check:
             _certify_smooth_g4(self)
 
@@ -624,7 +611,7 @@ class CanonicalG4Curve:
         x0 = x1 = 0.
         """
         from .rulings import points_over
-        K = _ext_over(self.field, rel_degree)
+        K = self.field.extension(rel_degree)
         return K, points_over(self, K)
 
     def describe(self):
@@ -734,13 +721,12 @@ def _certify_smooth_g4(curve):
     F_q or F_(q^2); the lines through the vertex for a cone), where C is a
     curve G = 0 on charts isomorphic to open pieces of Q, or of the cone
     minus its vertex."""
-    field = curve.field
-    gram = _gram_matrix(field, curve.quadric)
+    field, gram = curve.field, curve.gram
     if gram.rank() < 3:
         raise CurveError("quadric has rank < 3; the intersection is singular")
     from .rulings import _cone_images, _quadric_type, _segre_images
     kind = _quadric_type(gram)
-    K = _ext_over(field, 2) if kind == "nonsplit" else field
+    K = field.extension(2) if kind == "nonsplit" else field
     make = _cone_images if kind == "cone" else _segre_images
     images = make(K, gram.map_field(K), field)
     G = mp_substitute(mp_map_field(curve.cubic.coeffs, K), images, K, 4)
@@ -797,7 +783,7 @@ def _verify_candidates_bivar(field, sys2, g):
     for f, _ in factor_finite(g):
         if f.degree < 1:
             continue
-        K = _ext_over(field, f.degree)
+        K = field.extension(f.degree)
         t0 = -f[0] if f.degree == 1 else distinct_roots_in_field(f.map_field(K))[0]
         common = None
         for d in sys2:
@@ -815,20 +801,20 @@ def _verify_candidates_bivar(field, sys2, g):
 def exhaustive_singular_search(curve, rel_degree=1):
     """Rational singular points by brute force (small fields; cross-check)."""
     field = curve.field
-    K = _ext_over(field, rel_degree)
+    K = field.extension(rel_degree)
     found = []
     if curve.model == "plane_quartic":
         form = curve.form.map_field(K)
-        parts = [HomForm(K, 3, 3, form.partial(i)) for i in range(3)]
-        for P in _projective_points(K, 3):
+        parts = [HomForm(K, 3, 3, mp_partial(form.coeffs, i, K)) for i in range(3)]
+        for P in projective_points(K, 3):
             if not form(P) and all(not pf(P) for pf in parts):
                 found.append(ProjectivePoint(K, P))
     elif curve.model == "canonical_g4":
         quad = curve.quadric.map_field(K)
         cub = curve.cubic.map_field(K)
-        gq = [quad.partial(i) for i in range(4)]
-        ge = [cub.partial(i) for i in range(4)]
-        for P in _projective_points(K, 4):
+        gq = [mp_partial(quad.coeffs, i, K) for i in range(4)]
+        ge = [mp_partial(cub.coeffs, i, K) for i in range(4)]
+        for P in projective_points(K, 4):
             if quad(P) or cub(P):
                 continue
             vq = [mp_eval(g, P, K) for g in gq]
@@ -839,23 +825,6 @@ def exhaustive_singular_search(curve, rel_degree=1):
     else:
         raise CurveError("exhaustive search applies to plane models")
     return found
-
-
-def _projective_points(field, nvars):
-    elems = list(field.elements())
-    for lead in range(nvars):
-        prefix = [field.zero] * lead + [field.one]
-        free = nvars - lead - 1
-
-        def rec(acc, depth):
-            if depth == 0:
-                yield tuple(acc)
-                return
-            for e in elems:
-                yield from rec(acc + [e], depth - 1)
-
-        for tail in rec([], free):
-            yield tuple(prefix) + tail
 
 
 # -- public constructors / serialization -------------------------------------

@@ -31,10 +31,6 @@ class Divisor:
         self.field = fld
         self.items = tuple(out)
 
-    @classmethod
-    def zero(cls, curve, field=None):
-        return cls(curve, [], field=field)
-
     @property
     def degree(self):
         return sum(m for _, m in self.items)

@@ -47,7 +47,6 @@ class ExperimentConfig:
     seed: int = 0
     ext_cap: int = 12
     oracle_cap: int = 0       # exhaustive q-search cap (0 = disabled)
-    out: str | None = None
     g_min: int = 0
     g_max: int = 0
     fmt: str = "json"
@@ -99,7 +98,7 @@ def sample_smooth_divisor(curve, n, rng, max_tries=200):
 
 
 def _require_trials(cfg):
-    """A census over no trials decides nothing: refuse it, as ``--n 0`` is."""
+    """A run over no trials decides nothing: refuse it, as ``--n 0`` is."""
     if cfg.trials < 1:
         raise ValueError(f"need at least one trial, got {cfg.trials}")
 
@@ -272,6 +271,7 @@ def run_locus_census(cfg):
 
 
 def run_reconstruct(cfg):
+    _require_trials(cfg)
     curve = validate(cfg.curve)
     if curve.model == "canonical_g4":
         return _reconstruct_g4(cfg, curve)
@@ -284,10 +284,10 @@ def run_reconstruct(cfg):
 def _reconstruct_g4(cfg, curve):
     fld = curve.field
     L = find_g13(curve, seed=cfg.seed, cap=cfg.ext_cap)
-    count = min(cfg.trials or 8, 12)
+    count = min(cfg.trials, 12)
     params = [(fld.one, fld.elem(j)) for j in range(count)]
     members = [L.member(c) for c in params]
-    Ws = [beta(E, cap=cfg.ext_cap) for E in members]
+    Ws = [beta(E) for E in members]
     L2, got = reconstruct_system(Ws, n=cfg.n, k=cfg.k, cap=cfg.ext_cap)
     member_match = got == members
     bf = dual_branch_form(L2)
@@ -322,13 +322,13 @@ def _reconstruct_g4(cfg, curve):
 def _reconstruct_hyperelliptic(cfg, curve):
     records = []
     ok_all = True
-    for i in range(cfg.trials or 20):
+    for i in range(cfg.trials):
         rng = _trial_rng(cfg.seed, i)
         D, W = sample_smooth_divisor(curve, cfg.n, rng)
         k = cfg.k or 1
         try:
             L, Fw = hyperelliptic_image_witness(D, k=k, cap=cfg.ext_cap)
-            ok = beta(Fw, cap=cfg.ext_cap) == W
+            ok = beta(Fw) == W
             nc = classify_member(L, Fw)["nc"]
         except (ExtensionCapError, FieldError):
             # a witness whose residual or span needs a splitting field beyond
@@ -349,7 +349,7 @@ def _reconstruct_hyperelliptic(cfg, curve):
         injective = True
         count = 0
         for c, E in L.members_rational():
-            key = tuple(map(repr, beta(E, cap=cfg.ext_cap).plucker()))
+            key = tuple(map(repr, beta(E).plucker()))
             if key in seen:
                 injective = False
             seen.add(key)

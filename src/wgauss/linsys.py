@@ -20,11 +20,11 @@ its branch form is the discriminant of the cubic on those lines.
 import random
 from itertools import product
 
-from .algebra.fields import FieldError, coerce, common_field
+from .algebra.fields import FieldError, coerce, common_field, projective_points
 from .algebra.linalg import MatrixExact
 from .algebra.poly import ExtensionCapError, binary_roots
 from .curves import INF, CurveError
-from .divisors import Divisor, gcd_div, hyperelliptic_reduce, pullback_x, x_fibers
+from .divisors import Divisor, gcd_div, pullback_x, x_fibers
 from .gauss import intersection_divisor
 from .spans import (
     NotSpecialError,
@@ -125,11 +125,7 @@ class CompleteSystem:
         if count > SWEEP_LIMIT:
             raise UnsupportedConfiguration(
                 f"rational sweep of size ~{count} exceeds limit {SWEEP_LIMIT}")
-        elems = list(fld.elements())
-        for lead in range(self.r + 1):
-            prefix = [fld.zero] * lead + [fld.one]
-            for tail in product(elems, repeat=self.r - lead):
-                yield tuple(prefix) + tail
+        yield from projective_points(fld, self.r + 1)
 
     def members_rational(self):
         for c in self.rational_parameters():
@@ -164,26 +160,7 @@ def complete_system(D, cap=12):
     return L
 
 
-def linear_equiv(D, E, cap=12):
-    """Linear equivalence test for effective divisors of equal degree.
-
-    Hyperelliptic models compare canonical forms; otherwise D must be
-    special and E must lie in |D| (``CompleteSystem.contains``).
-    """
-    if D.curve != E.curve:
-        raise CurveError("mixed curves")
-    if D.degree != E.degree:
-        return False
-    if D == E:
-        return True
-    curve = D.curve
-    if curve.model == "hyperelliptic":
-        a, b = hyperelliptic_reduce(D), hyperelliptic_reduce(E)
-        return a.k == b.k and a.B == b.B
-    return complete_system(D, cap=cap).contains(E)
-
-
-def beta(F, cap=12):
+def beta(F):
     """The span of a member of a complete special system."""
     sp = span(F)
     if F.degree - sp.dim < 2:   # ell(F) < 2
@@ -454,7 +431,7 @@ def reconstruct_system(W_samples, n=None, k=None, cap=12):
     if n is not None and first.degree != n + (k or 0):
         raise ValueError("sample degrees do not match the requested (n, k)")
     for W, E in zip(W_samples, members):
-        if beta(E, cap=cap) != W:
+        if beta(E) != W:
             raise InequivalentSamplesError("round trip beta(E) = W failed")
     return L, members
 
@@ -467,11 +444,10 @@ def trisecants_through(curve, P, cap=12):
     over the splitting field of its own points."""
     if curve.model != "canonical_g4":
         raise UnsupportedConfiguration("trisecants live on the genus-4 model")
-    from .curves import _gram_matrix
     from .rulings import _components, _cut, space_point
     fld = P.field
     quad = curve.quadric.map_field(fld)
-    normal = _gram_matrix(fld, quad).apply(P.coords)   # half the gradient
+    normal = curve.gram.map_field(fld).apply(P.coords)   # half the gradient
     if not any(normal):
         raise CurveError("singular quadric point")
     basis = MatrixExact(fld, [normal]).kernel_basis()

@@ -47,7 +47,7 @@ per line (``_by_st``, ``_specialize_pencil``).
 import random
 from itertools import chain, combinations
 
-from .algebra.fields import PrimeField, coerce
+from .algebra.fields import PrimeField, coerce, projective_points
 from .algebra.kernel import _tstrip
 from .algebra.linalg import MatrixExact
 from .algebra.mpoly import mp_substitute
@@ -58,7 +58,7 @@ from .curves import CurveError, HomForm, ProjectivePoint, ValidationInconclusive
 def points_over(curve, K):
     """Sorted distinct points of the genus-4 curve over its extension K."""
     quad, cub = curve.quadric.map_field(K), curve.cubic.map_field(K)
-    gram = _gram_matrix(K, quad)
+    gram = curve.gram.map_field(K)
     kind = _quadric_type(gram)
     if kind == "nonsplit":
         found = _sweep_points(K, quad, cub)
@@ -179,7 +179,7 @@ def _line_points(K, images, cub):
     of the pulled-back cubic, line by line."""
     pulled = _by_st(mp_substitute(cub.coeffs, images, K, 4))
     out = []
-    for s, t in _p1(K):
+    for s, t in projective_points(K, 2):
         c = _specialize_pencil(pulled, s, t)
         S = Poly(K, [c.get((3 - j, j), K.zero) for j in range(4)])
         if not S:
@@ -211,7 +211,7 @@ def pencil_lines(curve, K, planes):
     on linear forms in (s, t), and the line of c is x at the zero mu(c) of
     g_c; when it has fixed (u : v) that kernel is zero: the rulings swap.
     """
-    gram = _gram_matrix(K, curve.quadric.map_field(K))
+    gram = curve.gram.map_field(K)
     kind = _quadric_type(gram)
     if kind == "nonsplit":
         return None
@@ -412,10 +412,12 @@ def plane_rational_points(curve, h):
     if zeros is None:
         zeros = plane_rational_zeros(*(f.restrict_plane(*basis) for f in curve.forms))
     if len(zeros) > 1:
-        # conic(col) and cubic(col) are the forms at the space point of col
-        inv = next((inv for col, inv in _shears(F)
-                    if all(f(space_point(basis, col).coords) for f in curve.forms)), None)
-        if inv is None:
+        # conic(col) and cubic(col) are the forms at B.col in space
+        for col, inv in _shears(F):
+            x = [sum((c * b[i] for c, b in zip(col, basis)), F.zero) for i in range(4)]
+            if all(f(x) for f in curve.forms):
+                break
+        else:
             raise ValidationInconclusive("no shear orders the plane's points")
 
         def key(x):
@@ -483,10 +485,7 @@ def _residue_zeros(curve, basis):
     """
     F = curve.field
     p, kern = F.p, F._kernel()
-    G = [[0] * 4 for _ in range(4)]
-    for e, c in curve.quadric.coeffs.items():   # as in _gram_matrix
-        i, j = (k for k in range(4) for _ in range(e[k]))
-        G[i][j] = G[j][i] = c.value if i == j else c.value * (p + 1) // 2 % p
+    G = [[c.value for c in row] for row in curve.gram.rows]
     B = [[c.value for c in b] for b in basis]
     GB = [[sum(r * x for r, x in zip(row, b)) for row in G] for b in B]
     g = [[sum(x * y for x, y in zip(a, gb)) % p for gb in GB] for a in B]
@@ -556,7 +555,7 @@ def _sweep_points(K, quad, cub):
               {(0, 1, 0, 0, 0): K.one}, {(0, 0, 1, 0, 0): K.one}]
     pencil = [_by_st(mp_substitute(f.coeffs, images, K, 5)) for f in (quad, cub)]
     out = []
-    for s, t in _p1(K):
+    for s, t in projective_points(K, 2):
         conic, cubic = (HomForm(K, 3, d, _specialize_pencil(f, s, t))
                         for f, d in zip(pencil, (2, 3)))
         for a, b, c in plane_rational_zeros(conic, cubic):
@@ -565,11 +564,6 @@ def _sweep_points(K, quad, cub):
 
 
 # -- shared -----------------------------------------------------------------
-
-def _p1(K):
-    """P^1(K) as (s, t): (1, t) in elements() order, then (0, 1)."""
-    return [(K.one, t) for t in K.elements()] + [(K.zero, K.one)]
-
 
 def _by_st(d):
     """A dict whose keys end in the (s, t) exponents, grouped by them."""

@@ -97,16 +97,6 @@ class LinearSpan:
                 return False
         return True
 
-    def contains_span(self, other):
-        """Geometric containment: other's span lies inside this one."""
-        fld = common_field(self.field, other.field)
-        big = other.hyperplanes.map_field(fld)
-        mine = self.hyperplanes.map_field(fld)
-        if mine.nrows == 0:
-            return True
-        stacked = big.stack(mine)
-        return stacked.rank() == big.rank()
-
     def __repr__(self):
         return f"LinearSpan(dim={self.dim} in P^{self.ambient - 1})"
 

@@ -288,7 +288,7 @@ def test_quartic_local_series_residuals():
         assert [c.coefficient(0) for c in s] == list(P.coords)
         assert _form_at_series(q.form, s).is_zero()
     s = q.local_series(corner, 7)
-    assert s[2] == TruncatedSeries.var(F, 7)
+    assert s[2] == TruncatedSeries(F, [F.zero, F.one], 7)
     assert s[1].valuation() == 3
 
 
@@ -349,18 +349,17 @@ POINT_TABLE_CURVES = [
 @pytest.mark.parametrize("forms", POINT_TABLE_CURVES,
                          ids=["segre", "segre+w2", "diagonal"])
 def test_points_over_g4_matches_brute_force_and_per_plane_path(forms):
-    from wgauss.curves import _projective_points
+    from wgauss.algebra.fields import projective_points
     F7 = PrimeField(7)
     g = CanonicalG4Curve(F7, *forms)
     K, pts = g.points_over(1)
-    brute = {P for P in _projective_points(F7, 4) if not g.quadric(P) and not g.cubic(P)}
+    brute = {P for P in projective_points(F7, 4) if not g.quadric(P) and not g.cubic(P)}
     assert [P.coords for P in pts] == _sorted_coords(F7, brute)
     # over F_49: the rational points of every plane s*x0 + t*x1 = 0 through
     # the axis line, each restricted on its own
     K2, pts2 = g.points_over(2)
     gK = CanonicalG4Curve(K2, g.quadric.map_field(K2), g.cubic.map_field(K2), check=False)
-    planes = [(K2.one, t) for t in K2.elements()] + [(K2.zero, K2.one)]
-    per_plane = {P.coords for s, t in planes
+    per_plane = {P.coords for s, t in projective_points(K2, 2)
                  for P in gK.plane_rational_points((s, t, K2.zero, K2.zero))}
     assert [P.coords for P in pts2] == _sorted_coords(K2, per_plane)
 
@@ -409,10 +408,9 @@ def test_x_value_and_points_above():
     c = hyperelliptic_g3()
     rng = random.Random(9)
     P = c.sample_point(rng)
-    t0 = c.x_value(P)
-    pts = c.points_above_x(t0, F)
+    pts = c.points_above_x(P.x, F)
     assert P in pts and c.involution(P) in pts
-    assert c.x_value(c.infinity_points()[0]) is INF
+    assert c.infinity_points()[0].kind == "inf"
     inf_pts = c.points_above_x(INF, F)
     assert len(inf_pts) == 1
 
@@ -461,9 +459,9 @@ def _random_g4(p, kind, rng, draws=200, kind_of=None):
 def _quadric_kind(curve):
     """The quadric's type over F_p from its number of points: (p + 1)^2 when
     it splits, p^2 + 1 when it does not, p^2 + p + 1 for a cone."""
-    from wgauss.curves import _projective_points
+    from wgauss.algebra.fields import projective_points
     p = curve.field.p
-    n = sum(1 for P in _projective_points(curve.field, 4) if not curve.quadric(P))
+    n = sum(1 for P in projective_points(curve.field, 4) if not curve.quadric(P))
     return {(p + 1) ** 2: "split", p * p + 1: "nonsplit", p * p + p + 1: "cone"}[n]
 
 
@@ -478,7 +476,7 @@ def _swept(curve, K, sweep):
 @pytest.mark.parametrize("kind", ["split", "nonsplit", "cone"])
 def test_points_over_rulings_match_brute_force_and_sweep(p, kind, monkeypatch):
     from wgauss import rulings
-    from wgauss.curves import _projective_points
+    from wgauss.algebra.fields import projective_points
     curve = _random_g4(p, kind, random.Random(f"rulings-{p}-{kind}"))
     F = curve.field
     sweep, calls = rulings._sweep_points, []
@@ -490,7 +488,7 @@ def test_points_over_rulings_match_brute_force_and_sweep(p, kind, monkeypatch):
     monkeypatch.setattr(rulings, "_sweep_points", spy)
     # m = 1 against brute force; only a non-split quadric at odd m sweeps
     K, pts = curve.points_over(1)
-    brute = {P for P in _projective_points(F, 4) if not curve.quadric(P) and not curve.cubic(P)}
+    brute = {P for P in projective_points(F, 4) if not curve.quadric(P) and not curve.cubic(P)}
     assert [P.coords for P in pts] == _sorted_coords(F, brute)
     assert calls == ([F] if kind == "nonsplit" else [])
     # m = 2 against the sweep: every quadric of rank 4 splits over F_(p^2)
@@ -525,9 +523,17 @@ def _planes(curve, K, rng, n):
 
 
 def _gram_kind(curve):
-    from wgauss.curves import _gram_matrix
     from wgauss.rulings import _quadric_type
-    return _quadric_type(_gram_matrix(curve.field, curve.quadric))
+    return _quadric_type(curve.gram)
+
+
+@pytest.mark.parametrize("kind", ["split", "nonsplit", "cone"])
+def test_gram_matrix_over_an_extension_is_the_extended_quadrics(kind):
+    # the curve keeps one Gram matrix and maps it into each extension
+    from wgauss.curves import _gram_matrix
+    curve = _random_g4(11, kind, random.Random(f"gram-{kind}"))
+    for K in (ExtField(11, 2), ExtField(11, 3)):
+        assert curve.gram.map_field(K) == _gram_matrix(K, curve.quadric.map_field(K))
 
 
 def _valuation(curve, P, h, order=8):
@@ -562,7 +568,7 @@ def test_plane_rational_points_match_brute_force(p, monkeypatch):
     # the residue path's list equals the element path's, in order, since
     # sample_point indexes it; at small p, as a set, every point on the plane
     from wgauss import rulings
-    from wgauss.curves import _projective_points
+    from wgauss.algebra.fields import projective_points
     rng = random.Random(f"plane-points-{p}")
     for kind in ("split", "nonsplit", "cone"):
         curve = _random_g4(p, kind, rng)
@@ -574,7 +580,7 @@ def test_plane_rational_points_match_brute_force(p, monkeypatch):
             assert got == [[P.coords for P in curve.plane_rational_points(h)] for h in planes]
         if p > 13:
             continue
-        brute = [P for P in _projective_points(F, 4)
+        brute = [P for P in projective_points(F, 4)
                  if not curve.quadric(P) and not curve.cubic(P)]
         for h, pts in zip(planes, got):
             assert len(pts) == len(set(pts))

@@ -34,7 +34,7 @@ def test_gcd_div_examples():
     E = Divisor(CURVE, [(P, 1), (Q, 1), (R, 1)])
     assert gcd_div(D, E) == Divisor(CURVE, [(P, 1), (Q, 1)])
     assert gcd_div(D, D) == D
-    assert gcd_div(D, Divisor.zero(CURVE)).is_zero()
+    assert gcd_div(D, Divisor(CURVE, [])).is_zero()
 
 
 def test_gcd_div_laws():

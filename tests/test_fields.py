@@ -11,7 +11,8 @@ from wgauss.algebra import (
     field_from_json,
 )
 from wgauss.algebra import fields
-from wgauss.algebra.fields import ExtElement, _binomial_irreducible, _t_irreducible
+from wgauss.algebra.fields import (ExtElement, _binomial_irreducible, _t_irreducible,
+                                   projective_points)
 
 
 def test_prime_field_basics():
@@ -136,6 +137,19 @@ def test_elements_enumeration_order_is_stable():
     elems = list(E.elements())
     assert len(elems) == 9
     assert elems[0] == E.zero and elems[1] == E.one
+
+
+def test_projective_points_order_is_pinned():
+    # the point tables, the pencil sweeps and rational_parameters all
+    # enumerate P^(n-1) in this order
+    F3 = PrimeField(3)
+    pts = {n: [tuple(c.value for c in P) for P in projective_points(F3, n)]
+           for n in (1, 2, 3)}
+    assert pts[1] == [(1,)]
+    assert pts[2] == [(1, 0), (1, 1), (1, 2), (0, 1)]
+    assert pts[3] == [(1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1), (1, 1, 2),
+                      (1, 2, 0), (1, 2, 1), (1, 2, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2),
+                      (0, 0, 1)]
 
 
 # -- field set-up: canonical modulus and non-residue ------------------------

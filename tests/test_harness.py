@@ -418,14 +418,16 @@ def test_cli_exit_paths(tmp_path, monkeypatch, outcome, code):
     assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == code
 
 
-@pytest.mark.parametrize("command", ["fiber-census", "locus-census"])
+@pytest.mark.parametrize("command", ["fiber-census", "locus-census", "reconstruct"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_cli_census_without_trials_is_refused(tmp_path, capsys, command, trials):
     # zero records would pass every verdict vacuously
     from wgauss import cli
     path = tmp_path / "c.json"
     path.write_text(json.dumps(HE_G3))
-    assert cli.main([command, "--curve", str(path), "--n", "2", "--trials", trials]) == 3
+    extra = ["--k", "1"] if command == "reconstruct" else []
+    assert cli.main([command, "--curve", str(path), "--n", "2", "--trials", trials,
+                     *extra]) == 3
     assert "need at least one trial" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 """Import hygiene, checked on the AST: no module of the package keeps an
-import it does not use, and every public export resolves."""
+import it does not use, every public export resolves, and every public
+function or method has a caller in the package or a stated reason to stay."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,55 @@ def test_module_level_imports_are_used(path):
 def test_algebra_exports_resolve():
     missing = [n for n in wgauss.algebra.__all__ if not hasattr(wgauss.algebra, n)]
     assert missing == []
+
+
+# Public names that no code under src/ refers to, each with its reason to stay.
+KEEP = {
+    "in_smooth_Wn": "the paper's smooth locus of W_n, checked by the acceptance tests",
+    "in_Rnk": "the paper's (n+k)-intersection locus R_(n,k), as a predicate",
+    "in_multiple_locus": "the paper's multiple locus, as a predicate",
+    "phi_L": "the paper's morphism of a linear system to P^r",
+    "dual_samples": "the paper's dual hypersurface of a linear system, sampled",
+    "subdivisors": "oracle for the fiber walk's rank-filtered subdivisors",
+    "exhaustive_singular_search": "brute-force oracle for the smoothness certificates",
+    "resultant": "oracle for gcd degrees, and the body of discriminant",
+    "discriminant": "oracle for the branch forms",
+    "divisor_from_json": "reads the divisor JSON that Divisor.to_json writes",
+    "infinity_points": "helper that tests use to build divisors at infinity",
+    "weierstrass_points": "helper that tests use to build Weierstrass divisors",
+    "mult_of": "helper that tests use to read a multiplicity",
+    "contains_vector": "helper that tests use to check span containment",
+}
+
+
+def _unreferenced_public_names():
+    """Public functions and methods under src/ that no code there refers to
+    by name (a Name or an attribute); one that only such code refers to
+    counts as unreferenced too."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))]
+    defs = [(f.name, f) for t in trees for node in t.body
+            for f in (node.body if isinstance(node, ast.ClassDef) else [node])
+            if isinstance(f, ast.FunctionDef)]
+    dead = set()
+    while True:
+        skip = {id(f) for name, f in defs if name in dead}
+        refs, todo = set(), list(trees)
+        while todo:
+            node = todo.pop()
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            todo.extend(ast.iter_child_nodes(node))
+        now = {name for name, _ in defs if not name.startswith("_") and name not in refs}
+        if now == dead:
+            return dead
+        dead = now
+
+
+def test_public_names_have_a_caller_or_a_reason():
+    # a public name that only its own tests call is an alias to delete; a
+    # keep-list entry that gained a caller or lost its definition is stale
+    assert sorted(_unreferenced_public_names()) == sorted(KEEP)

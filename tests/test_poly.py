@@ -13,7 +13,6 @@ from wgauss.algebra import (
     PrimeField,
     factor_finite,
     poly_gcd,
-    poly_xgcd,
     powmod,
     resultant,
     roots_in_field,
@@ -67,16 +66,6 @@ def test_gcd_rejects_mixed_fields():
         poly_gcd(Poly(F7, [1, 1]), Poly(F31, [1, 1]))
     with pytest.raises(FieldError):
         powmod(Poly(F7, [1, 1]), 3, Poly(F31, [1, 0, 1]))
-
-
-def test_xgcd_bezout():
-    rng = random.Random(8)
-    for _ in range(20):
-        a = rand_poly(F31, 5, rng)
-        b = rand_poly(F31, 3, rng)
-        g, u, v = poly_xgcd(a, b)
-        assert u * a + v * b == g
-        assert g == poly_gcd(a, b)
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=7),

@@ -36,7 +36,7 @@ def test_residual_zero_random_seeds():
         N = 8
         y, = series_solve([eq], [y0], N, F)
         assert y.prec == N
-        t = TruncatedSeries.var(F, N)
+        t = TruncatedSeries(F, [F.zero, F.one], N)
         res = TruncatedSeries.zero(F, N)
         for (i, j), c in eq.items():
             res = res + t ** i * y ** j * c
@@ -92,7 +92,7 @@ def test_system_solve_two_vars():
     assert y.prec == z.prec == 5
     assert y.coefficient(1) == F.one / 2
     # check residuals
-    t = TruncatedSeries.var(F, 5)
+    t = TruncatedSeries(F, [F.zero, F.one], 5)
     r1 = y * y - (1 + t)
     assert r1.is_zero()
     r2 = y + t * z * z - z
