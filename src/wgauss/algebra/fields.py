@@ -137,6 +137,8 @@ class FpElement:
         return FpElement(v * pow(self.value, -1, self.field.p), self.field)
 
     def __pow__(self, e):
+        if e < 0 and not self.value:
+            raise ZeroDivisionError("division by zero in F_p")
         return FpElement(pow(self.value, e, self.field.p), self.field)
 
     def __neg__(self):
@@ -659,14 +661,14 @@ def _json_int(v):
 
 
 def field_from_json(obj):
-    t = obj.get("type")
+    t = obj.get("type") if isinstance(obj, dict) else None
     if t == "rational":
         raise FieldError("rational models are not supported; reduce the model "
                          "mod a large prime such as 10007 first")
     if t == "prime":
-        return PrimeField(_json_int(obj["p"]))
+        return PrimeField(_json_int(obj.get("p")))
     if t == "extension":
-        return ExtField(_json_int(obj["p"]), _json_int(obj["k"]))
+        return ExtField(_json_int(obj.get("p")), _json_int(obj.get("k")))
     raise FieldError(f"unknown field descriptor {obj!r}")
 
 

@@ -32,10 +32,31 @@ def _tstrip(c):
     return tuple(c[:n])
 
 
-class FpKernel:
+class _SquareMultiply:
+    """``powmod`` by square-and-multiply on the kernel's ``mul`` and ``mod``;
+    ``ONE`` is the code of the polynomial 1."""
+
+    __slots__ = ()
+
+    def powmod(self, a, e, m):
+        if e < 0:
+            raise ValueError("negative exponent")
+        a = self.mod(a, m)
+        if e == 0:
+            return self.ONE
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mod(self.mul(r, r), m)
+            if bit == "1":
+                r = self.mod(self.mul(r, a), m)
+        return r
+
+
+class FpKernel(_SquareMultiply):
     """Polynomial arithmetic over F_p on residues."""
 
     __slots__ = ("p",)
+    ONE = (1,)
 
     def __init__(self, p):
         self.p = p
@@ -103,19 +124,6 @@ class FpKernel:
                     r[i] -= c * mi
         return _tstrip([v % p for v in r])
 
-    def powmod(self, a, e, m):
-        if e < 0:
-            raise ValueError("negative exponent")
-        a = self.mod(a, m)
-        if e == 0:
-            return (1,)
-        r = a
-        for bit in bin(e)[3:]:
-            r = self.mod(self.mul(r, r), m)
-            if bit == "1":
-                r = self.mod(self.mul(r, a), m)
-        return r
-
     def gcd(self, a, b):
         """Monic gcd (the zero polynomial for gcd(0, 0))."""
         a, b = _tstrip(a), _tstrip(b)
@@ -140,7 +148,7 @@ def _zstrip(c):
     return tuple(c[:n])
 
 
-class ZechKernel:
+class ZechKernel(_SquareMultiply):
     """Log tables of F_q and polynomial arithmetic on logs.
 
     ``exp[i]`` is the coefficient vector of g^i and ``log`` inverts it (the
@@ -150,6 +158,7 @@ class ZechKernel:
     """
 
     __slots__ = ("n", "half", "gen", "exp", "log", "zech")
+    ONE = (0,)
 
     def __init__(self, p, k, mul):
         """Tables of F_{p^k}; ``mul`` multiplies two coefficient vectors.
@@ -258,19 +267,6 @@ class ZechKernel:
                     z = zech[t - cur]
                     r[i] = -1 if z < 0 else (cur + z) % n
         return _zstrip(r)
-
-    def powmod(self, a, e, m):
-        if e < 0:
-            raise ValueError("negative exponent")
-        a = self.mod(a, m)
-        if e == 0:
-            return (0,)
-        r = a
-        for bit in bin(e)[3:]:
-            r = self.mod(self.mul(r, r), m)
-            if bit == "1":
-                r = self.mod(self.mul(r, a), m)
-        return r
 
     def gcd(self, a, b):
         a, b = _zstrip(a), _zstrip(b)

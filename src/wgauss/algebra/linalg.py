@@ -7,8 +7,6 @@ syntactic equality of RREFs.
 
 from itertools import combinations
 
-from .fields import FieldError
-
 
 class MatrixExact:
     __slots__ = ("field", "rows", "_rref")
@@ -48,15 +46,6 @@ class MatrixExact:
 
     def __repr__(self):
         return f"MatrixExact({self.nrows}x{self.ncols} over {self.field!r})"
-
-    def __mul__(self, other):
-        if isinstance(other, MatrixExact):
-            if other.field != self.field:
-                raise FieldError("mixed-field matrices")
-            bt = list(zip(*other.rows))
-            return MatrixExact(self.field, [
-                [_dot(r, c, self.field) for c in bt] for r in self.rows])
-        return NotImplemented
 
     def apply(self, vec):
         return tuple(_dot(r, vec, self.field) for r in self.rows)
@@ -130,9 +119,6 @@ class MatrixExact:
     def map_field(self, target):
         from .fields import coerce
         return MatrixExact(target, [[coerce(c, target) for c in row] for row in self.rows])
-
-    def sort_key(self):
-        return tuple(tuple(self.field.sort_key(c) for c in row) for row in self.rows)
 
 
 def reduce_row(row, echelon):

@@ -187,12 +187,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def shift(self, n):
-        """Multiply by x^n."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) * n + self.coeffs)
-
     def reverse(self, degree=None):
         """Coefficient reversal at the stated degree (default: own degree)."""
         d = self.degree if degree is None else degree
@@ -385,33 +379,25 @@ def distinct_roots_in_field(a):
 def roots_in_field(a):
     """[(root, multiplicity)] for roots lying in a's own finite field.
 
-    Cheaper than full factorization: gcd with x^q - x isolates the product
-    of distinct rational linear factors, multiplicities follow by division.
-    A linear polynomial is its own root, with no exponentiation.
+    Cheaper than full factorization: the distinct roots come from the gcd
+    with x^q - x, and each multiplicity by division.  A linear polynomial
+    is its own root, with no exponentiation.
     """
-    field = a.field
     if a.degree < 1:
         return []
     if a.degree == 1:
         return [(-a[0] / a[1], 1)]
-    x = Poly.x(field)
-    lin = poly_gcd(powmod(x, field.order, a) - x, a)
-    if lin.degree < 1:
-        return []
-    out = []
-    for r in _linear_split(lin):
-        factor = Poly(field, [-r, field.one])
-        m = 0
-        while True:
-            q, rem = a.divmod(factor)
-            if not rem.is_zero():
-                break
-            a = q
-            m += 1
-        assert m >= 1
-        out.append((r, m))
-    out.sort(key=lambda rm: field.sort_key(rm[0]))
-    return out
+    return [(r, root_multiplicity(a, r)) for r in distinct_roots_in_field(a)]
+
+
+def root_multiplicity(a, r):
+    """The multiplicity of r as a root of a (0 when it is none)."""
+    lin, m = Poly(a.field, [-r, a.field.one]), 0
+    while True:
+        a, rem = a.divmod(lin)
+        if rem:
+            return m
+        m += 1
 
 
 def _linear_split(lin):

@@ -150,10 +150,6 @@ class TruncatedSeries:
             out[k] = -inv0 * s
         return TruncatedSeries(f, out, n - v, -v)
 
-    def __truediv__(self, other):
-        other = self._align(other)
-        return self * other.inverse()
-
     def truncate(self, prec):
         if prec >= self.prec:
             return self

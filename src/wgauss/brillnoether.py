@@ -71,7 +71,7 @@ TABLE_COLUMNS = [
 ]
 
 
-def emit_table(g_range, n_range=None, k_range=None):
+def emit_table(g_range):
     """One row per (g, n, k); deterministic ordering, fixed column set.
 
     dim_lower_bound is max(k, k + rho(g, k, n+k)), the component bound for
@@ -79,15 +79,9 @@ def emit_table(g_range, n_range=None, k_range=None):
     """
     rows = []
     for g in g_range:
-        ns = n_range if n_range is not None else range(1, g)
-        for n in ns:
-            if not 1 <= n <= g - 1:
-                continue
-            ks = k_range if k_range is not None else range(1, max(n, 2))
+        for n in range(2, g - 1):   # 1 <= k <= n - 1 <= g - 3
             smooth = wn_smoothness_predicates(g, n)
-            for k in ks:
-                if not 1 <= k <= n - 1 <= g - 3:
-                    continue
+            for k in range(1, n):
                 win = seed_windows(g, n, k)
                 rows.append({
                     "g": g, "n": n, "k": k,

@@ -9,7 +9,11 @@ Three models are supported:
 Homogeneous forms are sparse dicts keyed by exponent tuples.  Curve points
 are either hyperelliptic points (affine (x, y) or tagged points at infinity)
 or normalized projective points; coordinates may live in extensions of the
-curve's base field.
+curve's base field.  The two canonical models share one base class: both are
+cut out by forms in P^(g-1), their points are their own canonical
+coordinates, and one local parametrization serves both.  The quartic's point
+table is read line by line on the lines through (0 : 0 : 1), with the line
+routine its sampler uses; the genus-4 table is read on the rulings.
 
 Infinity conventions for y^2 = f(x): an odd-degree model has a single
 involution-fixed point at infinity; an even-degree model has two, labelled
@@ -40,7 +44,6 @@ from .algebra.poly import (
     distinct_roots_in_field,
     factor_finite,
     poly_gcd,
-    roots_in_field,
     roots_in_splitting_extension,
 )
 from .algebra.series import TruncatedSeries, series_solve
@@ -60,13 +63,6 @@ class SamplingExhausted(RuntimeError):
 
 class _P1Infinity:
     """The point at infinity of P^1 (x-coordinate of hyperelliptic infinity)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "INF"
@@ -454,9 +450,72 @@ def _taylor_shift(f, a):
     return out
 
 
-# -- plane models ------------------------------------------------------------
+# -- canonical models ---------------------------------------------------------
 
-class PlaneQuarticCurve:
+class _CanonicalCurve:
+    """A canonically embedded curve in P^(g-1), cut out by ``self.forms``;
+    its points are ProjectivePoints, their own canonical coordinates."""
+
+    def contains(self, P):
+        return not any(F.map_field(P.field)(P.coords) for F in self.forms)
+
+    def involution(self, P):
+        raise CurveError("involution is defined only for hyperelliptic models")
+
+    def canonical_coords(self, P):
+        return P
+
+    def local_series(self, P, order):
+        """Local parametrization of the curve, a complete intersection, at P.
+
+        Returns g regular series: the normalization coordinate is the
+        constant 1, the parameter coordinate is linear in t, the remaining
+        ones solve the r = len(forms) chart equations.  The parameter is the
+        first chart variable whose complementary r x r Jacobian minor is
+        nonzero at P.
+        """
+        fld = P.field
+        coords = P.coords
+        norm = next(i for i, c in enumerate(coords) if c)  # == 1 after normalization
+        rest = [i for i in range(self.genus) if i != norm]
+        vals = [coords[i] for i in rest]
+        affs = [_dehom(form.map_field(fld).coeffs, rest) for form in self.forms]
+        jac = [[mp_eval(mp_partial(aff, i, fld), vals, fld) for i in range(len(rest))]
+               for aff in affs]
+        for param in range(len(rest)):
+            solved = [i for i in range(len(rest)) if i != param]
+            if MatrixExact(fld, [[row[i] for i in solved] for row in jac]).det():
+                break
+        else:
+            raise CurveError("singular point hit in local_series")
+        # chart equations in (t, y_1, .., y_r): the parameter variable becomes
+        # val + t, the a-th solved variable y_a
+        r = len(self.forms)
+        unit = [tuple(int(a == b) for b in range(r + 1)) for a in range(r + 1)]
+        images = [None] * len(rest)
+        images[param] = {unit[0]: fld.one, (0,) * (r + 1): vals[param]}
+        for a, i in enumerate(solved, 1):
+            images[i] = {unit[a]: fld.one}
+        eqs = [mp_substitute(aff, images, fld, r + 1) for aff in affs]
+        out = [None] * self.genus
+        out[norm] = TruncatedSeries.constant(fld, fld.one, order)
+        out[rest[param]] = TruncatedSeries(fld, [vals[param], fld.one], order)
+        ys = series_solve(eqs, [vals[i] for i in solved], order, fld)
+        for i, y in zip(solved, ys):
+            out[rest[i]] = y
+        return out
+
+    canonical_series = local_series
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field == other.field
+                and self.forms == other.forms)
+
+    def __hash__(self):
+        return hash((self.model, self.field) + tuple(tuple(sorted(F.coeffs)) for F in self.forms))
+
+
+class PlaneQuarticCurve(_CanonicalCurve):
     model = "plane_quartic"
     genus = 3
 
@@ -471,64 +530,38 @@ class PlaneQuarticCurve:
         if check:
             _certify_smooth_plane_quartic(self)
 
-    def contains(self, P):
-        return not self.form.map_field(P.field)(P.coords)
-
-    def involution(self, P):
-        raise CurveError("involution is defined only for hyperelliptic models")
-
-    def canonical_coords(self, P):
-        return P
+    def _line_points(self, b0, b1, K):
+        """The K-points s*b0 + t*b1 of the curve, in ``binary_roots`` order."""
+        S = self.form.pullback([b0, b1], K)
+        if not S:
+            raise CurveError("the quartic contains a line; not smooth")
+        _, zeros = binary_roots([(S, 4)])
+        return [ProjectivePoint(K, [s * a + t * b for a, b in zip(b0, b1)])
+                for (s, t), _ in zeros]
 
     def sample_point(self, rng, budget=2000):
         F = self.field
         for _ in range(budget):
             b0 = [F.rand(rng) for _ in range(3)]
             b1 = [F.rand(rng) for _ in range(3)]
-            m = MatrixExact(F, [b0, b1])
-            if m.rank() != 2:
+            if MatrixExact(F, [b0, b1]).rank() != 2:
                 continue
-            S = self.form.pullback([b0, b1])
-            if not S:
-                raise CurveError("restriction vanished identically")
-            _, pts = binary_roots([(S, 4)])
+            pts = self._line_points(b0, b1, F)
             if not pts:
                 continue
-            (s0, t0), _ = pts[rng.randrange(len(pts))]
-            coords = [s0 * a + t0 * b for a, b in zip(b0, b1)]
-            P = ProjectivePoint(F, coords)
+            P = pts[rng.randrange(len(pts))]
             assert self.contains(P)
             return P
         raise SamplingExhausted("no point found within budget")
 
-    def local_series(self, P, order):
-        return _plane_local_series(self.forms, P, order, nvars=3)
-
-    def canonical_series(self, P, order):
-        return self.local_series(P, order)
-
     def points_over(self, rel_degree=1):
+        """(K, the sorted points of C(K)), K = F_(q^m) for m = rel_degree,
+        found line by line on the lines through (0 : 0 : 1)."""
         K = self.field.extension(rel_degree)
-        form = self.form.map_field(K)
-        out = []
-        # affine chart x = 1, plus the line at infinity x = 0
-        for y0 in K.elements():
-            coeffs = [K.zero] * 5
-            for (i, j, k), c in form.coeffs.items():
-                coeffs[k] = coeffs[k] + c * y0 ** j
-            for z0, _ in roots_in_field(Poly(K, coeffs)):
-                out.append(ProjectivePoint(K, [K.one, y0, z0]))
-            if not any(coeffs):
-                raise CurveError("quartic contains a line; not smooth")
-        coeffs = [K.zero] * 5
-        for (i, j, k), c in form.coeffs.items():
-            if i == 0:
-                coeffs[k] = coeffs[k] + c
-        for z0, _ in roots_in_field(Poly(K, coeffs)):
-            out.append(ProjectivePoint(K, [K.zero, K.one, z0]))
-        if not form((K.zero, K.zero, K.one)):
-            out.append(ProjectivePoint(K, [K.zero, K.zero, K.one]))
-        return K, out
+        apex = (K.zero, K.zero, K.one)
+        pts = {P for a, b in projective_points(K, 2)
+               for P in self._line_points((a, b, K.zero), apex, K)}
+        return K, sorted(pts, key=ProjectivePoint.sort_key)
 
     def describe(self):
         return {
@@ -537,15 +570,8 @@ class PlaneQuarticCurve:
             "form": self.form.to_json(),
         }
 
-    def __eq__(self, other):
-        return (isinstance(other, PlaneQuarticCurve)
-                and self.field == other.field and self.form == other.form)
 
-    def __hash__(self):
-        return hash(("pq", self.field, tuple(sorted(self.form.coeffs))))
-
-
-class CanonicalG4Curve:
+class CanonicalG4Curve(_CanonicalCurve):
     model = "canonical_g4"
     genus = 4
 
@@ -566,16 +592,6 @@ class CanonicalG4Curve:
         if check:
             _certify_smooth_g4(self)
 
-    def contains(self, P):
-        return (not self.quadric.map_field(P.field)(P.coords)
-                and not self.cubic.map_field(P.field)(P.coords))
-
-    def involution(self, P):
-        raise CurveError("involution is defined only for hyperelliptic models")
-
-    def canonical_coords(self, P):
-        return P
-
     def sample_point(self, rng, budget=2000):
         F = self.field
         for _ in range(budget):
@@ -593,12 +609,6 @@ class CanonicalG4Curve:
         ``sample_point`` draws from (``rulings.plane_rational_points``)."""
         from .rulings import plane_rational_points
         return plane_rational_points(self, h)
-
-    def local_series(self, P, order):
-        return _plane_local_series(self.forms, P, order, nvars=4)
-
-    def canonical_series(self, P, order):
-        return self.local_series(P, order)
 
     def points_over(self, rel_degree=1):
         """(K, the sorted points of C(K)), K = F_(q^m) for m = rel_degree.
@@ -620,54 +630,6 @@ class CanonicalG4Curve:
             "field": self.field.describe(),
             "forms": {"quadric": self.quadric.to_json(), "cubic": self.cubic.to_json()},
         }
-
-    def __eq__(self, other):
-        return (isinstance(other, CanonicalG4Curve) and self.field == other.field
-                and self.quadric == other.quadric and self.cubic == other.cubic)
-
-    def __hash__(self):
-        return hash(("g4", self.field, tuple(sorted(self.quadric.coeffs)),
-                     tuple(sorted(self.cubic.coeffs))))
-
-
-def _plane_local_series(forms, P, order, nvars):
-    """Local parametrization of a smooth complete-intersection plane point.
-
-    Returns ``nvars`` regular series: the normalization coordinate is the
-    constant 1, the parameter coordinate is linear in t, the remaining ones
-    solve the r = len(forms) chart equations.  The parameter is the first
-    chart variable whose complementary r x r Jacobian minor is nonzero at P.
-    """
-    fld = P.field
-    coords = P.coords
-    norm = next(i for i, c in enumerate(coords) if c)  # == 1 after normalization
-    rest = [i for i in range(nvars) if i != norm]
-    vals = [coords[i] for i in rest]
-    affs = [_dehom(form.map_field(fld).coeffs, rest) for form in forms]
-    jac = [[mp_eval(mp_partial(aff, i, fld), vals, fld) for i in range(len(rest))]
-           for aff in affs]
-    for param in range(len(rest)):
-        solved = [i for i in range(len(rest)) if i != param]
-        if MatrixExact(fld, [[row[i] for i in solved] for row in jac]).det():
-            break
-    else:
-        raise CurveError("singular point hit in local_series")
-    # chart equations in (t, y_1, .., y_r): the parameter variable becomes
-    # val + t, the a-th solved variable y_a
-    r = len(forms)
-    unit = [tuple(int(a == b) for b in range(r + 1)) for a in range(r + 1)]
-    images = [None] * len(rest)
-    images[param] = {unit[0]: fld.one, (0,) * (r + 1): vals[param]}
-    for a, i in enumerate(solved, 1):
-        images[i] = {unit[a]: fld.one}
-    eqs = [mp_substitute(aff, images, fld, r + 1) for aff in affs]
-    out = [None] * nvars
-    out[norm] = TruncatedSeries.constant(fld, fld.one, order)
-    out[rest[param]] = TruncatedSeries(fld, [vals[param], fld.one], order)
-    ys = series_solve(eqs, [vals[i] for i in solved], order, fld)
-    for i, y in zip(solved, ys):
-        out[rest[i]] = y
-    return out
 
 
 # -- resultants -------------------------------------------------------------
@@ -799,31 +761,20 @@ def _verify_candidates_bivar(field, sys2, g):
 
 
 def exhaustive_singular_search(curve, rel_degree=1):
-    """Rational singular points by brute force (small fields; cross-check)."""
-    field = curve.field
-    K = field.extension(rel_degree)
-    found = []
-    if curve.model == "plane_quartic":
-        form = curve.form.map_field(K)
-        parts = [HomForm(K, 3, 3, mp_partial(form.coeffs, i, K)) for i in range(3)]
-        for P in projective_points(K, 3):
-            if not form(P) and all(not pf(P) for pf in parts):
-                found.append(ProjectivePoint(K, P))
-    elif curve.model == "canonical_g4":
-        quad = curve.quadric.map_field(K)
-        cub = curve.cubic.map_field(K)
-        gq = [mp_partial(quad.coeffs, i, K) for i in range(4)]
-        ge = [mp_partial(cub.coeffs, i, K) for i in range(4)]
-        for P in projective_points(K, 4):
-            if quad(P) or cub(P):
-                continue
-            vq = [mp_eval(g, P, K) for g in gq]
-            ve = [mp_eval(g, P, K) for g in ge]
-            m = MatrixExact(K, [vq, ve])
-            if m.rank() < 2:
-                found.append(ProjectivePoint(K, P))
-    else:
+    """Rational singular points by brute force (small fields; cross-check):
+    the points of C(K) where the forms' gradients have rank < len(forms)."""
+    if not isinstance(curve, _CanonicalCurve):
         raise CurveError("exhaustive search applies to plane models")
+    K = curve.field.extension(rel_degree)
+    forms = [F.map_field(K) for F in curve.forms]
+    grads = [[mp_partial(F.coeffs, i, K) for i in range(curve.genus)] for F in forms]
+    found = []
+    for P in projective_points(K, curve.genus):
+        if any(F(P) for F in forms):
+            continue
+        jac = MatrixExact(K, [[mp_eval(g, P, K) for g in row] for row in grads])
+        if jac.rank() < len(forms):
+            found.append(ProjectivePoint(K, P))
     return found
 
 
@@ -831,23 +782,25 @@ def exhaustive_singular_search(curve, rel_degree=1):
 
 def validate(description):
     """Build a validated Curve from a description dict (or pass one through)."""
-    if isinstance(description, (HyperellipticCurve, PlaneQuarticCurve, CanonicalG4Curve)):
+    if isinstance(description, (HyperellipticCurve, _CanonicalCurve)):
         return description
+    if not isinstance(description, dict):
+        raise CurveError("invalid curve description: not a JSON object")
     model = description.get("model")
     if model not in ("hyperelliptic", "plane_quartic", "canonical_g4"):
         raise CurveError(f"unknown model {model!r}")
     # a field or coefficient the description cannot supply is a fault of
     # the description, not of the library
     try:
-        field = field_from_json(description["field"])
+        field = field_from_json(description.get("field"))
         if model == "hyperelliptic":
-            f = [field.from_json(c) for c in description["f"]]
+            f = [field.from_json(c) for c in _entry(description, "f", list)]
         elif model == "plane_quartic":
-            form = HomForm.from_json(field, 3, 4, description["form"])
+            form = HomForm.from_json(field, 3, 4, _entry(description, "form", dict))
         else:
-            forms = description["forms"]
-            quad = HomForm.from_json(field, 4, 2, forms["quadric"])
-            cub = HomForm.from_json(field, 4, 3, forms["cubic"])
+            forms = _entry(description, "forms", dict)
+            quad = HomForm.from_json(field, 4, 2, _entry(forms, "quadric", dict))
+            cub = HomForm.from_json(field, 4, 3, _entry(forms, "cubic", dict))
     except FieldError as e:
         raise CurveError(f"invalid curve description: {e}") from e
     if model == "hyperelliptic":
@@ -855,6 +808,15 @@ def validate(description):
     if model == "plane_quartic":
         return PlaneQuarticCurve(field, form)
     return CanonicalG4Curve(field, quad, cub)
+
+
+def _entry(obj, key, kind):
+    """obj[key], which must be a JSON array (list) or object (dict)."""
+    value = obj.get(key)
+    if not isinstance(value, kind):
+        raise CurveError(f"invalid curve description: {key!r} is not a JSON "
+                         f"{'array' if kind is list else 'object'}")
+    return value
 
 
 def curve_hash(curve):

@@ -8,6 +8,8 @@ the canonical decomposition into conjugate pairs plus a conjugate-free
 remainder.
 """
 
+from collections import namedtuple
+
 from .algebra.fields import common_field
 from .curves import INF, CurveError, HyperellipticPoint
 
@@ -233,24 +235,10 @@ def x_fibers(curve, D):
     return out
 
 
-class HyperellipticForm:
-    """Canonical shape of a hyperelliptic divisor: k conjugate pairs plus a
-    conjugate-free remainder B (no pair {P, iota(P)}, Weierstrass points at
-    multiplicity at most one)."""
-
-    __slots__ = ("k", "B")
-
-    def __init__(self, k, B):
-        self.k = k
-        self.B = B
-
-    def __eq__(self, other):
-        if isinstance(other, HyperellipticForm):
-            return self.k == other.k and self.B == other.B
-        return NotImplemented
-
-    def __repr__(self):
-        return f"HyperellipticForm(k={self.k}, B={self.B!r})"
+# the canonical shape of a hyperelliptic divisor: k conjugate pairs plus a
+# conjugate-free remainder B (no pair {P, iota(P)}, Weierstrass points at
+# multiplicity at most one)
+HyperellipticForm = namedtuple("HyperellipticForm", "k B")
 
 
 def hyperelliptic_reduce(D):

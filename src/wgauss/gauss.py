@@ -8,6 +8,7 @@ fiber over W is the subdivisors E of (W . C) whose conditions have rank
 dim W + 1: span(E) lies in W, so that says ell(E) = 1 and span(E) = W.
 """
 
+from itertools import product
 from math import comb
 
 from .curves import CurveError, ProjectivePoint
@@ -135,33 +136,15 @@ def hyperelliptic_fiber_prediction(D):
     choices = []
     for _, kind, group in groups:
         if kind == "branch":
-            (W, m), = group
-            choices.append([((W, m),)])
+            choices.append([group])
         else:
             (P1, a), (P2, b) = group
-            total = a + b
-            opts = []
-            for j in range(total + 1):
-                opt = []
-                if j:
-                    opt.append((P1, j))
-                if total - j:
-                    opt.append((P2, total - j))
-                opts.append(tuple(opt))
-            choices.append(opts)
-
+            choices.append([[(P1, j), (P2, a + b - j)] for j in range(a + b + 1)])
     members = []
-
-    def rec(i, acc):
-        if i == len(choices):
-            cand = Divisor(curve, acc, field=D.field)
-            if hyperelliptic_reduce(cand).k == 0:
-                members.append(cand)
-            return
-        for opt in choices[i]:
-            rec(i + 1, acc + list(opt))
-
-    rec(0, [])
+    for choice in product(*choices):
+        cand = Divisor(curve, [pm for opt in choice for pm in opt], field=D.field)
+        if hyperelliptic_reduce(cand).k == 0:
+            members.append(cand)
     members.sort(key=lambda E: tuple(P.sort_key() for P, _ in E.items))
     return members, strict
 

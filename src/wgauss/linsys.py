@@ -18,7 +18,7 @@ its branch form is the discriminant of the cubic on those lines.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from .algebra.fields import FieldError, coerce, common_field, projective_points
 from .algebra.linalg import MatrixExact
@@ -96,11 +96,8 @@ class CompleteSystem:
         M = hyperplane_conditions(total)
         fld = M.field if M.nrows else self.field
         fld = common_field(fld, self.field)
-        rows = []
-        bt = [[coerce(v, fld) for v in row] for row in self.basis]
-        for row in (M.map_field(fld).rows if M.nrows else []):
-            rows.append([sum((a * b for a, b in zip(row, brow)), fld.zero)
-                         for brow in bt])
+        B = MatrixExact(fld, [[coerce(v, fld) for v in row] for row in self.basis])
+        rows = [B.apply(row) for row in M.map_field(fld).rows] if M.nrows else []
         sol = MatrixExact(fld, rows).kernel_basis() if rows else \
             MatrixExact.identity(fld, self.r + 1).rows
         if len(sol) != 1:
@@ -185,9 +182,7 @@ def _nc_status(L, E, B):
     per-fiber choices."""
     curve = L.curve
     G = E - B
-    b_support = set()
-    for P, _ in B.items:
-        b_support.add(P.coerce(G.field) if P.field != G.field else P)
+    b_support = {P.coerce(G.field) if P.field != G.field else P for P, _ in B.items}
     classes = []
     for t0, kind, group in x_fibers(curve, G):
         if kind == "branch":
@@ -201,17 +196,9 @@ def _nc_status(L, E, B):
             assert a == b, "pullback part must be conjugation-symmetric"
             classes.append([(P1,), (P2,)])
     for choice in product(*classes):
-        chosen = [q for tup in choice for q in tup]
-        ok = True
-        pool = chosen + list(b_support)
-        for i, u in enumerate(pool):
-            for v in pool[i + 1:]:
-                if curve.involution(u.coerce(G.field)) == v.coerce(G.field):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        pool = [q for tup in choice for q in tup] + list(b_support)
+        if not any(curve.involution(u.coerce(G.field)) == v.coerce(G.field)
+                   for u, v in combinations(pool, 2)):
             return True
     return False
 
@@ -236,13 +223,7 @@ def _phi_series(L, P, order_hint=None):
     order = order_hint or (L.F.degree + L.base_locus().degree + 4)
     while True:
         series = curve.canonical_series(P, order)
-        fld = series[0].field
-        vals = []
-        for row in L.basis:
-            acc = series[0] * 0
-            for c, s in zip(row, series):
-                acc = acc + s * coerce(c, fld)
-            vals.append(acc)
+        vals = [_combination(row, series) for row in L.basis]
         vs = [s.valuation() for s in vals]
         known = [v for v in vs if v is not None]
         if known and (min(known) < order - 1 or all(v is not None for v in vs)):
@@ -254,13 +235,19 @@ def _phi_series(L, P, order_hint=None):
             raise ArithmeticError("phi_L series did not stabilize")
 
 
+def _combination(cs, series):
+    """sum_i cs[i] * series[i], the cs coerced to the series' field."""
+    fld = series[0].field
+    acc = series[0] * 0
+    for c, s in zip(cs, series):
+        acc = acc + s * coerce(c, fld)
+    return acc
+
+
 def contact_order(L, c, P):
     """Contact order of the parameter hyperplane c with phi_L(C) at phi_L(P)."""
     vals, v = _phi_series(L, P, order_hint=L.F.degree + L.base_locus().degree + 8)
-    fld = vals[0].field
-    acc = vals[0] * 0
-    for ci, s in zip(c, vals):
-        acc = acc + s * coerce(ci, fld)
+    acc = _combination(c, vals)
     w = acc.valuation()
     if w is None:
         return acc.prec - v

@@ -51,7 +51,13 @@ from .algebra.fields import PrimeField, coerce, projective_points
 from .algebra.kernel import _tstrip
 from .algebra.linalg import MatrixExact
 from .algebra.mpoly import mp_substitute
-from .algebra.poly import Poly, binary_roots, roots_in_field, roots_in_splitting_extension
+from .algebra.poly import (
+    Poly,
+    binary_roots,
+    root_multiplicity,
+    roots_in_field,
+    roots_in_splitting_extension,
+)
 from .curves import CurveError, HomForm, ProjectivePoint, ValidationInconclusive, _gram_matrix
 
 
@@ -360,7 +366,7 @@ def _cut(form, comps, cap=None):
         if L != K:
             A, S = [[coerce(c, L) for c in a] for a in A], S.map_field(L)
         for r, k in roots:
-            k = k if len(pulled) == 1 else _root_multiplicity(S, r)
+            k = k if len(pulled) == 1 else root_multiplicity(S, r)
             if k:
                 out.append((_at(A, r), k * m))
         top = form.degree * (len(A) - 1)
@@ -375,16 +381,6 @@ def _at(A, r):
     for a in reversed(A[:-1]):
         out = [x * r + y for x, y in zip(out, a)]
     return out
-
-
-def _root_multiplicity(S, r):
-    """The multiplicity of r as a root of S (0 when it is none)."""
-    lin, m = Poly(S.field, [-r, S.field.one]), 0
-    while True:
-        S, rem = S.divmod(lin)
-        if rem:
-            return m
-        m += 1
 
 
 # -- the rational points of a plane (sample_point) ---------------------------

@@ -88,14 +88,7 @@ class LinearSpan:
         return hash((self.curve, self.s))
 
     def contains_vector(self, v):
-        fld = self.field
-        for row in self.hyperplanes.rows:
-            acc = fld.zero
-            for a, b in zip(row, v):
-                acc = acc + a * coerce(b, fld)
-            if acc:
-                return False
-        return True
+        return not any(self.hyperplanes.apply([coerce(b, self.field) for b in v]))
 
     def __repr__(self):
         return f"LinearSpan(dim={self.dim} in P^{self.ambient - 1})"

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from wgauss.algebra import ExtField, PrimeField, TruncatedSeries
+from wgauss.algebra.fields import projective_points
 from wgauss.curves import (
     INF,
     CanonicalG4Curve,
@@ -349,7 +350,6 @@ POINT_TABLE_CURVES = [
 @pytest.mark.parametrize("forms", POINT_TABLE_CURVES,
                          ids=["segre", "segre+w2", "diagonal"])
 def test_points_over_g4_matches_brute_force_and_per_plane_path(forms):
-    from wgauss.algebra.fields import projective_points
     F7 = PrimeField(7)
     g = CanonicalG4Curve(F7, *forms)
     K, pts = g.points_over(1)
@@ -369,11 +369,16 @@ def _sorted_coords(field, coords):
 
 
 def test_quartic_points_over():
-    q = PlaneQuarticCurve(F11, KLEIN)
-    K, pts = q.points_over(1)
-    for P in pts:
-        assert q.contains(P)
-    assert abs(len(pts) - 12) <= 6 * 3.4
+    # the table, read line by line, is the brute-force zero set, sorted
+    for p, m, count in [(11, 1, 12), (11, 2, 122), (13, 2, 248)]:
+        q = PlaneQuarticCurve(PrimeField(p), KLEIN)
+        K, pts = q.points_over(m)
+        for P in pts:
+            assert q.contains(P)
+        form = q.form.map_field(K)
+        brute = [ProjectivePoint(K, x) for x in projective_points(K, 3) if not form(x)]
+        assert pts == sorted(brute, key=ProjectivePoint.sort_key)
+        assert len(pts) == count
 
 
 def test_even_model_nonsquare_leading_coefficient():

@@ -45,6 +45,14 @@ def test_fp_sqrt_roundtrip():
     assert F.sqrt(nr) is None
 
 
+@pytest.mark.parametrize("field", [PrimeField(7), ExtField(7, 2), ExtField(10007, 3)], ids=repr)
+def test_zero_has_no_inverse_in_any_field(field):
+    with pytest.raises(ZeroDivisionError):
+        field.zero ** -1
+    with pytest.raises(ZeroDivisionError):
+        field.one / field.zero
+
+
 def test_ext_field_canonical_modulus_deterministic():
     E1 = ExtField(5, 2)
     E2 = ExtField(5, 2)

@@ -205,6 +205,37 @@ def test_plane_section_reports_pinned(run, kw, digest):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
+HE_G3_F11 = {**HE_G3, "field": {"type": "prime", "p": 11}}
+KLEIN_F11 = {**KLEIN, "field": {"type": "prime", "p": 11}}
+
+# write_report digests on the other two models: the quartic's sampler and,
+# through the exhaustive oracle, its point table; roots with multiplicity on
+# the hyperelliptic fibers, its fiber prediction and its linear systems
+MODEL_PINS = [
+    (run_fiber_census, dict(experiment="fiber-census", curve=KLEIN, n=2, trials=6, seed=3),
+     "9a024e8d2c4109eaa608ce6058406ef5e69779b3da0248bced6feb2298c37413"),
+    (run_fiber_census, dict(experiment="fiber-census", curve=HE_G3, n=2, trials=6, seed=3),
+     "2a0e47deba23915061c3134a6e6b0bcc37cc9f69292ac91bcabd696b301458b9"),
+    (run_locus_census, dict(experiment="locus-census", curve=HE_G3_F11, n=2, trials=4, seed=1,
+                            oracle_cap=2),
+     "d948c9ba2d714df82f382c97cad5dcf029fa47a8c7f0e8b5fb92b4e355ea3435"),
+    (run_reconstruct, dict(experiment="reconstruct", curve=HE_G3_F11, n=2, k=1, trials=3,
+                           seed=2),
+     "bf46c23ce43267dbfba46537499a0c2a471fa28cc8c53352453dd93ee1bf15d4"),
+    (run_locus_census, dict(experiment="locus-census", curve=KLEIN_F11, n=2, trials=10, seed=5,
+                            oracle_cap=2),
+     "07c93ff8179cea3aca4f55cd9f886aafa1bcf40897190e8f3aee7710014f9fa3"),
+]
+
+
+@pytest.mark.parametrize("run,kw,digest", MODEL_PINS,
+                         ids=["klein-fiber", "he-fiber", "he-f11-oracle", "he-f11-reconstruct",
+                              "klein-f11-oracle"])
+def test_model_reports_pinned(run, kw, digest):
+    blob = write_report(run(ExperimentConfig(**kw)), None)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def test_reconstruct_g4_hyperplane_sections_keep_the_cap():
     # over F_11 some g^1_3 member needs a degree-6 splitting field; the
     # hyperplane section must refuse it at ext_cap itself
@@ -457,6 +488,27 @@ def test_cli_bad_field_is_a_curve_error(tmp_path, capsys):
         assert message in capsys.readouterr().out
         assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == 3
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("desc", [
+    {**HE_G3, "field": 7},
+    [1, 2],
+    {"model": "hyperelliptic", "field": {"type": "prime", "p": 7}},
+    {**G4, "forms": {"quadric": G4["forms"]["quadric"]}},
+    {**G4, "forms": 5},
+    {**KLEIN, "form": [1]},
+    {**HE_G3, "f": 7},
+], ids=["field-int", "top-level-list", "no-f", "no-cubic", "forms-int", "form-list", "f-int"])
+def test_cli_malformed_curve_file(tmp_path, capsys, desc):
+    # a curve file of the wrong shape is an invalid description: exit 2 for
+    # curve validate, 3 for an experiment, never a traceback
+    from wgauss import cli
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    assert cli.main(["curve", "validate", str(path)]) == 2
+    assert "invalid curve description" in capsys.readouterr().out
+    assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == 3
+    assert "invalid curve description" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", ["field", "smooth-locus"])

@@ -1,6 +1,7 @@
 """Import hygiene, checked on the AST: no module of the package keeps an
-import it does not use, every public export resolves, and every public
-function or method has a caller in the package or a stated reason to stay."""
+import it does not use, every public export resolves, and every function or
+method, private ones included, has a caller in the package or a stated
+reason to stay."""
 
 import ast
 from pathlib import Path
@@ -35,7 +36,7 @@ def test_algebra_exports_resolve():
     assert missing == []
 
 
-# Public names that no code under src/ refers to, each with its reason to stay.
+# Names that no code under src/ refers to, each with its reason to stay.
 KEEP = {
     "in_smooth_Wn": "the paper's smooth locus of W_n, checked by the acceptance tests",
     "in_Rnk": "the paper's (n+k)-intersection locus R_(n,k), as a predicate",
@@ -51,13 +52,18 @@ KEEP = {
     "weierstrass_points": "helper that tests use to build Weierstrass divisors",
     "mult_of": "helper that tests use to read a multiplicity",
     "contains_vector": "helper that tests use to check span containment",
+    "_branch_parameter": "the body of dual_samples: a branch root as a parameter",
 }
 
 
-def _unreferenced_public_names():
-    """Public functions and methods under src/ that no code there refers to
-    by name (a Name or an attribute); one that only such code refers to
-    counts as unreferenced too."""
+def _unreferenced_names():
+    """Functions and methods under src/, private ones included, that no code
+    there refers to by name (a Name or an attribute); one that only such code
+    refers to counts as unreferenced too.  Dunder methods are skipped.
+
+    The check goes by name only: a method whose name another class also
+    defines, as a shared interface does, counts as referenced by every call
+    of that name, so an unused one cannot be caught here."""
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))]
     defs = [(f.name, f) for t in trees for node in t.body
             for f in (node.body if isinstance(node, ast.ClassDef) else [node])
@@ -75,7 +81,8 @@ def _unreferenced_public_names():
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
             todo.extend(ast.iter_child_nodes(node))
-        now = {name for name, _ in defs if not name.startswith("_") and name not in refs}
+        now = {name for name, _ in defs
+               if not (name.startswith("__") and name.endswith("__")) and name not in refs}
         if now == dead:
             return dead
         dead = now
@@ -84,4 +91,4 @@ def _unreferenced_public_names():
 def test_public_names_have_a_caller_or_a_reason():
     # a public name that only its own tests call is an alias to delete; a
     # keep-list entry that gained a caller or lost its definition is stale
-    assert sorted(_unreferenced_public_names()) == sorted(KEEP)
+    assert sorted(_unreferenced_names()) == sorted(KEEP)

@@ -20,7 +20,7 @@ from wgauss.algebra import (
 )
 
 from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
-from wgauss.algebra.poly import binary_roots, distinct_roots_in_field
+from wgauss.algebra.poly import binary_roots, distinct_roots_in_field, root_multiplicity
 
 F7 = PrimeField(7)
 F31 = PrimeField(31)
@@ -171,6 +171,20 @@ def test_roots_in_field_linear_matches_general_path(F):
         assert lin == a.monic()
         assert roots_in_field(a) == [(r, 1) for r in distinct_roots_in_field(a)]
         assert roots_in_field(a) == [(-lin[0], 1)]
+
+
+@pytest.mark.parametrize("F", [F7, ExtField(7, 2), F10007], ids=repr)
+def test_root_multiplicity_matches_factor_finite(F):
+    # on products of linear factors, repeated roots included, every
+    # multiplicity is that of the factorization, and 0 off the roots
+    rng = random.Random(19)
+    for _ in range(20):
+        roots = [F.rand(rng) for _ in range(rng.randrange(1, 8))]
+        a = reduce(lambda u, v: u * v, [Poly(F, [-r, F.one]) for r in roots])
+        mult = {-f[0]: m for f, m in factor_finite(a)}
+        for r in roots + [F.rand(rng) for _ in range(3)]:
+            assert root_multiplicity(a, r) == mult.get(r, 0)
+        assert roots_in_field(a) == sorted(mult.items(), key=lambda rm: F.sort_key(rm[0]))
 
 
 def test_extension_cap():
