@@ -15,15 +15,14 @@ Representations:
 
 These element classes are the public representation.  Polynomial
 arithmetic (poly.py) runs on an int-coded kernel of kernel.py instead,
-obtained from ``field._kernel()``, and converts with ``_encode``/``_decode``
-at the ``Poly`` boundary.  The field picks one of three codings by its
-size: F_p codes a coefficient as its residue; F_{p^k} with
+``field.kernel``, and converts with ``_encode``/``_decode`` at the ``Poly``
+boundary.  Each field makes its kernel in its constructor, chosen by its
+size, and keeps it: F_p codes a coefficient as its residue; F_{p^k} with
 q <= ``kernel.ZECH_MAX_ORDER`` (4096) as its discrete log to a primitive
-element, from log/Zech tables built on first use and kept on the field;
-larger F_{p^k} as its own coefficient tuple, with Kronecker products and
-no tables.  Element multiplication, ``_inv`` and ``__pow__`` read the log
-tables of a small field and use the tuple kernel's ``fmul``/``finv``/
-``fpow`` otherwise.
+element, from log/Zech tables built with the field; larger F_{p^k} as its
+own coefficient tuple, with Kronecker products and no tables.  Extension
+elements multiply, divide and raise to powers through the kernel's
+``fmul``/``finv``/``fpow`` on coefficient tuples.
 
 The modulus of F_{p^k} is deterministic: monic x^k + c with the non-leading
 coefficient block c enumerated as a base-p counter (constant term least
@@ -180,12 +179,9 @@ class PrimeField:
             inst.zero = FpElement(0, inst)
             inst.one = FpElement(1, inst)
             inst._nonresidue = None
-            inst._fp_kernel = FpKernel(p)
+            inst.kernel = FpKernel(p)
             cls._registry[p] = inst
         return inst
-
-    def _kernel(self):
-        return self._fp_kernel
 
     def _encode(self, coeffs):
         return tuple([c.value for c in coeffs])
@@ -379,7 +375,7 @@ class ExtElement:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        return ExtElement(self.field._mul(self.coeffs, v), self.field)
+        return ExtElement(self.field.kernel.fmul(self.coeffs, v), self.field)
 
     __rmul__ = __mul__
 
@@ -387,27 +383,18 @@ class ExtElement:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        return ExtElement(self.field._mul(self.coeffs, self.field._inv(v)), self.field)
+        kern = self.field.kernel
+        return ExtElement(kern.fmul(self.coeffs, kern.finv(v)), self.field)
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        return ExtElement(self.field._mul(v, self.field._inv(self.coeffs)), self.field)
+        kern = self.field.kernel
+        return ExtElement(kern.fmul(v, kern.finv(self.coeffs)), self.field)
 
     def __pow__(self, e):
-        f = self.field
-        if f.order <= ZECH_MAX_ORDER:
-            z = f._kernel()
-            n = z.log[self.coeffs]
-            if n >= 0:
-                return f._elems[n * e % z.n]
-            if e < 0:
-                raise ZeroDivisionError("division by zero in extension field")
-            return f.one if e == 0 else f.zero
-        if e < 0:
-            return ExtElement(f._tuples.fpow(f._inv(self.coeffs), -e), f)
-        return ExtElement(f._tuples.fpow(self.coeffs, e), f)
+        return ExtElement(self.field.kernel.fpow(self.coeffs, e), self.field)
 
     def __neg__(self):
         p = self.field.p
@@ -453,16 +440,13 @@ class ExtField:
             inst.char = p
             inst.order = p ** k
             inst.modulus = inst._find_modulus(p, k)
-            # element arithmetic of every extension field, and the polynomial
-            # kernel of those with q > ZECH_MAX_ORDER; it builds no tables
-            inst._tuples = TupleKernel(p, k, inst.modulus)
+            tuples = TupleKernel(p, k, inst.modulus)
+            inst.kernel = ZechKernel(tuples) if inst.order <= ZECH_MAX_ORDER else tuples
             inst.zero = ExtElement((0,) * k, inst)
             inst.one = ExtElement((1,) + (0,) * (k - 1), inst)
             inst.gen = ExtElement(((0, 1) + (0,) * (k - 2))[:k], inst)
             inst._nonresidue = None
             inst._emb_cache = {}
-            inst._zech = None      # ZechKernel of a small field, built by _kernel()
-            inst._elems = None     # log -> element, zero last (log -1)
             cls._registry[(p, k)] = inst
         return inst
 
@@ -490,48 +474,11 @@ class ExtField:
             c += 1
         raise FieldError("no irreducible modulus found")  # unreachable
 
-    def _mul(self, a, b):
-        z = self._zech
-        if z is not None:
-            la, lb = z.log[a], z.log[b]
-            if la < 0 or lb < 0:
-                return self.zero.coeffs
-            return z.exp[(la + lb) % z.n]
-        # fields without tables, and the ZechKernel constructor (it runs
-        # before _zech is set)
-        return self._tuples.fmul(a, b)
-
-    def _kernel(self):
-        """The polynomial kernel: Zech logs for q <= ZECH_MAX_ORDER, tables
-        built on first use; coefficient tuples for larger q."""
-        z = self._zech
-        if z is None:
-            if self.order > ZECH_MAX_ORDER:
-                return self._tuples
-            z = self._zech = ZechKernel(self.p, self.k, self._mul)
-            self._elems = [ExtElement(v, self) for v in z.exp] + [self.zero]
-        return z
-
     def _encode(self, coeffs):
-        if self._zech is None:
-            return tuple([c.coeffs for c in coeffs])
-        log = self._zech.log
-        return tuple([log[c.coeffs] for c in coeffs])
+        return self.kernel.encode([c.coeffs for c in coeffs])
 
     def _decode(self, code):
-        if self._zech is None:
-            return tuple([ExtElement(v, self) for v in code])
-        elems = self._elems
-        return tuple([elems[v] for v in code])
-
-    def _inv(self, a):
-        if self.order > ZECH_MAX_ORDER:
-            return self._tuples.finv(a)
-        z = self._kernel()
-        n = z.log[a]
-        if n < 0:
-            raise ZeroDivisionError("division by zero in extension field")
-        return z.exp[-n % z.n]
+        return tuple([ExtElement(v, self) for v in self.kernel.decode(code)])
 
     def elem(self, x):
         if isinstance(x, ExtElement) and x.field is self:

@@ -3,21 +3,27 @@
 Polynomials are tuples of coefficient codes, lowest degree first, with no
 trailing zero (the empty tuple is the zero polynomial).  Three codings
 share one interface (``add``, ``sub``, ``mul``, ``divmod``, ``mod``,
-``powmod``, ``gcd``), and the field picks one by its size:
+``powmod``, ``gcd``).  Each field makes its kernel in its constructor,
+chosen by its size, and keeps it as ``field.kernel`` for its whole life:
 
   * ``FpKernel`` -- F_p; a coefficient is its residue in [0, p).  The
     modulus search and ``TupleKernel.finv`` use it on their own residues.
   * ``ZechKernel`` -- F_{p^k} with q <= ``ZECH_MAX_ORDER``; a coefficient is
     its discrete log to a fixed primitive element g, in [0, q - 1), and -1
     codes zero.  Multiplying adds logs; adding uses the Zech table
-    Z(i) = log(1 + g^i), so g^u + g^v = g^(u + Z(v - u)).
+    Z(i) = log(1 + g^i), so g^u + g^v = g^(u + Z(v - u)).  The tables are
+    built with the field's ``TupleKernel``.
   * ``TupleKernel`` -- larger F_{p^k}; a coefficient is its tuple of k
     residues, and a polynomial product is one int multiply by Kronecker
     substitution (D. Harvey, "Faster polynomial multiplication via
     multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).
 
-All three return the same polynomials as schoolbook arithmetic on field
-elements; only the coding of the coefficients differs.
+The two kernels of F_{p^k} also multiply, invert and raise to powers single
+elements given as coefficient tuples (``fmul``, ``finv``, ``fpow``), which
+is how ``ExtElement`` computes, and map those tuples to and from their
+codes (``encode``, ``decode``).  All three return the same polynomials as
+schoolbook arithmetic on field elements; only the coding of the
+coefficients differs.
 """
 
 import struct
@@ -86,28 +92,13 @@ class FpKernel(_SquareMultiply):
         return _tstrip(out)
 
     def divmod(self, a, b):
-        p = self.p
-        a, b = list(a), _tstrip(b)
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        q = [0] * max(0, len(a) - db)
-        while len(a) - 1 >= db and a:
-            if a[-1] == 0:
-                a.pop()
-                continue
-            c = a[-1] * inv % p
-            q[len(a) - 1 - db] = c
-            off = len(a) - 1 - db
-            for i in range(db + 1):
-                a[off + i] = (a[off + i] - c * b[i]) % p
-            a.pop()
-        return _tstrip(q), _tstrip(a)
+        q = [0] * max(0, len(a) - len(b) + 1)
+        r = self.mod(a, b, q)
+        return _tstrip(q), r
 
-    def mod(self, a, m):
-        # the remainder of divmod, for the inner loops of powmod and gcd: the
-        # products are accumulated as plain ints and reduced once at the end
+    def mod(self, a, m, q=None):
+        """Remainder of a by m; the quotient goes into the list q if given.
+        The products are accumulated as plain ints and reduced once at the end."""
         if not m:
             raise ZeroDivisionError("polynomial division by zero")
         dm = len(m) - 1
@@ -120,7 +111,10 @@ class FpKernel(_SquareMultiply):
         while len(r) > dm:
             c = r.pop() * inv % p
             if c:
-                for i, mi in enumerate(low, len(r) - dm):
+                off = len(r) - dm
+                if q is not None:
+                    q[off] = c
+                for i, mi in enumerate(low, off):
                     r[i] -= c * mi
         return _tstrip([v % p for v in r])
 
@@ -138,7 +132,8 @@ class FpKernel(_SquareMultiply):
 
 # -- small F_{p^k}: Zech logarithms ------------------------------------------
 
-ZECH_MAX_ORDER = 4096   # tables are built only for q <= this (a few ms, < 1 MiB)
+# F_{p^k} with q <= this builds its tables when it is made (a few ms, < 1 MiB)
+ZECH_MAX_ORDER = 4096
 
 
 def _zstrip(c):
@@ -149,48 +144,73 @@ def _zstrip(c):
 
 
 class ZechKernel(_SquareMultiply):
-    """Log tables of F_q and polynomial arithmetic on logs.
+    """Log tables of F_q, and arithmetic on logs and on coefficient vectors.
 
-    ``exp[i]`` is the coefficient vector of g^i and ``log`` inverts it (the
-    zero vector maps to -1).  ``zech`` holds Z(i) for i in [0, q - 1) twice
-    over, so that it can be indexed by any difference of two logs, negative
-    ones included.  q is odd, so -1 = g^((q-1)/2) and negation adds ``half``.
+    ``exp[i]`` is the coefficient vector of g^i, and ``exp[-1]`` the zero
+    vector; ``log`` inverts it (the zero vector maps to -1).  ``zech`` holds
+    Z(i) for i in [0, q - 1) twice over, so that it can be indexed by any
+    difference of two logs, negative ones included.  q is odd, so
+    -1 = g^((q-1)/2) and negation adds ``half``.
     """
 
     __slots__ = ("n", "half", "gen", "exp", "log", "zech")
     ONE = (0,)
 
-    def __init__(self, p, k, mul):
-        """Tables of F_{p^k}; ``mul`` multiplies two coefficient vectors.
+    def __init__(self, tuples):
+        """Tables of the field of the ``TupleKernel`` tuples, built with its
+        ``fmul`` and ``fpow``.
 
         The generator is the first element, in base-p counter order of its
         coefficient vector (constant term least significant), of order q - 1.
         """
-        q = p ** k
-        n = q - 1
-        one = (1,) + (0,) * (k - 1)
+        p, k, one = tuples.p, tuples.k, tuples.one
+        n = p ** k - 1
         primes = _prime_divisors(n)
-
-        def power(x, e):
-            r = one
-            for bit in bin(e)[2:]:
-                r = mul(r, r)
-                if bit == "1":
-                    r = mul(r, x)
-            return r
-
-        for code in range(p, q):
+        for code in range(p, n + 1):
             g = tuple((code // p ** i) % p for i in range(k))
-            if all(power(g, n // r) != one for r in primes):
+            if all(tuples.fpow(g, n // r) != one for r in primes):
                 break
         exp = [one]
         for _ in range(n - 1):
-            exp.append(mul(exp[-1], g))
+            exp.append(tuples.fmul(exp[-1], g))
         log = {v: i for i, v in enumerate(exp)}
-        log[(0,) * k] = -1
+        log[tuples.zero] = -1
         zech = [log[((v[0] + 1) % p,) + v[1:]] for v in exp]
         self.n, self.half, self.gen = n, n // 2, g
-        self.exp, self.log, self.zech = exp, log, zech + zech
+        self.exp, self.log, self.zech = exp + [tuples.zero], log, zech + zech
+
+    # -- elements of F_q, as coefficient vectors --
+
+    def fmul(self, a, b):
+        la, lb = self.log[a], self.log[b]
+        if la < 0 or lb < 0:
+            return self.exp[-1]
+        return self.exp[(la + lb) % self.n]
+
+    def finv(self, a):
+        i = self.log[a]
+        if i < 0:
+            raise ZeroDivisionError("division by zero in extension field")
+        return self.exp[-i % self.n]
+
+    def fpow(self, a, e):
+        """a^e, for any int e."""
+        i = self.log[a]
+        if i >= 0:
+            return self.exp[i * e % self.n]
+        if e < 0:
+            raise ZeroDivisionError("division by zero in extension field")
+        return self.exp[-1 if e else 0]           # 0^e = 0, 0^0 = 1
+
+    def encode(self, vecs):
+        log = self.log
+        return tuple([log[v] for v in vecs])
+
+    def decode(self, code):
+        exp = self.exp
+        return [exp[i] for i in code]
+
+    # -- polynomials over F_q, on logs --
 
     def add(self, a, b):
         n, zech = self.n, self.zech
@@ -322,10 +342,11 @@ class TupleKernel:
 
     __slots__ = ("p", "k", "modulus", "red", "rows", "zero", "one", "stride",
                  "wide", "pad", "neg_low", "rounds", "growth", "masks", "fw",
-                 "fpack", "funpack")
+                 "fpack", "funpack", "fp")
 
     def __init__(self, p, k, modulus):
         self.p, self.k, self.modulus = p, k, modulus
+        self.fp = FpKernel(p)                 # finv's extended Euclid
         low = modulus[:k]
         # red[j] = y^(k+j) reduced by the modulus, for j = 0..k-2
         red = [tuple((-c) % p for c in low)]
@@ -388,7 +409,7 @@ class TupleKernel:
             (a0, a1), (c0, c1) = a, self.red[0]
             inv = pow((a0 * a0 + a0 * a1 * c1 - a1 * a1 * c0) % p, -1, p)
             return ((a0 + a1 * c1) * inv % p, -a1 * inv % p)
-        fp, s0, s1 = FpKernel(p), (), (1,)
+        fp, s0, s1 = self.fp, (), (1,)
         while r1:
             q, r = fp.divmod(r0, r1)
             r0, r1 = r1, r
@@ -397,13 +418,21 @@ class TupleKernel:
         return tuple([c * inv % p for c in s0]) + (0,) * (self.k - len(s0))
 
     def fpow(self, a, e):
-        """a^e for e >= 0."""
+        """a^e, for any int e."""
+        if e < 0:
+            a, e = self.finv(a), -e
         r = self.one
         for bit in bin(e)[2:]:
             r = self.fmul(r, r)
             if bit == "1":
                 r = self.fmul(r, a)
         return r
+
+    def encode(self, vecs):
+        return tuple(vecs)
+
+    def decode(self, code):
+        return code
 
     # -- packed polynomials --
 

@@ -9,12 +9,12 @@ results are reproducible.
 
 Coefficients are field elements, but the hot loops -- ``+``, ``-``, ``*``,
 ``divmod``, ``%``, ``//``, ``powmod`` and ``poly_gcd`` -- run on the
-int-coded kernel of ``field._kernel()`` (see kernel.py), one of three
-codings chosen by field size: residues for F_p, Zech logarithms for
-F_{p^k} with q <= 4096, and tuples of residues with Kronecker products
-above.  A Poly encodes its coefficients once, on first use, and keeps the
-codes; a kernel result keeps only its codes until its coefficients are
-read.
+int-coded kernel ``field.kernel`` (see kernel.py), one of three codings
+that the field fixes, by its size, when it is made: residues for F_p, Zech
+logarithms for F_{p^k} with q <= 4096, and tuples of residues with
+Kronecker products above.  A Poly encodes its coefficients once, on first
+use, and keeps the codes; a kernel result keeps only its codes until its
+coefficients are read.
 """
 
 import random
@@ -104,14 +104,14 @@ class Poly:
 
     def __add__(self, other):
         other = self._check(other)
-        return Poly._from_code(self.field, self.field._kernel().add(
+        return Poly._from_code(self.field, self.field.kernel.add(
             self._encoded(), other._encoded()))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        return Poly._from_code(self.field, self.field._kernel().sub(
+        return Poly._from_code(self.field, self.field.kernel.sub(
             self._encoded(), other._encoded()))
 
     def __rsub__(self, other):
@@ -126,7 +126,7 @@ class Poly:
         other = self._check(other)
         if not self or not other:
             return Poly.zero(self.field)
-        return Poly._from_code(self.field, self.field._kernel().mul(
+        return Poly._from_code(self.field, self.field.kernel.mul(
             self._encoded(), other._encoded()))
 
     __rmul__ = __mul__
@@ -144,7 +144,7 @@ class Poly:
         other = self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = self.field._kernel().divmod(self._encoded(), other._encoded())
+        q, r = self.field.kernel.divmod(self._encoded(), other._encoded())
         return Poly._from_code(self.field, q), Poly._from_code(self.field, r)
 
     def __truediv__(self, other):
@@ -159,7 +159,7 @@ class Poly:
 
     def __mod__(self, other):
         other = self._check(other)
-        return Poly._from_code(self.field, self.field._kernel().mod(
+        return Poly._from_code(self.field, self.field.kernel.mod(
             self._encoded(), other._encoded()))
 
     def __eq__(self, other):
@@ -217,13 +217,13 @@ def poly_gcd(a, b):
     """Monic greatest common divisor; rejects mixed-field inputs."""
     if a.field != b.field:
         raise FieldError("mixed-field inputs to gcd")
-    return Poly._from_code(a.field, a.field._kernel().gcd(a._encoded(), b._encoded()))
+    return Poly._from_code(a.field, a.field.kernel.gcd(a._encoded(), b._encoded()))
 
 
 def powmod(base, e, mod):
     """base^e mod ``mod``, for e >= 0 (e = 0 gives 1, unreduced)."""
     mod = base._check(mod)
-    return Poly._from_code(base.field, base.field._kernel().powmod(
+    return Poly._from_code(base.field, base.field.kernel.powmod(
         base._encoded(), e, mod._encoded()))
 
 

@@ -91,7 +91,7 @@ class TruncatedSeries:
         lo = min(self.offset, other.offset, prec)
         a, b = (f._encode((f.zero,) * (s.offset - lo) + s.coeffs[:max(0, prec - s.offset)])
                 for s in (self, other))
-        return TruncatedSeries._exact(f, f._decode(f._kernel().add(a, b)), prec, lo)
+        return TruncatedSeries._exact(f, f._decode(f.kernel.add(a, b)), prec, lo)
 
     __radd__ = __add__
 
@@ -115,7 +115,7 @@ class TruncatedSeries:
         f = self.field
         if not (self.coeffs and other.coeffs):
             return TruncatedSeries(f, [], prec, off)
-        code = f._kernel().mul(f._encode(self.coeffs), f._encode(other.coeffs))
+        code = f.kernel.mul(f._encode(self.coeffs), f._encode(other.coeffs))
         return TruncatedSeries._exact(f, f._decode(code[:max(0, prec - off)]), prec, off)
 
     __rmul__ = __mul__

@@ -136,8 +136,11 @@ class HomForm:
     def from_json(cls, field, nvars, degree, obj):
         coeffs = {}
         for key, val in obj.items():
-            exps = tuple(int(s) for s in key.split(","))
-            coeffs[exps] = field.from_json(val)
+            exps = [s.strip() for s in key.split(",")]
+            if not all(s.isdecimal() for s in exps):
+                raise CurveError(f"invalid curve description: monomial key {key!r} "
+                                 "is not comma-separated exponents")
+            coeffs[tuple(map(int, exps))] = field.from_json(val)
         return cls(field, nvars, degree, coeffs)
 
     def __eq__(self, other):

@@ -197,6 +197,8 @@ def multiple_locus_oracle(curve, D, oracle_cap):
 
 def run_locus_census(cfg):
     _require_trials(cfg)
+    if cfg.oracle_cap < 0:   # an oracle over no extension checks nothing
+        raise ValueError(f"need an oracle cap >= 0 (0 = no oracle), got {cfg.oracle_cap}")
     curve = validate(cfg.curve)
     n = cfg.n
     records = []
@@ -325,9 +327,8 @@ def _reconstruct_hyperelliptic(cfg, curve):
     for i in range(cfg.trials):
         rng = _trial_rng(cfg.seed, i)
         D, W = sample_smooth_divisor(curve, cfg.n, rng)
-        k = cfg.k or 1
         try:
-            L, Fw = hyperelliptic_image_witness(D, k=k, cap=cfg.ext_cap)
+            L, Fw = hyperelliptic_image_witness(D, k=cfg.k, cap=cfg.ext_cap)
             ok = beta(Fw) == W
             nc = classify_member(L, Fw)["nc"]
         except (ExtensionCapError, FieldError):
@@ -341,7 +342,7 @@ def _reconstruct_hyperelliptic(cfg, curve):
     report["records"] = records
     verdicts = {"image_witnesses": ok_all}
     # parameter-to-span injectivity on an exhaustive small-field sweep
-    if curve.field.order ** cfg.k <= 2000 and cfg.k:
+    if curve.field.order ** cfg.k <= 2000:
         rng = _trial_rng(cfg.seed, 999)
         D, _ = sample_smooth_divisor(curve, cfg.k, rng)
         L, Fw = hyperelliptic_image_witness(D, k=cfg.k, cap=cfg.ext_cap)

@@ -123,11 +123,11 @@ def _directions(base, K, n):
     nonzero entry is one, in that order, coerced into K: as elements()
     begins 0, 1, each is the first tuple of its line in product order."""
     for lead in reversed(range(n)):
-        for tail in _tuples(base, K, n - 1 - lead):
+        for tail in _product(base, K, n - 1 - lead):
             yield (K.zero,) * lead + (K.one,) + tail
 
 
-def _tuples(base, K, n):
+def _product(base, K, n):
     """itertools.product(base.elements(), repeat=n), coerced into K, without
     listing the elements."""
     if not n:
@@ -135,7 +135,7 @@ def _tuples(base, K, n):
         return
     for c in base.elements():
         c = coerce(c, K)
-        for cs in _tuples(base, K, n - 1):
+        for cs in _product(base, K, n - 1):
             yield (c,) + cs
 
 
@@ -480,7 +480,7 @@ def _residue_zeros(curve, basis):
     along B.A(t) straight into kernel codes.
     """
     F = curve.field
-    p, kern = F.p, F._kernel()
+    p, kern = F.p, F.kernel
     G = [[c.value for c in row] for row in curve.gram.rows]
     B = [[c.value for c in b] for b in basis]
     GB = [[sum(r * x for r, x in zip(row, b)) for row in G] for b in B]

@@ -304,12 +304,15 @@ def test_reconstruct_hyperelliptic_report(monkeypatch):
 
 
 def test_reconstruct_hyperelliptic_k_above_n_is_a_configuration_error():
+    # k = 0 too: a witness doubles at least one point
     he_small = {"model": "hyperelliptic", "field": {"type": "prime", "p": 11},
                 "f": [0, -1, 0, 0, 0, 0, 0, 1]}
-    cfg = ExperimentConfig(experiment="reconstruct", curve=he_small, n=1, k=2,
-                           trials=2, seed=2)
-    with pytest.raises(ValueError, match="k <= n"):
-        run_reconstruct(cfg)
+    for n, k in [(1, 2), (2, 0)]:
+        cfg = ExperimentConfig(experiment="reconstruct", curve=he_small, n=n, k=k,
+                               trials=2, seed=2)
+        with pytest.raises(ValueError, match="k <= n"):
+            run_reconstruct(cfg)
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "wgauss.cli", *args],
@@ -462,6 +465,16 @@ def test_cli_census_without_trials_is_refused(tmp_path, capsys, command, trials)
     assert "need at least one trial" in capsys.readouterr().err
 
 
+def test_cli_negative_oracle_cap_is_refused(tmp_path, capsys):
+    # an oracle over no extension would check nothing and fail every trial
+    from wgauss import cli
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(G4_F7))
+    assert cli.main(["locus-census", "--curve", str(path), "--n", "2", "--trials", "20",
+                     "--oracle-cap", "-1"]) == 3
+    assert "need an oracle cap >= 0" in capsys.readouterr().err
+
+
 def test_cli_io_exit_paths(tmp_path):
     from wgauss import cli
     assert cli.main(["fiber-census", "--curve", str(tmp_path / "nope.json"),
@@ -498,7 +511,12 @@ def test_cli_bad_field_is_a_curve_error(tmp_path, capsys):
     {**G4, "forms": 5},
     {**KLEIN, "form": [1]},
     {**HE_G3, "f": 7},
-], ids=["field-int", "top-level-list", "no-f", "no-cubic", "forms-int", "form-list", "f-int"])
+    {**KLEIN, "form": {"x,y,z": 1}},
+    {**KLEIN, "form": {"": 1}},
+    {**KLEIN, "form": {"1.5,2,1": 1}},
+    {**KLEIN, "form": {"-1,5,0": 1, "0,3,1": 1}},
+], ids=["field-int", "top-level-list", "no-f", "no-cubic", "forms-int", "form-list", "f-int",
+        "key-letters", "key-empty", "key-float", "key-negative"])
 def test_cli_malformed_curve_file(tmp_path, capsys, desc):
     # a curve file of the wrong shape is an invalid description: exit 2 for
     # curve validate, 3 for an experiment, never a traceback

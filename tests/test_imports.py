@@ -1,7 +1,8 @@
 """Import hygiene, checked on the AST: no module of the package keeps an
-import it does not use, every public export resolves, and every function or
+import it does not use, every public export resolves, every function or
 method, private ones included, has a caller in the package or a stated
-reason to stay."""
+reason to stay, and the coding of field elements is read only inside
+wgauss/algebra/ or with a stated reason."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,37 @@ def test_public_names_have_a_caller_or_a_reason():
     # a public name that only its own tests call is an alias to delete; a
     # keep-list entry that gained a caller or lost its definition is stale
     assert sorted(_unreferenced_names()) == sorted(KEEP)
+
+
+# The coding of field elements (residues, Zech logs or coefficient tuples)
+# is chosen by each field when it is made and stays behind wgauss/algebra/:
+# outside it, only these functions read it, each with its reason.
+CODING = {"_encode", "_decode", "kernel", "_from_code"}
+CODING_READERS = {
+    ("rulings.py", "_residue_zeros"):
+        "solves a genus-4 sample plane on F_p residues, pulling the cubic back "
+        "straight into the field's kernel codes",
+}
+
+
+def _top_level_units(tree):
+    """(name, node) of each function and method, and ("<module>", node) of
+    every other statement at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                yield f"{node.name}.{getattr(f, 'name', '<body>')}", f
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def test_field_coding_stays_in_the_algebra_layer():
+    readers = set()
+    for path in MODULES:
+        if path.parent.name == "algebra":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, unit in _top_level_units(tree):
+            if any(isinstance(n, ast.Attribute) and n.attr in CODING for n in ast.walk(unit)):
+                readers.add((path.name, name))
+    assert readers == set(CODING_READERS)

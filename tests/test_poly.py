@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wgauss
 from wgauss.algebra import (
     ExtensionCapError,
     ExtField,
@@ -22,6 +27,7 @@ from wgauss.algebra import (
 from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
 from wgauss.algebra.poly import binary_roots, distinct_roots_in_field, root_multiplicity
 
+SRC = Path(wgauss.__file__).resolve().parents[1]
 F7 = PrimeField(7)
 F31 = PrimeField(31)
 F10007 = PrimeField(10007)
@@ -562,7 +568,7 @@ def test_kernel_powmod_edge_cases(F):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_zech_tables(k):
     F = ExtField(7, k)
-    z = F._kernel()
+    z = F.kernel
     n = F.order - 1
     assert z is not None and z.n == n
     powers, cur = [], F.one.coeffs
@@ -571,11 +577,12 @@ def test_zech_tables(k):
         cur = _ref_fmul(F, cur, z.gen)
     # g^0, ..., g^(q-2) are distinct and g^(q-1) = 1: g has order q - 1
     assert cur == F.one.coeffs and len(set(powers)) == n
-    # exp and log are inverse bijections between [0, q-1) and F_q^*
-    assert z.exp == powers
+    # exp and log are inverse bijections between [0, q-1) and F_q^*, and
+    # between -1 (exp's last entry) and zero
+    assert z.exp[:n] == powers and len(z.exp) == n + 1
     assert sorted(z.log) == sorted(_vec(x) for x in F.elements())
-    assert all(z.log[v] == i for i, v in enumerate(z.exp))
-    assert z.log[F.zero.coeffs] == -1
+    assert all(z.log[v] == i for i, v in enumerate(z.exp[:n]))
+    assert z.log[F.zero.coeffs] == -1 and z.exp[-1] == F.zero.coeffs
     # Zech table: g^Z(i) = 1 + g^i, and -1 where 1 + g^i = 0
     for i in range(n):
         s = _ref_fadd(F, z.exp[i], F.one.coeffs)
@@ -583,12 +590,35 @@ def test_zech_tables(k):
 
 
 def test_kernel_is_chosen_by_field_size():
-    assert isinstance(F10007._kernel(), FpKernel)
-    assert isinstance(ExtField(7, 4)._kernel(), ZechKernel)       # q = 2401
-    assert ExtField(67, 2).order > ZECH_MAX_ORDER                 # q = 4489
-    for F in (ExtField(7, 5), ExtField(67, 2), ExtField(10007, 2)):
-        assert isinstance(F._kernel(), TupleKernel)
-        assert F._zech is None and F._elems is None               # no tables
+    # the constructor fixes the kernel: checked before any arithmetic
+    assert isinstance(PrimeField(10009).kernel, FpKernel)
+    assert ExtField(3, 7).order == 2187 <= ZECH_MAX_ORDER
+    assert isinstance(ExtField(3, 7).kernel, ZechKernel)         # tables built
+    assert ExtField(3, 8).order == 6561 > ZECH_MAX_ORDER
+    assert ExtField(73, 2).order == 5329 > ZECH_MAX_ORDER
+    for F in (ExtField(3, 8), ExtField(73, 2), ExtField(10009, 3)):
+        assert isinstance(F.kernel, TupleKernel)                  # no tables
+
+
+def test_small_extension_series_arithmetic_in_a_fresh_process():
+    # a small extension field made in a fresh interpreter, so that no other
+    # test can have run its arithmetic first: its series sum and product
+    # need its kernel before anything else reads it
+    code = """
+from wgauss.algebra import ExtField
+from wgauss.algebra.series import TruncatedSeries
+K = ExtField(7, 2)
+a = TruncatedSeries(K, [K.gen, K.one], 4)
+b = TruncatedSeries(K, [K.one, K.gen], 4)
+s, m = a + b, a * b
+g = K.gen
+assert [s.coefficient(i) for i in range(4)] == [g + 1, g + 1, 0, 0], s
+assert [m.coefficient(i) for i in range(4)] == [g, g * g + 1, g, 0], m
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("F", [ExtField(7, 3), ExtField(7, 5)] + LARGE_FIELDS,
