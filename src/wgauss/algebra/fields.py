@@ -572,19 +572,9 @@ class ExtField:
             if src.degree == 1:
                 self._emb_cache[key] = [self.one]
             else:
-                if self.k % src.degree != 0:
-                    raise FieldError("no embedding: degree does not divide")
-                from .poly import Poly, distinct_roots_in_field
-                f = Poly(self, [self.elem(c) for c in src.modulus])
-                roots = distinct_roots_in_field(f)
-                if len(roots) != src.degree:
-                    raise FieldError("modulus failed to split in target")
-                r = min(roots, key=self.sort_key)
-                pows, cur = [self.one], self.one
-                for _ in range(src.degree - 1):
-                    cur = cur * r
-                    pows.append(cur)
-                self._emb_cache[key] = pows
+                from .poly import Poly, conjugate_roots
+                r = conjugate_roots(Poly(PrimeField(self.p), src.modulus), self)[0]
+                self._emb_cache[key] = [r ** i for i in range(src.degree)]
         return self._emb_cache[key]
 
     def describe(self):

@@ -17,6 +17,7 @@ use, and keeps the codes; a kernel result keeps only its codes until its
 coefficients are read.
 """
 
+import math
 import random
 
 from .fields import ExtField, FieldError, PrimeField, coerce
@@ -318,22 +319,24 @@ def distinct_degree_decomposition(a):
     return out
 
 
-def equal_degree_split(a, d, rng):
-    """Cantor-Zassenhaus split of a (all factors of degree d) into irreducibles."""
+def equal_degree_split(a, d, rng, one=False):
+    """Cantor-Zassenhaus split of a (all factors of degree d) into irreducibles;
+    with ``one``, into a list of one of them, keeping the smaller part of each
+    split.  For d = 1 the splitting elements are x + c, so each exponent bit
+    of a try costs a square and one multiply by a linear polynomial."""
     field = a.field
-    q = field.order
     if a.degree == d:
         return [a.monic()]
     out = []
     stack = [a.monic()]
-    e = (q ** d - 1) // 2
-    while stack:
+    e = (field.order ** d - 1) // 2
+    while stack and not (one and out):
         f = stack.pop()
         if f.degree == d:
             out.append(f)
             continue
         while True:
-            r = Poly(field, [field.rand(rng) for _ in range(f.degree)] + [field.one])
+            r = Poly(field, [field.rand(rng) for _ in range(f.degree if d > 1 else 1)] + [field.one])
             g = poly_gcd(r, f)
             if 0 < g.degree < f.degree:
                 break
@@ -341,8 +344,8 @@ def equal_degree_split(a, d, rng):
             g = poly_gcd(h, f)
             if 0 < g.degree < f.degree:
                 break
-        stack.append(g)
-        stack.append(f // g)
+        parts = [g, f // g]
+        stack += [min(parts, key=lambda u: u.degree)] if one else parts
     return out
 
 
@@ -401,7 +404,8 @@ def root_multiplicity(a, r):
 
 
 def _linear_split(lin):
-    """Distinct roots of a squarefree product of rational linear factors."""
+    """Distinct roots of a squarefree product of rational linear factors: closed
+    forms in degrees 1 and 2, else ``equal_degree_split`` with elements x + c."""
     field = lin.field
     if lin.degree == 1:
         return [-lin.monic()[0]]
@@ -410,23 +414,40 @@ def _linear_split(lin):
         b, c = mon[1], mon[0]
         disc = b * b - c * 4
         s = field.sqrt(disc)
-        assert s is not None
+        if s is None:
+            raise ValueError(f"{lin!r} has no root in {field!r}")
         half = field.one / field.elem(2)
         return [(-b + s) * half, (-b - s) * half]
     rng = random.Random(_seed_of(lin) ^ 0x11EA4)
     return [-f[0] for f in equal_degree_split(lin.monic(), 1, rng)]
 
 
+def conjugate_roots(f, K):
+    """The roots in K of f, irreducible over its field F_q, sorted by K.sort_key:
+    one root r from a split of f over K, then its Frobenius orbit r^q, r^(q^2),
+    ....  FieldError if K does not hold F_(q^deg f); ValueError if f is reducible."""
+    d, q = f.degree, f.field.order
+    if K.degree % (f.field.degree * d):
+        raise FieldError(f"{K!r} holds no roots of degree-{d} {f!r}")
+    lin = equal_degree_split(f.map_field(K), 1, random.Random(_seed_of(f)), one=True)
+    roots = [-lin[0][0]]
+    for _ in range(d - 1):
+        roots.append(roots[-1] ** q)
+        if roots[-1] == roots[0]:   # the orbit closed early
+            raise ValueError(f"{f!r} is reducible over {f.field!r}")
+    return sorted(roots, key=K.sort_key)
+
+
 def roots_in_splitting_extension(a, cap=12):
     """All roots of a over a splitting extension, with multiplicities.
 
-    Returns (field, [(root, mult)]); the field is the canonical extension of
-    degree lcm over the irreducible factors.  Degrees beyond ``cap`` raise
-    ExtensionCapError.  Multiplicities sum to deg(a).
+    Returns (field, [(root, mult)]), roots sorted by the field's key; the field
+    is the canonical extension of degree lcm over the irreducible factors, and
+    each factor's roots are one Frobenius orbit (``conjugate_roots``).  Degrees
+    beyond ``cap`` raise ExtensionCapError.  Multiplicities sum to deg(a).
     """
     if a.degree < 0:
         raise ValueError("zero polynomial")
-    import math
     base = a.field
     factors = factor_finite(a)
     total = base.degree
@@ -436,15 +457,10 @@ def roots_in_splitting_extension(a, cap=12):
         raise ExtensionCapError(
             f"splitting field degree {total} exceeds cap {cap}")
     target = PrimeField(base.char) if total == 1 else ExtField(base.char, total)
-    out = []
-    for f, m in factors:
-        g = f.map_field(target)
-        for r in distinct_roots_in_field(g):
-            out.append((r, m))
+    out = [(r, m) for f, m in factors for r in conjugate_roots(f, target)]
     out.sort(key=lambda rm: target.sort_key(rm[0]))
     assert sum(m for _, m in out) == a.degree
     return target, out
-
 
 
 def binary_gcd(forms):

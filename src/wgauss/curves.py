@@ -41,7 +41,7 @@ from .algebra.mpoly import mp_coeff_list, mp_eval, mp_map_field, mp_partial, mp_
 from .algebra.poly import (
     Poly,
     binary_roots,
-    distinct_roots_in_field,
+    conjugate_roots,
     factor_finite,
     poly_gcd,
     roots_in_splitting_extension,
@@ -749,7 +749,7 @@ def _verify_candidates_bivar(field, sys2, g):
         if f.degree < 1:
             continue
         K = field.extension(f.degree)
-        t0 = -f[0] if f.degree == 1 else distinct_roots_in_field(f.map_field(K))[0]
+        t0 = conjugate_roots(f, K)[0]
         common = None
         for d in sys2:
             cs = [K.zero] * (max(k[1] for k in d) + 1)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -25,7 +27,13 @@ from wgauss.algebra import (
 )
 
 from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
-from wgauss.algebra.poly import binary_roots, distinct_roots_in_field, root_multiplicity
+from wgauss.algebra.poly import (
+    _linear_split,
+    binary_roots,
+    conjugate_roots,
+    distinct_roots_in_field,
+    root_multiplicity,
+)
 
 SRC = Path(wgauss.__file__).resolve().parents[1]
 F7 = PrimeField(7)
@@ -203,6 +211,96 @@ def test_extension_cap():
             break
     with pytest.raises(ExtensionCapError):
         roots_in_splitting_extension(a, cap=4)
+
+
+def _random_with_repeats(F, rng, i):
+    # a random monic of degree 1..4, times the square of a random monic of
+    # degree 1..2 on every third draw
+    a = rand_poly(F, rng.randrange(1, 5), rng, monic=True)
+    return a * rand_poly(F, rng.randrange(1, 3), rng, monic=True) ** 2 if i % 3 == 0 else a
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), PrimeField(5), F7, ExtField(3, 2),
+                               ExtField(5, 2)], ids=repr)
+def test_roots_in_splitting_extension_match_a_scan_of_the_field(F):
+    # oracle: every element of the returned field K (|K| <= 2,500) tried as
+    # a zero of a, with its multiplicity, in K.sort_key order
+    cap = max(m for m in range(F.degree, 13, F.degree) if F.char ** m <= 2500)
+    rng = random.Random(F.order)
+    fields = set()
+    for i in range(20):
+        a = _random_with_repeats(F, rng, i)
+        try:
+            K, roots = roots_in_splitting_extension(a, cap=cap)
+        except ExtensionCapError:
+            continue
+        g = a.map_field(K)
+        scan = [(x, root_multiplicity(g, x)) for x in K.elements() if not g(x)]
+        assert roots == sorted(scan, key=lambda rm: K.sort_key(rm[0]))
+        fields.add(K.degree)
+    assert len(fields) >= 2
+
+
+@pytest.mark.parametrize("F", [F10007, ExtField(10007, 2), ExtField(10007, 3)], ids=repr)
+def test_roots_in_splitting_extension_are_frobenius_closed(F):
+    rng = random.Random(F.degree)
+    for i in range(9):
+        a = _random_with_repeats(F, rng, i)
+        try:
+            K, roots = roots_in_splitting_extension(a, cap=12)
+        except ExtensionCapError:
+            continue
+        g = a.map_field(K)
+        assert all(root_multiplicity(g, r) == m for r, m in roots)
+        assert sum(m for _, m in roots) == a.degree
+        key = lambda rm: K.sort_key(rm[0])
+        assert sorted(((r ** F.order, m) for r, m in roots), key=key) == roots
+
+
+def test_conjugate_roots_refusals():
+    cubic = Poly(F7, [2, 0, 0, 1])   # x^3 + 2: irreducible, -2 is no cube mod 7
+    assert len(conjugate_roots(cubic, ExtField(7, 6))) == 3
+    with pytest.raises(FieldError):
+        conjugate_roots(cubic, ExtField(7, 2))
+    with pytest.raises(FieldError):
+        conjugate_roots(Poly(ExtField(7, 2), [3, 1]), ExtField(7, 3))
+    with pytest.raises(ValueError):
+        conjugate_roots(Poly(F7, [2, -3, 1]), ExtField(7, 2))   # (x - 1)(x - 2)
+    with pytest.raises(ValueError):
+        _linear_split(Poly(F7, [-3, 0, 1]))   # 3 is no square mod 7
+
+
+# SHA-256 of the root lists of a seeded sweep over F_10007, F_(10007^2) and
+# F_(10007^3) that reaches splitting fields F_(10007^6) and F_(10007^12),
+# and of the embedding images below; computed before root finding by
+# Frobenius orbit replaced a second root search in the lcm field
+ROOT_SWEEP_PIN = "ed58136c73244a190809229808815ff960e6b4ffa936482c983d7fa4d4a38d7e"
+
+
+def test_root_lists_and_embeddings_are_pinned():
+    rng = random.Random(2111)
+    sweep, degrees = [], set()
+    for base in (F10007, ExtField(10007, 2), ExtField(10007, 3)):
+        for shape in ((2, 3), (3, 4), (1, 1, 2), (6,), (4, 2, 2), (1, 3, 3)):
+            for repeat in (1, 2):
+                fs = [rand_poly(base, d, rng, monic=True) for d in shape]
+                a = reduce(lambda u, v: u * v, fs[1:], fs[0] ** repeat)
+                try:
+                    K, roots = roots_in_splitting_extension(a, cap=12)
+                except ExtensionCapError:
+                    sweep.append("cap")
+                    continue
+                degrees.add(K.degree)
+                sweep.append([K.describe(), [[K.to_json(r), m] for r, m in roots]])
+    assert {6, 12} <= degrees
+    images = []
+    for p, pairs in ((7, ((2, 4), (3, 6))), (10007, ((2, 6), (3, 6), (6, 12)))):
+        for a, b in pairs:
+            K = ExtField(p, b)
+            images.append([p, a, b, [K.to_json(w)
+                                     for w in K.embedding_images(ExtField(p, a))]])
+    blob = json.dumps([sweep, images], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == ROOT_SWEEP_PIN
 
 
 def test_resultant_linear_convention():
