@@ -24,6 +24,14 @@ is how ``ExtElement`` computes, and map those tuples to and from their
 codes (``encode``, ``decode``).  All three return the same polynomials as
 schoolbook arithmetic on field elements; only the coding of the
 coefficients differs.
+
+Each kernel also holds the Frobenius map sigma(c) = c^p on one coefficient
+code (``frob``), fixed when the field is made, and sums constants times
+polynomials (``combine``); root finding builds x^(p^i) mod f and traces to
+F_p from the two (poly.py).  ``FpKernel``'s sigma is the identity;
+``ZechKernel``'s multiplies a log by p mod q - 1 and leaves zero as it is;
+``TupleKernel``'s is the F_p-linear map sum a_i y^i -> sum a_i y^(ip), one
+sparse k x k matrix over F_p whose rows are y^(ip) mod the field modulus.
 """
 
 import struct
@@ -129,6 +137,19 @@ class FpKernel(_SquareMultiply):
             a = tuple(c * inv % p for c in a)
         return a
 
+    def frob(self, c):
+        return c
+
+    def combine(self, cs, polys):
+        """sum_j cs[j] * polys[j], for constants cs[j]."""
+        p = self.p
+        out = [0] * max(map(len, polys))
+        for c, a in zip(cs, polys):
+            if c:
+                for i, v in enumerate(a):
+                    out[i] += c * v
+        return _tstrip([v % p for v in out])
+
 
 # -- small F_{p^k}: Zech logarithms ------------------------------------------
 
@@ -153,7 +174,7 @@ class ZechKernel(_SquareMultiply):
     -1 = g^((q-1)/2) and negation adds ``half``.
     """
 
-    __slots__ = ("n", "half", "gen", "exp", "log", "zech")
+    __slots__ = ("p", "n", "half", "gen", "exp", "log", "zech")
     ONE = (0,)
 
     def __init__(self, tuples):
@@ -176,7 +197,7 @@ class ZechKernel(_SquareMultiply):
         log = {v: i for i, v in enumerate(exp)}
         log[tuples.zero] = -1
         zech = [log[((v[0] + 1) % p,) + v[1:]] for v in exp]
-        self.n, self.half, self.gen = n, n // 2, g
+        self.p, self.n, self.half, self.gen = p, n, n // 2, g
         self.exp, self.log, self.zech = exp + [tuples.zero], log, zech + zech
 
     # -- elements of F_q, as coefficient vectors --
@@ -297,6 +318,18 @@ class ZechKernel(_SquareMultiply):
             a = tuple(-1 if c < 0 else (c - lead) % n for c in a)
         return a
 
+    def frob(self, c):
+        return c if c < 0 else c * self.p % self.n
+
+    def combine(self, cs, polys):
+        """sum_j cs[j] * polys[j], for constants cs[j]: a constant shifts
+        every log of its polynomial."""
+        n, out = self.n, ()
+        for c, a in zip(cs, polys):
+            if c >= 0 and a:
+                out = self.add(out, [-1 if v < 0 else (v + c) % n for v in a])
+        return out
+
 
 # -- large F_{p^k}: coefficient tuples, Kronecker products -------------------
 
@@ -340,9 +373,9 @@ class TupleKernel:
     more multiply, so the remainder is folded once, at the end.
     """
 
-    __slots__ = ("p", "k", "modulus", "red", "rows", "zero", "one", "stride",
-                 "wide", "pad", "neg_low", "rounds", "growth", "masks", "fw",
-                 "fpack", "funpack", "fp")
+    __slots__ = ("p", "k", "modulus", "red", "rows", "frows", "zero", "one",
+                 "stride", "wide", "pad", "neg_low", "rounds", "growth", "masks",
+                 "fw", "fpack", "funpack", "fp")
 
     def __init__(self, p, k, modulus):
         self.p, self.k, self.modulus = p, k, modulus
@@ -355,6 +388,13 @@ class TupleKernel:
             red.append(tuple((v + top * r) % p for v, r in zip(cur, red[0])))
         self.red = red
         self.rows = [[(t, r) for t, r in enumerate(row) if r] for row in red]
+        # frows[i] = y^(ip) reduced by the modulus, for i = 0..k-1: sigma's matrix
+        fp, yp, cur = self.fp, self.fp.powmod((0, 1), p, modulus), (1,)
+        frows = []
+        for _ in range(k):
+            frows.append([(t, r) for t, r in enumerate(cur) if r])
+            cur = fp.mod(fp.mul(cur, yp), modulus)
+        self.frows = frows
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self.stride = 2 * k - 1
@@ -427,6 +467,16 @@ class TupleKernel:
             if bit == "1":
                 r = self.fmul(r, a)
         return r
+
+    def frob(self, a):
+        """a^p: the residues a_i of a = sum a_i y^i times the rows y^(ip)."""
+        p = self.p
+        out = [0] * self.k
+        for ai, row in zip(a, self.frows):
+            if ai:
+                for t, r in row:
+                    out[t] += ai * r
+        return tuple([v % p for v in out])
 
     def encode(self, vecs):
         return tuple(vecs)
@@ -556,6 +606,17 @@ class TupleKernel:
             if bit == "1":
                 r = self._reduce(_pack(r, w) * va, dm + len(a) - 1, div, w)
         return self._coeffs(r)
+
+    def combine(self, cs, polys):
+        """sum_j cs[j] * polys[j], for constants cs[j]: one Kronecker product
+        per term, summed on the packed ints, and one fold."""
+        n = max(map(len, polys))
+        w = self._width(len(cs))
+        v = 0
+        for c, a in zip(cs, polys):
+            if a and any(c):
+                v += _pack(c, w) * self._packed(a, w)
+        return self._coeffs(self._fold(v, n, w)) if v else ()
 
     def gcd(self, a, b):
         while b:

@@ -5,7 +5,15 @@ coefficient (empty tuple for the zero polynomial).  A Poly carries its
 field explicitly; mixing fields raises.  Factorization and root finding
 use a squarefree split, distinct-degree, then Cantor-Zassenhaus
 equal-degree splitting, seeded deterministically from the input so
-results are reproducible.
+results are reproducible.  Over F_q, q = p^k, both read one Frobenius table
+per squarefree part f, x^(p^i) mod f for i = 0..k, built from one powmod
+with exponent p and the kernel's Frobenius map (``_frobenius_table``):
+its last entry is the x^q of the distinct-degree step, and linear factors
+are split through the trace to F_p, T = Tr(c x) + t raised to (p - 1)/2
+(``_trace_split``), so no exponent of that path is longer than p.  Only
+factors of degree d > 1 are split with random elements raised to
+(q^d - 1)/2.  Every root list is a set sorted by the field's key, so the
+random draws never show in a result.
 
 Coefficients are field elements, but the hot loops -- ``+``, ``-``, ``*``,
 ``divmod``, ``%``, ``//``, ``powmod`` and ``poly_gcd`` -- run on the
@@ -172,7 +180,7 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.lead() == self.field.one:
             return self
         inv = self.field.one / self.lead()
         return Poly(self.field, [c * inv for c in self.coeffs])
@@ -266,12 +274,12 @@ def squarefree_decomposition(a):
     a = a.monic()
 
     def frob_root(g):
-        # g = h(x^p); recover h by taking p^(k-1)-th powers of coefficients
-        e = field.order // p
-        cs = []
-        for i in range(0, g.degree + 1, p):
-            cs.append(g[i] ** e)
-        return Poly(field, cs)
+        # g = h(x^p); h's coefficients are p-th roots, sigma^(k-1) on F_(p^k)
+        frob = field.kernel.frob
+        cs = g._encoded()[::p]
+        for _ in range(field.degree - 1):
+            cs = tuple([frob(c) for c in cs])
+        return Poly._from_code(field, cs)
 
     def sf(a, mult):
         if a.degree < 1:
@@ -297,18 +305,20 @@ def squarefree_decomposition(a):
     return out
 
 
-def distinct_degree_decomposition(a):
-    """[(product of irreducibles of degree d, d)] for squarefree monic a."""
+def distinct_degree_decomposition(a, xq):
+    """[(product of irreducibles of degree d, d)] for squarefree monic a over
+    F_q, given xq = x^q mod a (the last entry of a's ``_frobenius_table``)."""
     field = a.field
     q = field.order
     out = []
     x = Poly.x(field)
-    h = x
+    h = xq
     f = a
     d = 0
     while f.degree > 2 * (d + 1) - 1 and f.degree > 0:
         d += 1
-        h = powmod(h, q, f)
+        if d > 1:
+            h = powmod(h, q, f)
         g = poly_gcd(h - x, f)
         if g.degree > 0:
             out.append((g, d))
@@ -319,24 +329,87 @@ def distinct_degree_decomposition(a):
     return out
 
 
-def equal_degree_split(a, d, rng, one=False):
-    """Cantor-Zassenhaus split of a (all factors of degree d) into irreducibles;
-    with ``one``, into a list of one of them, keeping the smaller part of each
-    split.  For d = 1 the splitting elements are x + c, so each exponent bit
-    of a try costs a square and one multiply by a linear polynomial."""
+def _frobenius_table(f, k):
+    """Codes of X_i = x^(p^i) mod f for i = 0..k, p the characteristic.
+
+    X_1 is one powmod with exponent p.  Then, with X_i = sum_j a_ij x^j and
+    sigma the kernel's Frobenius, X_(i+1) = X_i^p = sum_j sigma(a_ij) X_1^j
+    mod f (von zur Gathen & Shoup, "Computing Frobenius maps and factoring
+    polynomials", Comput. Complexity 2, 1992): one ``combine`` with the
+    powers of X_1 per entry, and no exponent longer than p."""
+    field = f.field
+    kern = field.kernel
+    m = f._encoded()
+    one = Poly.one(field)._encoded()
+    x = kern.mod(Poly.x(field)._encoded(), m)
+    X1 = kern.powmod(x, field.char, m)
+    table = [x, X1]
+    if k > 1:
+        powers = [one, X1][:f.degree]
+        while len(powers) < f.degree:
+            powers.append(kern.mod(kern.mul(powers[-1], X1), m))
+        frob = kern.frob
+        while len(table) <= k:
+            table.append(kern.combine([frob(c) for c in table[-1]], powers))
+    return table
+
+
+def _trace_split(f, table, rng, one=False):
+    """The monic linear factors of f, a product of distinct ones over its
+    field F_q, q = p^k; with ``one``, a list of one of them, keeping the
+    smaller part of each split.
+
+    ``table`` holds the codes of X_i = x^(p^i) mod a multiple of f for
+    i < r, where r | k and X_r = x mod f.  The splitting element is
+    T = Tr(c x) + t = sum_(i<k) sigma^i(c) X_(i mod r) + t, with c random in
+    F_q, t random in F_p and sigma the kernel's Frobenius.  At each root z,
+    T(z) = Tr(c z) + t lies in F_p, so T^((p-1)/2) is 0 or +-1 there, and
+    gcd(T^((p-1)/2) - 1, f) parts two roots z, z' with probability about 1/2,
+    as T(z) and T(z') are independent and uniform in F_p.  Over F_p,
+    T = c x + t."""
+    field = f.field
+    kern, p, k = field.kernel, field.char, field.degree
+    e = (p - 1) // 2
+    frob, unit = kern.frob, Poly.one(field)._encoded()
+    out = []
+    stack = [(f.monic(), table)]
+    while stack and not (one and out):
+        g, tab = stack.pop()
+        if g.degree == 1:
+            out.append(g)
+            continue
+        m = g._encoded()
+        tab = [kern.mod(X, m) for X in tab]
+        terms = [tab[i % len(tab)] for i in range(k)] + [unit]
+        while True:
+            c, t = field._encode([field.rand(rng), field.elem(rng.randrange(p))])
+            cs = [c]
+            for _ in range(k - 1):
+                cs.append(frob(cs[-1]))
+            T = Poly._from_code(field, kern.combine(cs + [t], terms))
+            h = poly_gcd(powmod(T, e, g) - 1, g)
+            if 0 < h.degree < g.degree:
+                break
+        parts = [h, g // h]
+        stack += [(u, tab) for u in ([min(parts, key=lambda u: u.degree)] if one else parts)]
+    return out
+
+
+def equal_degree_split(a, d, rng):
+    """Cantor-Zassenhaus split of a, all of whose irreducible factors over
+    F_q have degree d > 1, into them: splitting elements are random
+    polynomials, raised to (q^d - 1)/2."""
     field = a.field
-    if a.degree == d:
-        return [a.monic()]
     out = []
     stack = [a.monic()]
     e = (field.order ** d - 1) // 2
-    while stack and not (one and out):
+    while stack:
         f = stack.pop()
         if f.degree == d:
             out.append(f)
             continue
         while True:
-            r = Poly(field, [field.rand(rng) for _ in range(f.degree if d > 1 else 1)] + [field.one])
+            r = Poly(field, [field.rand(rng) for _ in range(f.degree)] + [field.one])
             g = poly_gcd(r, f)
             if 0 < g.degree < f.degree:
                 break
@@ -344,8 +417,7 @@ def equal_degree_split(a, d, rng, one=False):
             g = poly_gcd(h, f)
             if 0 < g.degree < f.degree:
                 break
-        parts = [g, f // g]
-        stack += [min(parts, key=lambda u: u.degree)] if one else parts
+        stack += [g, f // g]
     return out
 
 
@@ -357,24 +429,35 @@ def factor_finite(a):
     if a.degree < 0:
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(_seed_of(a))
+    k = a.field.degree
     result = []
     for sqf, mult in squarefree_decomposition(a):
-        for part, d in distinct_degree_decomposition(sqf):
-            for irr in equal_degree_split(part, d, rng):
-                result.append((irr, mult))
+        if sqf.degree == 1:                 # its own factor: no table
+            result.append((sqf, mult))
+            continue
+        table = _frobenius_table(sqf, k)
+        xq = Poly._from_code(a.field, table[k])
+        for part, d in distinct_degree_decomposition(sqf, xq):
+            if d == 1:
+                irrs = _trace_split(part, table[:k], rng)
+            else:
+                irrs = equal_degree_split(part, d, rng)
+            result += [(irr, mult) for irr in irrs]
     result.sort(key=lambda fm: fm[0].sort_key())
     return result
 
 
 def distinct_roots_in_field(a):
-    """All roots of a lying in its own (finite) coefficient field, no multiplicity."""
+    """All roots of a lying in its own field F_q, no multiplicity: the gcd of
+    a with x^q - x, x^q read from a's ``_frobenius_table``, split through
+    the trace to F_p with the same table."""
     field = a.field
-    x = Poly.x(field)
-    xq = powmod(x, field.order, a)
-    lin = poly_gcd(xq - x, a)
+    k = field.degree
+    table = _frobenius_table(a, k)
+    lin = poly_gcd(Poly._from_code(field, table[k]) - Poly.x(field), a)
     if lin.degree <= 0:
         return []
-    roots = _linear_split(lin)
+    roots = _linear_split(lin, table[:k])
     roots.sort(key=field.sort_key)
     return roots
 
@@ -403,9 +486,10 @@ def root_multiplicity(a, r):
         m += 1
 
 
-def _linear_split(lin):
+def _linear_split(lin, table):
     """Distinct roots of a squarefree product of rational linear factors: closed
-    forms in degrees 1 and 2, else ``equal_degree_split`` with elements x + c."""
+    forms in degrees 1 and 2, else ``_trace_split`` with ``table``, the codes
+    of x^(p^i) mod a multiple of lin for i < deg F_q."""
     field = lin.field
     if lin.degree == 1:
         return [-lin.monic()[0]]
@@ -419,23 +503,38 @@ def _linear_split(lin):
         half = field.one / field.elem(2)
         return [(-b + s) * half, (-b - s) * half]
     rng = random.Random(_seed_of(lin) ^ 0x11EA4)
-    return [-f[0] for f in equal_degree_split(lin.monic(), 1, rng)]
+    return [-f[0] for f in _trace_split(lin, table, rng)]
 
 
 def conjugate_roots(f, K):
     """The roots in K of f, irreducible over its field F_q, sorted by K.sort_key:
     one root r from a split of f over K, then its Frobenius orbit r^q, r^(q^2),
-    ....  FieldError if K does not hold F_(q^deg f); ValueError if f is reducible."""
-    d, q = f.degree, f.field.order
-    if K.degree % (f.field.degree * d):
+    ..., each sigma^(deg F_q) by the kernel's Frobenius sigma.
+
+    The split is ``_trace_split`` with f's ``_frobenius_table`` over F_q, up
+    to x^(q^d), d = deg f, mapped into K: f splits into distinct linear
+    factors over F_(q^d) exactly when x^(q^d) = x mod f.  FieldError if K
+    does not hold F_(q^d); ValueError if f is reducible."""
+    F, d = f.field, f.degree
+    b = F.degree
+    if K.degree % (b * d):
         raise FieldError(f"{K!r} holds no roots of degree-{d} {f!r}")
-    lin = equal_degree_split(f.map_field(K), 1, random.Random(_seed_of(f)), one=True)
-    roots = [-lin[0][0]]
+    if d == 1:
+        return [-f.monic().map_field(K)[0]]
+    table = _frobenius_table(f, b * d)
+    if table[-1] != table[0]:
+        raise ValueError(f"{f!r} is reducible over {F!r}: no distinct roots in {K!r}")
+    table = [Poly._from_code(F, X).map_field(K)._encoded() for X in table[:-1]]
+    lin = _trace_split(f.map_field(K), table, random.Random(_seed_of(f)), one=True)
+    frob, code = K.kernel.frob, K._encode([-lin[0][0]])
     for _ in range(d - 1):
-        roots.append(roots[-1] ** q)
-        if roots[-1] == roots[0]:   # the orbit closed early
-            raise ValueError(f"{f!r} is reducible over {f.field!r}")
-    return sorted(roots, key=K.sort_key)
+        r = code[-1]
+        for _ in range(b):
+            r = frob(r)
+        if r == code[0]:   # the orbit closed early
+            raise ValueError(f"{f!r} is reducible over {F!r}")
+        code += (r,)
+    return sorted(K._decode(code), key=K.sort_key)
 
 
 def roots_in_splitting_extension(a, cap=12):

@@ -123,6 +123,21 @@ def test_factor_planted_multiplicity():
     assert fs[q.coeffs] == 1
 
 
+@pytest.mark.parametrize("F", [ExtField(3, 2), ExtField(7, 3), ExtField(3, 8)], ids=repr)
+def test_factor_pth_power_multiplicities_over_extensions(F):
+    # (x - r)^p (x - s)^(2p + 1): the squarefree split takes p-th roots of
+    # coefficients, sigma^(k-1) by the kernel's Frobenius, over a
+    # Zech-coded and a tuple-coded field too
+    rng = random.Random(12)
+    p = F.char
+    for _ in range(5):
+        r, s = F.rand(rng), F.rand(rng)
+        lr, ls = Poly(F, [-r, F.one]), Poly(F, [-s, F.one])
+        want = [(lr, 3 * p + 1)] if r == s else sorted(
+            [(lr, p), (ls, 2 * p + 1)], key=lambda fm: fm[0].sort_key())
+        assert factor_finite(lr ** p * ls ** (2 * p + 1)) == want
+
+
 def test_factor_deterministic():
     rng = random.Random(11)
     a = rand_poly(F10007, 10, rng)
@@ -221,11 +236,13 @@ def _random_with_repeats(F, rng, i):
 
 
 @pytest.mark.parametrize("F", [PrimeField(3), PrimeField(5), F7, ExtField(3, 2),
-                               ExtField(5, 2)], ids=repr)
+                               ExtField(5, 2), PrimeField(67)], ids=repr)
 def test_roots_in_splitting_extension_match_a_scan_of_the_field(F):
-    # oracle: every element of the returned field K (|K| <= 2,500) tried as
+    # oracle: every element of the returned field K (|K| <= 2,500, or p^2
+    # when larger, so that F_67 reaches the tuple-coded F_(67^2)) tried as
     # a zero of a, with its multiplicity, in K.sort_key order
-    cap = max(m for m in range(F.degree, 13, F.degree) if F.char ** m <= 2500)
+    bound = max(2500, F.char ** 2)
+    cap = max(m for m in range(F.degree, 13, F.degree) if F.char ** m <= bound)
     rng = random.Random(F.order)
     fields = set()
     for i in range(20):
@@ -266,8 +283,52 @@ def test_conjugate_roots_refusals():
         conjugate_roots(Poly(ExtField(7, 2), [3, 1]), ExtField(7, 3))
     with pytest.raises(ValueError):
         conjugate_roots(Poly(F7, [2, -3, 1]), ExtField(7, 2))   # (x - 1)(x - 2)
+    # (x^2 + 1)(x^3 + 2): the quadratic's roots lie in F_49, not in F_(7^5),
+    # so no split over F_(7^5) can find a linear factor of it
     with pytest.raises(ValueError):
-        _linear_split(Poly(F7, [-3, 0, 1]))   # 3 is no square mod 7
+        conjugate_roots(Poly(F7, [1, 0, 1]) * cubic, ExtField(7, 5))
+    with pytest.raises(ValueError):   # the table [x]; (0, 1) codes x over F_7
+        _linear_split(Poly(F7, [-3, 0, 1]), [(0, 1)])   # 3 is no square mod 7
+
+
+@pytest.mark.parametrize("F", [F10007, ExtField(7, 3), ExtField(10007, 3),
+                               ExtField(67, 2)], ids=repr)
+def test_kernel_frobenius(F):
+    # sigma(a) = a^p, sigma(ab) = sigma(a) sigma(b) and sigma^k = id, on the
+    # codes of a prime, a Zech-coded and two tuple-coded fields
+    kern, rng = F.kernel, random.Random(21)
+    code = lambda a: F._encode([a])[0]
+    sigma = lambda a: F._decode((kern.frob(code(a)),))[0]
+    elems = [F.zero, F.one] + [F.rand(rng) for _ in range(20)]
+    for a, b in zip(elems, elems[::-1]):
+        assert sigma(a) == a ** F.char
+        assert sigma(a * b) == sigma(a) * sigma(b)
+        c = code(a)
+        for _ in range(F.degree):
+            c = kern.frob(c)
+        assert c == code(a)
+
+
+def test_linear_roots_over_a_large_extension_use_exponents_up_to_p(monkeypatch):
+    # six distinct linear factors over F_(10007^6): the squarefree part's
+    # x^q comes from the Frobenius table and the split from the trace to
+    # F_p, so no powmod exponent exceeds p, where (q - 1)/2 has 80 bits
+    F = ExtField(10007, 6)
+    rng = random.Random(22)
+    roots = set()
+    while len(roots) < 6:
+        roots.add(F.rand(rng))
+    a = reduce(lambda u, v: u * v, [Poly(F, [-r, F.one]) for r in roots])
+    exponents, powmod_ = [], TupleKernel.powmod
+
+    def spy(self, b, e, m):
+        exponents.append(e)
+        return powmod_(self, b, e, m)
+
+    monkeypatch.setattr(TupleKernel, "powmod", spy)
+    K, got = roots_in_splitting_extension(a)
+    assert K == F and got == sorted(((r, 1) for r in roots), key=lambda rm: F.sort_key(rm[0]))
+    assert exponents and max(exponents) <= F.char
 
 
 # SHA-256 of the root lists of a seeded sweep over F_10007, F_(10007^2) and
@@ -585,6 +646,24 @@ def test_large_kernel_gcd_matches_reference(drawn):
     F, (a, b, c) = drawn
     a, b = a * c, b * c
     assert _vecs(poly_gcd(a, b)) == _ref_gcd(F, _vecs(a), _vecs(b))
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS + LARGE_FIELDS, ids=repr)
+def test_kernel_combine_matches_reference(F):
+    # constants times polynomials, summed, as the Frobenius table and the
+    # trace split use it; the code q - 1 has every residue p - 1, so the
+    # last n terms give the widest slot sums of the packed products
+    rng = random.Random(23)
+    top = _poly_of_codes(F, [F.order - 1] * 7)
+    for n in range(1, 9):
+        consts = [F.rand(rng) for _ in range(n)] + [F.zero] + [top.lead()] * n
+        polys = [rand_poly(F, rng.randrange(7), rng) for _ in range(n)] + [top] * (n + 1)
+        got = F.kernel.combine(F._encode(consts), [a._encoded() for a in polys])
+        ref = [(0,) * F.degree] * 7
+        for c, a in zip(consts, polys):
+            for i, y in enumerate(_vecs(a)):
+                ref[i] = _ref_fadd(F, ref[i], _ref_fmul(F, _vec(c), y))
+        assert _vecs(Poly._from_code(F, got)) == _ref_strip(F, ref)
 
 
 @pytest.mark.parametrize("F", LARGE_FIELDS, ids=repr)
