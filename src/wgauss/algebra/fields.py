@@ -218,7 +218,7 @@ class PrimeField:
         return x.value
 
     def from_json(self, obj):
-        return self.elem(_json_int(obj))
+        return self.elem(json_int(obj))
 
     def is_square(self, x):
         if x.value == 0:
@@ -531,8 +531,8 @@ class ExtField:
 
     def from_json(self, obj):
         if isinstance(obj, list):
-            return self.elem([_json_int(v) for v in obj])
-        return self.elem(_json_int(obj))
+            return self.elem([json_int(v) for v in obj])
+        return self.elem(json_int(obj))
 
     def is_square(self, x):
         if not x:
@@ -590,7 +590,7 @@ class ExtField:
         return hash(("Fq", self.p, self.k))
 
 
-def _json_int(v):
+def json_int(v):
     """A JSON integer; a float, string or bool is no number of a field."""
     if type(v) is not int:
         raise FieldError(f"expected an integer, got {v!r}")
@@ -603,9 +603,9 @@ def field_from_json(obj):
         raise FieldError("rational models are not supported; reduce the model "
                          "mod a large prime such as 10007 first")
     if t == "prime":
-        return PrimeField(_json_int(obj.get("p")))
+        return PrimeField(json_int(obj.get("p")))
     if t == "extension":
-        return ExtField(_json_int(obj.get("p")), _json_int(obj.get("k")))
+        return ExtField(json_int(obj.get("p")), json_int(obj.get("k")))
     raise FieldError(f"unknown field descriptor {obj!r}")
 
 

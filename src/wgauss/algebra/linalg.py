@@ -7,6 +7,8 @@ syntactic equality of RREFs.
 
 from itertools import combinations
 
+from .fields import coerce
+
 
 class MatrixExact:
     __slots__ = ("field", "rows", "_rref")
@@ -117,7 +119,6 @@ class MatrixExact:
         return bareiss_det(self.rows, self.field.one)
 
     def map_field(self, target):
-        from .fields import coerce
         return MatrixExact(target, [[coerce(c, target) for c in row] for row in self.rows])
 
 

@@ -24,7 +24,8 @@ from .harness import (
     run_reconstruct,
     write_report,
 )
-from .spans import NotInSmoothLocusError, UnsupportedConfiguration
+from .sections import UnsupportedConfiguration
+from .spans import NotInSmoothLocusError
 
 EXIT_OK = 0
 EXIT_VERDICT = 2

@@ -11,9 +11,8 @@ are either hyperelliptic points (affine (x, y) or tagged points at infinity)
 or normalized projective points; coordinates may live in extensions of the
 curve's base field.  The two canonical models share one base class: both are
 cut out by forms in P^(g-1), their points are their own canonical
-coordinates, and one local parametrization serves both.  The quartic's point
-table is read line by line on the lines through (0 : 0 : 1), with the line
-routine its sampler uses; the genus-4 table is read on the rulings.
+coordinates, and one local parametrization serves both.  Both point tables
+and both samplers cut the curve with lines and planes in ``sections``.
 
 Infinity conventions for y^2 = f(x): an odd-degree model has a single
 involution-fixed point at infinity; an even-degree model has two, labelled
@@ -28,7 +27,7 @@ is tested on the three charts x_i = 1.  A genus-4 curve C = Q n E is tested
 on the quadric itself: Q is a rank-4 quadric, split over F_q or over F_(q^2),
 or a cone, and the cubic pulled back once to P^1 x P^1, or to the lines
 through the cone's vertex, is a curve on charts isomorphic to open pieces of
-Q (``rulings``).  For small q an exhaustive search over F_(q^m) is
+Q (``sections.rulings``).  For small q an exhaustive search over F_(q^m) is
 available as a cross-check.
 """
 
@@ -40,7 +39,6 @@ from .algebra.linalg import MatrixExact, bareiss_det, sylvester
 from .algebra.mpoly import mp_coeff_list, mp_eval, mp_map_field, mp_partial, mp_substitute
 from .algebra.poly import (
     Poly,
-    binary_roots,
     conjugate_roots,
     factor_finite,
     poly_gcd,
@@ -510,6 +508,13 @@ class _CanonicalCurve:
 
     canonical_series = local_series
 
+    def points_over(self, rel_degree=1):
+        """(K, the sorted points of C(K)), K = F_(q^m) for m = rel_degree,
+        read line by line (``sections.points_over``)."""
+        from .sections import points_over
+        K = self.field.extension(rel_degree)
+        return K, points_over(self, K)
+
     def __eq__(self, other):
         return (type(other) is type(self) and self.field == other.field
                 and self.forms == other.forms)
@@ -533,38 +538,21 @@ class PlaneQuarticCurve(_CanonicalCurve):
         if check:
             _certify_smooth_plane_quartic(self)
 
-    def _line_points(self, b0, b1, K):
-        """The K-points s*b0 + t*b1 of the curve, in ``binary_roots`` order."""
-        S = self.form.pullback([b0, b1], K)
-        if not S:
-            raise CurveError("the quartic contains a line; not smooth")
-        _, zeros = binary_roots([(S, 4)])
-        return [ProjectivePoint(K, [s * a + t * b for a, b in zip(b0, b1)])
-                for (s, t), _ in zeros]
-
     def sample_point(self, rng, budget=2000):
+        from .sections import line_cut
         F = self.field
         for _ in range(budget):
             b0 = [F.rand(rng) for _ in range(3)]
             b1 = [F.rand(rng) for _ in range(3)]
             if MatrixExact(F, [b0, b1]).rank() != 2:
                 continue
-            pts = self._line_points(b0, b1, F)
+            pts = line_cut(self, [b0, b1], F)
             if not pts:
                 continue
-            P = pts[rng.randrange(len(pts))]
+            P = pts[rng.randrange(len(pts))][0]
             assert self.contains(P)
             return P
         raise SamplingExhausted("no point found within budget")
-
-    def points_over(self, rel_degree=1):
-        """(K, the sorted points of C(K)), K = F_(q^m) for m = rel_degree,
-        found line by line on the lines through (0 : 0 : 1)."""
-        K = self.field.extension(rel_degree)
-        apex = (K.zero, K.zero, K.one)
-        pts = {P for a, b in projective_points(K, 2)
-               for P in self._line_points((a, b, K.zero), apex, K)}
-        return K, sorted(pts, key=ProjectivePoint.sort_key)
 
     def describe(self):
         return {
@@ -591,41 +579,22 @@ class CanonicalG4Curve(_CanonicalCurve):
         self.quadric = quadric
         self.cubic = cubic
         self.forms = (quadric, cubic)
-        self.gram = _gram_matrix(field, quadric)
+        self.gram = gram_matrix(field, quadric)
         if check:
             _certify_smooth_g4(self)
 
     def sample_point(self, rng, budget=2000):
+        from .sections import plane_rational_points
         F = self.field
         for _ in range(budget):
             h = [F.rand(rng) for _ in range(4)]
             if not any(h):
                 continue
-            pts = self.plane_rational_points(h)
+            pts = plane_rational_points(self, h)
             if not pts:
                 continue
             return pts[rng.randrange(len(pts))]
         raise SamplingExhausted("no point found within budget")
-
-    def plane_rational_points(self, h):
-        """The rational points on the plane h . x = 0, in the order that
-        ``sample_point`` draws from (``rulings.plane_rational_points``)."""
-        from .rulings import plane_rational_points
-        return plane_rational_points(self, h)
-
-    def points_over(self, rel_degree=1):
-        """(K, the sorted points of C(K)), K = F_(q^m) for m = rel_degree.
-
-        The points are found line by line on the rulings of the quadric
-        (``rulings``): through the Segre map when the quadric has rank 4
-        and splits over K, through the vertex when it is a cone.  A rank-4
-        quadric whose determinant is not a square in K (possible only for
-        odd m) keeps the sweep over the pencil of planes through the line
-        x0 = x1 = 0.
-        """
-        from .rulings import points_over
-        K = self.field.extension(rel_degree)
-        return K, points_over(self, K)
 
     def describe(self):
         return {
@@ -653,7 +622,7 @@ def _res_in_last_var(g1, g2, d1, d2, field):
     return bareiss_det(rows, Poly.one(field))
 
 
-def _gram_matrix(field, quadric):
+def gram_matrix(field, quadric):
     """The symmetric matrix G of a quadratic form: Q(x) = x.G.x."""
     half = field.one / field.elem(2)
     n = quadric.nvars
@@ -686,14 +655,14 @@ def _certify_smooth_g4(curve):
     F_q or F_(q^2); the lines through the vertex for a cone), where C is a
     curve G = 0 on charts isomorphic to open pieces of Q, or of the cone
     minus its vertex."""
-    field, gram = curve.field, curve.gram
-    if gram.rank() < 3:
+    if curve.gram.rank() < 3:
         raise CurveError("quadric has rank < 3; the intersection is singular")
-    from .rulings import _cone_images, _quadric_type, _segre_images
-    kind = _quadric_type(gram)
-    K = field.extension(2) if kind == "nonsplit" else field
-    make = _cone_images if kind == "cone" else _segre_images
-    images = make(K, gram.map_field(K), field)
+    from .sections import rulings
+    K = curve.field
+    kind, images = rulings(curve, K)
+    if images is None:   # Q splits over F_(q^2)
+        K = K.extension(2)
+        _, images = rulings(curve, K)
     G = mp_substitute(mp_map_field(curve.cubic.coeffs, K), images, K, 4)
     if not G:
         raise CurveError("cubic is a multiple of the quadric")

@@ -10,8 +10,8 @@ remainder.
 
 from collections import namedtuple
 
-from .algebra.fields import common_field
-from .curves import INF, CurveError, HyperellipticPoint
+from .algebra.fields import ExtField, PrimeField, common_field, json_int
+from .curves import INF, CurveError, HyperellipticPoint, ProjectivePoint
 
 
 class Divisor:
@@ -147,10 +147,9 @@ class Divisor:
 
 
 def divisor_from_json(curve, obj):
-    from .algebra.fields import ExtField, PrimeField, _json_int
     items, p = [], curve.field.char
     for rec in obj:
-        d = _json_int(rec.get("ext_degree", 1))
+        d = json_int(rec.get("ext_degree", 1))
         fld = PrimeField(p) if d == 1 else ExtField(p, d)
         coords = rec["point"]
         if curve.model == "hyperelliptic":
@@ -161,11 +160,10 @@ def divisor_from_json(curve, obj):
                 P = HyperellipticPoint.affine(fld, fld.from_json(coords[0]),
                                               fld.from_json(coords[1]))
         else:
-            from .curves import ProjectivePoint
             P = ProjectivePoint(fld, [fld.from_json(c) for c in coords])
         if not curve.contains(P):
             raise CurveError("point in divisor JSON does not lie on the curve")
-        items.append((P, _json_int(rec["mult"])))
+        items.append((P, json_int(rec["mult"])))
     return Divisor(curve, items)
 
 
@@ -188,16 +186,9 @@ def pullback_x(curve, p1_divisor, field=None):
     fld = field or curve.field
     items = []
     for t0, m in p1_divisor:
-        if t0 is INF:
-            pts = curve.points_above_x(INF, fld)
-            if curve.odd_model:
-                items.append((pts[0], 2 * m))
-            else:
-                items.extend((P, m) for P in pts)
-            continue
-        base = t0.field if hasattr(t0, "field") else fld
+        base = t0.field if hasattr(t0, "field") else fld   # fld at INF
         pts = curve.points_above_x(t0, base)
-        if len(pts) == 1:  # branch point
+        if len(pts) == 1:  # branch point, or INF on an odd model
             items.append((pts[0], 2 * m))
         else:
             items.extend((P, m) for P in pts)

@@ -11,10 +11,11 @@ dim W + 1: span(E) lies in W, so that says ell(E) = 1 and span(E) = W.
 from itertools import product
 from math import comb
 
-from .curves import CurveError, ProjectivePoint
-from .divisors import Divisor
 from .algebra.linalg import reduce_row
-from .spans import NotInSmoothLocusError, _meet, _meet_form, condition_rows, span
+from .curves import CurveError
+from .divisors import Divisor, hyperelliptic_reduce, x_fibers
+from .sections import meet, meet_form
+from .spans import NotInSmoothLocusError, condition_rows, span
 
 
 def gauss_eval(D):
@@ -32,20 +33,13 @@ def gauss_eval(D):
 
 def intersection_divisor(W, cap=12):
     """(W . C): gcd of the hyperplane sections over hyperplanes through W."""
-    return _meet(W.curve, W.hyperplanes.rows, W.field, cap)
+    return meet(W.curve, W.hyperplanes.rows, W.field, cap)
 
 
 def intersection_degree(W):
     """deg (W . C), read from the rational stage of ``intersection_divisor``
-    without finding a point: the degree of the gcd form (twice it on the
-    hyperelliptic model, whose form lives on P^1), 2g - 2 on a genus-4
-    plane, and at a plane quartic's point 1 if it lies on the curve."""
-    basis, form = _meet_form(W.curve, W.hyperplanes.rows, W.field)
-    if form is not None:
-        return form[1] * (1 if basis else 2)
-    if len(basis) == 3:
-        return 2 * W.curve.genus - 2
-    return int(W.curve.contains(ProjectivePoint(W.field, basis[0])))
+    without finding a point (``sections.meet_form``)."""
+    return meet_form(W.curve, W.hyperplanes.rows, W.field)[2]
 
 
 class FiberReport:
@@ -125,7 +119,6 @@ def hyperelliptic_fiber_prediction(D):
     """Predicted fiber through D: conjugate-flip combinations that stay in
     the smooth locus, plus the strict-drop flag (non-reduced or fixed-point
     support forces cardinality below 2^n)."""
-    from .divisors import hyperelliptic_reduce, x_fibers
     curve = D.curve
     if curve.model != "hyperelliptic":
         raise CurveError("prediction applies to hyperelliptic models")

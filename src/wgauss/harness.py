@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import __version__
-from .algebra.fields import FieldError
+from .algebra.fields import FieldError, common_field
 from .algebra.poly import ExtensionCapError
 from .curves import curve_hash, validate
 from .divisors import Divisor
@@ -33,7 +33,8 @@ from .linsys import (
     hyperelliptic_image_witness,
     reconstruct_system,
 )
-from .spans import NotInSmoothLocusError, UnsupportedConfiguration, dim_complete
+from .sections import UnsupportedConfiguration
+from .spans import NotInSmoothLocusError, dim_complete, hyperplane_conditions
 
 
 @dataclass
@@ -173,8 +174,6 @@ def multiple_locus_oracle(curve, D, oracle_cap):
     does not change under field extension, and a point of D recurs in the
     table of every m it is defined over.
     """
-    from .algebra.fields import common_field
-    from .spans import hyperplane_conditions
     n = D.degree
     decided = set()
     for m in range(1, oracle_cap + 1):

@@ -13,7 +13,7 @@ them together with contact-order certificates.  For pencils on
 hyperelliptic curves and for the g^1_3's of the genus-4 model the full
 branch binary form is available, giving the total dual count with
 multiplicity: a g^1_3's members are cut by the lines of one ruling of the
-quadric Q, or by the lines through the vertex of a cone (``rulings``), and
+quadric Q, or by the lines through the vertex of a cone (``sections``), and
 its branch form is the discriminant of the cubic on those lines.
 """
 
@@ -26,11 +26,16 @@ from .algebra.poly import ExtensionCapError, binary_roots
 from .curves import INF, CurveError
 from .divisors import Divisor, gcd_div, pullback_x, x_fibers
 from .gauss import intersection_divisor
+from .sections import (
+    UnsupportedConfiguration,
+    branch_discriminant,
+    line_at,
+    line_cut,
+    pencil_lines,
+    trisecants_through,
+)
 from .spans import (
     NotSpecialError,
-    UnsupportedConfiguration,
-    _form_zeros,
-    _line_form,
     ell,
     hyperplane_conditions,
     hyperplane_section,
@@ -378,7 +383,6 @@ def dual_branch_form(L):
         return BranchForm(curve.field, curve.f.monic(), 2 * curve.genus + 2)
     if curve.model != "canonical_g4":
         raise UnsupportedConfiguration(f"no branch form for model {curve.model}")
-    from .rulings import branch_discriminant, line_at, pencil_lines
     fld = L.field
     if L.base_locus().degree != 0:
         raise UnsupportedConfiguration("branch form needs a base-point-free pencil")
@@ -389,7 +393,7 @@ def dual_branch_form(L):
     check = [(fld.zero, fld.one)] + [(fld.one, fld.elem(i)) for i in range(_BRANCH_CHECKS - 1)]
     for c in check:
         B = line_at(fld, lines, *c)
-        if _form_zeros(curve, B, _line_form(curve, B, fld), fld, L.cap) != L.member(c):
+        if Divisor(curve, line_cut(curve, B, fld, L.cap), field=fld) != L.member(c):
             raise UnsupportedConfiguration("ruling lines do not match the members")
     disc = branch_discriminant(curve.cubic.map_field(fld), lines)
     if disc.is_zero():
@@ -421,32 +425,6 @@ def reconstruct_system(W_samples, n=None, k=None, cap=12):
         if beta(E) != W:
             raise InequivalentSamplesError("round trip beta(E) = W failed")
     return L, members
-
-
-def trisecants_through(curve, P, cap=12):
-    """The degree-3 members through a point of the genus-4 model: cut by the
-    lines of the quadric through P, the components of the conic that the
-    tangent plane of the quadric at P cuts (``rulings._components``: a line
-    pair, or on a cone the double line through the vertex, taken once), each
-    over the splitting field of its own points."""
-    if curve.model != "canonical_g4":
-        raise UnsupportedConfiguration("trisecants live on the genus-4 model")
-    from .rulings import _components, _cut, space_point
-    fld = P.field
-    quad = curve.quadric.map_field(fld)
-    normal = curve.gram.map_field(fld).apply(P.coords)   # half the gradient
-    if not any(normal):
-        raise CurveError("singular quadric point")
-    basis = MatrixExact(fld, [normal]).kernel_basis()
-    K, comps = _components(quad.restrict_plane(*basis, field=fld), cap)
-    basis = [[coerce(c, K) for c in v] for v in basis]
-    cubic = curve.cubic.restrict_plane(*basis, field=K)
-    members = []
-    for A, _ in comps:
-        _, zeros = _cut(cubic, [(A, 1)], cap)
-        members.append(Divisor(curve, [(space_point(basis, x), m) for x, m in zeros],
-                               field=K))
-    return members
 
 
 def find_g13(curve, seed=0, cap=12):

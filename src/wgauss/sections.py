@@ -1,10 +1,18 @@
-"""A canonical genus-4 curve through its quadric: point tables and plane
-sections.
+"""Every cut of a curve by a linear space L: (L . C), hyperplane sections,
+point tables and samplers.
+
+The rational stage of (L . C) (``meet_form``) is a binary form, which gives
+its degree: the gcd of the x-forms of the hyperplanes through L on the
+hyperelliptic model, pulled back from P^1; the gcd of the curve's forms on
+a line L.  The root stage (``meet``, ``line_cut``) finds its zeros.  A
+pencil of lines is restricted once and solved line by line
+(``_line_points``): a plane quartic's lines through (0 : 0 : 1), the
+rulings of a genus-4 curve's quadric.
 
 C = Q n E lies on the unique quadric Q, and the g^1_3's of C are cut by the
 lines of Q (Hartshorne IV Ex. 5.5.2).  Over K = F_(q^m), p odd, with Gram
 matrix G of Q (Q(x) = x.G.x, polar form B(x, y) = x.G.y), the points of
-C(K) are found line by line on the rulings:
+C(K) are found line by line on the rulings (``rulings``):
 
   * rank 4, det G a square in K (Q split over K): a hyperbolic basis M
     gives Q(M.x) = x0*x3 - x1*x2, and the Segre map
@@ -53,26 +61,143 @@ from .algebra.linalg import MatrixExact
 from .algebra.mpoly import mp_substitute
 from .algebra.poly import (
     Poly,
+    binary_gcd,
     binary_roots,
     root_multiplicity,
     roots_in_field,
     roots_in_splitting_extension,
 )
-from .curves import CurveError, HomForm, ProjectivePoint, ValidationInconclusive, _gram_matrix
+from .curves import INF, CurveError, HomForm, ProjectivePoint, ValidationInconclusive, gram_matrix
+from .divisors import Divisor, gcd_div, pullback_x
 
+
+class UnsupportedConfiguration(RuntimeError):
+    """Curve model / dimension combination outside the supported ranges."""
+
+
+# -- (L . C): the rational stage and the divisor ---------------------------
+
+def meet_form(curve, rows, fld):
+    """The rational stage of (L . C), L cut out by the independent hyperplane
+    ``rows`` over fld: (basis of L, form, deg (L . C)), with no point found.
+    form is the ``binary_gcd`` whose zeros are (L . C), pulled back from P^1
+    when basis is None (hyperelliptic, where the degree doubles), and None on
+    a genus-4 plane (degree 2g - 2) or at a plane quartic's point (degree 1
+    if it lies on the curve)."""
+    if not rows:
+        raise UnsupportedConfiguration("W = P^(g-1) has no intersection divisor")
+    if curve.model == "hyperelliptic":
+        form = binary_gcd([(Poly(fld, row), curve.genus - 1) for row in rows])
+        return None, form, 2 * form[1]
+    basis = MatrixExact(fld, rows).kernel_basis()
+    if len(basis) == 2:
+        form = _line_form(curve, basis, fld)
+        return basis, form, form[1]
+    if (len(basis), curve.model) == (3, "canonical_g4"):
+        return basis, None, 2 * curve.genus - 2
+    if (len(basis), curve.model) == (1, "plane_quartic"):
+        return basis, None, int(curve.contains(ProjectivePoint(fld, basis[0])))
+    raise UnsupportedConfiguration(
+        f"no intersection divisor for a {len(basis) - 1}-plane on the {curve.model} model")
+
+
+def meet(curve, rows, fld, cap):
+    """(L . C) from ``meet_form``: its form's zeros, pulled back along x or
+    on the line; the conic H n Q cut by the cubic on a genus-4 plane; the
+    gcd of two line sections at a plane quartic's point."""
+    basis, form, _ = meet_form(curve, rows, fld)
+    if basis is None:
+        _, zeros = binary_roots([form], cap)
+        return pullback_x(curve, [(t if s else INF, m) for (s, t), m in zeros], field=fld)
+    if form is not None:
+        return Divisor(curve, line_cut(curve, basis, fld, cap, form), field=fld)
+    if len(basis) == 3:
+        conic, cubic = (f.restrict_plane(*basis, field=fld) for f in curve.forms)
+        _, zeros = plane_section(conic, cubic, cap)
+        return Divisor(curve, [(space_point(basis, x), m) for x, m in zeros], field=fld)
+    return gcd_div(*(meet(curve, [row], fld, cap) for row in rows))
+
+
+# -- lines and pencils of lines --------------------------------------------
+
+def line_cut(curve, basis, fld, cap=None, form=None):
+    """[(P, m)]: the zeros of a canonical curve on the line through basis[0]
+    and basis[1] over fld, in ``binary_roots`` order, from the gcd of its
+    forms there (``form``, when already taken): with ``cap``, all of them,
+    over their splitting field; without, only the fld-rational ones."""
+    K, zeros = binary_roots([form or _line_form(curve, basis, fld)], cap)
+    if K != fld:
+        basis = [[coerce(c, K) for c in b] for b in basis]
+        zeros = [((coerce(s, K), coerce(t, K)), m) for (s, t), m in zeros]
+    return _on_line(K, *basis, zeros)
+
+
+def _line_form(curve, basis, fld):
+    """The gcd of the curve's forms on the line through basis[0] and basis[1]."""
+    forms = [(f.pullback(basis, fld), f.degree) for f in curve.forms]
+    if not any(S for S, _ in forms):
+        raise CurveError("line lies on the curve; impossible for a smooth model")
+    return binary_gcd(forms)
+
+
+def _on_line(K, A, B, zeros):
+    """[(u*A + v*B, m)] over K for the zeros ((u, v), m) of ``binary_roots``."""
+    return [(ProjectivePoint(K, [u * a + v * b for a, b in zip(A, B)]), m)
+            for (u, v), m in zeros]
+
+
+def _line_points(K, images, form):
+    """The points u*A(s, t) + v*B(s, t) of the images, keyed (u, v, s, t),
+    at the K-roots (u : v) of the pulled-back form, line by line over the
+    (s : t) of P^1(K)."""
+    d = form.degree
+    pulled = _by_st(mp_substitute(form.coeffs, images, K, 4))
+    out = []
+    for s, t in projective_points(K, 2):
+        c = _specialize_pencil(pulled, s, t)
+        S = Poly(K, [c.get((d - j, j), K.zero) for j in range(d + 1)])
+        if not S:
+            raise CurveError("restriction vanished identically")
+        _, roots = binary_roots([(S, d)])
+        if roots:
+            out += [P for P, _ in _on_line(K, *line_at(K, images, s, t), roots)]
+    return out
+
+
+def line_at(K, images, s, t):
+    """[A, B]: the line u*A + v*B of images keyed (u, v, s, t) at (s, t)."""
+    xs = [_specialize_pencil(_by_st(x), s, t) for x in images]
+    return [[x.get(key, K.zero) for x in xs] for key in ((1, 0), (0, 1))]
+
+
+# -- point tables ----------------------------------------------------------
 
 def points_over(curve, K):
-    """Sorted distinct points of the genus-4 curve over its extension K."""
+    """Sorted distinct points of a canonical curve over its extension K, read
+    line by line: a plane quartic's on the lines through (0 : 0 : 1), a
+    genus-4 curve's on the rulings of its quadric, or, when the quadric does
+    not split over K (possible only for K of odd degree over the curve's
+    field), on the pencil of planes through the line x0 = x1 = 0."""
+    if curve.model == "plane_quartic":
+        pencil = [{(1, 0, 1, 0): K.one}, {(1, 0, 0, 1): K.one}, {(0, 1, 0, 0): K.one}]
+        return sorted(set(_line_points(K, pencil, curve.form.map_field(K))),
+                      key=ProjectivePoint.sort_key)
     quad, cub = curve.quadric.map_field(K), curve.cubic.map_field(K)
+    _, images = rulings(curve, K)
+    found = _sweep_points(K, quad, cub) if images is None else _line_points(K, images, cub)
+    pts = {P.coords: P for P in found if not quad(P.coords) and not cub(P.coords)}
+    return sorted(pts.values(), key=ProjectivePoint.sort_key)
+
+
+def rulings(curve, K):
+    """(kind, images): the type of the genus-4 curve's quadric over K and
+    its rulings x(u, v, s, t) over K, the Segre map of a split quadric or the
+    lines through the vertex of a cone, None when Q does not split over K."""
     gram = curve.gram.map_field(K)
     kind = _quadric_type(gram)
     if kind == "nonsplit":
-        found = _sweep_points(K, quad, cub)
-    else:
-        make = _segre_images if kind == "split" else _cone_images
-        found = _line_points(K, make(K, gram, curve.field), cub)
-    pts = {P.coords: P for P in found if not quad(P.coords) and not cub(P.coords)}
-    return sorted(pts.values(), key=ProjectivePoint.sort_key)
+        return kind, None
+    return kind, (_cone_images if kind == "cone" else _segre_images)(K, gram, curve.field)
 
 
 def _quadric_type(gram):
@@ -180,30 +305,6 @@ def _cone_images(K, gram, base):
             for cs in zip(*_conic_param(gram, P0, R1, R2), V)]
 
 
-def _line_points(K, images, cub):
-    """Points u*A(s, t) + v*B(s, t) of the images over the K-roots (u : v)
-    of the pulled-back cubic, line by line."""
-    pulled = _by_st(mp_substitute(cub.coeffs, images, K, 4))
-    out = []
-    for s, t in projective_points(K, 2):
-        c = _specialize_pencil(pulled, s, t)
-        S = Poly(K, [c.get((3 - j, j), K.zero) for j in range(4)])
-        if not S:
-            raise CurveError("restriction vanished identically")
-        _, roots = binary_roots([(S, 3)])
-        if roots:
-            A, B = line_at(K, images, s, t)
-            out += [ProjectivePoint(K, [u * a + v * b for a, b in zip(A, B)])
-                    for (u, v), _ in roots]
-    return out
-
-
-def line_at(K, images, s, t):
-    """[A, B]: the line u*A + v*B of images keyed (u, v, s, t) at (s, t)."""
-    xs = [_specialize_pencil(_by_st(x), s, t) for x in images]
-    return [[x.get(key, K.zero) for x in xs] for key in ((1, 0), (0, 1))]
-
-
 # -- a g^1_3: the lines of a pencil of planes through a line of Q ------------
 
 def pencil_lines(curve, K, planes):
@@ -217,11 +318,9 @@ def pencil_lines(curve, K, planes):
     on linear forms in (s, t), and the line of c is x at the zero mu(c) of
     g_c; when it has fixed (u : v) that kernel is zero: the rulings swap.
     """
-    gram = curve.gram.map_field(K)
-    kind = _quadric_type(gram)
-    if kind == "nonsplit":
+    _, images = rulings(curve, K)
+    if images is None:
         return None
-    images = (_cone_images if kind == "cone" else _segre_images)(K, gram, curve.field)
     units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
     for ims in (images, [{k[2:] + k[:2]: c for k, c in im.items()} for im in images]):
         f0, f1 = (mp_substitute(dict(zip(units, h)), ims, K, 4) for h in planes)
@@ -278,7 +377,7 @@ def plane_rational_zeros(conic, cubic):
     K = conic.field
     F, comps = _components(conic, 2 * K.degree)
     if F != K:   # conjugate lines: their vertex is the one rational point
-        V = _gram_matrix(K, conic).kernel_basis()[0]
+        V = gram_matrix(K, conic).kernel_basis()[0]
         return [] if cubic(V) else [ProjectivePoint(K, V).coords]
     _, zeros = _cut(cubic, comps)
     return list(dict.fromkeys(ProjectivePoint(K, x).coords for x, _ in zeros))
@@ -291,13 +390,37 @@ def space_point(basis, x):
                                for i in range(len(basis[0]))])
 
 
+def trisecants_through(curve, P, cap=12):
+    """The degree-3 members through a point of the genus-4 model: cut by the
+    lines of the quadric through P, the components of the conic that the
+    tangent plane of the quadric at P cuts (``_components``: a line pair, or
+    on a cone the double line through the vertex, taken once), each by
+    ``_cut`` over the splitting field of its own points."""
+    if curve.model != "canonical_g4":
+        raise UnsupportedConfiguration("trisecants live on the genus-4 model")
+    fld = P.field
+    normal = curve.gram.map_field(fld).apply(P.coords)   # half the gradient
+    if not any(normal):
+        raise CurveError("singular quadric point")
+    basis = MatrixExact(fld, [normal]).kernel_basis()
+    K, comps = _components(curve.quadric.restrict_plane(*basis, field=fld), cap)
+    basis = [[coerce(c, K) for c in v] for v in basis]
+    cubic = curve.cubic.restrict_plane(*basis, field=K)
+    members = []
+    for A, _ in comps:
+        _, zeros = _cut(cubic, [(A, 1)], cap)
+        members.append(Divisor(curve, [(space_point(basis, x), m) for x, m in zeros],
+                               field=K))
+    return members
+
+
 def _components(conic, cap):
     """(F, [(A, m)]): the conic as the images of P^1 under t -> sum_j A[j] t^j
     (t = oo giving A[-1]) over F, each counted m times.  A smooth conic is
     parametrized through one of its K-points, a line pair is split over the
     field F of its lines (``_conic_lines``), and a double line counts twice."""
     K = conic.field
-    gram = _gram_matrix(K, conic)
+    gram = gram_matrix(K, conic)
     rank = gram.rank()
     if rank == 3:
         P0 = _isotropic(gram, MatrixExact.identity(K, 3).rows, K)

@@ -19,9 +19,9 @@ from math import comb
 
 from .algebra.fields import coerce, common_field
 from .algebra.linalg import MatrixExact, plucker
-from .algebra.poly import Poly, binary_gcd, binary_roots
-from .curves import INF, CurveError, ProjectivePoint
-from .divisors import Divisor, gcd_div, pullback_x, x_fibers
+from .curves import INF
+from .divisors import x_fibers
+from .sections import meet
 
 
 class NotSpecialError(ValueError):
@@ -30,10 +30,6 @@ class NotSpecialError(ValueError):
 
 class NotInSmoothLocusError(ValueError):
     """Gauss-map style operation on a divisor with ell >= 2."""
-
-
-class UnsupportedConfiguration(RuntimeError):
-    """Curve model / dimension combination outside the supported ranges."""
 
 
 class LinearSpan:
@@ -175,9 +171,8 @@ def in_smooth_Wn(D):
 def hyperplane_section(curve, h, field=None, cap=12):
     """The divisor phi^*(H) of a hyperplane h (coefficient vector), degree 2g-2.
 
-    On the genus-4 model its points lie in the splitting field of the whole
-    section (``rulings.plane_section``), and a field beyond degree ``cap``
-    raises ExtensionCapError.
+    It is ``sections.meet`` of the one row h, over the splitting field of its
+    points; a field beyond degree ``cap`` raises ExtensionCapError.
     """
     g = curve.genus
     fld = field
@@ -189,63 +184,9 @@ def hyperplane_section(curve, h, field=None, cap=12):
     h = [coerce(c, fld) for c in h]
     if not any(h):
         raise ValueError("zero hyperplane")
-    D = _meet(curve, [h], fld, cap)
+    D = meet(curve, [h], fld, cap)
     assert D.degree == 2 * g - 2, f"section degree {D.degree} != {2 * g - 2}"
     return D
-
-
-def _meet_form(curve, rows, fld):
-    """The rational stage of (L . C), L cut out by the independent hyperplane
-    ``rows`` over fld: (basis of L, form), form the ``binary_gcd`` whose zeros
-    are (L . C), pulled back from P^1 when basis is None (hyperelliptic), and
-    None on a genus-4 plane or at a plane quartic's point."""
-    if not rows:
-        raise UnsupportedConfiguration("W = P^(g-1) has no intersection divisor")
-    if curve.model == "hyperelliptic":
-        return None, binary_gcd([(Poly(fld, row), curve.genus - 1) for row in rows])
-    basis = MatrixExact(fld, rows).kernel_basis()
-    if len(basis) == 2:
-        return basis, _line_form(curve, basis, fld)
-    if (len(basis), curve.model) in ((3, "canonical_g4"), (1, "plane_quartic")):
-        return basis, None
-    raise UnsupportedConfiguration(
-        f"no intersection divisor for a {len(basis) - 1}-plane on the {curve.model} model")
-
-
-def _meet(curve, rows, fld, cap):
-    """(L . C) from ``_meet_form``: its form's zeros, the conic H n Q cut by
-    the cubic on a genus-4 plane, the gcd of two line sections at a point."""
-    basis, form = _meet_form(curve, rows, fld)
-    if form is not None:
-        return _form_zeros(curve, basis, form, fld, cap)
-    if len(basis) == 3:
-        from .rulings import plane_section, space_point
-        conic, cubic = (f.restrict_plane(*basis, field=fld) for f in curve.forms)
-        _, zeros = plane_section(conic, cubic, cap)
-        return Divisor(curve, [(space_point(basis, x), m) for x, m in zeros], field=fld)
-    return gcd_div(*(_meet(curve, [row], fld, cap) for row in rows))
-
-
-def _line_form(curve, basis, fld):
-    """The gcd of the curve's forms on the line through basis[0] and basis[1]."""
-    forms = [(f.pullback(basis, fld), f.degree) for f in curve.forms]
-    if not any(S for S, _ in forms):
-        raise CurveError("line lies on the curve; impossible for a smooth model")
-    return binary_gcd(forms)
-
-
-def _form_zeros(curve, basis, form, fld, cap):
-    """The divisor of the zeros of a ``_meet_form`` form: pulled back from
-    P^1 (basis None), else on the line through basis[0] and basis[1]."""
-    K, zeros = binary_roots([form], cap)
-    if basis is None:
-        return pullback_x(curve, [(t if s else INF, m) for (s, t), m in zeros], field=fld)
-    b0, b1 = ([coerce(c, K) for c in b] for b in basis)
-    items = []
-    for (s, t), m in zeros:
-        s, t = coerce(s, K), coerce(t, K)
-        items.append((ProjectivePoint(K, [s * a + t * b for a, b in zip(b0, b1)]), m))
-    return Divisor(curve, items, field=fld)
 
 
 def residual(D, cap=12):

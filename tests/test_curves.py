@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from wgauss import sections
 from wgauss.algebra import ExtField, PrimeField, TruncatedSeries
 from wgauss.algebra.fields import projective_points
 from wgauss.curves import (
@@ -360,7 +361,7 @@ def test_points_over_g4_matches_brute_force_and_per_plane_path(forms):
     K2, pts2 = g.points_over(2)
     gK = CanonicalG4Curve(K2, g.quadric.map_field(K2), g.cubic.map_field(K2), check=False)
     per_plane = {P.coords for s, t in projective_points(K2, 2)
-                 for P in gK.plane_rational_points((s, t, K2.zero, K2.zero))}
+                 for P in sections.plane_rational_points(gK, (s, t, K2.zero, K2.zero))}
     assert [P.coords for P in pts2] == _sorted_coords(K2, per_plane)
 
 
@@ -370,7 +371,7 @@ def _sorted_coords(field, coords):
 
 def test_quartic_points_over():
     # the table, read line by line, is the brute-force zero set, sorted
-    for p, m, count in [(11, 1, 12), (11, 2, 122), (13, 2, 248)]:
+    for p, m, count in [(11, 1, 12), (11, 2, 122), (13, 2, 248), (5, 3, 126), (3, 5, 244)]:
         q = PlaneQuarticCurve(PrimeField(p), KLEIN)
         K, pts = q.points_over(m)
         for P in pts:
@@ -480,17 +481,16 @@ def _swept(curve, K, sweep):
 @pytest.mark.parametrize("p", [7, 11])
 @pytest.mark.parametrize("kind", ["split", "nonsplit", "cone"])
 def test_points_over_rulings_match_brute_force_and_sweep(p, kind, monkeypatch):
-    from wgauss import rulings
     from wgauss.algebra.fields import projective_points
     curve = _random_g4(p, kind, random.Random(f"rulings-{p}-{kind}"))
     F = curve.field
-    sweep, calls = rulings._sweep_points, []
+    sweep, calls = sections._sweep_points, []
 
     def spy(*args):
         calls.append(args[0])
         return sweep(*args)
 
-    monkeypatch.setattr(rulings, "_sweep_points", spy)
+    monkeypatch.setattr(sections, "_sweep_points", spy)
     # m = 1 against brute force; only a non-split quadric at odd m sweeps
     K, pts = curve.points_over(1)
     brute = {P for P in projective_points(F, 4) if not curve.quadric(P) and not curve.cubic(P)}
@@ -528,17 +528,16 @@ def _planes(curve, K, rng, n):
 
 
 def _gram_kind(curve):
-    from wgauss.rulings import _quadric_type
-    return _quadric_type(curve.gram)
+    return sections._quadric_type(curve.gram)
 
 
 @pytest.mark.parametrize("kind", ["split", "nonsplit", "cone"])
 def test_gram_matrix_over_an_extension_is_the_extended_quadrics(kind):
     # the curve keeps one Gram matrix and maps it into each extension
-    from wgauss.curves import _gram_matrix
+    from wgauss.curves import gram_matrix
     curve = _random_g4(11, kind, random.Random(f"gram-{kind}"))
     for K in (ExtField(11, 2), ExtField(11, 3)):
-        assert curve.gram.map_field(K) == _gram_matrix(K, curve.quadric.map_field(K))
+        assert curve.gram.map_field(K) == gram_matrix(K, curve.quadric.map_field(K))
 
 
 def _valuation(curve, P, h, order=8):
@@ -572,17 +571,17 @@ def test_g4_hyperplane_sections_lie_on_the_plane_with_series_multiplicities(p):
 def test_plane_rational_points_match_brute_force(p, monkeypatch):
     # the residue path's list equals the element path's, in order, since
     # sample_point indexes it; at small p, as a set, every point on the plane
-    from wgauss import rulings
     from wgauss.algebra.fields import projective_points
     rng = random.Random(f"plane-points-{p}")
     for kind in ("split", "nonsplit", "cone"):
         curve = _random_g4(p, kind, rng)
         F = curve.field
         planes = _planes(curve, F, rng, 6)
-        got = [[P.coords for P in curve.plane_rational_points(h)] for h in planes]
+        got = [[P.coords for P in sections.plane_rational_points(curve, h)] for h in planes]
         with monkeypatch.context() as m:
-            m.setattr(rulings, "_residue_zeros", lambda curve, basis: None)
-            assert got == [[P.coords for P in curve.plane_rational_points(h)] for h in planes]
+            m.setattr(sections, "_residue_zeros", lambda curve, basis: None)
+            assert got == [[P.coords for P in sections.plane_rational_points(curve, h)]
+                          for h in planes]
         if p > 13:
             continue
         brute = [P for P in projective_points(F, 4)

@@ -18,10 +18,10 @@ from wgauss.gauss import (
     rnk_flag,
 )
 from wgauss.linsys import find_g13
+from wgauss.sections import UnsupportedConfiguration
 from wgauss.spans import (
     LinearSpan,
     NotInSmoothLocusError,
-    UnsupportedConfiguration,
     ell,
     hyperplane_section,
     in_smooth_Wn,

@@ -443,7 +443,7 @@ def _fake_runner(result):
 ])
 def test_cli_exit_paths(tmp_path, monkeypatch, outcome, code):
     from wgauss import cli
-    from wgauss.spans import UnsupportedConfiguration
+    from wgauss.sections import UnsupportedConfiguration
     if outcome == "unsupported":
         outcome = UnsupportedConfiguration("no intersection divisor")
     path = tmp_path / "c.json"

@@ -1,8 +1,10 @@
 """Import hygiene, checked on the AST: no module of the package keeps an
 import it does not use, every public export resolves, every function or
 method, private ones included, has a caller in the package or a stated
-reason to stay, and the coding of field elements is read only inside
-wgauss/algebra/ or with a stated reason."""
+reason to stay, the coding of field elements is read only inside
+wgauss/algebra/ or with a stated reason, outside wgauss/algebra/ no module
+imports another's private name without a stated reason, and every import
+of a package module inside a function has a stated reason."""
 
 import ast
 from pathlib import Path
@@ -100,7 +102,7 @@ def test_public_names_have_a_caller_or_a_reason():
 # outside it, only these functions read it, each with its reason.
 CODING = {"_encode", "_decode", "kernel", "_from_code"}
 CODING_READERS = {
-    ("rulings.py", "_residue_zeros"):
+    ("sections.py", "_residue_zeros"):
         "solves a genus-4 sample plane on F_p residues, pulling the cubic back "
         "straight into the field's kernel codes",
 }
@@ -127,3 +129,61 @@ def test_field_coding_stays_in_the_algebra_layer():
             if any(isinstance(n, ast.Attribute) and n.attr in CODING for n in ast.walk(unit)):
                 readers.add((path.name, name))
     assert readers == set(CODING_READERS)
+
+
+def _package_imports(path):
+    """(node, imported module as a dotted name under wgauss, at module
+    level?) for each import of a package module in the file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    package = list(path.relative_to(SRC).parent.parts)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package[:len(package) - node.level + 1]
+            name = ".".join(base + ([node.module] if node.module else []))
+            yield node, name, id(node) in top
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "wgauss":
+                    yield node, alias.name.partition(".")[2], id(node) in top
+
+
+# Private names that a module outside wgauss/algebra/ imports from another
+# module, each with its reason.
+PRIVATE_IMPORTS = {
+    ("sections.py", "_tstrip"):
+        "_residue_zeros pulls the cubic back on F_p residues straight into kernel "
+        "codes, the reader listed in CODING_READERS",
+}
+
+
+def test_no_private_name_crosses_a_module_outside_the_algebra_layer():
+    found = set()
+    for path in MODULES:
+        if path.parent.name == "algebra":
+            continue
+        for node, _, _ in _package_imports(path):
+            if isinstance(node, ast.ImportFrom):
+                found |= {(path.name, a.name) for a in node.names
+                          if a.name.startswith("_") and not a.name.startswith("__")}
+    assert found == set(PRIVATE_IMPORTS)
+
+
+# Imports of a package module made inside a function, each with its reason;
+# every other import of the package stands at module level.
+FUNCTION_IMPORTS = {
+    ("algebra/fields.py", "algebra.poly"):
+        "poly builds on fields' elements, so an extension's embeddings reach "
+        "poly's root finder at call time",
+    ("curves.py", "sections"):
+        "sections builds on curves' HomForm and ProjectivePoint, so the curve "
+        "classes reach their point tables, samplers and certificate at call time",
+    ("harness.py", "brillnoether"):
+        "only the bn-table command uses it",
+}
+
+
+def test_function_level_imports_have_a_reason():
+    found = {(str(path.relative_to(SRC)), name)
+             for path in MODULES for _, name, at_top in _package_imports(path) if not at_top}
+    assert found == set(FUNCTION_IMPORTS)

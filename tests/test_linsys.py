@@ -24,7 +24,8 @@ from wgauss.linsys import (
     reconstruct_system,
     trisecants_through,
 )
-from wgauss.spans import NotSpecialError, UnsupportedConfiguration, ell, in_smooth_Wn, span
+from wgauss.sections import UnsupportedConfiguration
+from wgauss.spans import NotSpecialError, ell, in_smooth_Wn, span
 
 F = PrimeField(10007)
 HE = HyperellipticCurve(F, [0, -1, 0, 0, 0, 0, 0, 1])

@@ -14,8 +14,8 @@ import pytest
 
 from wgauss.algebra import (Poly, PrimeField, discriminant, factor_finite,
                             powmod, resultant, roots_in_field)
-from wgauss.curves import CurveError, HomForm, _gram_matrix, validate
-from wgauss.rulings import _quadric_type
+from wgauss.curves import CurveError, HomForm, gram_matrix, validate
+from wgauss.sections import _quadric_type
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -206,7 +206,7 @@ def test_genus4_certificates_match_groebner_bases():
         p = rng.choice(SMALL_PRIMES)
         quad, cubic = _random_g4_forms(rng, p, cone=i % 2)
         F = PrimeField(p)
-        gram = _gram_matrix(F, HomForm(F, 4, 2, quad))
+        gram = gram_matrix(F, HomForm(F, 4, 2, quad))
         if gram.rank() >= 3:
             kinds.add(_quadric_type(gram))
         desc = {"model": "canonical_g4", "field": {"type": "prime", "p": p},
