@@ -2,7 +2,9 @@
 
 Matrices are immutable tuples of tuples of field elements and carry their
 field.  The reduced row-echelon form is canonical, so row-space equality is
-syntactic equality of RREFs.
+syntactic equality of RREFs.  A ``VectorTable`` keeps many vectors on the
+field's kernel codes, so that which of them lie in a row space costs one
+``kernel.combine`` per kernel vector, not one row reduction per vector.
 """
 
 from itertools import combinations
@@ -85,13 +87,6 @@ class MatrixExact:
     def rank(self):
         return len(self.rref()[1])
 
-    def rank_with_row(self, row):
-        """Rank of this matrix with ``row`` appended, from the cached RREF:
-        rank + 1 exactly when the row keeps a nonzero entry after it is
-        reduced against the pivot rows."""
-        R, pivots = self._rref or self.rref()
-        return len(pivots) + any(reduce_row(row, zip(pivots, R.rows)))
-
     def row_space_matrix(self):
         """Canonical basis of the row space: nonzero rows of the RREF."""
         R, pivots = self.rref()
@@ -120,6 +115,31 @@ class MatrixExact:
 
     def map_field(self, target):
         return MatrixExact(target, [[coerce(c, target) for c in row] for row in self.rows])
+
+
+class VectorTable:
+    """Vectors over a field, column by column on its kernel codes: column c
+    is the polynomial whose coefficient j is entry c of vector j."""
+
+    __slots__ = ("field", "size", "columns")
+
+    def __init__(self, field, vectors):
+        self.field, self.size = field, len(vectors)
+        self.columns = [field._encode(col) for col in zip(*vectors)]
+
+    def in_row_space(self, M):
+        """The set of j with v_j in the row space of M, over the table's field:
+        h.v_j = 0 for each h of M's kernel basis, one ``kernel.combine`` each."""
+        f, on = self.field, range(self.size)
+        zero = f._encode([f.zero])[0]
+        for h in M.kernel_basis() if self.size else ():
+            dots = f.kernel.combine(f._encode(h), self.columns)
+            on = [j for j in on if j >= len(dots) or dots[j] == zero]
+        return set(on)
+
+    def map_field(self, target):
+        cols = [[coerce(c, target) for c in self.field._decode(col)] for col in self.columns]
+        return VectorTable(target, list(zip(*cols)))
 
 
 def reduce_row(row, echelon):

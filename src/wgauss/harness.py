@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .algebra.fields import FieldError, common_field
+from .algebra.linalg import VectorTable
 from .algebra.poly import ExtensionCapError
 from .curves import curve_hash, validate
 from .divisors import Divisor
@@ -156,9 +157,12 @@ _POINT_CACHE = {}
 
 
 def curve_points_cached(curve, rel_degree):
+    """(K, C(K), its canonical coordinates as a VectorTable), made once."""
     key = (curve_hash(curve), rel_degree)
     if key not in _POINT_CACHE:
-        _POINT_CACHE[key] = curve.points_over(rel_degree)
+        K, pts = curve.points_over(rel_degree)
+        table = VectorTable(K, [curve.canonical_coords(q).coords for q in pts])
+        _POINT_CACHE[key] = K, pts, table
     return _POINT_CACHE[key]
 
 
@@ -166,30 +170,33 @@ def multiple_locus_oracle(curve, D, oracle_cap):
     """Exhaustive search for q with dim |D + q| = 1 over C(F_(p^m)), m <=
     oracle_cap.  Independent of the intersection-divisor test.
 
-    dim |D + q| = deg(D) + 1 - rank of the stacked hyperplane conditions, so
-    for q outside supp(D) one extra coordinate row decides: D's conditions
-    are reduced to RREF once per m, and each point's row is reduced against
-    their pivots (``MatrixExact.rank_with_row``, exact).  Coincidences fall
-    back to the full computation, once per point of supp(D): dim |D + q|
-    does not change under field extension, and a point of D recurs in the
-    table of every m it is defined over.
+    dim |D + q| = deg(D) + 1 - rank of D's conditions stacked with q's
+    canonical vector, which adds one to the rank unless it lies in their row
+    space.  That is decided for a whole table at once on the field's kernel
+    codes (``VectorTable.in_row_space``); a table is mapped into a larger
+    field when D's field does not lie in K.  The first condition row of a
+    point of D is its canonical vector, so only the points in that row space
+    are looked up in supp(D), and those fall back to the full computation,
+    once per point: dim |D + q| does not change under field extension, and
+    a point of D recurs in the table of every m it is defined over.
     """
     n = D.degree
     decided = set()
     for m in range(1, oracle_cap + 1):
-        K, pts = curve_points_cached(curve, m)
+        K, pts, table = curve_points_cached(curve, m)
         fld = common_field(D.field, K)
         base = hyperplane_conditions(D).map_field(fld)
+        on = (table if K is fld else table.map_field(fld)).in_row_space(base)
+        rank = base.rank()
         support = {P.coerce(fld): P for P in D.support()}
-        for q in pts:
-            qc = q if K is fld else q.coerce(fld)
-            if qc in support:
-                if support[qc] not in decided:
-                    decided.add(support[qc])
+        for j, q in enumerate(pts):
+            P = support.get(q if K is fld else q.coerce(fld)) if j in on else None
+            if P is not None:
+                if P not in decided:
+                    decided.add(P)
                     if dim_complete(D + Divisor(curve, [(q, 1)])) == 1:
                         return True
-                continue
-            if n + 1 - base.rank_with_row(curve.canonical_coords(qc).coords) == 1:
+            elif n + 1 - (rank + (j not in on)) == 1:
                 return True
     return False
 

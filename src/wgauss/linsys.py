@@ -391,9 +391,9 @@ def dual_branch_form(L):
         raise UnsupportedConfiguration("the pencil is cut by no ruling of Q over its field")
     # the ruling lines against the pencil's members
     check = [(fld.zero, fld.one)] + [(fld.one, fld.elem(i)) for i in range(_BRANCH_CHECKS - 1)]
+    at = line_at(fld, lines)
     for c in check:
-        B = line_at(fld, lines, *c)
-        if Divisor(curve, line_cut(curve, B, fld, L.cap), field=fld) != L.member(c):
+        if Divisor(curve, line_cut(curve, at(*c), fld, L.cap), field=fld) != L.member(c):
             raise UnsupportedConfiguration("ruling lines do not match the members")
     disc = branch_discriminant(curve.cubic.map_field(fld), lines)
     if disc.is_zero():

@@ -152,6 +152,7 @@ def _line_points(K, images, form):
     (s : t) of P^1(K)."""
     d = form.degree
     pulled = _by_st(mp_substitute(form.coeffs, images, K, 4))
+    at = line_at(K, images)
     out = []
     for s, t in projective_points(K, 2):
         c = _specialize_pencil(pulled, s, t)
@@ -160,14 +161,18 @@ def _line_points(K, images, form):
             raise CurveError("restriction vanished identically")
         _, roots = binary_roots([(S, d)])
         if roots:
-            out += [P for P, _ in _on_line(K, *line_at(K, images, s, t), roots)]
+            out += [P for P, _ in _on_line(K, *at(s, t), roots)]
     return out
 
 
-def line_at(K, images, s, t):
-    """[A, B]: the line u*A + v*B of images keyed (u, v, s, t) at (s, t)."""
-    xs = [_specialize_pencil(_by_st(x), s, t) for x in images]
-    return [[x.get(key, K.zero) for x in xs] for key in ((1, 0), (0, 1))]
+def line_at(K, images):
+    """(s, t) -> [A, B], the line u*A + v*B of images keyed (u, v, s, t)."""
+    groups = [_by_st(x) for x in images]
+
+    def at(s, t):
+        xs = [_specialize_pencil(x, s, t) for x in groups]
+        return [[x.get(key, K.zero) for x in xs] for key in ((1, 0), (0, 1))]
+    return at
 
 
 # -- point tables ----------------------------------------------------------
@@ -185,7 +190,7 @@ def points_over(curve, K):
     quad, cub = curve.quadric.map_field(K), curve.cubic.map_field(K)
     _, images = rulings(curve, K)
     found = _sweep_points(K, quad, cub) if images is None else _line_points(K, images, cub)
-    pts = {P.coords: P for P in found if not quad(P.coords) and not cub(P.coords)}
+    pts = {P.coords: P for P in found}   # a point on the sweep's axis recurs
     return sorted(pts.values(), key=ProjectivePoint.sort_key)
 
 

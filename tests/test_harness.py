@@ -1,19 +1,27 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from wgauss.algebra import ExtensionCapError
+from wgauss.algebra import ExtensionCapError, common_field
+from wgauss.algebra.linalg import reduce_row
+from wgauss.curves import ProjectivePoint, validate
+from wgauss.divisors import Divisor
 from wgauss.harness import (
     ExperimentConfig,
+    curve_points_cached,
     multiple_locus_oracle,
     run_fiber_census,
     run_locus_census,
     run_reconstruct,
+    sample_smooth_divisor,
     write_report,
 )
+from wgauss.linsys import find_g13
+from wgauss.spans import dim_complete, hyperplane_conditions
 
 HE_G3 = {"model": "hyperelliptic", "field": {"type": "prime", "p": 10007},
          "f": [0, -1, 0, 0, 0, 0, 0, 1]}
@@ -424,6 +432,122 @@ def test_oracle_decides_each_point_of_the_divisor_once(monkeypatch):
     monkeypatch.setattr(harness, "dim_complete", counted)
     assert multiple_locus_oracle(curve, D, 3) is False
     assert len(calls) == 1
+
+
+def reference_oracle(curve, D, oracle_cap):
+    """``multiple_locus_oracle`` on field elements, as it stood before the
+    coded point tables: each point's canonical vector is reduced against the
+    RREF of D's conditions, and every point is looked up in supp(D)."""
+    n = D.degree
+    decided = set()
+    for m in range(1, oracle_cap + 1):
+        K, pts, _ = curve_points_cached(curve, m)
+        fld = common_field(D.field, K)
+        R, pivots = hyperplane_conditions(D).map_field(fld).rref()
+        support = {P.coerce(fld): P for P in D.support()}
+        for q in pts:
+            qc = q if K is fld else q.coerce(fld)
+            if qc in support:
+                if support[qc] not in decided:
+                    decided.add(support[qc])
+                    if dim_complete(D + Divisor(curve, [(q, 1)])) == 1:
+                        return True
+                continue
+            row = reduce_row(curve.canonical_coords(qc).coords, zip(pivots, R.rows))
+            if n + 1 - (len(pivots) + any(row)) == 1:
+                return True
+    return False
+
+
+def _oracle_verdicts(curve, divisors, cap):
+    """The oracle's verdicts on ``divisors``, checked against the reference,
+    with supp(D) inside the row space found on each table."""
+    out = []
+    for D in divisors:
+        for m in range(1, cap + 1):
+            K, pts, table = curve_points_cached(curve, m)
+            fld = common_field(D.field, K)
+            if fld is not K:
+                table = table.map_field(fld)
+            on = set(table.in_row_space(hyperplane_conditions(D).map_field(fld)))
+            support = {P.coerce(fld) for P in D.support()}
+            assert {j for j, q in enumerate(pts) if q.coerce(fld) in support} <= on
+        got = multiple_locus_oracle(curve, D, cap)
+        assert got == reference_oracle(curve, D, cap), D
+        out.append(got)
+    return out
+
+
+def _sampled(curve, n, seeds):
+    return [sample_smooth_divisor(curve, n, random.Random(s))[0] for s in seeds]
+
+
+def test_oracle_matches_the_element_reference_on_g4_f7():
+    curve = validate(G4_F7)
+    L = find_g13(curve, seed=5)
+    planted = []
+    for j in range(7):
+        pts = [P for P, m in L.member((curve.field.one, curve.field.elem(j))).items
+               for _ in range(m)]
+        if pts[0] != pts[1]:
+            planted.append(Divisor(curve, [(pts[0], 1), (pts[1], 1)]))
+    assert any(_oracle_verdicts(curve, planted, 3))
+    assert not all(_oracle_verdicts(curve, _sampled(curve, 2, range(12)), 3))
+
+
+def test_oracle_matches_the_element_reference_across_fields():
+    # D over F_49: its conditions and the F_7 table meet in F_49, and the
+    # F_(7^3) table in the tuple-coded F_(7^6)
+    curve = validate(G4_F7)
+    K, pts = curve.points_over(2)
+    Q = curve.points_over(1)[1][0]
+    divisors = []
+    for P in [P for P in pts if any(c.coeffs[1:] for c in P.coords)][:7:6]:
+        conj = ProjectivePoint(K, [c ** 7 for c in P.coords])
+        divisors += [Divisor(curve, [(P, 1), (conj, 1)]), Divisor(curve, [(P, 1), (Q, 1)])]
+    assert {D.field.order for D in divisors} == {49}
+    assert common_field(K, curve_points_cached(curve, 3)[0]).order == 7 ** 6
+    # a False verdict walks all three tables, the last one in F_(7^6)
+    assert set(_oracle_verdicts(curve, divisors, 3)) == {True, False}
+
+
+KLEIN_F5 = {**KLEIN, "field": {"type": "prime", "p": 5}}
+
+
+@pytest.mark.parametrize("desc", [HE_G3_F11, KLEIN_F5], ids=["he-f11", "klein-f5"])
+def test_oracle_matches_the_element_reference_on_other_models(desc):
+    curve = validate(desc)
+    _oracle_verdicts(curve, _sampled(curve, 2, range(8)), 3)
+
+
+def test_oracle_decides_each_table_by_kernel_combines(monkeypatch):
+    # one combine of the coded table per kernel vector of D's conditions, and
+    # no row reduced on field elements per point
+    from wgauss import gauss
+    from wgauss.algebra import kernel, linalg
+    curve = validate(G4_F7)
+    tables = [curve_points_cached(curve, m)[2] for m in (1, 2, 3)]
+    divisors = _sampled(curve, 2, range(20, 26))
+    reduced, combined = [], []
+
+    def refused(row, echelon):
+        reduced.append(row)
+        return reduce_row(row, echelon)
+
+    monkeypatch.setattr(linalg, "reduce_row", refused)
+    monkeypatch.setattr(gauss, "reduce_row", refused)
+    for cls in (kernel.FpKernel, kernel.ZechKernel, kernel.TupleKernel):
+        def counted(self, cs, polys, combine=cls.combine):
+            combined.append(id(polys))
+            return combine(self, cs, polys)
+        monkeypatch.setattr(cls, "combine", counted)
+    for D in divisors:
+        combined.clear()
+        multiple_locus_oracle(curve, D, 3)
+        free = curve.genus - hyperplane_conditions(D).rank()
+        assert combined.count(id(tables[0].columns)) == free
+        assert all(combined.count(id(t.columns)) <= free for t in tables)
+    assert reduced == []
 
 
 def _fake_runner(result):

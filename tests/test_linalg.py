@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgauss.algebra import ExtField, MatrixExact, Poly, PrimeField, plucker
-from wgauss.algebra.linalg import bareiss_det
+from wgauss.algebra.linalg import VectorTable, bareiss_det
 
 F = PrimeField(10007)
 
@@ -132,26 +132,46 @@ def test_plucker_rejects_dependent_rows():
         plucker(m)
 
 
-ROW_FIELDS = [PrimeField(7), ExtField(7, 3)]
+# residues, Zech logs and coefficient tuples: the three kernel codings
+ROW_FIELDS = [PrimeField(7), ExtField(7, 3), ExtField(7, 6)]
+BIG = ROW_FIELDS[-1]
 # few distinct entries, zero among them, so that dependent rows are common
-ROW_ENTRIES = {K: [K.zero, K.one, -K.one] + list(K.elements())[-2:] for K in ROW_FIELDS}
+ROW_ENTRIES = {K: [K.zero, K.one, -K.one] + list(K.elements())[-2:] for K in ROW_FIELDS[:2]}
+ROW_ENTRIES[BIG] = [BIG.zero, BIG.one, -BIG.one, BIG.gen, BIG.gen ** 5 + BIG.elem(3)]
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_rank_with_row_matches_stacked_rank(data):
+def test_in_row_space_matches_stacked_rank(data):
     K = data.draw(st.sampled_from(ROW_FIELDS))
     m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 5))
     entry = st.sampled_from(ROW_ENTRIES[K])
-    rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
-    row = [data.draw(entry) for _ in range(n)]
-    in_span = rows and data.draw(st.booleans())
-    if in_span:  # a combination of the rows
+
+    def combination(rows):
         cs = [data.draw(entry) for _ in rows]
-        row = [sum((c * r[j] for c, r in zip(cs, rows)), K.zero) for j in range(n)]
+        return [sum((c * r[j] for c, r in zip(cs, rows)), K.zero) for j in range(n)]
+
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    if rows and data.draw(st.booleans()):  # a dependent row
+        rows.append(combination(rows))
     base = MatrixExact(K, rows or [[K.zero] * n])
-    got = base.rank_with_row(row)
-    assert got == MatrixExact(K, list(base.rows) + [row]).rank()
-    assert base.rank_with_row(row) == got  # now from the cached RREF
-    if in_span:
-        assert got == base.rank()
+    vecs, in_span = [], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(["zero", "span", "free"]))
+        if kind == "zero":
+            vecs.append([K.zero] * n)
+        elif kind == "span" and rows:
+            vecs.append(combination(rows))
+        else:
+            vecs.append([data.draw(entry) for _ in range(n)])
+            continue
+        in_span.append(len(vecs) - 1)
+    rank = base.rank()
+    want = {j for j, v in enumerate(vecs)
+            if MatrixExact(K, list(base.rows) + [v]).rank() == rank}
+    table = VectorTable(K, vecs)
+    assert table.in_row_space(base) == want
+    assert table.in_row_space(base) == want  # now from the cached RREF
+    assert set(in_span) <= want
+    if K is not BIG:  # the same vectors and rows mapped into a larger field
+        assert table.map_field(BIG).in_row_space(base.map_field(BIG)) == want
