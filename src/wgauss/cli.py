@@ -3,7 +3,9 @@
 Exit codes: 0 all verdicts pass; 2 a theorem-check verdict failed, or
 ``curve validate`` found the curve invalid; 3 unsupported configuration,
 among them an invalid curve file given to an experiment and a splitting
-field beyond ``--ext-cap`` (``ExtensionCapError``); 4 I/O or parse errors.
+field beyond ``--ext-cap`` (``ExtensionCapError``); 4 I/O or parse errors,
+among them a bad command line (a missing ``--curve``, an unknown subcommand,
+``--n x``), which argparse would end with status 2.
 Any other exception, among them ``FieldError`` and
 ``NotInSmoothLocusError``, is a fault of the library rather than of the
 configuration: it propagates with its traceback (exit status 1).
@@ -67,13 +69,9 @@ def build_parser():
                     help="exhaustive q-search extension cap (small fields)")
 
     rc = sub.add_parser("reconstruct", help="reconstruction demo")
-    rc.add_argument("--curve", required=True)
-    rc.add_argument("--n", type=int, required=True)
+    _census_args(rc)
     rc.add_argument("--k", type=int, required=True)
-    rc.add_argument("--trials", type=int, default=8)
-    rc.add_argument("--seed", type=int, default=0)
-    rc.add_argument("--ext-cap", type=int, default=12)
-    rc.add_argument("--out", default=None)
+    rc.set_defaults(trials=8)
 
     bn = sub.add_parser("bn-table", help="Brill-Noether predicate table")
     bn.add_argument("--g-min", type=int, required=True)
@@ -84,7 +82,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed its usage error and ends with 2, which here
+        # means a failed verdict; --help ends with 0
+        return EXIT_IO if e.code == 2 else e.code
     try:
         if args.command == "curve":
             desc = _load_curve(args.file)

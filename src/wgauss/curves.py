@@ -16,8 +16,14 @@ and both samplers cut the curve with lines and planes in ``sections``.
 
 Infinity conventions for y^2 = f(x): an odd-degree model has a single
 involution-fixed point at infinity; an even-degree model has two, labelled
-by w = y/x^(g+1) with w^2 = lc(f), swapped by the involution.  The chart at
-infinity uses u = 1/x throughout.
+by w = y/x^(g+1) with w^2 = lc(f), swapped by the involution.
+
+Every local parametrization comes from one chart solver (``_chart_series``):
+the first chart variable whose complementary Jacobian minor is nonzero is
+the parameter, and ``series_solve`` gives the others.  A canonical model is
+solved on the chart where its normalization coordinate is 1; y^2 = f(x) on
+itself at an affine point, and at infinity on w^2 = u^(2g+2) f(1/u), where
+u = 1/x and y = w x^(g+1).
 
 Smoothness of both plane models is decided over F_q by one bivariate test
 on affine plane charts (``_chart_singular``): the Jacobian criterion for a
@@ -238,17 +244,6 @@ class ProjectivePoint:
         return "(" + " : ".join(repr(c) for c in self.coords) + ")"
 
 
-def _sqrt_in_tower(field, a):
-    """(field', root) with root^2 = a; extends by degree 2 when needed."""
-    r = field.sqrt(a)
-    if r is not None:
-        return field, r
-    up = field.extension(2)
-    r = up.sqrt(coerce(a, up))
-    assert r is not None
-    return up, r
-
-
 # -- hyperelliptic model -----------------------------------------------------
 
 class HyperellipticCurve:
@@ -269,13 +264,7 @@ class HyperellipticCurve:
         self.odd_model = f.degree % 2 == 1
 
     def contains(self, P):
-        if P.kind == "aff":
-            fl = self.f.map_field(P.field)
-            return P.y * P.y == fl(P.x)
-        if self.odd_model:
-            return P.w is None
-        lead = coerce(self.f.lead(), P.field)
-        return P.w is not None and P.w * P.w == lead
+        return P in self._above(INF if P.kind == "inf" else P.x, P.field)
 
     def infinity_points(self):
         """Points at infinity over the smallest field where they live."""
@@ -293,23 +282,33 @@ class HyperellipticCurve:
             return not P.y
         return self.odd_model
 
-    def points_above_x(self, t0, field):
-        """Points of the fiber of the x-map over t0 (INF allowed), with the
-        ramification convention left to the caller."""
+    def _above(self, t0, K):
+        """The points over t0 (INF allowed) with coordinates in K: none when
+        f(t0), or lc(f) at INF on an even model, is not a square in K; one
+        when it is zero or t0 is INF on an odd model; else the pair over
+        (y, -y), with y from ``K.sqrt``."""
         if t0 is INF:
             if self.odd_model:
-                return [HyperellipticPoint.infinity(field)]
-            fld, w = _sqrt_in_tower(field, coerce(self.f.lead(), field))
-            return [HyperellipticPoint.infinity(fld, w),
-                    HyperellipticPoint.infinity(fld, -w)]
-        t0 = coerce(t0, field) if not field.contains(t0) else t0
-        z = self.f.map_field(field)(t0)
+                return [HyperellipticPoint.infinity(K)]
+            z = coerce(self.f.lead(), K)
+        else:   # f(t0) in t0's own field, which may lie below K
+            z = self.f(t0)
+            if not K.contains(t0):
+                t0, z = coerce(t0, K), coerce(z, K)
         if not z:
-            return [HyperellipticPoint.affine(field, t0, field.zero)]
-        fld, y = _sqrt_in_tower(field, z)
-        t0 = coerce(t0, fld)
-        return [HyperellipticPoint.affine(fld, t0, y),
-                HyperellipticPoint.affine(fld, t0, -y)]
+            ys = [z]
+        else:
+            y = K.sqrt(z)
+            ys = [] if y is None else [y, -y]
+        if t0 is INF:
+            return [HyperellipticPoint.infinity(K, w) for w in ys]
+        return [HyperellipticPoint.affine(K, t0, y) for y in ys]
+
+    def points_above_x(self, t0, field):
+        """Points of the fiber of the x-map over t0 (INF allowed), over
+        ``field`` or, when none lie there, over its quadratic extension; the
+        ramification convention is left to the caller."""
+        return self._above(t0, field) or self._above(t0, field.extension(2))
 
     def weierstrass_points(self, cap=12):
         """All 2g+2 fixed points of the involution, over a splitting extension."""
@@ -319,18 +318,11 @@ class HyperellipticCurve:
             pts.append(HyperellipticPoint.infinity(K))
         return K, pts
 
-    def sample_point(self, rng, budget=10000):
-        for _ in range(budget):
-            x0 = self.field.rand(rng)
-            z = self.f(x0)
-            if not z:
-                return HyperellipticPoint.affine(self.field, x0, self.field.zero)
-            y = self.field.sqrt(z)
-            if y is None:
-                continue
-            if rng.randrange(2):
-                y = -y
-            return HyperellipticPoint.affine(self.field, x0, y)
+    def sample_point(self, rng):
+        for _ in range(10000):
+            pts = self._above(self.field.rand(rng), self.field)
+            if pts:
+                return pts[rng.randrange(2)] if len(pts) == 2 else pts[0]
         raise SamplingExhausted("no point found within budget")
 
     def canonical_coords(self, P):
@@ -345,47 +337,23 @@ class HyperellipticCurve:
         return ProjectivePoint(P.field, out)
 
     def local_series(self, P, order):
-        """(x(t), y(t)) Laurent series of a local parametrization at P."""
-        fld = P.field
+        """(x(t), y(t)) Laurent series of a local parametrization at P, from
+        the chart solver on y^2 = f(x) at an affine point and on w^2 =
+        u^(2g+2) f(1/u) at infinity, where x = 1/u and y = w x^(g+1)."""
+        fld, g = P.field, self.genus
         fl = self.f.map_field(fld)
-        g = self.genus
         if P.kind == "aff":
-            shifted = _taylor_shift(fl, P.x)
-            if P.y:
-                # parameter t = x - x0, solve y(t)^2 = f(x0 + t)
-                eq = {(i, 0): -c for i, c in enumerate(shifted.coeffs)}
-                eq[(0, 2)] = fld.one
-                y, = series_solve([eq], [P.y], order, fld)
-                x = TruncatedSeries(fld, [P.x, fld.one], order)
-                return x, y
-            # Weierstrass point: parameter t = y, solve f(x0 + X(t)) = t^2
-            eq = {(0, j): c for j, c in enumerate(shifted.coeffs)}
-            eq[(2, 0)] = eq.get((2, 0), fld.zero) - fld.one
-            X, = series_solve([eq], [fld.zero], order, fld)
-            x = X + TruncatedSeries.constant(fld, P.x, order)
-            y = TruncatedSeries(fld, [fld.zero, fld.one], order)
-            return x, y
-        # infinity: chart u = 1/x, w = y / x^(g+1), so w^2 = f(x) / x^(2g+2)
-        rev = fl.reverse(2 * g + 2)
-        need = order + 4 * (g + 1)
-        if self.odd_model:
-            # rev(u) = u * r(u) with r(0) = lc(f); branch point, parameter t = w
-            r = Poly(fld, rev.coeffs[1:])
-            eq = {(0, j + 1): c for j, c in enumerate(r.coeffs)}
-            eq[(2, 0)] = -fld.one
-            u, = series_solve([eq], [fld.zero], need, fld)
-            x = u.inverse()
-            w = TruncatedSeries(fld, [fld.zero, fld.one], need)
-            y = w * x ** (g + 1)
-            return x, y
-        # even model, two points; parameter t = u, solve w(t)^2 = rev(t)
-        eq = {(j, 0): c for j, c in enumerate(rev.coeffs)}
-        eq[(0, 2)] = eq.get((0, 2), fld.zero) - fld.one
-        w, = series_solve([eq], [P.w], need, fld)
-        u = TruncatedSeries(fld, [fld.zero, fld.one], need)
-        x = u.inverse()
-        y = w * x ** (g + 1)
-        return x, y
+            h, vals, prec = fl, [P.x, P.y], order
+        else:
+            w0 = fld.zero if P.w is None else P.w
+            h, vals, prec = fl.reverse(2 * g + 2), [fld.zero, w0], order + 4 * (g + 1)
+        eq = {(i, 0): -c for i, c in enumerate(h.coeffs) if c}
+        eq[(0, 2)] = fld.one
+        a, b = _chart_series([eq], vals, prec, fld)
+        if P.kind == "aff":
+            return a, b
+        x = a.inverse()
+        return x, b * x ** (g + 1)
 
     def canonical_series(self, P, order):
         """Canonical coordinates along the local parametrization, normalized
@@ -420,34 +388,32 @@ class HyperellipticCurve:
     def points_over(self, rel_degree=1):
         """All points with coordinates in the degree-``rel_degree`` extension."""
         K = self.field.extension(rel_degree)
-        fl = self.f.map_field(K)
-        out = []
-        for x0 in K.elements():
-            z = fl(x0)
-            if not z:
-                out.append(HyperellipticPoint.affine(K, x0, K.zero))
-                continue
-            y = K.sqrt(z)
-            if y is not None:
-                out.append(HyperellipticPoint.affine(K, x0, y))
-                out.append(HyperellipticPoint.affine(K, x0, -y))
-        if self.odd_model:
-            out.append(HyperellipticPoint.infinity(K))
-        else:
-            w = K.sqrt(coerce(self.f.lead(), K))
-            if w is not None:
-                out.append(HyperellipticPoint.infinity(K, w))
-                out.append(HyperellipticPoint.infinity(K, -w))
-        return K, out
+        out = [P for t0 in K.elements() for P in self._above(t0, K)]
+        return K, out + self._above(INF, K)
 
 
-def _taylor_shift(f, a):
-    """f(a + t) as a polynomial in t."""
-    field = f.field
-    out = Poly.zero(field)
-    xa = Poly(field, [a, field.one])
-    for c in reversed(f.coeffs):
-        out = out * xa + Poly(field, [c])
+def _chart_series(eqs, vals, order, field):
+    """Series of the chart variables along a local parametrization of the
+    affine curve eqs = 0 (dicts keyed by exponent tuples) at its point
+    ``vals``, each of precision ``order``: the parameter variable runs as
+    its value + t."""
+    n = len(vals)
+    jac = [[mp_eval(mp_partial(eq, i, field), vals, field) for i in range(n)] for eq in eqs]
+    for param in range(n):
+        solved = [i for i in range(n) if i != param]
+        if MatrixExact(field, [[row[i] for i in solved] for row in jac]).det():
+            break
+    else:
+        raise CurveError("singular point hit in local_series")
+    # the equations in (t, y_1, .., y_r): the parameter variable becomes
+    # val + t, the a-th solved variable y_a
+    images = [None] * n
+    for a, i in enumerate([param] + solved):
+        images[i] = {tuple(int(a == b) for b in range(n)): field.one}
+    images[param][(0,) * n] = vals[param]
+    eqs = [mp_substitute(eq, images, field, n) for eq in eqs]
+    out = series_solve(eqs, [vals[i] for i in solved], order, field)
+    out.insert(param, TruncatedSeries(field, [vals[param], field.one], order))
     return out
 
 
@@ -467,43 +433,15 @@ class _CanonicalCurve:
         return P
 
     def local_series(self, P, order):
-        """Local parametrization of the curve, a complete intersection, at P.
-
-        Returns g regular series: the normalization coordinate is the
-        constant 1, the parameter coordinate is linear in t, the remaining
-        ones solve the r = len(forms) chart equations.  The parameter is the
-        first chart variable whose complementary r x r Jacobian minor is
-        nonzero at P.
-        """
+        """Local parametrization of the curve, a complete intersection, at P:
+        g regular series, the normalization coordinate the constant 1 and
+        the others from the chart solver on the chart where it is 1."""
         fld = P.field
-        coords = P.coords
-        norm = next(i for i, c in enumerate(coords) if c)  # == 1 after normalization
+        norm = next(i for i, c in enumerate(P.coords) if c)  # == 1 after normalization
         rest = [i for i in range(self.genus) if i != norm]
-        vals = [coords[i] for i in rest]
-        affs = [_dehom(form.map_field(fld).coeffs, rest) for form in self.forms]
-        jac = [[mp_eval(mp_partial(aff, i, fld), vals, fld) for i in range(len(rest))]
-               for aff in affs]
-        for param in range(len(rest)):
-            solved = [i for i in range(len(rest)) if i != param]
-            if MatrixExact(fld, [[row[i] for i in solved] for row in jac]).det():
-                break
-        else:
-            raise CurveError("singular point hit in local_series")
-        # chart equations in (t, y_1, .., y_r): the parameter variable becomes
-        # val + t, the a-th solved variable y_a
-        r = len(self.forms)
-        unit = [tuple(int(a == b) for b in range(r + 1)) for a in range(r + 1)]
-        images = [None] * len(rest)
-        images[param] = {unit[0]: fld.one, (0,) * (r + 1): vals[param]}
-        for a, i in enumerate(solved, 1):
-            images[i] = {unit[a]: fld.one}
-        eqs = [mp_substitute(aff, images, fld, r + 1) for aff in affs]
-        out = [None] * self.genus
-        out[norm] = TruncatedSeries.constant(fld, fld.one, order)
-        out[rest[param]] = TruncatedSeries(fld, [vals[param], fld.one], order)
-        ys = series_solve(eqs, [vals[i] for i in solved], order, fld)
-        for i, y in zip(solved, ys):
-            out[rest[i]] = y
+        out = _chart_series([_dehom(F.map_field(fld).coeffs, rest) for F in self.forms],
+                            [P.coords[i] for i in rest], order, fld)
+        out.insert(norm, TruncatedSeries.constant(fld, fld.one, order))
         return out
 
     canonical_series = local_series
@@ -538,10 +476,10 @@ class PlaneQuarticCurve(_CanonicalCurve):
         if check:
             _certify_smooth_plane_quartic(self)
 
-    def sample_point(self, rng, budget=2000):
+    def sample_point(self, rng):
         from .sections import line_cut
         F = self.field
-        for _ in range(budget):
+        for _ in range(2000):
             b0 = [F.rand(rng) for _ in range(3)]
             b1 = [F.rand(rng) for _ in range(3)]
             if MatrixExact(F, [b0, b1]).rank() != 2:
@@ -583,10 +521,10 @@ class CanonicalG4Curve(_CanonicalCurve):
         if check:
             _certify_smooth_g4(self)
 
-    def sample_point(self, rng, budget=2000):
+    def sample_point(self, rng):
         from .sections import plane_rational_points
         F = self.field
-        for _ in range(budget):
+        for _ in range(2000):
             h = [F.rand(rng) for _ in range(4)]
             if not any(h):
                 continue

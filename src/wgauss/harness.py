@@ -9,7 +9,7 @@ seeded individually so they can run in any order.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .algebra.fields import FieldError, common_field
@@ -54,19 +54,10 @@ class ExperimentConfig:
     fmt: str = "json"
 
     def echo(self):
-        return {
-            "experiment": self.experiment,
-            "curve_path": self.curve_path,
-            "n": self.n,
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "ext_cap": self.ext_cap,
-            "oracle_cap": self.oracle_cap,
-            "g_min": self.g_min,
-            "g_max": self.g_max,
-            "format": self.fmt,
-        }
+        """Every field but the curve itself, in declaration order; ``fmt``
+        is echoed as "format"."""
+        return {"format" if f.name == "fmt" else f.name: getattr(self, f.name)
+                for f in fields(self) if f.name != "curve"}
 
 
 def _trial_rng(seed, index):
@@ -82,11 +73,11 @@ def _report_skeleton(cfg, curve):
     }
 
 
-def sample_smooth_divisor(curve, n, rng, max_tries=200):
+def sample_smooth_divisor(curve, n, rng):
     """(D, gauss_eval(D)) for n sampled points forming a divisor D in the
     smooth-locus preimage; a D off it is rejected by the Gauss map itself,
     so each accepted D costs one span."""
-    for _ in range(max_tries):
+    for _ in range(200):
         items = {}
         while sum(items.values()) < n:
             P = curve.sample_point(rng)
@@ -228,7 +219,7 @@ def run_locus_census(cfg):
             "divisor": D.to_json(),
             "deg_WC": deg,
             "in_Rnk": {str(k): v for k, v in flags.items()},
-            "rule": "k>=n-empty" if n in flags else "",
+            "rule": "k>=n-empty",
         }
         if cfg.oracle_cap:
             got = multiple_locus_oracle(curve, D, cfg.oracle_cap)

@@ -1,17 +1,20 @@
+import ast
 import random
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
-from wgauss import sections
-from wgauss.algebra import ExtField, PrimeField, TruncatedSeries
-from wgauss.algebra.fields import projective_points
+from wgauss import curves, sections
+from wgauss.algebra import ExtField, Poly, PrimeField, TruncatedSeries, series_solve
+from wgauss.algebra.fields import coerce, projective_points
 from wgauss.curves import (
     INF,
     CanonicalG4Curve,
     CurveError,
     HomForm,
     HyperellipticCurve,
+    HyperellipticPoint,
     PlaneQuarticCurve,
     ProjectivePoint,
     curve_hash,
@@ -590,3 +593,194 @@ def test_plane_rational_points_match_brute_force(p, monkeypatch):
             assert len(pts) == len(set(pts))
             assert set(pts) == {P for P in brute
                                 if not sum((a * b for a, b in zip(h, P)), F.zero)}
+
+
+# -- the hyperelliptic charts and point routines before the one chart solver ---
+# References: the three hand-derived charts, with their Taylor shift, and the
+# square roots of f(x0) taken in each routine, with the quadratic-extension
+# fallback of points_above_x.
+
+def _reference_taylor_shift(f, a):
+    """f(a + t) as a polynomial in t."""
+    field = f.field
+    out = Poly.zero(field)
+    xa = Poly(field, [a, field.one])
+    for c in reversed(f.coeffs):
+        out = out * xa + Poly(field, [c])
+    return out
+
+
+def reference_local_series(curve, P, order):
+    fld = P.field
+    fl = curve.f.map_field(fld)
+    g = curve.genus
+    if P.kind == "aff":
+        shifted = _reference_taylor_shift(fl, P.x)
+        if P.y:
+            # parameter t = x - x0, solve y(t)^2 = f(x0 + t)
+            eq = {(i, 0): -c for i, c in enumerate(shifted.coeffs)}
+            eq[(0, 2)] = fld.one
+            y, = series_solve([eq], [P.y], order, fld)
+            x = TruncatedSeries(fld, [P.x, fld.one], order)
+            return x, y
+        # Weierstrass point: parameter t = y, solve f(x0 + X(t)) = t^2
+        eq = {(0, j): c for j, c in enumerate(shifted.coeffs)}
+        eq[(2, 0)] = eq.get((2, 0), fld.zero) - fld.one
+        X, = series_solve([eq], [fld.zero], order, fld)
+        x = X + TruncatedSeries.constant(fld, P.x, order)
+        y = TruncatedSeries(fld, [fld.zero, fld.one], order)
+        return x, y
+    # infinity: chart u = 1/x, w = y / x^(g+1), so w^2 = f(x) / x^(2g+2)
+    rev = fl.reverse(2 * g + 2)
+    need = order + 4 * (g + 1)
+    if curve.odd_model:
+        # rev(u) = u * r(u) with r(0) = lc(f); branch point, parameter t = w
+        r = Poly(fld, rev.coeffs[1:])
+        eq = {(0, j + 1): c for j, c in enumerate(r.coeffs)}
+        eq[(2, 0)] = -fld.one
+        u, = series_solve([eq], [fld.zero], need, fld)
+        x = u.inverse()
+        w = TruncatedSeries(fld, [fld.zero, fld.one], need)
+        return x, w * x ** (g + 1)
+    # even model, two points; parameter t = u, solve w(t)^2 = rev(t)
+    eq = {(j, 0): c for j, c in enumerate(rev.coeffs)}
+    eq[(0, 2)] = eq.get((0, 2), fld.zero) - fld.one
+    w, = series_solve([eq], [P.w], need, fld)
+    u = TruncatedSeries(fld, [fld.zero, fld.one], need)
+    x = u.inverse()
+    return x, w * x ** (g + 1)
+
+
+def reference_points_over(curve, rel_degree):
+    K = curve.field.extension(rel_degree)
+    fl = curve.f.map_field(K)
+    out = []
+    for x0 in K.elements():
+        z = fl(x0)
+        if not z:
+            out.append(HyperellipticPoint.affine(K, x0, K.zero))
+            continue
+        y = K.sqrt(z)
+        if y is not None:
+            out.append(HyperellipticPoint.affine(K, x0, y))
+            out.append(HyperellipticPoint.affine(K, x0, -y))
+    if curve.odd_model:
+        out.append(HyperellipticPoint.infinity(K))
+    else:
+        w = K.sqrt(coerce(curve.f.lead(), K))
+        if w is not None:
+            out.append(HyperellipticPoint.infinity(K, w))
+            out.append(HyperellipticPoint.infinity(K, -w))
+    return K, out
+
+
+def reference_sample_point(curve, rng, budget=10000):
+    for _ in range(budget):
+        x0 = curve.field.rand(rng)
+        z = curve.f(x0)
+        if not z:
+            return HyperellipticPoint.affine(curve.field, x0, curve.field.zero)
+        y = curve.field.sqrt(z)
+        if y is None:
+            continue
+        if rng.randrange(2):
+            y = -y
+        return HyperellipticPoint.affine(curve.field, x0, y)
+    raise AssertionError("no point found within budget")
+
+
+def _reference_sqrt_in_tower(field, a):
+    r = field.sqrt(a)
+    if r is not None:
+        return field, r
+    up = field.extension(2)
+    return up, up.sqrt(coerce(a, up))
+
+
+def reference_points_above_x(curve, t0, field):
+    if t0 is INF:
+        if curve.odd_model:
+            return [HyperellipticPoint.infinity(field)]
+        fld, w = _reference_sqrt_in_tower(field, coerce(curve.f.lead(), field))
+        return [HyperellipticPoint.infinity(fld, w), HyperellipticPoint.infinity(fld, -w)]
+    t0 = coerce(t0, field) if not field.contains(t0) else t0
+    z = curve.f.map_field(field)(t0)
+    if not z:
+        return [HyperellipticPoint.affine(field, t0, field.zero)]
+    fld, y = _reference_sqrt_in_tower(field, z)
+    t0 = coerce(t0, fld)
+    return [HyperellipticPoint.affine(fld, t0, y), HyperellipticPoint.affine(fld, t0, -y)]
+
+
+# y^2 = x^7 - x over a large and a small field; even models whose leading
+# coefficient is a square (F_11) and a non-square (F_11, F_10007)
+REFERENCE_CURVES = {
+    "odd-10007": (F, [0, -1, 0, 0, 0, 0, 0, 1]),
+    "odd-11": (F11, [0, -1, 0, 0, 0, 0, 0, 1]),
+    "even-square-11": (F11, [0, 1, 0, 3, 0, 0, 1]),
+    "even-nonsquare-11": (F11, [0, 1, 0, 0, 1, 0, 2]),
+    "even-nonsquare-10007": (F, [0, 1, 0, 0, 0, 0, 0, 0, F.nonresidue()]),
+}
+
+
+def _terms(s):
+    return s.field, s.offset, s.prec, [s.coefficient(i) for i in range(s.offset, s.prec)]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CURVES))
+def test_hyperelliptic_local_series_match_the_reference_charts(name):
+    c = HyperellipticCurve(*REFERENCE_CURVES[name])
+    rng = random.Random(f"series-{name}")
+    K, weier = c.weierstrass_points()
+    points = [c.sample_point(rng) for _ in range(4)] + weier + c.infinity_points()
+    if c.field.char < 100:   # points over F_(p^2), off the base field
+        points += rng.sample(c.points_over(2)[1], 4)
+    assert any(P.kind == "inf" for P in points) and any(c.is_weierstrass(P) for P in points)
+    for P in points:
+        for order in (1, 6):
+            got = [_terms(s) for s in c.local_series(P, order)]
+            assert got == [_terms(s) for s in reference_local_series(c, P, order)], P
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CURVES))
+def test_hyperelliptic_points_match_the_reference(name):
+    c = HyperellipticCurve(*REFERENCE_CURVES[name])
+    F0 = c.field
+    for m in (1, 2) if F0.char < 100 else (1,):
+        assert c.points_over(m) == reference_points_over(c, m)
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = [c.sample_point(rng) for _ in range(300)]
+        assert got == [reference_sample_point(c, ref) for _ in range(300)]
+        assert rng.getstate() == ref.getstate()
+        if F0.char < 100:
+            assert any(c.is_weierstrass(P) for P in got)
+    kinds = {}
+    for t0 in (F0.elem(v) for v in range(1, 60)):
+        z = c.f(t0)
+        if z:
+            kinds.setdefault("square" if F0.sqrt(z) is not None else "non-square", t0)
+    K, weier = c.weierstrass_points()
+    roots = [P.x for P in weier if P.kind == "aff"]
+    assert len(kinds) == 2
+    for t0, field in [(t, F0) for t in kinds.values()] + [(r, K) for r in roots] + [(INF, F0)]:
+        got = c.points_above_x(t0, field)
+        assert got == reference_points_above_x(c, t0, field), t0
+        assert all(c.contains(P) for P in got)
+
+
+def test_series_solve_has_one_caller():
+    # every local parametrization comes from the one chart solver: a second
+    # path to series_solve, or an alias of it, fails here
+    src = Path(curves.__file__).resolve().parent
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for unit in node.body if isinstance(node, ast.ClassDef) else [node]:
+                for n in ast.walk(unit):
+                    if (getattr(n, "id", None) == "series_solve"
+                            or getattr(n, "attr", None) == "series_solve"
+                            or isinstance(n, ast.alias) and n.name == "series_solve" and n.asname):
+                        found.add((str(path.relative_to(src)), getattr(unit, "name", "<module>")))
+    assert found == {("curves.py", "_chart_series")}

@@ -361,6 +361,16 @@ def test_cli_fiber_census_and_exit_codes(tmp_path):
     assert proc.returncode == 4
 
 
+def test_cli_usage_errors_exit_4():
+    # status 2 means a failed verdict, so a bad command line is a parse error
+    for args in [("fiber-census", "--n", "2"), ("no-such-command",),
+                 ("reconstruct", "--curve", "c.json", "--n", "x", "--k", "1")]:
+        proc = run_cli(*args)
+        assert proc.returncode == 4, args
+        assert "error:" in proc.stderr and not proc.stdout
+    assert run_cli("--help").returncode == 0
+
+
 def test_cli_bn_table(tmp_path):
     out = tmp_path / "t.csv"
     proc = run_cli("bn-table", "--g-min", "3", "--g-max", "5",
