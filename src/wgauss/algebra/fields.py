@@ -13,16 +13,16 @@ Representations:
                       coefficients of 1, x, ..., x^{k-1} modulo a fixed
                       irreducible monic modulus
 
-These element classes are the public representation.  Polynomial
-arithmetic (poly.py) runs on an int-coded kernel of kernel.py instead,
-``field.kernel``, and converts with ``_encode``/``_decode`` at the ``Poly``
-boundary.  Each field makes its kernel in its constructor, chosen by its
-size, and keeps it: F_p codes a coefficient as its residue; F_{p^k} with
-q <= ``kernel.ZECH_MAX_ORDER`` (4096) as its discrete log to a primitive
-element, from log/Zech tables built with the field; larger F_{p^k} as its
-own coefficient tuple, with Kronecker products and no tables.  Extension
-elements multiply, divide and raise to powers through the kernel's
-``fmul``/``finv``/``fpow`` on coefficient tuples.
+These element classes are the public representation.  Polynomial and
+series arithmetic (poly.py, series.py) run on an int-coded kernel of
+kernel.py instead, ``field.kernel``, and convert with ``_encode``/``_decode``
+at the ``Poly`` and series boundary.  Each field makes its kernel in its
+constructor, chosen by its size, and keeps it: F_p codes a coefficient as
+its residue; F_{p^k} with q <= ``kernel.ZECH_MAX_ORDER`` (4096) as its
+discrete log to a primitive element, from log/Zech tables built with the
+field; larger F_{p^k} as its own coefficient tuple, with Kronecker products
+and no tables.  Extension elements multiply, divide and raise to powers
+through the kernel's ``fmul``/``finv``/``fpow`` on coefficient tuples.
 
 The modulus of F_{p^k} is deterministic: monic x^k + c with the non-leading
 coefficient block c enumerated as a base-p counter (constant term least

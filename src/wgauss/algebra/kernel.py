@@ -3,7 +3,9 @@
 Polynomials are tuples of coefficient codes, lowest degree first, with no
 trailing zero (the empty tuple is the zero polynomial).  Three codings
 share one interface (``add``, ``sub``, ``mul``, ``divmod``, ``mod``,
-``powmod``, ``gcd``).  Each field makes its kernel in its constructor,
+``powmod``, ``gcd``, and ``strip``, which drops trailing zero coefficients
+from a code); ``zero`` is the code of the zero coefficient and ``ONE`` that
+of the polynomial 1.  Each field makes its kernel in its constructor,
 chosen by its size, and keeps it as ``field.kernel`` for its whole life:
 
   * ``FpKernel`` -- F_p; a coefficient is its residue in [0, p).  The
@@ -36,21 +38,20 @@ sparse k x k matrix over F_p whose rows are y^(ip) mod the field modulus.
 
 import struct
 
-# -- F_p ---------------------------------------------------------------------
-# Inputs are tuples of residues; the kernel expects them stripped.
 
-def _tstrip(c):
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-class _SquareMultiply:
-    """``powmod`` by square-and-multiply on the kernel's ``mul`` and ``mod``;
-    ``ONE`` is the code of the polynomial 1."""
+class _Kernel:
+    """What the three kernels share: ``strip`` on their ``zero`` code, and
+    ``powmod`` by square-and-multiply on their ``mul`` and ``mod``
+    (``TupleKernel`` overrides it on packed ints)."""
 
     __slots__ = ()
+
+    def strip(self, c):
+        """The code c as a tuple, without its trailing zero coefficients."""
+        zero, n = self.zero, len(c)
+        while n and c[n - 1] == zero:
+            n -= 1
+        return tuple(c[:n])
 
     def powmod(self, a, e, m):
         if e < 0:
@@ -66,11 +67,13 @@ class _SquareMultiply:
         return r
 
 
-class FpKernel(_SquareMultiply):
+# -- F_p ---------------------------------------------------------------------
+
+class FpKernel(_Kernel):
     """Polynomial arithmetic over F_p on residues."""
 
     __slots__ = ("p",)
-    ONE = (1,)
+    zero, ONE = 0, (1,)
 
     def __init__(self, p):
         self.p = p
@@ -79,14 +82,14 @@ class FpKernel(_SquareMultiply):
         p = self.p
         if len(a) < len(b):
             a, b = b, a
-        return _tstrip([(x + y) % p for x, y in zip(a, b)] + list(a[len(b):]))
+        return self.strip([(x + y) % p for x, y in zip(a, b)] + list(a[len(b):]))
 
     def sub(self, a, b):
         p = self.p
         n = max(len(a), len(b))
         a = tuple(a) + (0,) * (n - len(a))
         b = tuple(b) + (0,) * (n - len(b))
-        return _tstrip([(x - y) % p for x, y in zip(a, b)])
+        return self.strip([(x - y) % p for x, y in zip(a, b)])
 
     def mul(self, a, b):
         if not a or not b:
@@ -97,12 +100,12 @@ class FpKernel(_SquareMultiply):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] = (out[i + j] + ai * bj) % p
-        return _tstrip(out)
+        return self.strip(out)
 
     def divmod(self, a, b):
         q = [0] * max(0, len(a) - len(b) + 1)
         r = self.mod(a, b, q)
-        return _tstrip(q), r
+        return self.strip(q), r
 
     def mod(self, a, m, q=None):
         """Remainder of a by m; the quotient goes into the list q if given.
@@ -124,11 +127,11 @@ class FpKernel(_SquareMultiply):
                     q[off] = c
                 for i, mi in enumerate(low, off):
                     r[i] -= c * mi
-        return _tstrip([v % p for v in r])
+        return self.strip([v % p for v in r])
 
     def gcd(self, a, b):
         """Monic gcd (the zero polynomial for gcd(0, 0))."""
-        a, b = _tstrip(a), _tstrip(b)
+        a, b = self.strip(a), self.strip(b)
         while b:
             a, b = b, self.mod(a, b)
         if a:
@@ -148,7 +151,7 @@ class FpKernel(_SquareMultiply):
             if c:
                 for i, v in enumerate(a):
                     out[i] += c * v
-        return _tstrip([v % p for v in out])
+        return self.strip([v % p for v in out])
 
 
 # -- small F_{p^k}: Zech logarithms ------------------------------------------
@@ -157,14 +160,7 @@ class FpKernel(_SquareMultiply):
 ZECH_MAX_ORDER = 4096
 
 
-def _zstrip(c):
-    n = len(c)
-    while n and c[n - 1] < 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-class ZechKernel(_SquareMultiply):
+class ZechKernel(_Kernel):
     """Log tables of F_q, and arithmetic on logs and on coefficient vectors.
 
     ``exp[i]`` is the coefficient vector of g^i, and ``exp[-1]`` the zero
@@ -175,7 +171,7 @@ class ZechKernel(_SquareMultiply):
     """
 
     __slots__ = ("p", "n", "half", "gen", "exp", "log", "zech")
-    ONE = (0,)
+    zero, ONE = -1, (0,)
 
     def __init__(self, tuples):
         """Tables of the field of the ``TupleKernel`` tuples, built with its
@@ -247,7 +243,7 @@ class ZechKernel(_SquareMultiply):
             else:
                 z = zech[v - u]
                 out[i] = -1 if z < 0 else (u + z) % n
-        return _zstrip(out)
+        return self.strip(out)
 
     def sub(self, a, b):
         n, half = self.n, self.half
@@ -276,7 +272,7 @@ class ZechKernel(_SquareMultiply):
     def divmod(self, a, b):
         q = [-1] * max(0, len(a) - len(b) + 1)
         r = self.mod(a, b, q)
-        return _zstrip(q), r
+        return self.strip(q), r
 
     def mod(self, a, m, q=None):
         """Remainder of a by m; the quotient goes into the list q if given."""
@@ -307,10 +303,10 @@ class ZechKernel(_SquareMultiply):
                 else:
                     z = zech[t - cur]
                     r[i] = -1 if z < 0 else (cur + z) % n
-        return _zstrip(r)
+        return self.strip(r)
 
     def gcd(self, a, b):
-        a, b = _zstrip(a), _zstrip(b)
+        a, b = self.strip(a), self.strip(b)
         while b:
             a, b = b, self.mod(a, b)
         if a:
@@ -353,7 +349,7 @@ def _unpack(v, n, w):
     return [int.from_bytes(raw[i:i + w], "little") for i in range(0, n * w, w)]
 
 
-class TupleKernel:
+class TupleKernel(_Kernel):
     """Arithmetic over a large F_{p^k} on coefficient tuples.
 
     A coefficient is its element's tuple of k residues (``ExtElement.coeffs``),
@@ -373,7 +369,7 @@ class TupleKernel:
     more multiply, so the remainder is folded once, at the end.
     """
 
-    __slots__ = ("p", "k", "modulus", "red", "rows", "frows", "zero", "one",
+    __slots__ = ("p", "k", "modulus", "red", "rows", "frows", "zero", "one", "ONE",
                  "stride", "wide", "pad", "neg_low", "rounds", "growth", "masks",
                  "fw", "fpack", "funpack", "fp")
 
@@ -397,6 +393,7 @@ class TupleKernel:
         self.frows = frows
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
+        self.ONE = (self.one,)
         self.stride = 2 * k - 1
         self.wide = k * (p - 1) ** 2          # bound on one slot of c * c'
         self.pad = [0] * (k - 1)
@@ -442,7 +439,7 @@ class TupleKernel:
         """Inverse: a conjugate over the norm for k = 2, else the extended
         Euclidean algorithm against the modulus."""
         p = self.p
-        r0, r1 = self.modulus, _tstrip(a)
+        r0, r1 = self.modulus, self.fp.strip(a)
         if not r1:
             raise ZeroDivisionError("division by zero in extension field")
         if self.k == 2:                       # y' = r1 - y, y y' = -r0
@@ -520,14 +517,8 @@ class TupleKernel:
     def _coeffs(self, flat):
         """Coefficient tuples of a flat residue list, trailing zeros dropped."""
         k = self.k
-        return self._strip([tuple(flat[i:i + k])
-                            for i in range(0, len(flat), self.stride)])
-
-    def _strip(self, c):
-        zero = self.zero
-        while c and c[-1] == zero:
-            c.pop()
-        return tuple(c)
+        return self.strip([tuple(flat[i:i + k])
+                           for i in range(0, len(flat), self.stride)])
 
     def _divisor(self, m, w):
         """m prepared for _reduce: its degree, the packed -m without its
@@ -592,7 +583,7 @@ class TupleKernel:
             raise ValueError("negative exponent")
         a = self.mod(a, m)
         if e == 0:
-            return (self.one,)
+            return self.ONE
         if not a:
             return ()
         # r stays a flat residue list of deg m coefficients between steps
@@ -631,14 +622,14 @@ class TupleKernel:
         if len(a) < len(b):
             a, b = b, a
         out = [tuple([(x + y) % p for x, y in zip(u, v)]) for u, v in zip(a, b)]
-        return self._strip(out + list(a[len(b):]))
+        return self.strip(out + list(a[len(b):]))
 
     def sub(self, a, b):
         p = self.p
         out = [tuple([(x - y) % p for x, y in zip(u, v)]) for u, v in zip(a, b)]
         out += a[len(b):]
         out += [tuple([(-y) % p for y in v]) for v in b[len(a):]]
-        return self._strip(out)
+        return self.strip(out)
 
 
 def _prime_divisors(n):

@@ -17,10 +17,7 @@ class MatrixExact:
 
     def __init__(self, field, rows):
         self.field = field
-        self.rows = tuple(
-            tuple(field.elem(c) if not field.contains(c) else c for c in row)
-            for row in rows
-        )
+        self.rows = tuple(tuple(field.elem(c) for c in row) for row in rows)
         if self.rows:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):
@@ -131,7 +128,7 @@ class VectorTable:
         """The set of j with v_j in the row space of M, over the table's field:
         h.v_j = 0 for each h of M's kernel basis, one ``kernel.combine`` each."""
         f, on = self.field, range(self.size)
-        zero = f._encode([f.zero])[0]
+        zero = f.kernel.zero
         for h in M.kernel_basis() if self.size else ():
             dots = f.kernel.combine(f._encode(h), self.columns)
             on = [j for j in on if j >= len(dots) or dots[j] == zero]

@@ -33,22 +33,15 @@ def mp_mul(a, b):
 def mp_substitute(a, images, field, arity):
     """Substitute images[i] (a dict of the output arity) for variable i."""
     out = {}
-    cache = [{} for _ in images]
-
-    def power(i, e):
-        if e == 0:
-            return {(0,) * arity: field.one}
-        got = cache[i].get(e)
-        if got is None:
-            got = mp_mul(power(i, e - 1), images[i])
-            cache[i][e] = got
-        return got
-
+    powers = [[{(0,) * arity: field.one}] for _ in images]   # powers[i][e] = images[i]^e
     for exps, c in a.items():
         term = {(0,) * arity: c}
         for i, e in enumerate(exps):
             if e:
-                term = mp_mul(term, power(i, e))
+                pw = powers[i]
+                while len(pw) <= e:
+                    pw.append(mp_mul(pw[-1], images[i]))
+                term = mp_mul(term, pw[e])
         out = mp_add(out, term)
     return out
 

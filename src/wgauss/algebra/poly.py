@@ -40,7 +40,7 @@ class Poly:
     __slots__ = ("field", "_coeffs", "_code")
 
     def __init__(self, field, coeffs):
-        cs = [field.elem(c) if not field.contains(c) else c for c in coeffs]
+        cs = [field.elem(c) for c in coeffs]
         n = len(cs)
         while n and not cs[n - 1]:
             n -= 1
@@ -269,39 +269,27 @@ def _seed_of(a):
 def squarefree_decomposition(a):
     """[(squarefree factor, multiplicity)] over a finite field, a monic."""
     field = a.field
-    p = field.char
-    out = []
-    a = a.monic()
-
-    def frob_root(g):
-        # g = h(x^p); h's coefficients are p-th roots, sigma^(k-1) on F_(p^k)
-        frob = field.kernel.frob
+    p, frob = field.char, field.kernel.frob
+    out, a, mult = [], a.monic(), 1
+    while a.degree >= 1:
+        d = a.derivative()
+        g = a
+        if not d.is_zero():
+            g = poly_gcd(a, d)
+            w = a // g
+            m = 1
+            while w.degree > 0:
+                y = poly_gcd(w, g)
+                z = w // y
+                if z.degree > 0:
+                    out.append((z.monic(), m * mult))
+                w, g = y, g // y
+                m += 1
+        # g = h(x^p); go on with h, its coefficients p-th roots, sigma^(k-1) on F_(p^k)
         cs = g._encoded()[::p]
         for _ in range(field.degree - 1):
             cs = tuple([frob(c) for c in cs])
-        return Poly._from_code(field, cs)
-
-    def sf(a, mult):
-        if a.degree < 1:
-            return
-        d = a.derivative()
-        if d.is_zero():
-            sf(frob_root(a), mult * p)
-            return
-        g = poly_gcd(a, d)
-        w = a // g
-        m = 1
-        while w.degree > 0:
-            y = poly_gcd(w, g)
-            z = w // y
-            if z.degree > 0:
-                out.append((z.monic(), m * mult))
-            w, g = y, g // y
-            m += 1
-        if g.degree > 0:
-            sf(frob_root(g), mult * p)
-
-    sf(a, 1)
+        a, mult = Poly._from_code(field, cs), mult * p
     return out
 
 

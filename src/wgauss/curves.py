@@ -86,7 +86,7 @@ class HomForm:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or sum(exps) != degree:
                 raise CurveError(f"monomial {exps} not homogeneous of degree {degree}")
-            c = field.elem(c) if not field.contains(c) else c
+            c = field.elem(c)
             if c:
                 clean[exps] = c
         if not clean:
@@ -170,14 +170,11 @@ class HyperellipticPoint:
 
     @classmethod
     def affine(cls, field, x, y):
-        return cls("aff", field, x=field.elem(x) if not field.contains(x) else x,
-                   y=field.elem(y) if not field.contains(y) else y)
+        return cls("aff", field, x=field.elem(x), y=field.elem(y))
 
     @classmethod
     def infinity(cls, field, w=None):
-        if w is not None and not field.contains(w):
-            w = field.elem(w)
-        return cls("inf", field, w=w)
+        return cls("inf", field, w=None if w is None else field.elem(w))
 
     def coerce(self, target):
         if self.kind == "aff":
@@ -218,7 +215,7 @@ class ProjectivePoint:
     __slots__ = ("coords", "field")
 
     def __init__(self, field, coords):
-        coords = [field.elem(c) if not field.contains(c) else c for c in coords]
+        coords = [field.elem(c) for c in coords]
         lead = next((c for c in coords if c), None)
         if lead is None:
             raise ValueError("zero vector is not a projective point")

@@ -56,7 +56,6 @@ import random
 from itertools import chain, combinations
 
 from .algebra.fields import PrimeField, coerce, projective_points
-from .algebra.kernel import _tstrip
 from .algebra.linalg import MatrixExact
 from .algebra.mpoly import mp_substitute
 from .algebra.poly import (
@@ -640,7 +639,7 @@ def _residue_zeros(curve, basis):
     A = [[(q11 * a - 2 * b1 * r1) % p for a, r1 in zip(P0, R1)],
          [2 * (q12 * a - b1 * r2 - b2 * r1) % p for a, r1, r2 in zip(P0, R1, R2)],
          [(q22 * a - 2 * b2 * r2) % p for a, r2 in zip(P0, R2)]]
-    xs = [_tstrip([sum(a * b[i] for a, b in zip(Ak, B)) % p for Ak in A]) for i in range(4)]
+    xs = [kern.strip([sum(a * b[i] for a, b in zip(Ak, B)) % p for Ak in A]) for i in range(4)]
     pw = [[(1,), x] for x in xs]
     S = ()
     for e, c in curve.cubic.coeffs.items():

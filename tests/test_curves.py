@@ -723,10 +723,6 @@ REFERENCE_CURVES = {
 }
 
 
-def _terms(s):
-    return s.field, s.offset, s.prec, [s.coefficient(i) for i in range(s.offset, s.prec)]
-
-
 @pytest.mark.parametrize("name", sorted(REFERENCE_CURVES))
 def test_hyperelliptic_local_series_match_the_reference_charts(name):
     c = HyperellipticCurve(*REFERENCE_CURVES[name])
@@ -738,8 +734,7 @@ def test_hyperelliptic_local_series_match_the_reference_charts(name):
     assert any(P.kind == "inf" for P in points) and any(c.is_weierstrass(P) for P in points)
     for P in points:
         for order in (1, 6):
-            got = [_terms(s) for s in c.local_series(P, order)]
-            assert got == [_terms(s) for s in reference_local_series(c, P, order)], P
+            assert c.local_series(P, order) == reference_local_series(c, P, order), P
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CURVES))

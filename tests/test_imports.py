@@ -3,8 +3,8 @@ import it does not use, every public export resolves, every function or
 method, private ones included, has a caller in the package or a stated
 reason to stay, the coding of field elements is read only inside
 wgauss/algebra/ or with a stated reason, outside wgauss/algebra/ no module
-imports another's private name without a stated reason, and every import
-of a package module inside a function has a stated reason."""
+imports another's private name, and every import of a package module inside
+a function has a stated reason."""
 
 import ast
 from pathlib import Path
@@ -148,15 +148,6 @@ def _package_imports(path):
                     yield node, alias.name.partition(".")[2], id(node) in top
 
 
-# Private names that a module outside wgauss/algebra/ imports from another
-# module, each with its reason.
-PRIVATE_IMPORTS = {
-    ("sections.py", "_tstrip"):
-        "_residue_zeros pulls the cubic back on F_p residues straight into kernel "
-        "codes, the reader listed in CODING_READERS",
-}
-
-
 def test_no_private_name_crosses_a_module_outside_the_algebra_layer():
     found = set()
     for path in MODULES:
@@ -166,7 +157,7 @@ def test_no_private_name_crosses_a_module_outside_the_algebra_layer():
             if isinstance(node, ast.ImportFrom):
                 found |= {(path.name, a.name) for a in node.names
                           if a.name.startswith("_") and not a.name.startswith("__")}
-    assert found == set(PRIVATE_IMPORTS)
+    assert found == set()
 
 
 # Imports of a package module made inside a function, each with its reason;

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -27,12 +28,14 @@ from wgauss.algebra import (
 )
 
 from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
+from wgauss.algebra.mpoly import mp_substitute
 from wgauss.algebra.poly import (
     _linear_split,
     binary_roots,
     conjugate_roots,
     distinct_roots_in_field,
     root_multiplicity,
+    squarefree_decomposition,
 )
 
 SRC = Path(wgauss.__file__).resolve().parents[1]
@@ -777,6 +780,21 @@ def test_kernel_is_chosen_by_field_size():
         assert isinstance(F.kernel, TupleKernel)                  # no tables
 
 
+def test_kernels_share_one_interface():
+    # series and table code call these names on whatever kernel the field has
+    fields = [F10007, ExtField(7, 3), ExtField(10007, 2)]
+    assert [type(F.kernel) for F in fields] == [FpKernel, ZechKernel, TupleKernel]
+    for F in fields:
+        kern = F.kernel
+        for name in ("add", "sub", "mul", "divmod", "mod", "powmod", "gcd", "frob",
+                     "combine", "strip"):
+            assert callable(getattr(kern, name)), (F, name)
+        assert kern.zero == F._encode([F.zero])[0]
+        assert kern.ONE == F._encode([F.one])
+        a = F._encode([F.zero, F.one, F.zero, F.zero])
+        assert kern.strip(a) == a[:2] and kern.strip(list(a[:1])) == ()
+
+
 def test_small_extension_series_arithmetic_in_a_fresh_process():
     # a small extension field made in a fresh interpreter, so that no other
     # test can have run its arithmetic first: its series sum and product
@@ -853,3 +871,22 @@ def test_binary_roots_zero_forms_infinity_and_both_modes():
         (F7, [((F7.one, F7.elem(2)), 2)])
     with pytest.raises(ValueError):
         binary_roots([(Poly.zero(F7), 3), (Poly.zero(F7), 2)])
+
+
+def test_substitution_and_squarefree_split_free_their_work_on_return():
+    # no reference cycle keeps a power table or a split's polynomials alive
+    # until the next cyclic collection
+    a = {(2, 0, 1): F7.one, (1, 1, 1): F7.elem(2), (0, 2, 1): F7.one, (0, 0, 3): F7.elem(2)}
+    images = [{(1, 0): F7.one}, {(0, 1): F7.one}, {(0, 1): F7.elem(3)}]
+    x = Poly.x(F7)
+    f = (x - 1) ** 7 * (x - 2) ** 3 * (x + 2)
+    gc.collect()
+    gc.disable()
+    try:
+        sub = mp_substitute(a, images, F7, 2)    # (x + y)^2 z + 2 z^3 at z = 3y
+        split = squarefree_decomposition(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sub == {(2, 1): F7.elem(3), (1, 2): F7.elem(6), (0, 3): F7.one}
+    assert split == [(x + 2, 1), (x - 2, 3), (x - 1, 7)]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wgauss.algebra import (
+    ExtField,
     PrimeField,
     SingularSeedError,
     TruncatedSeries,
@@ -10,6 +11,8 @@ from wgauss.algebra import (
 )
 
 F = PrimeField(10007)
+# one field per kernel coding: residues, Zech logs, coefficient tuples
+CODINGS = [F, ExtField(7, 3), ExtField(10007, 2)]
 
 
 def test_binomial_series():
@@ -113,3 +116,114 @@ def test_system_bad_seed_rejected():
     eq2 = {(0, 0, 1): F.one, (1, 0, 0): F.one}
     with pytest.raises(SingularSeedError):
         series_solve([eq1, eq2], [F.elem(3), F.zero], 4, F)
+
+
+@pytest.mark.parametrize("K", [PrimeField(11)] + CODINGS, ids=repr)
+def test_equal_series_compare_equal_however_made(K):
+    T = TruncatedSeries
+    one, s = T(K, [1], 4), T(K, [1, 2], 4)
+    assert one == T(K, [1, 0, 0], 4) == T(K, [0, 1, 0], 4, offset=-1)
+    assert one + T.zero(K, 4) == one == T.zero(K, 4) + one
+    assert s * one == s == one * s
+    assert s - T.zero(K, 4) == s and (s - s) == T.zero(K, 4)
+    assert T(K, [1, 2, 0, 5], 6).truncate(3) == T(K, [1, 2], 3)
+    assert T(K, [0, 0], 4) == T.zero(K, 4) == s * 0
+    assert one != T(K, [1], 5) and one != T(K, [2], 4) and one != one.shift(1)
+
+
+# -- the series arithmetic against schoolbook arithmetic on element lists ----
+# A reference series is (offset, prec, [coefficients of t^offset .. t^(prec-1)])
+# with offset its valuation, or offset = prec when it is zero to precision.
+
+def _norm(K, o, p, cs):
+    cs = list(cs[:max(0, p - o)])
+    i = next((i for i, c in enumerate(cs) if c), None)
+    if i is None:
+        return p, p, []
+    return o + i, p, cs[i:] + [K.zero] * (p - o - len(cs))
+
+
+def _at(K, a, i):
+    o, p, cs = a
+    return cs[i - o] if o <= i < p else K.zero
+
+
+def _ref_sum(K, a, b, sign):
+    p = min(a[1], b[1])
+    o = min(a[0], b[0], p)
+    return _norm(K, o, p, [_at(K, a, i) + _at(K, b, i) * sign for i in range(o, p)])
+
+
+def _ref_mul(K, a, b):
+    (oa, pa, ca), (ob, pb, cb) = a, b
+    o, p = oa + ob, min(oa + pb, ob + pa)
+    out = [K.zero] * max(0, p - o)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            if i + j < len(out):
+                out[i + j] = out[i + j] + x * y
+    return _norm(K, o, p, out)
+
+
+def _ref_inverse(K, a):
+    v, p, cs = a
+    n = p - v
+    inv0 = K.one / cs[0]
+    out = [inv0] + [K.zero] * (n - 1)
+    for k in range(1, n):
+        s = K.zero
+        for i in range(1, k + 1):
+            s = s + cs[i] * out[k - i]
+        out[k] = -inv0 * s
+    return _norm(K, -v, n - v, out)
+
+
+def _ref_pow(K, a, e):
+    if e < 0:
+        a, e = _ref_inverse(K, a), -e
+    r = a
+    for _ in range(e - 1):
+        r = _ref_mul(K, r, a)
+    return r
+
+
+def _check(K, s, a):
+    o, p, cs = a
+    assert s.prec == p and s.valuation() == (o if cs else None)
+    assert [s.coefficient(i) for i in range(min(o, s.offset), p)] == \
+        [_at(K, a, i) for i in range(min(o, s.offset), p)]
+    assert s == TruncatedSeries(K, cs, p, o)
+
+
+def _random_series(K, rng, laurent):
+    o = rng.randrange(-3, 4) if laurent else rng.randrange(0, 3)
+    cs = [K.zero if rng.random() < 0.3 else K.rand(rng) for _ in range(rng.randrange(0, 7))]
+    p = o + len(cs) + rng.randrange(0, 4)
+    return TruncatedSeries(K, cs, p, o), _norm(K, o, p, cs)
+
+
+@pytest.mark.parametrize("K", CODINGS, ids=repr)
+def test_arithmetic_matches_schoolbook_on_elements(K):
+    rng = random.Random(f"series-{K!r}")
+    for _ in range(60):
+        (s, a), (u, b) = (_random_series(K, rng, rng.random() < 0.5) for _ in range(2))
+        _check(K, s + u, _ref_sum(K, a, b, 1))
+        _check(K, s - u, _ref_sum(K, a, b, -1))
+        _check(K, -s, _ref_sum(K, _norm(K, 0, a[1], []), a, -1))
+        _check(K, s * u, _ref_mul(K, a, b))
+        c = K.rand(rng) if rng.random() < 0.8 else K.zero
+        _check(K, s * c, _norm(K, a[0], a[1], [x * c for x in a[2]]))
+        _check(K, 3 * s, _norm(K, a[0], a[1], [x * 3 for x in a[2]]))
+        _check(K, 1 + s, _ref_sum(K, _norm(K, 0, a[1], [K.one]), a, 1))
+        _check(K, 1 - s, _ref_sum(K, _norm(K, 0, a[1], [K.one]), a, -1))
+        m = rng.randrange(-2, 8)
+        _check(K, s.truncate(m), _norm(K, a[0], min(m, a[1]), a[2]))
+        _check(K, s.shift(m), _norm(K, a[0] + m, a[1] + m, a[2]))
+        if a[2]:
+            for e in (1, 2, 3):
+                _check(K, s ** e, _ref_pow(K, a, e))
+            _check(K, s.inverse(), _ref_inverse(K, a))
+            _check(K, s ** -2, _ref_pow(K, a, -2))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                s.inverse()
