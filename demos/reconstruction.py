@@ -33,6 +33,6 @@ print("  equals (W.C):", intersection_divisor(spans[0]) == recovered[0])
 
 bf = dual_branch_form(L2)
 roots = bf.roots(cap=12)
-print(f"branch form degree {bf.total_multiplicity()} "
+print(f"branch form degree {bf.formal_degree} "
       f"(Riemann-Hurwitz: 2*4 - 2 + 2*3 = 12); "
       f"root multiplicities sum to {sum(m for _, m in roots)}")

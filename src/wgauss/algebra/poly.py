@@ -525,14 +525,11 @@ def conjugate_roots(f, K):
     return sorted(K._decode(code), key=K.sort_key)
 
 
-def roots_in_splitting_extension(a, cap=12):
-    """All roots of a over a splitting extension, with multiplicities.
-
-    Returns (field, [(root, mult)]), roots sorted by the field's key; the field
-    is the canonical extension of degree lcm over the irreducible factors, and
-    each factor's roots are one Frobenius orbit (``conjugate_roots``).  Degrees
-    beyond ``cap`` raise ExtensionCapError.  Multiplicities sum to deg(a).
-    """
+def splitting_field(a, cap=12):
+    """(K, ``factor_finite(a)``): K is the canonical extension of degree lcm
+    over the irreducible factors, where each factor's roots are one
+    Frobenius orbit (``conjugate_roots``); beyond ``cap`` it raises
+    ExtensionCapError."""
     if a.degree < 0:
         raise ValueError("zero polynomial")
     base = a.field
@@ -543,11 +540,17 @@ def roots_in_splitting_extension(a, cap=12):
     if total > cap:
         raise ExtensionCapError(
             f"splitting field degree {total} exceeds cap {cap}")
-    target = PrimeField(base.char) if total == 1 else ExtField(base.char, total)
-    out = [(r, m) for f, m in factors for r in conjugate_roots(f, target)]
-    out.sort(key=lambda rm: target.sort_key(rm[0]))
+    return PrimeField(base.char) if total == 1 else ExtField(base.char, total), factors
+
+
+def roots_in_splitting_extension(a, cap=12):
+    """(K, [(root, mult)]): all roots of a over its ``splitting_field`` K,
+    sorted by K's key; the mults sum to deg(a)."""
+    K, factors = splitting_field(a, cap)
+    out = [(r, m) for f, m in factors for r in conjugate_roots(f, K)]
+    out.sort(key=lambda rm: K.sort_key(rm[0]))
     assert sum(m for _, m in out) == a.degree
-    return target, out
+    return K, out
 
 
 def binary_gcd(forms):

@@ -77,14 +77,16 @@ def fiber(W, n=None, cap=12):
     slot = {P: (gi, halve) for gi, (_, pts) in enumerate(groups) for P, halve in pts}
     items = [(P, m) + slot[P] for P, m in WC.items]
     members = []
-
-    def walk(i, remaining, left, acc, basis, taken):
-        """left: degree of items[i:]; basis: prefix rows' echelon; taken: rows per group"""
+    # depth-first, least multiplicity first; left: degree of items[i:], basis:
+    # the prefix rows' echelon (the entry's own), taken: rows per group
+    stack = [(0, n, WC.degree, [], [], [0] * len(groups))] if n == W.dim + 1 <= WC.degree else []
+    while stack:
+        i, remaining, left, acc, basis, taken = stack.pop()
         if not remaining:
             members.append(Divisor(curve, acc, field=WC.field))
-            return
+            continue
         P, m, gi, halve = items[i]
-        basis, taken = list(basis), list(taken)
+        children = []
         for e in range(max(0, remaining - left + m), min(m, remaining) + 1):
             k = max(taken[gi], (e + 1) // 2 if halve else e)
             for row in groups[gi][0][taken[gi]:k]:
@@ -96,10 +98,9 @@ def fiber(W, n=None, cap=12):
             taken[gi] = k
             if n - remaining + e > len(basis):
                 break
-            walk(i + 1, remaining - e, left - m, acc + [(P, e)], basis, taken)
-
-    if n == W.dim + 1 <= WC.degree:
-        walk(0, n, WC.degree, [], [], [0] * len(groups))
+            children.append((i + 1, remaining - e, left - m, acc + [(P, e)],
+                             list(basis), list(taken)))
+        stack += reversed(children)
     return FiberReport(W, WC, members, flags)
 
 

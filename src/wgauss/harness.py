@@ -8,6 +8,7 @@ seeded individually so they can run in any order.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass, fields
 
@@ -290,16 +291,8 @@ def _reconstruct_g4(cfg, curve):
     L2, got = reconstruct_system(Ws, n=cfg.n, k=cfg.k, cap=cfg.ext_cap)
     member_match = got == members
     bf = dual_branch_form(L2)
-    total = bf.total_multiplicity()
-    certs = []
-    for st, m in bf.roots(cap=cfg.ext_cap):
-        try:
-            sample = certify_dual(L2, st)
-        except ExtensionCapError:
-            # a member whose points need a splitting field beyond the cap
-            sample = None
-        certs.append({"mult": m, "materialized": sample is not None,
-                      "contact_order": sample.order if sample else None})
+    total = bf.formal_degree
+    certs = _dual_certificates(L2, bf, cfg.ext_cap)
     verdicts = {
         "members_recovered": member_match,
         "dual_total_multiplicity": total == 2 * curve.genus - 2 + 2 * L.degree,
@@ -316,6 +309,30 @@ def _reconstruct_g4(cfg, curve):
     report["verdicts"] = verdicts
     report["passed"] = all(verdicts.values())
     return report
+
+
+def _dual_certificates(L, bf, cap):
+    """The report's certificates of bf's zeros, in ``bf.roots`` order.
+    ``certify_dual`` runs once per Galois orbit, at a representative over
+    the orbit's own field.  Frobenius carries its member and the member's
+    one multiple point to each conjugate's, so the certificate is copied to
+    them.  A member with several multiple points is certified at each
+    conjugate instead.  A member that fits the cap over its own field but
+    not over the zeros' field stays unmaterialized, as at the zero itself."""
+    roots, orbits = bf.orbits(cap=cap)
+    certs = [None] * len(roots)
+    for m, rep, where in orbits:
+        sample = certify_dual(L, rep)
+        samples = [sample] * len(where)
+        if sample and sum(k >= 2 for _, k in (sample.member - L.base_locus()).items) > 1:
+            samples = [certify_dual(L, roots[i][0]) for i in where]
+        elif sample and math.lcm(roots[where[0]][0][1].field.degree,
+                                 sample.member.field.degree) > cap:
+            samples = [None] * len(where)
+        for i, s in zip(where, samples):
+            certs[i] = {"mult": m, "materialized": s is not None,
+                        "contact_order": s.order if s else None}
+    return certs
 
 
 def _reconstruct_hyperelliptic(cfg, curve):

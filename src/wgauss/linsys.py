@@ -22,7 +22,7 @@ from itertools import combinations, product
 
 from .algebra.fields import FieldError, coerce, common_field, projective_points
 from .algebra.linalg import MatrixExact
-from .algebra.poly import ExtensionCapError, binary_roots
+from .algebra.poly import ExtensionCapError, conjugate_roots, splitting_field
 from .curves import INF, CurveError
 from .divisors import Divisor, gcd_div, pullback_x, x_fibers
 from .gauss import intersection_divisor
@@ -304,10 +304,9 @@ def dual_samples(L, cap=12):
     for c in params:
         try:
             sample = certify_dual(L, c)
-        except (ExtensionCapError, ArithmeticError, FieldError):
-            # the member needs a splitting field beyond the cap, its local
-            # series did not stabilize, or its points and the parameter share
-            # no field: no certificate for this parameter
+        except (ArithmeticError, FieldError):
+            # the member's local series did not stabilize, or its points and
+            # the parameter share no field: no certificate for this parameter
             continue
         if sample is not None:
             assert sample.order >= 2, "contact certificate failed"
@@ -338,14 +337,15 @@ def _branch_parameter(L, st):
 def certify_dual(L, c):
     """The DualSample of parameter c: its member, the first point of
     multiplicity >= 2 off the base locus and the contact order there; None
-    when the member is reduced off the base locus.  The order is returned,
+    when the member is reduced off the base locus, or when it or its local
+    series needs a splitting field beyond the cap.  The order is returned,
     not checked."""
-    E = L.member(c)
-    core = E - L.base_locus()
-    P = next((P for P, m in core.items if m >= 2), None)
-    if P is None:
+    try:
+        E = L.member(c)
+        P = next((P for P, m in (E - L.base_locus()).items if m >= 2), None)
+        return None if P is None else DualSample(tuple(c), P, contact_order(L, c, P), E)
+    except ExtensionCapError:
         return None
-    return DualSample(tuple(c), P, contact_order(L, c, P), E)
 
 
 class BranchForm:
@@ -359,12 +359,29 @@ class BranchForm:
         self.poly = poly
         self.formal_degree = formal_degree
 
-    def total_multiplicity(self):
-        return self.formal_degree
+    def orbits(self, cap=12):
+        """(roots, orbits): ``roots``, and per Galois orbit of zeros (m, zero,
+        positions in roots).  The affine orbits are the irreducible factors f
+        of the form in ``factor_finite`` order, each with its multiplicity and
+        its first root over its own field F_(q^(b deg f)); (0 : 1) is last."""
+        base, form = self.field, self.poly
+        K, factors = splitting_field(form, cap) if form.degree else (base, [])
+        conj = [conjugate_roots(f, K) for f, _ in factors]
+        found = sorted((K.sort_key(r), r, i) for i, rs in enumerate(conj) for r in rs)
+        roots = [((K.one, r), factors[i][1]) for _, r, i in found]
+        orbits = []
+        for i, (f, m) in enumerate(factors):
+            F = base.extension(f.degree)
+            r = conj[i][0] if F == K else conjugate_roots(f, F)[0]
+            orbits.append((m, (F.one, r), [j for j, (*_, k) in enumerate(found) if k == i]))
+        if self.formal_degree > form.degree:
+            roots.append(((base.zero, base.one), self.formal_degree - form.degree))
+            orbits.append((roots[-1][1], roots[-1][0], [len(roots) - 1]))
+        return roots, orbits
 
     def roots(self, cap=12):
-        """[(parameter (s, t), multiplicity)] over splitting extensions."""
-        return binary_roots([(self.poly, self.formal_degree)], cap)[1]
+        """[((s, t), multiplicity)]: the affine zeros by key, then (0 : 1)."""
+        return self.orbits(cap)[0]
 
 
 def dual_branch_form(L):

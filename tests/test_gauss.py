@@ -1,3 +1,4 @@
+import gc
 import random
 from math import comb
 
@@ -277,6 +278,23 @@ def test_fiber_by_rank_matches_the_span_test(name):
             seen[flag] |= on
     assert seen["nonreduced"]
     assert seen["weierstrass"] == (name == "he-odd")
+
+
+def test_fiber_frees_its_walk_on_return():
+    # no reference cycle keeps the walk's prefixes and divisors alive until
+    # the next cyclic collection; the members keep the span test's order
+    for name in ("g4", "he-odd"):
+        for D in FIBER_GUARD[name](random.Random(14)):
+            W = gauss_eval(D)
+            gc.collect()
+            gc.disable()
+            try:
+                rep = fiber(W)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+            assert rep.fiber == [E for E in rep.WC.subdivisors(D.degree)
+                                 if ell(E) == 1 and span(E) == W]
 
 
 def _degree_guard(name, rng):

@@ -257,13 +257,15 @@ def test_reconstruct_g4_hyperplane_sections_keep_the_cap():
 def test_reconstruct_g4_certificate_failures(monkeypatch):
     from wgauss import linsys
     from wgauss.algebra import ExtensionCapError, FieldError
-    real_roots = linsys.BranchForm.roots
+    real_orbits = linsys.BranchForm.orbits
 
-    def roots_and_a_generic_member(bf, cap=12):
+    def orbits_and_a_generic_member(bf, cap=12):
         # a parameter that is no root: its member has no double point
-        return real_roots(bf, cap) + [((bf.field.one, bf.field.elem(12345)), 0)]
+        roots, orbits = real_orbits(bf, cap)
+        c = (bf.field.one, bf.field.elem(12345))
+        return roots + [(c, 0)], orbits + [(0, c, [len(roots)])]
 
-    monkeypatch.setattr(linsys.BranchForm, "roots", roots_and_a_generic_member)
+    monkeypatch.setattr(linsys.BranchForm, "orbits", orbits_and_a_generic_member)
     cfg = ExperimentConfig(experiment="reconstruct", curve=G4, n=2, k=1,
                            trials=5, seed=2)
     rep = run_reconstruct(cfg)
@@ -287,6 +289,132 @@ def test_reconstruct_g4_certificate_failures(monkeypatch):
                         raising(FieldError("mixed extension fields; coerce explicitly")))
     with pytest.raises(FieldError):
         run_reconstruct(cfg)
+
+
+def _per_root_certificates(L, cap=12):
+    """The report's certificates as made one root at a time: ``certify_dual``
+    at every zero of the branch form, found by ``binary_roots`` over the
+    splitting field of them all."""
+    from wgauss.algebra.poly import binary_roots
+    from wgauss.linsys import certify_dual, dual_branch_form
+    bf = dual_branch_form(L)
+    certs = []
+    for st, m in binary_roots([(bf.poly, bf.formal_degree)], cap)[1]:
+        sample = certify_dual(L, st)
+        certs.append({"mult": m, "materialized": sample is not None,
+                      "contact_order": sample.order if sample else None})
+    return certs
+
+
+def _counted_certify_dual(monkeypatch, wrap=None):
+    """The parameters ``harness.certify_dual`` is called with, as they come;
+    ``wrap`` may replace each sample."""
+    from wgauss import harness, linsys
+    calls = []
+
+    def counted(L, c):
+        calls.append(c)
+        sample = linsys.certify_dual(L, c)
+        return wrap(sample) if wrap and sample else sample
+
+    monkeypatch.setattr(harness, "certify_dual", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reconstruct_g4_certificates_match_the_per_root_loop(monkeypatch, seed):
+    # one certificate per Galois orbit, copied to the conjugates, gives every
+    # root the certificate it gets on its own: the bench curve's pool seeds
+    from wgauss import harness
+    real, seen = harness._dual_certificates, []
+
+    def recorded(L, bf, cap):
+        seen.append((L, real(L, bf, cap)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(harness, "_dual_certificates", recorded)
+    rep = run_reconstruct(ExperimentConfig(experiment="reconstruct", curve=G4, n=2, k=1,
+                                           trials=3, seed=seed))
+    (L, certs), = seen
+    assert rep["dual_certificates"] == certs == _per_root_certificates(L)
+    assert len(certs) == 12
+
+
+def _g4_orbit_curve(p, kind, i):
+    from test_curves import _gram_kind, _random_g4
+    label = f"cone-{p}-{i}" if kind == "cone" else f"branch-{p}-{kind}-{i}"
+    return find_g13(_random_g4(p, kind, random.Random(label), kind_of=_gram_kind), seed=i)
+
+
+# g^1_3's whose branch roots fit the cap: over F_7, orbits of sizes 1, 1, 2
+# (a double root, contact order 3), 4 and 4 in F_(7^4); over F_(13^2) a
+# cone's orbits of sizes 2, 2, 4 and 4 in F_(13^8)
+@pytest.mark.parametrize("p, kind, i", [(7, "split", 3), (13, "cone", 1)])
+def test_g13_certificates_match_the_per_root_loop(p, kind, i):
+    from wgauss.harness import _dual_certificates
+    from wgauss.linsys import dual_branch_form
+    L = _g4_orbit_curve(p, kind, i)
+    bf = dual_branch_form(L)
+    _, orbits = bf.orbits()
+    assert len({len(where) for _, _, where in orbits}) > 1
+    certs = _dual_certificates(L, bf, 12)
+    assert certs == _per_root_certificates(L)
+    assert all(c["materialized"] for c in certs)
+
+
+def test_g13_certificates_of_members_with_several_multiple_points(monkeypatch):
+    # a g^1_3 member has one multiple point at most; a doubled member stands
+    # in for one with several, whose conjugates are then certified one by one
+    from wgauss.harness import _dual_certificates
+    from wgauss.linsys import DualSample, dual_branch_form
+    L = _g4_orbit_curve(7, "split", 3)
+    bf = dual_branch_form(L)
+    roots, orbits = bf.orbits()
+    calls = _counted_certify_dual(
+        monkeypatch, lambda s: DualSample(s.parameter, s.point, s.order, s.member * 2))
+    assert _dual_certificates(L, bf, 12) == _per_root_certificates(L)
+    # the 5 representatives, then every root again but the double one, whose
+    # member 3P is still one point when doubled
+    assert len(calls) == len(orbits) + len(roots) - 1 == 15
+    assert set(calls) >= {st for st, m in roots if m == 1}
+
+
+def test_g13_certificates_keep_the_cap_of_the_roots_field(monkeypatch):
+    # over F_7 the zeros lie in F_(7^4); a member over F_7 whose points
+    # needed F_(7^3) would need F_(7^12) at the zero itself: beyond a cap of
+    # 8 it is recorded unmaterialized, as certifying it there would be
+    from wgauss.algebra import ExtField
+    from wgauss.harness import _dual_certificates
+    from wgauss.linsys import DualSample, dual_branch_form
+    L = _g4_orbit_curve(7, "split", 3)
+    bf = dual_branch_form(L)
+    roots, orbits = bf.orbits()
+    K3 = ExtField(7, 3)
+
+    def over_f73(s):
+        if s.member.field.degree > 1:
+            return s
+        return DualSample(s.parameter, s.point, s.order, Divisor(L.curve, s.member.items, K3))
+
+    _counted_certify_dual(monkeypatch, over_f73)
+    certs = _dual_certificates(L, bf, 8)
+    rational = {i for _, (_, r), where in orbits if r.field.degree == 1 for i in where}
+    assert rational and len(rational) < len(roots)
+    want = _per_root_certificates(L)
+    for i in rational:
+        want[i] = {"mult": want[i]["mult"], "materialized": False, "contact_order": None}
+    assert certs == want
+
+
+def test_reconstruct_g4_certifies_once_per_orbit(monkeypatch):
+    # the bench curve's branch form factors into degrees 1, 1, 1, 3, 3, 3 over
+    # the pencil's field F_(10007^2): 6 certificates for its 12 roots
+    calls = _counted_certify_dual(monkeypatch)
+    rep = run_reconstruct(ExperimentConfig(experiment="reconstruct", curve=G4, n=2, k=1,
+                                           trials=8, seed=3))
+    assert len(rep["dual_certificates"]) == 12
+    assert len(calls) == 6
+    assert sorted(c[1].field.degree for c in calls) == [2, 2, 2, 6, 6, 6]
 
 
 def test_reconstruct_hyperelliptic_report(monkeypatch):

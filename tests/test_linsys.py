@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from wgauss.algebra import ExtensionCapError, PrimeField
+from wgauss.algebra import ExtensionCapError, PrimeField, factor_finite
 from wgauss.algebra.fields import projective_points
+from wgauss.algebra.poly import binary_roots
 from wgauss.curves import CanonicalG4Curve, HyperellipticCurve
 from wgauss.divisors import Divisor, hyperelliptic_reduce, pullback_x
 from wgauss.gauss import gauss_eval, intersection_divisor
@@ -318,7 +319,7 @@ def test_dual_branch_form_hyperelliptic_k1():
     rng = random.Random(14)
     D, L = sample_pair_system(HE, rng)
     bf = dual_branch_form(L)
-    assert bf.total_multiplicity() == 2 * HE.genus + 2
+    assert bf.formal_degree == 2 * HE.genus + 2
     roots = bf.roots()
     assert sum(m for _, m in roots) == 8
     # each branch parameter gives a Weierstrass double member
@@ -331,7 +332,7 @@ def test_dual_branch_form_hyperelliptic_k1():
 def test_dual_branch_form_g13_riemann_hurwitz():
     L = find_g13(G4, seed=9)
     bf = dual_branch_form(L)
-    assert bf.total_multiplicity() == 12
+    assert bf.formal_degree == 12
     roots = bf.roots(cap=12)
     assert sum(m for _, m in roots) == 12
     verified = 0
@@ -445,13 +446,13 @@ def _raised_in(exc, fn):
 
 
 def _passes_or_caps_in_roots(cfg):
-    """run_reconstruct(cfg) passes, or stops in BranchForm.roots because the
+    """run_reconstruct(cfg) passes, or stops in BranchForm.orbits because the
     roots need a splitting field beyond the cap."""
     from wgauss.harness import run_reconstruct
     try:
         report = run_reconstruct(cfg)
     except ExtensionCapError as exc:
-        assert _raised_in(exc, BranchForm.roots)
+        assert _raised_in(exc, BranchForm.orbits)
         return "cap"
     assert report["passed"]
     return "passed"
@@ -555,6 +556,38 @@ def test_g13_branch_form_vanishes_at_the_non_reduced_members(p, kind, i):
         assert zero == (not (L.member((c0, c1)) - L.base_locus()).is_reduced())
         zeros.append(zero)
     assert any(zeros)
+
+
+@pytest.mark.parametrize("key", [(7, "split", 3), (11, "split", 2), (13, "cone", 1), None],
+                         ids=str)
+def test_branch_orbits_partition_the_roots(key):
+    # each factor of the form is one orbit: its representative lies in the
+    # factor's own field, is one of the orbit's roots there, and the orbit's
+    # positions hold its conjugates over the splitting field
+    from test_curves import _gram_kind, _random_g4
+    if key is None:
+        L = find_g13(G4, seed=9)
+    else:
+        p, kind, i = key
+        label = f"cone-{p}-{i}" if kind == "cone" else f"branch-{p}-{kind}-{i}"
+        L = find_g13(_random_g4(p, kind, random.Random(label), kind_of=_gram_kind), seed=i)
+    bf = dual_branch_form(L)
+    roots, orbits = bf.orbits(cap=12)
+    assert roots == bf.roots(cap=12) == binary_roots([(bf.poly, bf.formal_degree)], 12)[1]
+    assert sorted(i for *_, where in orbits for i in where) == list(range(len(roots)))
+    factors = factor_finite(bf.poly)
+    assert len(orbits) == len(factors) + (bf.formal_degree > bf.poly.degree)
+    for (f, mult), (m, (s, t), where) in zip(factors, orbits):
+        F, K = t.field, roots[where[0]][0][1].field
+        assert m == mult and {roots[i][1] for i in where} == {m}
+        assert s == F.one and F.degree == L.field.degree * f.degree == L.field.degree * len(where)
+        assert not f.map_field(F)(t)
+        assert not any(f.map_field(K)(roots[i][0][1]) for i in where)
+    # a zero at (0 : 1) is one more orbit, over the form's own field
+    lifted = BranchForm(bf.field, bf.poly, bf.formal_degree + 2)
+    inf = (bf.field.zero, bf.field.one)
+    assert lifted.orbits(cap=12) == (roots + [(inf, 2)], orbits + [(2, inf, [len(roots)])])
+    assert lifted.roots(cap=12) == binary_roots([(bf.poly, bf.formal_degree + 2)], 12)[1]
 
 
 def test_g4_reconstruct_sweep_raises_no_field_error():
