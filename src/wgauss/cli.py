@@ -2,8 +2,10 @@
 
 Exit codes: 0 all verdicts pass; 2 a theorem-check verdict failed, or
 ``curve validate`` found the curve invalid; 3 unsupported configuration,
-among them an invalid curve file given to an experiment and a splitting
-field beyond ``--ext-cap`` (``ExtensionCapError``); 4 I/O or parse errors,
+among them an invalid curve file given to an experiment, a curve whose
+sampler finds no rational point (``SamplingExhausted``, as on a curve with
+no F_q-points) and a splitting field beyond ``--ext-cap``
+(``ExtensionCapError``); 4 I/O or parse errors,
 among them a bad command line (a missing ``--curve``, an unknown subcommand,
 ``--n x``), which argparse would end with status 2.
 Any other exception, among them ``FieldError`` and
@@ -17,7 +19,7 @@ import sys
 
 from .algebra.fields import FieldError
 from .algebra.poly import ExtensionCapError
-from .curves import CurveError, ValidationInconclusive, validate
+from .curves import CurveError, SamplingExhausted, ValidationInconclusive, validate
 from .harness import (
     ExperimentConfig,
     run_bn_table,
@@ -138,7 +140,7 @@ def main(argv=None):
         if not args.out:
             sys.stdout.write(blob)
         return EXIT_OK if report["passed"] else EXIT_VERDICT
-    except (UnsupportedConfiguration, ValidationInconclusive) as e:
+    except (UnsupportedConfiguration, ValidationInconclusive, SamplingExhausted) as e:
         print(f"unsupported configuration: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ExtensionCapError as e:

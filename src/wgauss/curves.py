@@ -445,7 +445,7 @@ class _CanonicalCurve:
 
     def points_over(self, rel_degree=1):
         """(K, the sorted points of C(K)), K = F_(q^m) for m = rel_degree,
-        read line by line (``sections.points_over``)."""
+        read by Frobenius orbit (``sections.points_over``)."""
         from .sections import points_over
         K = self.field.extension(rel_degree)
         return K, points_over(self, K)

@@ -4,29 +4,27 @@ point tables and samplers.
 The rational stage of (L . C) (``meet_form``) is a binary form, which gives
 its degree: the gcd of the x-forms of the hyperplanes through L on the
 hyperelliptic model, pulled back from P^1; the gcd of the curve's forms on
-a line L.  The root stage (``meet``, ``line_cut``) finds its zeros.  A
-pencil of lines is restricted once and solved line by line
-(``_line_points``): a plane quartic's lines through (0 : 0 : 1), the
-rulings of a genus-4 curve's quadric.
+a line L.  The root stage (``meet``, ``line_cut``) finds its zeros.
 
 C = Q n E lies on the unique quadric Q, and the g^1_3's of C are cut by the
-lines of Q (Hartshorne IV Ex. 5.5.2).  Over K = F_(q^m), p odd, with Gram
-matrix G of Q (Q(x) = x.G.x, polar form B(x, y) = x.G.y), the points of
-C(K) are found line by line on the rulings (``rulings``):
+lines of Q (Hartshorne IV Ex. 5.5.2).  Over a field F, p odd, with Gram
+matrix G of Q (Q(x) = x.G.x, polar form B(x, y) = x.G.y), its rulings
+(``rulings``) are: for rank 4 and det G a square in F (Q split over F), the
+Segre map ((u : v), (s : t)) -> M.(su, sv, tu, tv), a bijection
+P^1 x P^1 -> Q, with M a hyperbolic basis (Q(M.x) = x0*x3 - x1*x2); for
+rank 3 (a cone), the lines u*phi(s, t) + v*V through the vertex V, not on a
+smooth C, with phi the base conic parametrized through one of its F-points;
+for rank 4 and det G not a square, none over F, only over F_(q^2).
 
-  * rank 4, det G a square in K (Q split over K): a hyperbolic basis M
-    gives Q(M.x) = x0*x3 - x1*x2, and the Segre map
-    ((u : v), (s : t)) -> M.(su, sv, tu, tv) is a bijection
-    P^1(K) x P^1(K) -> Q(K).  The cubic is pulled back once; the points of
-    C on the line of each (s : t) are the K-roots of one binary cubic in
-    (u : v).
-  * rank 3 (a cone): the base conic is parametrized by P^1 through one of
-    its K-points, and each line through the vertex V meets E in the roots
-    of a binary cubic in (u : v) along u*phi(s, t) + v*V.  The vertex is not
-    on a smooth C.
-  * rank 4 and det G not a square in K (the rulings are conjugate over the
-    quadratic extension of K; this happens only for odd m): the points are
-    swept over the pencil of planes through the line x0 = x1 = 0.
+A point table C(K), K = F_(q^m), is read on a pencil defined over a
+subfield F of K: a plane quartic's lines through (0 : 0 : 1); a genus-4
+curve's rulings, built over their field of definition (the curve's field,
+or F_(q^2) when Q splits only there) and mapped into K, since built over K
+their square roots need not keep them defined over F (``_line_points``);
+or, for odd m where Q does not split, the planes s*x0 + t*x1 = 0
+(``_sweep_points``).  x -> x^|F| carries the points on the member at (s : t)
+onto those at (s^|F| : t^|F|), so one member per Frobenius orbit of P^1(K)
+is solved (``_orbit_walk``).
 
 A plane section H n C is the conic H n Q cut by E, and one solver serves
 hyperplane sections, a plane's rational points, the sweep and trisecants.
@@ -57,7 +55,7 @@ from itertools import chain, combinations
 
 from .algebra.fields import PrimeField, coerce, projective_points
 from .algebra.linalg import MatrixExact
-from .algebra.mpoly import mp_substitute
+from .algebra.mpoly import mp_map_field, mp_substitute
 from .algebra.poly import (
     Poly,
     binary_gcd,
@@ -128,7 +126,8 @@ def line_cut(curve, basis, fld, cap=None, form=None):
     if K != fld:
         basis = [[coerce(c, K) for c in b] for b in basis]
         zeros = [((coerce(s, K), coerce(t, K)), m) for (s, t), m in zeros]
-    return _on_line(K, *basis, zeros)
+    return [(ProjectivePoint(K, [u * a + v * b for a, b in zip(*basis)]), m)
+            for (u, v), m in zeros]
 
 
 def _line_form(curve, basis, fld):
@@ -139,29 +138,40 @@ def _line_form(curve, basis, fld):
     return binary_gcd(forms)
 
 
-def _on_line(K, A, B, zeros):
-    """[(u*A + v*B, m)] over K for the zeros ((u, v), m) of ``binary_roots``."""
-    return [(ProjectivePoint(K, [u * a + v * b for a, b in zip(A, B)]), m)
-            for (u, v), m in zeros]
-
-
 def _line_points(K, images, form):
-    """The points u*A(s, t) + v*B(s, t) of the images, keyed (u, v, s, t),
-    at the K-roots (u : v) of the pulled-back form, line by line over the
-    (s : t) of P^1(K)."""
-    d = form.degree
-    pulled = _by_st(mp_substitute(form.coeffs, images, K, 4))
-    at = line_at(K, images)
-    out = []
-    for s, t in projective_points(K, 2):
+    """The points u*A(s, t) + v*B(s, t) of the images, keyed (u, v, s, t)
+    over the field of ``form``, at the K-roots (u : v) of the pulled-back
+    form, one line per Frobenius orbit."""
+    F, d = form.field, form.degree
+    pulled = _by_st(mp_map_field(mp_substitute(form.coeffs, images, F, 4), K))
+    at = line_at(K, [mp_map_field(x, K) for x in images])
+
+    def solve(s, t):
         c = _specialize_pencil(pulled, s, t)
         S = Poly(K, [c.get((d - j, j), K.zero) for j in range(d + 1)])
         if not S:
             raise CurveError("restriction vanished identically")
-        _, roots = binary_roots([(S, d)])
-        if roots:
-            out += [P for P, _ in _on_line(K, *at(s, t), roots)]
-    return out
+        A, B = at(s, t)
+        return [[u * a + v * b for a, b in zip(A, B)] for (u, v), _ in binary_roots([(S, d)])[1]]
+    return _orbit_walk(K, F, solve)
+
+
+def _orbit_walk(K, F, solve):
+    """The points on the members at every (s : t) of P^1(K) of a pencil over
+    the subfield F of K, from ``solve(s, t)``'s coordinates: only the first
+    (s : t) of each orbit of x -> x^|F|, which keeps a leading one, is
+    solved, and its points' conjugates follow on kernel codes."""
+    frob, seen, out = K.kernel.frob, set(), []
+    for st in projective_points(K, 2):
+        if K._encode(st) in seen:
+            continue
+        orbit = [K._encode(x) for x in (st, *solve(*st))]
+        while orbit[0] not in seen:
+            seen.add(orbit[0])
+            out += orbit[1:]
+            for _ in range(F.degree):
+                orbit = [tuple([frob(c) for c in x]) for x in orbit]
+    return [ProjectivePoint(K, K._decode(x)) for x in out]
 
 
 def line_at(K, images):
@@ -178,19 +188,22 @@ def line_at(K, images):
 
 def points_over(curve, K):
     """Sorted distinct points of a canonical curve over its extension K, read
-    line by line: a plane quartic's on the lines through (0 : 0 : 1), a
-    genus-4 curve's on the rulings of its quadric, or, when the quadric does
-    not split over K (possible only for K of odd degree over the curve's
-    field), on the pencil of planes through the line x0 = x1 = 0."""
+    on a pencil over a subfield, one member per Frobenius orbit: a plane
+    quartic's lines through (0 : 0 : 1); a genus-4 curve's rulings over the
+    curve's field when Q splits there or is a cone, else over F_(q^2) when K
+    contains it, else (K of odd degree) the planes through x0 = x1 = 0."""
+    F = curve.field
     if curve.model == "plane_quartic":
-        pencil = [{(1, 0, 1, 0): K.one}, {(1, 0, 0, 1): K.one}, {(0, 1, 0, 0): K.one}]
-        return sorted(set(_line_points(K, pencil, curve.form.map_field(K))),
-                      key=ProjectivePoint.sort_key)
-    quad, cub = curve.quadric.map_field(K), curve.cubic.map_field(K)
-    _, images = rulings(curve, K)
-    found = _sweep_points(K, quad, cub) if images is None else _line_points(K, images, cub)
-    pts = {P.coords: P for P in found}   # a point on the sweep's axis recurs
-    return sorted(pts.values(), key=ProjectivePoint.sort_key)
+        pencil = [{(1, 0, 1, 0): F.one}, {(1, 0, 0, 1): F.one}, {(0, 1, 0, 0): F.one}]
+        found = _line_points(K, pencil, curve.form)
+    else:
+        _, images = rulings(curve, F)
+        if images is None and K.degree % (2 * F.degree) == 0:
+            F = F.extension(2)
+            _, images = rulings(curve, F)
+        found = _sweep_points(K, curve.quadric, curve.cubic) if images is None else \
+            _line_points(K, images, curve.cubic.map_field(F))
+    return sorted({P.coords: P for P in found}.values(), key=ProjectivePoint.sort_key)
 
 
 def rulings(curve, K):
@@ -252,20 +265,14 @@ def _directions(base, K, n):
     nonzero entry is one, in that order, coerced into K: as elements()
     begins 0, 1, each is the first tuple of its line in product order."""
     for lead in reversed(range(n)):
-        for tail in _product(base, K, n - 1 - lead):
-            yield (K.zero,) * lead + (K.one,) + tail
+        yield from ((K.zero,) * lead + (K.one,) + tail for tail in _product(base, K, n - 1 - lead))
 
 
 def _product(base, K, n):
     """itertools.product(base.elements(), repeat=n), coerced into K, without
     listing the elements."""
-    if not n:
-        yield ()
-        return
-    for c in base.elements():
-        c = coerce(c, K)
-        for cs in _product(base, K, n - 1):
-            yield (c,) + cs
+    return ((coerce(c, K),) + cs for c in base.elements() for cs in _product(base, K, n - 1)) \
+        if n else iter([()])
 
 
 def _partner(gram, v, basis):
@@ -410,12 +417,8 @@ def trisecants_through(curve, P, cap=12):
     K, comps = _components(curve.quadric.restrict_plane(*basis, field=fld), cap)
     basis = [[coerce(c, K) for c in v] for v in basis]
     cubic = curve.cubic.restrict_plane(*basis, field=K)
-    members = []
-    for A, _ in comps:
-        _, zeros = _cut(cubic, [(A, 1)], cap)
-        members.append(Divisor(curve, [(space_point(basis, x), m) for x, m in zeros],
-                               field=K))
-    return members
+    return [Divisor(curve, [(space_point(basis, x), m) for x, m in _cut(cubic, [(A, 1)], cap)[1]],
+                    field=K) for A, _ in comps]
 
 
 def _components(conic, cap):
@@ -666,24 +669,21 @@ def _residue_zeros(curve, basis):
 # -- the pencil-of-planes sweep (non-split quadrics) ------------------------
 
 def _sweep_points(K, quad, cub):
-    """Every point lies on a plane through the axis line x0 = x1 = 0, so the
-    rational zeros of all planes s*x0 + t*x1 = 0 of the pencil are the
-    points of C(K).
+    """Every point of C(K) lies on a plane s*x0 + t*x1 = 0 through the axis
+    x0 = x1 = 0.  The quadric and the cubic are restricted once, over their
+    field, to the generic plane (x0 = t*a, x1 = -s*a, x2 = b, x3 = c), and
+    one plane per Frobenius orbit (``_orbit_walk``) solves its conic and
+    cubic."""
+    F = quad.field
+    images = [{(1, 0, 0, 0, 1): F.one}, {(1, 0, 0, 1, 0): -F.one},
+              {(0, 1, 0, 0, 0): F.one}, {(0, 0, 1, 0, 0): F.one}]
+    pencil = [_by_st(mp_map_field(mp_substitute(f.coeffs, images, F, 5), K))
+              for f in (quad, cub)]
 
-    The quadric and the cubic are restricted once to the generic plane
-    (x0 = t*a, x1 = -s*a, x2 = b, x3 = c, with s and t kept as variables),
-    and each plane specializes (s, t) and solves its own conic and cubic.
-    """
-    images = [{(1, 0, 0, 0, 1): K.one}, {(1, 0, 0, 1, 0): -K.one},
-              {(0, 1, 0, 0, 0): K.one}, {(0, 0, 1, 0, 0): K.one}]
-    pencil = [_by_st(mp_substitute(f.coeffs, images, K, 5)) for f in (quad, cub)]
-    out = []
-    for s, t in projective_points(K, 2):
-        conic, cubic = (HomForm(K, 3, d, _specialize_pencil(f, s, t))
-                        for f, d in zip(pencil, (2, 3)))
-        for a, b, c in plane_rational_zeros(conic, cubic):
-            out.append(ProjectivePoint(K, [a * t, -a * s, b, c]))
-    return out
+    def solve(s, t):
+        forms = (HomForm(K, 3, d, _specialize_pencil(f, s, t)) for f, d in zip(pencil, (2, 3)))
+        return [[a * t, -a * s, b, c] for a, b, c in plane_rational_zeros(*forms)]
+    return _orbit_walk(K, F, solve)
 
 
 # -- shared -----------------------------------------------------------------

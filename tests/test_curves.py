@@ -1,4 +1,5 @@
 import ast
+import functools
 import random
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -506,6 +507,134 @@ def test_points_over_rulings_match_brute_force_and_sweep(p, kind, monkeypatch):
     if (p, kind) == (7, "split"):
         K3, pts3 = curve.points_over(3)
         assert [P.coords for P in pts3] == _swept(curve, K3, sweep)
+
+
+# -- point tables by Frobenius orbit -------------------------------------------
+
+def _per_line_points_over(curve, K):
+    """The sorted point table read line by line over every (s : t) of
+    P^1(K), on rulings built over K itself, or plane by plane on the sweep:
+    the path that the orbit walk replaced, kept as a reference."""
+    from wgauss.algebra.mpoly import mp_substitute
+    from wgauss.algebra.poly import binary_roots
+
+    def line_points(images, form):
+        d, out = form.degree, []
+        pulled = sections._by_st(mp_substitute(form.coeffs, images, K, 4))
+        at = sections.line_at(K, images)
+        for s, t in projective_points(K, 2):
+            c = sections._specialize_pencil(pulled, s, t)
+            S = Poly(K, [c.get((d - j, j), K.zero) for j in range(d + 1)])
+            A, B = at(s, t)
+            out += [ProjectivePoint(K, [u * a + v * b for a, b in zip(A, B)])
+                    for (u, v), _ in binary_roots([(S, d)])[1]]
+        return out
+
+    def sweep_points(quad, cub):
+        images = [{(1, 0, 0, 0, 1): K.one}, {(1, 0, 0, 1, 0): -K.one},
+                  {(0, 1, 0, 0, 0): K.one}, {(0, 0, 1, 0, 0): K.one}]
+        pencil = [sections._by_st(mp_substitute(f.coeffs, images, K, 5)) for f in (quad, cub)]
+        out = []
+        for s, t in projective_points(K, 2):
+            conic, cubic = (HomForm(K, 3, d, sections._specialize_pencil(f, s, t))
+                            for f, d in zip(pencil, (2, 3)))
+            out += [ProjectivePoint(K, [a * t, -a * s, b, c])
+                    for a, b, c in sections.plane_rational_zeros(conic, cubic)]
+        return out
+
+    if curve.model == "plane_quartic":
+        pencil = [{(1, 0, 1, 0): K.one}, {(1, 0, 0, 1): K.one}, {(0, 1, 0, 0): K.one}]
+        found = line_points(pencil, curve.form.map_field(K))
+    else:
+        quad, cub = curve.quadric.map_field(K), curve.cubic.map_field(K)
+        _, images = sections.rulings(curve, K)
+        found = sweep_points(quad, cub) if images is None else line_points(images, cub)
+    return sorted({P.coords: P for P in found}.values(), key=ProjectivePoint.sort_key)
+
+
+@functools.lru_cache(maxsize=None)
+def _table_curve(name):
+    """The curves whose tables the orbit walk is checked on: the ``locus``
+    bench curve over F_7, the Klein quartic over F_5, the cone and the
+    non-split quadric of ``test_points_over_rulings_match_brute_force_and_sweep``,
+    and the bench curve over F_49, whose Frobenius is the square of F_7's."""
+    if name == "g4-f7":
+        return CanonicalG4Curve(PrimeField(7), SEGRE, G4_CUBIC)
+    if name == "g4-f49":
+        return CanonicalG4Curve(ExtField(7, 2), SEGRE, G4_CUBIC)
+    if name == "klein-f5":
+        return PlaneQuarticCurve(PrimeField(5), KLEIN)
+    kind, p = name.split("-")
+    return _random_g4(int(p), kind, random.Random(f"rulings-{p}-{kind}"))
+
+
+# (curve, the degrees m of its tables, line or plane solves per table)
+ORBIT_TABLES = [
+    ("g4-f7", (1, 2, 3, 4), (8, 29, 120, 617)),
+    ("klein-f5", (1, 2, 3), (6, 16, 46)),
+    ("cone-7", (1, 2, 3), (8, 29, 120)),
+    ("cone-11", (1, 2, 3), (12, 67, 452)),
+    ("nonsplit-7", (1, 2, 3), (8, 50, 120)),
+    ("nonsplit-11", (1, 2, 3), (12, 122, 452)),
+    ("g4-f49", (1, 2), (50, 1226)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_table(name, m):
+    """(K, the table C(K) for m, the line and plane solves it took): the
+    calls of ``binary_roots``, a line's binary form on the rulings and the
+    quartic's lines, and of ``plane_rational_zeros``, a plane's conic and
+    cubic on the sweep."""
+    curve, calls = _table_curve(name), []
+    with pytest.MonkeyPatch.context() as mp:
+        for fn in ("binary_roots", "plane_rational_zeros"):
+            real = getattr(sections, fn)
+            mp.setattr(sections, fn, lambda *a, _real=real: calls.append(a) or _real(*a))
+        K, pts = curve.points_over(m)
+    return K, pts, len(calls)
+
+
+ORBIT_CASES = [(name, m, n) for name, degrees, solves in ORBIT_TABLES
+               for m, n in zip(degrees, solves)]
+ORBIT_IDS = [f"{name}-m{m}" for name, m, _ in ORBIT_CASES]
+
+
+@pytest.mark.parametrize("name, m, solves", ORBIT_CASES, ids=ORBIT_IDS)
+def test_orbit_tables_match_the_per_line_walk(name, m, solves):
+    K, pts, _ = _orbit_table(name, m)
+    assert pts == _per_line_points_over(_table_curve(name), K)
+
+
+@pytest.mark.parametrize("name, m, solves", ORBIT_CASES, ids=ORBIT_IDS)
+def test_orbit_tables_solve_one_member_per_orbit(name, m, solves):
+    # 8 + 29 + 120 = 157 line solves for the three bench tables, in place of
+    # 8 + 50 + 344; the non-split sweep solves one plane per orbit at odd m
+    assert _orbit_table(name, m)[2] == solves
+
+
+@pytest.mark.parametrize("name, m, solves", ORBIT_CASES, ids=ORBIT_IDS)
+def test_orbit_tables_are_closed_under_frobenius(name, m, solves):
+    # P -> P^q, q the order of the curve's field, on element powers: the
+    # walked pencil is defined over the field whose orbits it skips
+    K, pts, _ = _orbit_table(name, m)
+    q = _table_curve(name).field.order
+    assert {ProjectivePoint(K, [c ** q for c in P.coords]).coords for P in pts} == \
+        {P.coords for P in pts}
+
+
+def test_point_tables_have_one_orbit_walk():
+    # sections reads P^1(K) only in the orbit walk: a per-line loop over
+    # projective_points beside it, or an alias of it, fails here
+    tree = ast.parse(Path(sections.__file__).read_text(encoding="utf-8"))
+    found = set()
+    for node in tree.body:
+        for n in ast.walk(node):
+            if (getattr(n, "id", None) == "projective_points"
+                    or getattr(n, "attr", None) == "projective_points"
+                    or isinstance(n, ast.alias) and n.name == "projective_points" and n.asname):
+                found.add(getattr(node, "name", "<module>"))
+    assert found == {"_orbit_walk"}
 
 
 # -- plane sections: the conic H n Q cut by the cubic ----------------------------

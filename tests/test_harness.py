@@ -714,6 +714,20 @@ def test_cli_exit_paths(tmp_path, monkeypatch, outcome, code):
     assert cli.main(["fiber-census", "--curve", str(path), "--n", "2"]) == code
 
 
+def test_cli_curve_without_rational_points_is_unsupported(tmp_path, capsys):
+    # the Fermat quartic x^4 + y^4 + z^4 has no point over F_5 (x^4 is 0 or
+    # 1 there), so the sampler runs out of budget: an unsupported
+    # configuration, not a library fault
+    from wgauss import cli
+    fermat = {"model": "plane_quartic", "field": {"type": "prime", "p": 5},
+              "form": {"4,0,0": 1, "0,4,0": 1, "0,0,4": 1}}
+    assert validate(fermat).points_over(1)[1] == []
+    path = tmp_path / "fermat.json"
+    path.write_text(json.dumps(fermat))
+    assert cli.main(["fiber-census", "--curve", str(path), "--n", "2", "--trials", "1"]) == 3
+    assert "unsupported configuration: no point found" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["fiber-census", "locus-census", "reconstruct"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_cli_census_without_trials_is_refused(tmp_path, capsys, command, trials):

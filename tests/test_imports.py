@@ -105,6 +105,9 @@ CODING_READERS = {
     ("sections.py", "_residue_zeros"):
         "solves a genus-4 sample plane on F_p residues, pulling the cubic back "
         "straight into the field's kernel codes",
+    ("sections.py", "_orbit_walk"):
+        "conjugates the points of one pencil member per Frobenius orbit with "
+        "the kernel's frob on their codes",
 }
 
 
