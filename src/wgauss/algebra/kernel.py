@@ -2,11 +2,15 @@
 
 Polynomials are tuples of coefficient codes, lowest degree first, with no
 trailing zero (the empty tuple is the zero polynomial).  Three codings
-share one interface (``add``, ``sub``, ``mul``, ``divmod``, ``mod``,
-``powmod``, ``gcd``, and ``strip``, which drops trailing zero coefficients
-from a code); ``zero`` is the code of the zero coefficient and ``ONE`` that
-of the polynomial 1.  Each field makes its kernel in its constructor,
-chosen by its size, and keeps it as ``field.kernel`` for its whole life:
+share one interface.  Each kernel has its own ``add``, ``sub``, ``mul``,
+``mod`` (which also fills a quotient list), ``monic``, ``frob`` and
+``combine``, as these depend on its coding; ``_Kernel`` holds, once for
+all three, ``strip`` (which drops trailing zero coefficients from a code),
+``divmod`` and the Euclidean ``gcd`` on ``mod`` and ``monic``, and
+``powmod`` by square-and-multiply (``TupleKernel`` overrides it on packed
+ints).  ``zero`` is the code of the zero coefficient and ``ONE`` that of
+the polynomial 1.  Each field makes its kernel in its constructor, chosen
+by its size, and keeps it as ``field.kernel`` for its whole life:
 
   * ``FpKernel`` -- F_p; a coefficient is its residue in [0, p).  The
     modulus search and ``TupleKernel.finv`` use it on their own residues.
@@ -40,9 +44,7 @@ import struct
 
 
 class _Kernel:
-    """What the three kernels share: ``strip`` on their ``zero`` code, and
-    ``powmod`` by square-and-multiply on their ``mul`` and ``mod``
-    (``TupleKernel`` overrides it on packed ints)."""
+    """What the three kernels share (see the module docstring)."""
 
     __slots__ = ()
 
@@ -52,6 +54,18 @@ class _Kernel:
         while n and c[n - 1] == zero:
             n -= 1
         return tuple(c[:n])
+
+    def divmod(self, a, b):
+        q = [self.zero] * max(0, len(a) - len(b) + 1)
+        r = self.mod(a, b, q)
+        return self.strip(q), r
+
+    def gcd(self, a, b):
+        """Monic gcd (the zero polynomial for gcd(0, 0))."""
+        a, b = self.strip(a), self.strip(b)
+        while b:
+            a, b = b, self.mod(a, b)
+        return self.monic(a)
 
     def powmod(self, a, e, m):
         if e < 0:
@@ -86,10 +100,7 @@ class FpKernel(_Kernel):
 
     def sub(self, a, b):
         p = self.p
-        n = max(len(a), len(b))
-        a = tuple(a) + (0,) * (n - len(a))
-        b = tuple(b) + (0,) * (n - len(b))
-        return self.strip([(x - y) % p for x, y in zip(a, b)])
+        return self.add(a, [(-y) % p for y in b])
 
     def mul(self, a, b):
         if not a or not b:
@@ -101,11 +112,6 @@ class FpKernel(_Kernel):
                 for j, bj in enumerate(b):
                     out[i + j] = (out[i + j] + ai * bj) % p
         return self.strip(out)
-
-    def divmod(self, a, b):
-        q = [0] * max(0, len(a) - len(b) + 1)
-        r = self.mod(a, b, q)
-        return self.strip(q), r
 
     def mod(self, a, m, q=None):
         """Remainder of a by m; the quotient goes into the list q if given.
@@ -129,16 +135,12 @@ class FpKernel(_Kernel):
                     r[i] -= c * mi
         return self.strip([v % p for v in r])
 
-    def gcd(self, a, b):
-        """Monic gcd (the zero polynomial for gcd(0, 0))."""
-        a, b = self.strip(a), self.strip(b)
-        while b:
-            a, b = b, self.mod(a, b)
-        if a:
-            p = self.p
-            inv = pow(a[-1], -1, p)
-            a = tuple(c * inv % p for c in a)
-        return a
+    def monic(self, a):
+        if not a or a[-1] == 1:
+            return a
+        p = self.p
+        inv = pow(a[-1], -1, p)
+        return tuple([c * inv % p for c in a])
 
     def frob(self, c):
         return c
@@ -269,11 +271,6 @@ class ZechKernel(_Kernel):
                     out[j] = -1 if z < 0 else (c + z) % n
         return tuple(out)                   # lead a[-1] b[-1] is nonzero
 
-    def divmod(self, a, b):
-        q = [-1] * max(0, len(a) - len(b) + 1)
-        r = self.mod(a, b, q)
-        return self.strip(q), r
-
     def mod(self, a, m, q=None):
         """Remainder of a by m; the quotient goes into the list q if given."""
         if not m:
@@ -305,14 +302,11 @@ class ZechKernel(_Kernel):
                     r[i] = -1 if z < 0 else (cur + z) % n
         return self.strip(r)
 
-    def gcd(self, a, b):
-        a, b = self.strip(a), self.strip(b)
-        while b:
-            a, b = b, self.mod(a, b)
-        if a:
-            n, lead = self.n, a[-1]
-            a = tuple(-1 if c < 0 else (c - lead) % n for c in a)
-        return a
+    def monic(self, a):
+        if not a or a[-1] == 0:
+            return a
+        n, lead = self.n, a[-1]
+        return tuple([-1 if c < 0 else (c - lead) % n for c in a])
 
     def frob(self, c):
         return c if c < 0 else c * self.p % self.n
@@ -562,21 +556,13 @@ class TupleKernel(_Kernel):
         vb = va if a is b else self._packed(b, w)
         return self._coeffs(self._fold(va * vb, len(a) + len(b) - 1, w))
 
-    def divmod(self, a, b):
-        w = self._width(len(a))
-        div = self._divisor(b, w)
-        if len(a) < len(b):
-            return (), a
-        quo = [self.zero] * (len(a) - len(b) + 1)
-        r = self._reduce(self._packed(a, w), len(a), div, w, quo)
-        return tuple(quo), self._coeffs(r)
-
-    def mod(self, a, m):
+    def mod(self, a, m, q=None):
+        """Remainder of a by m; the quotient goes into the list q if given."""
         w = self._width(len(a))
         div = self._divisor(m, w)
         if len(a) < len(m):
             return a
-        return self._coeffs(self._reduce(self._packed(a, w), len(a), div, w))
+        return self._coeffs(self._reduce(self._packed(a, w), len(a), div, w, q))
 
     def powmod(self, a, e, m):
         if e < 0:
@@ -609,13 +595,11 @@ class TupleKernel(_Kernel):
                 v += _pack(c, w) * self._packed(a, w)
         return self._coeffs(self._fold(v, n, w)) if v else ()
 
-    def gcd(self, a, b):
-        while b:
-            a, b = b, self.mod(a, b)
-        if a and a[-1] != self.one:
-            inv = self.finv(a[-1])
-            a = tuple([self.fmul(c, inv) for c in a])
-        return a
+    def monic(self, a):
+        if not a or a[-1] == self.one:
+            return a
+        inv = self.finv(a[-1])
+        return tuple([self.fmul(c, inv) for c in a])
 
     def add(self, a, b):
         p = self.p
@@ -626,10 +610,7 @@ class TupleKernel(_Kernel):
 
     def sub(self, a, b):
         p = self.p
-        out = [tuple([(x - y) % p for x, y in zip(u, v)]) for u, v in zip(a, b)]
-        out += a[len(b):]
-        out += [tuple([(-y) % p for y in v]) for v in b[len(a):]]
-        return self.strip(out)
+        return self.add(a, [tuple([(-y) % p for y in v]) for v in b])
 
 
 def _prime_divisors(n):

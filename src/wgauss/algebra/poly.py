@@ -15,14 +15,16 @@ factors of degree d > 1 are split with random elements raised to
 (q^d - 1)/2.  Every root list is a set sorted by the field's key, so the
 random draws never show in a result.
 
-Coefficients are field elements, but the hot loops -- ``+``, ``-``, ``*``,
-``divmod``, ``%``, ``//``, ``powmod`` and ``poly_gcd`` -- run on the
-int-coded kernel ``field.kernel`` (see kernel.py), one of three codings
-that the field fixes, by its size, when it is made: residues for F_p, Zech
+A Poly is (field, code): ``code`` holds its coefficients in the int coding
+of the kernel ``field.kernel`` (see kernel.py), one of three codings that
+the field fixes, by its size, when it is made: residues for F_p, Zech
 logarithms for F_{p^k} with q <= 4096, and tuples of residues with
-Kronecker products above.  A Poly encodes its coefficients once, on first
-use, and keeps the codes; a kernel result keeps only its codes until its
-coefficients are read.
+Kronecker products above.  Codes are stripped and each field has one
+coding, so equality and hashing compare codes.  Arithmetic -- ``+``, ``-``,
+``*``, ``divmod``, ``%``, ``//``, ``monic``, ``reverse``, ``powmod`` and
+``poly_gcd`` -- runs on the kernel; only the constructor encodes field
+elements, and only ``coeffs``, ``[i]``, ``lead``, evaluation,
+``derivative``, ``map_field``, ``sort_key`` and repr decode them.
 """
 
 import math
@@ -37,47 +39,30 @@ class ExtensionCapError(RuntimeError):
 
 
 class Poly:
-    __slots__ = ("field", "_coeffs", "_code")
+    __slots__ = ("field", "code")
 
     def __init__(self, field, coeffs):
-        cs = [field.elem(c) for c in coeffs]
-        n = len(cs)
-        while n and not cs[n - 1]:
-            n -= 1
         self.field = field
-        self._coeffs = tuple(cs[:n])
-        self._code = None
+        self.code = field.kernel.strip(field._encode([field.elem(c) for c in coeffs]))
 
     @classmethod
     def _from_code(cls, field, code):
-        """Poly from the kernel's codes (stripped) of ``field``; its
-        elements are decoded on first use."""
+        """Poly from the kernel's codes (stripped) of ``field``."""
         out = object.__new__(cls)
-        out.field = field
-        out._coeffs = None
-        out._code = code
+        out.field, out.code = field, code
         return out
 
     @property
     def coeffs(self):
-        cs = self._coeffs
-        if cs is None:
-            cs = self._coeffs = self.field._decode(self._code)
-        return cs
-
-    def _encoded(self):
-        code = self._code
-        if code is None:
-            code = self._code = self.field._encode(self._coeffs)
-        return code
+        return self.field._decode(self.code)
 
     @classmethod
     def zero(cls, field):
-        return cls(field, [])
+        return cls._from_code(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, [1])
+        return cls._from_code(field, field.kernel.ONE)
 
     @classmethod
     def x(cls, field):
@@ -85,24 +70,23 @@ class Poly:
 
     @property
     def degree(self):
-        cs = self._coeffs
-        return len(self._code if cs is None else cs) - 1
+        return len(self.code) - 1
 
     def is_zero(self):
-        return self.degree < 0
+        return not self.code
 
     def __bool__(self):
-        return self.degree >= 0
+        return bool(self.code)
 
     def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.code):
+            return self.field._decode(self.code[i:i + 1])[0]
         return self.field.zero
 
     def lead(self):
-        if not self.coeffs:
+        if not self.code:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field._decode(self.code[-1:])[0]
 
     def _check(self, other):
         if isinstance(other, Poly):
@@ -111,32 +95,25 @@ class Poly:
             return other
         return Poly(self.field, [other])
 
+    def _op(self, op, other):
+        return Poly._from_code(self.field, op(self.code, self._check(other).code))
+
     def __add__(self, other):
-        other = self._check(other)
-        return Poly._from_code(self.field, self.field.kernel.add(
-            self._encoded(), other._encoded()))
+        return self._op(self.field.kernel.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        return Poly._from_code(self.field, self.field.kernel.sub(
-            self._encoded(), other._encoded()))
+        return self._op(self.field.kernel.sub, other)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._from_code(self.field, self.field.kernel.sub((), self.code))
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return Poly(self.field, [c * other for c in self.coeffs])
-        other = self._check(other)
-        if not self or not other:
-            return Poly.zero(self.field)
-        return Poly._from_code(self.field, self.field.kernel.mul(
-            self._encoded(), other._encoded()))
+        return self._op(self.field.kernel.mul, other)
 
     __rmul__ = __mul__
 
@@ -150,10 +127,7 @@ class Poly:
         return r
 
     def divmod(self, other):
-        other = self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = self.field.kernel.divmod(self._encoded(), other._encoded())
+        q, r = self.field.kernel.divmod(self.code, self._check(other).code)
         return Poly._from_code(self.field, q), Poly._from_code(self.field, r)
 
     def __truediv__(self, other):
@@ -167,28 +141,22 @@ class Poly:
         return self.divmod(other)[0]
 
     def __mod__(self, other):
-        other = self._check(other)
-        return Poly._from_code(self.field, self.field.kernel.mod(
-            self._encoded(), other._encoded()))
+        return self._op(self.field.kernel.mod, other)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field == other.field and self.code == other.code
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.code))
 
     def monic(self):
-        if self.is_zero() or self.lead() == self.field.one:
-            return self
-        inv = self.field.one / self.lead()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return Poly._from_code(self.field, self.field.kernel.monic(self.code))
 
     def derivative(self):
-        if self.degree < 1:
-            return Poly.zero(self.field)
-        return Poly(self.field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        cs = self.coeffs
+        return Poly(self.field, [cs[i] * i for i in range(1, len(cs))])
 
     def __call__(self, x):
         acc = self.field.zero
@@ -201,16 +169,15 @@ class Poly:
         d = self.degree if degree is None else degree
         if d < self.degree:
             raise ValueError("reversal degree below actual degree")
-        cs = [self.field.zero] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[d - i] = c
-        return Poly(self.field, cs)
+        kern = self.field.kernel
+        return Poly._from_code(self.field, kern.strip(
+            (kern.zero,) * (d - self.degree) + self.code[::-1]))
 
     def map_field(self, target):
         return Poly(target, [coerce(c, target) for c in self.coeffs])
 
     def sort_key(self):
-        return (len(self.coeffs), tuple(self.field.sort_key(c) for c in self.coeffs))
+        return (len(self.code), tuple(self.field.sort_key(c) for c in self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
@@ -224,16 +191,13 @@ class Poly:
 
 def poly_gcd(a, b):
     """Monic greatest common divisor; rejects mixed-field inputs."""
-    if a.field != b.field:
-        raise FieldError("mixed-field inputs to gcd")
-    return Poly._from_code(a.field, a.field.kernel.gcd(a._encoded(), b._encoded()))
+    return a._op(a.field.kernel.gcd, b)
 
 
 def powmod(base, e, mod):
     """base^e mod ``mod``, for e >= 0 (e = 0 gives 1, unreduced)."""
-    mod = base._check(mod)
-    return Poly._from_code(base.field, base.field.kernel.powmod(
-        base._encoded(), e, mod._encoded()))
+    code = base.field.kernel.powmod(base.code, e, base._check(mod).code)
+    return Poly._from_code(base.field, code)
 
 
 def resultant(a, b):
@@ -286,7 +250,7 @@ def squarefree_decomposition(a):
                 w, g = y, g // y
                 m += 1
         # g = h(x^p); go on with h, its coefficients p-th roots, sigma^(k-1) on F_(p^k)
-        cs = g._encoded()[::p]
+        cs = g.code[::p]
         for _ in range(field.degree - 1):
             cs = tuple([frob(c) for c in cs])
         a, mult = Poly._from_code(field, cs), mult * p
@@ -327,13 +291,12 @@ def _frobenius_table(f, k):
     powers of X_1 per entry, and no exponent longer than p."""
     field = f.field
     kern = field.kernel
-    m = f._encoded()
-    one = Poly.one(field)._encoded()
-    x = kern.mod(Poly.x(field)._encoded(), m)
+    m = f.code
+    x = kern.mod(Poly.x(field).code, m)
     X1 = kern.powmod(x, field.char, m)
     table = [x, X1]
     if k > 1:
-        powers = [one, X1][:f.degree]
+        powers = [kern.ONE, X1][:f.degree]
         while len(powers) < f.degree:
             powers.append(kern.mod(kern.mul(powers[-1], X1), m))
         frob = kern.frob
@@ -358,7 +321,7 @@ def _trace_split(f, table, rng, one=False):
     field = f.field
     kern, p, k = field.kernel, field.char, field.degree
     e = (p - 1) // 2
-    frob, unit = kern.frob, Poly.one(field)._encoded()
+    frob = kern.frob
     out = []
     stack = [(f.monic(), table)]
     while stack and not (one and out):
@@ -366,9 +329,9 @@ def _trace_split(f, table, rng, one=False):
         if g.degree == 1:
             out.append(g)
             continue
-        m = g._encoded()
+        m = g.code
         tab = [kern.mod(X, m) for X in tab]
-        terms = [tab[i % len(tab)] for i in range(k)] + [unit]
+        terms = [tab[i % len(tab)] for i in range(k)] + [kern.ONE]
         while True:
             c, t = field._encode([field.rand(rng), field.elem(rng.randrange(p))])
             cs = [c]
@@ -512,7 +475,7 @@ def conjugate_roots(f, K):
     table = _frobenius_table(f, b * d)
     if table[-1] != table[0]:
         raise ValueError(f"{f!r} is reducible over {F!r}: no distinct roots in {K!r}")
-    table = [Poly._from_code(F, X).map_field(K)._encoded() for X in table[:-1]]
+    table = [Poly._from_code(F, X).map_field(K).code for X in table[:-1]]
     lin = _trace_split(f.map_field(K), table, random.Random(_seed_of(f)), one=True)
     frob, code = K.kernel.frob, K._encode([-lin[0][0]])
     for _ in range(d - 1):

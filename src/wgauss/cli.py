@@ -68,7 +68,9 @@ def build_parser():
     lc = sub.add_parser("locus-census", help="intersection-locus census")
     _census_args(lc)
     lc.add_argument("--oracle-cap", type=int, default=0,
-                    help="exhaustive q-search extension cap (small fields)")
+                    help="exhaustive q-search extension cap (small fields); "
+                         "0 = no oracle, else at least 1 on a hyperelliptic "
+                         "curve, n for n = g - 1, max(1, n - 1) otherwise")
 
     rc = sub.add_parser("reconstruct", help="reconstruction demo")
     _census_args(rc)

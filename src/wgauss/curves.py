@@ -380,7 +380,7 @@ class HyperellipticCurve:
                 and self.field == other.field and self.f == other.f)
 
     def __hash__(self):
-        return hash(("he", self.field, self.f.coeffs))
+        return hash(("he", self.field, self.f))
 
     def points_over(self, rel_degree=1):
         """All points with coordinates in the degree-``rel_degree`` extension."""

@@ -193,12 +193,26 @@ def multiple_locus_oracle(curve, D, oracle_cap):
     return False
 
 
+def _oracle_need(curve, n):
+    """The least exhaustive oracle cap for n-point divisors.  The oracle's q
+    lies on (W . C) - D, whose closed points can need F_(p^e), e up to its
+    degree: iota(D), rational, on the hyperelliptic model; on a canonical
+    one of degree n at n = g - 1 and at most n - 1 below (Clifford)."""
+    if curve.model == "hyperelliptic":
+        return 1
+    return n if n == curve.genus - 1 else max(1, n - 1)
+
+
 def run_locus_census(cfg):
     _require_trials(cfg)
     if cfg.oracle_cap < 0:   # an oracle over no extension checks nothing
         raise ValueError(f"need an oracle cap >= 0 (0 = no oracle), got {cfg.oracle_cap}")
     curve = validate(cfg.curve)
     n = cfg.n
+    need = _oracle_need(curve, n)
+    if 0 < cfg.oracle_cap < need:
+        raise ValueError(f"need an oracle cap >= {need} for n = {n} on this curve "
+                         f"(0 = no oracle), got {cfg.oracle_cap}")
     records = []
     nesting_ok = True
     oracle_checked = 0

@@ -751,6 +751,21 @@ def test_cli_negative_oracle_cap_is_refused(tmp_path, capsys):
     assert "need an oracle cap >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve,n,seed,need", [(KLEIN_F11, 2, 5, 2), (G4_F7, 3, 0, 3)],
+                         ids=["klein-f11-n2", "g4-f7-n3"])
+def test_cli_oracle_cap_below_its_need_is_refused(tmp_path, capsys, curve, n, seed, need):
+    # a q with dim |D + q| = 1 lies on (W . C) - D, of degree n when n = g - 1;
+    # one cap lower the oracle misses some q and failed the theorem check
+    from wgauss import cli
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(curve))
+    argv = ["locus-census", "--curve", str(path), "--n", str(n), "--trials", "10",
+            "--seed", str(seed), "--out", str(tmp_path / "r.json"), "--oracle-cap"]
+    assert cli.main(argv + [str(need - 1)]) == 3
+    assert f"need an oracle cap >= {need} for n = {n}" in capsys.readouterr().err
+    assert cli.main(argv + [str(need)]) == 0
+
+
 def test_cli_io_exit_paths(tmp_path):
     from wgauss import cli
     assert cli.main(["fiber-census", "--curve", str(tmp_path / "nope.json"),

@@ -27,7 +27,7 @@ from wgauss.algebra import (
     roots_in_splitting_extension,
 )
 
-from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel
+from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel, _Kernel
 from wgauss.algebra.mpoly import mp_substitute
 from wgauss.algebra.poly import (
     _linear_split,
@@ -661,7 +661,7 @@ def test_kernel_combine_matches_reference(F):
     for n in range(1, 9):
         consts = [F.rand(rng) for _ in range(n)] + [F.zero] + [top.lead()] * n
         polys = [rand_poly(F, rng.randrange(7), rng) for _ in range(n)] + [top] * (n + 1)
-        got = F.kernel.combine(F._encode(consts), [a._encoded() for a in polys])
+        got = F.kernel.combine(F._encode(consts), [a.code for a in polys])
         ref = [(0,) * F.degree] * 7
         for c, a in zip(consts, polys):
             for i, y in enumerate(_vecs(a)):
@@ -719,6 +719,87 @@ def test_kernel_add_sub_of_unequal_lengths(F):
                     for i in range(len(total))]
             assert _vecs(a + b) == _ref_strip(F, total)
             assert _vecs(a - b) == _ref_strip(F, diff)
+
+
+# The element-facing side of Poly: construction, decoding and the operations
+# that take or give field elements, on every coding.
+
+any_field = st.sampled_from(KERNEL_FIELDS + LARGE_FIELDS)
+
+
+def _ref_digits(F, raw):
+    """The coefficient vectors numbered by ``raw`` (reduced mod |F|), in
+    base-p digits, constant term least significant: the field elements of
+    ``_poly_of_codes``, worked out without the field."""
+    out = []
+    for v in raw:
+        v %= F.order
+        digits = []
+        for _ in range(F.degree):
+            digits.append(v % F.char)
+            v //= F.char
+        out.append(tuple(digits))
+    return out
+
+
+def _elems(F, vecs):
+    return [F.elem(v) if F.degree > 1 else F.elem(v[0]) for v in vecs]
+
+
+@given(any_field, codes)
+@settings(max_examples=80, deadline=None)
+def test_poly_construction_and_decoding_match_reference(F, raw):
+    vecs = _ref_digits(F, raw)
+    cs, ref = _elems(F, vecs), _ref_strip(F, vecs)
+    zero = (0,) * F.degree
+    a = Poly(F, cs)
+    # trailing zeros, given or not, and a Poly built from codes are one value
+    for b in (Poly(F, cs + [0, 0]), Poly(F, cs + [F.zero]),
+              Poly._from_code(F, F.kernel.strip(F._encode(cs)))):
+        assert a == b and b == a and hash(a) == hash(b)
+    assert _vecs(a) == ref and a.degree == len(ref) - 1
+    assert [_vec(a[i]) for i in range(len(ref) + 3)] == ref + [zero] * 3
+    if ref:
+        assert _vec(a.lead()) == ref[-1]
+        assert a != Poly(F, cs[:len(ref) - 1]) and a != Poly.zero(F)
+    else:
+        assert a == Poly.zero(F) and not a
+        with pytest.raises(ValueError):
+            a.lead()
+
+
+@given(any_field, codes, st.integers(-30, 30), st.integers(0, 10007 ** 2 - 1),
+       st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_poly_element_operations_match_reference(F, raw, n, rc, extra):
+    va = _ref_strip(F, _ref_digits(F, raw))
+    a = Poly(F, _elems(F, va))
+    (vc,) = _ref_digits(F, [rc])
+    (c,) = _elems(F, [vc])
+    p, zero = F.char, (0,) * F.degree
+    assert _vecs(-a) == [_ref_fneg(F, y) for y in va]
+    # an element and an int times a polynomial, on either side
+    scaled = _ref_strip(F, [_ref_fmul(F, y, vc) for y in va])
+    assert _vecs(a * c) == scaled and _vecs(c * a) == scaled
+    vn = (n % p,) + (0,) * (F.degree - 1)
+    scaled = _ref_strip(F, [_ref_fmul(F, y, vn) for y in va])
+    assert _vecs(a * n) == scaled and _vecs(n * a) == scaled
+    if va:
+        inv = _ref_finv(F, va[-1])
+        assert _vecs(a.monic()) == [_ref_fmul(F, y, inv) for y in va]
+    else:
+        assert a.monic() == a
+    d = a.degree + extra
+    rev = [zero] * (d + 1)
+    for i, y in enumerate(va):
+        rev[d - i] = y
+    assert _vecs(a.reverse(d)) == _ref_strip(F, rev)
+    assert a.reverse() == a.reverse(a.degree)
+    if va:
+        with pytest.raises(ValueError):
+            a.reverse(a.degree - 1)
+    deriv = [tuple(x * i % p for x in y) for i, y in enumerate(va)][1:]
+    assert _vecs(a.derivative()) == _ref_strip(F, deriv)
 
 
 @pytest.mark.parametrize("F", KERNEL_FIELDS + LARGE_FIELDS[1:], ids=repr)
@@ -787,12 +868,21 @@ def test_kernels_share_one_interface():
     for F in fields:
         kern = F.kernel
         for name in ("add", "sub", "mul", "divmod", "mod", "powmod", "gcd", "frob",
-                     "combine", "strip"):
+                     "combine", "strip", "monic"):
             assert callable(getattr(kern, name)), (F, name)
         assert kern.zero == F._encode([F.zero])[0]
         assert kern.ONE == F._encode([F.one])
         a = F._encode([F.zero, F.one, F.zero, F.zero])
         assert kern.strip(a) == a[:2] and kern.strip(list(a[:1])) == ()
+
+
+def test_one_division_one_euclid_one_representation():
+    # division and the Euclidean loop live on the shared base class only, and
+    # a Poly is its field and its code, with no second state beside them
+    for name in ("divmod", "gcd"):
+        assert name in vars(_Kernel)
+        assert not [k for k in (FpKernel, ZechKernel, TupleKernel) if name in vars(k)]
+    assert Poly.__slots__ == ("field", "code")
 
 
 def test_small_extension_series_arithmetic_in_a_fresh_process():
