@@ -178,7 +178,7 @@ class PrimeField:
             inst.order = p
             inst.zero = FpElement(0, inst)
             inst.one = FpElement(1, inst)
-            inst._nonresidue = None
+            inst._nonresidue = inst._sqrt_c = None
             inst.kernel = FpKernel(p)
             cls._registry[p] = inst
         return inst
@@ -267,26 +267,31 @@ def projective_points(field, n):
 
 def _sqrt(field, x):
     """The square root of x in a finite field of odd order q with the
-    smaller sort key of r, -r, or None for a non-square: x^((q+1)/4) when
-    q = 3 mod 4, else Tonelli-Shanks with the field's first non-residue."""
+    smaller sort key of r, -r, or None for a non-square, from one power of x:
+    r = x^((q+1)/4) when q = 3 mod 4, else Tonelli-Shanks from x^((m-1)/2),
+    q - 1 = 2^s m, with n^m made once for the field's first non-residue n."""
     if not x:
         return field.zero
     q, one = field.order, field.one
-    if x ** ((q - 1) // 2) != one:
-        return None
     if q % 4 == 3:
         r = x ** ((q + 1) // 4)
+        if r * r != x:
+            return None
     else:
         m, s = q - 1, 0
         while m % 2 == 0:
             m //= 2
             s += 1
-        c, t, r = field.nonresidue() ** m, x ** m, x ** ((m + 1) // 2)
+        c = field._sqrt_c = field._sqrt_c or field.nonresidue() ** m
+        w = x ** ((m - 1) // 2)
+        r, t = x * w, x * w * w
         while t != one:
             i, t2 = 0, t
             while t2 != one:
                 t2 = t2 * t2
                 i += 1
+            if i == s:   # x^m has order 2^s: x is no square
+                return None
             b = c ** (1 << (s - i - 1))
             s, c = i, b * b
             t, r = t * c, r * b
@@ -445,7 +450,7 @@ class ExtField:
             inst.zero = ExtElement((0,) * k, inst)
             inst.one = ExtElement((1,) + (0,) * (k - 1), inst)
             inst.gen = ExtElement(((0, 1) + (0,) * (k - 2))[:k], inst)
-            inst._nonresidue = None
+            inst._nonresidue = inst._sqrt_c = None
             inst._emb_cache = {}
             cls._registry[(p, k)] = inst
         return inst

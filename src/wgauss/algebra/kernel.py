@@ -7,7 +7,8 @@ share one interface.  Each kernel has its own ``add``, ``sub``, ``mul``,
 ``combine``, as these depend on its coding; ``_Kernel`` holds, once for
 all three, ``strip`` (which drops trailing zero coefficients from a code),
 ``divmod`` and the Euclidean ``gcd`` on ``mod`` and ``monic``, and
-``powmod`` by square-and-multiply (``TupleKernel`` overrides it on packed
+``powmod``, whose ``_power`` squares and multiplies on ``mul`` and ``mod``
+(``FpKernel`` overrides it on one fixed modulus, ``TupleKernel`` on packed
 ints).  ``zero`` is the code of the zero coefficient and ``ONE`` that of
 the polynomial 1.  Each field makes its kernel in its constructor, chosen
 by its size, and keeps it as ``field.kernel`` for its whole life:
@@ -71,8 +72,12 @@ class _Kernel:
         if e < 0:
             raise ValueError("negative exponent")
         a = self.mod(a, m)
-        if e == 0:
-            return self.ONE
+        if e == 0 or not a:
+            return () if e else self.ONE
+        return self._power(a, e, m)
+
+    def _power(self, a, e, m):
+        """a^e mod m for a reduced, nonzero a and e >= 1, by square-and-multiply."""
         r = a
         for bit in bin(e)[3:]:
             r = self.mod(self.mul(r, r), m)
@@ -141,6 +146,46 @@ class FpKernel(_Kernel):
         p = self.p
         inv = pow(a[-1], -1, p)
         return tuple([c * inv % p for c in a])
+
+    def _power(self, a, e, m):
+        """Against the rows x^(d+j) mod m, d = deg m, j < d - 1, made once: a
+        step squares by symmetric products or multiplies by a (in O(d) when
+        linear), folds its high half mod p through the rows, then reduces."""
+        p, d = self.p, len(m) - 1
+        inv = -pow(m[-1], -1, p)
+        rows = [[c * inv % p for c in m[:-1]]]               # x^d mod m
+        for _ in range(d - 2):
+            row = rows[-1]
+            rows.append([(u + row[-1] * v) % p for u, v in zip([0] + row[:-1], rows[0])])
+
+        def fold(prod):
+            out = prod[:d]
+            for h, row in zip([v % p for v in prod[d:]], rows):
+                if h:
+                    for i, v in enumerate(row):
+                        out[i] += h * v
+            return [v % p for v in out]
+
+        r, (a0, a1) = list(a) + [0] * (d - len(a)), (a + (0,))[:2]
+        for bit in bin(e)[3:]:
+            sq = [0] * (2 * d - 1)
+            for i, ri in enumerate(r):
+                if ri:
+                    sq[2 * i] += ri * ri
+                    ri += ri
+                    for j, rj in enumerate(r[i + 1:], 2 * i + 1):
+                        sq[j] += ri * rj
+            r = fold(sq)
+            if bit == "1" and len(a) <= 2:
+                r = [(a0 * u + a1 * (v + r[-1] * w)) % p
+                     for u, v, w in zip(r, [0] + r[:-1], rows[0])]
+            elif bit == "1":
+                prod = [0] * (d + len(a) - 1)
+                for i, ai in enumerate(a):
+                    for j, rj in enumerate(r, i):
+                        prod[j] += ai * rj
+                r = fold(prod)
+        return self.strip(r)
 
     def frob(self, c):
         return c
@@ -564,14 +609,7 @@ class TupleKernel(_Kernel):
             return a
         return self._coeffs(self._reduce(self._packed(a, w), len(a), div, w, q))
 
-    def powmod(self, a, e, m):
-        if e < 0:
-            raise ValueError("negative exponent")
-        a = self.mod(a, m)
-        if e == 0:
-            return self.ONE
-        if not a:
-            return ()
+    def _power(self, a, e, m):
         # r stays a flat residue list of deg m coefficients between steps
         w = self._width(2 * len(m))
         div = self._divisor(m, w)

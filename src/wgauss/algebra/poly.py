@@ -5,9 +5,11 @@ coefficient (empty tuple for the zero polynomial).  A Poly carries its
 field explicitly; mixing fields raises.  Factorization and root finding
 use a squarefree split, distinct-degree, then Cantor-Zassenhaus
 equal-degree splitting, seeded deterministically from the input so
-results are reproducible.  Over F_q, q = p^k, both read one Frobenius table
-per squarefree part f, x^(p^i) mod f for i = 0..k, built from one powmod
-with exponent p and the kernel's Frobenius map (``_frobenius_table``):
+results are reproducible.  A quadratic, or a degree-2 piece of a split,
+takes one ``field.sqrt`` and no exponentiation (``_quadratic_roots``).
+Over F_q, q = p^k, the rest reads one Frobenius table per squarefree part
+f, x^(p^i) mod f for i = 0..k, from one powmod with exponent p and the
+kernel's Frobenius map (``_frobenius_table``):
 its last entry is the x^q of the distinct-degree step, and linear factors
 are split through the trace to F_p, T = Tr(c x) + t raised to (p - 1)/2
 (``_trace_split``), so no exponent of that path is longer than p.  Only
@@ -317,7 +319,8 @@ def _trace_split(f, table, rng, one=False):
     T(z) = Tr(c z) + t lies in F_p, so T^((p-1)/2) is 0 or +-1 there, and
     gcd(T^((p-1)/2) - 1, f) parts two roots z, z' with probability about 1/2,
     as T(z) and T(z') are independent and uniform in F_p.  Over F_p,
-    T = c x + t."""
+    T = c x + t.  A piece of degree 2 is split by ``_quadratic_roots``, or
+    refused with ValueError."""
     field = f.field
     kern, p, k = field.kernel, field.char, field.degree
     e = (p - 1) // 2
@@ -328,6 +331,12 @@ def _trace_split(f, table, rng, one=False):
         g, tab = stack.pop()
         if g.degree == 1:
             out.append(g)
+            continue
+        if g.degree == 2:
+            roots = _quadratic_roots(g)
+            if len(roots) < 2:
+                raise ValueError(f"{g!r} has no two distinct roots in {field!r}")
+            out += [Poly(field, [-r, field.one]) for r in roots[:1 if one else 2]]
             continue
         m = g.code
         tab = [kern.mod(X, m) for X in tab]
@@ -375,7 +384,8 @@ def equal_degree_split(a, d, rng):
 def factor_finite(a):
     """[(irreducible monic factor, multiplicity)], deterministic order.
 
-    The product of factor^mult equals monic(a).
+    The product of factor^mult equals monic(a).  A squarefree part of degree
+    <= 2 takes no Frobenius table: ``_quadratic_roots`` decides it.
     """
     if a.degree < 0:
         raise ValueError("cannot factor the zero polynomial")
@@ -383,8 +393,9 @@ def factor_finite(a):
     k = a.field.degree
     result = []
     for sqf, mult in squarefree_decomposition(a):
-        if sqf.degree == 1:                 # its own factor: no table
-            result.append((sqf, mult))
+        if sqf.degree <= 2:
+            roots = _quadratic_roots(sqf) if sqf.degree == 2 else []
+            result += [(Poly(a.field, [-r, 1]), mult) for r in roots] or [(sqf, mult)]
             continue
         table = _frobenius_table(sqf, k)
         xq = Poly._from_code(a.field, table[k])
@@ -399,9 +410,11 @@ def factor_finite(a):
 
 
 def distinct_roots_in_field(a):
-    """All roots of a lying in its own field F_q, no multiplicity: the gcd of
-    a with x^q - x, x^q read from a's ``_frobenius_table``, split through
-    the trace to F_p with the same table."""
+    """All roots of a lying in its own field F_q, no multiplicity: a
+    quadratic's ``_quadratic_roots``, else the gcd of a with x^q - x, x^q from
+    a's ``_frobenius_table``, split through the trace with the same table."""
+    if a.degree == 2:
+        return _quadratic_roots(a)
     field = a.field
     k = field.degree
     table = _frobenius_table(a, k)
@@ -429,6 +442,8 @@ def roots_in_field(a):
 
 def root_multiplicity(a, r):
     """The multiplicity of r as a root of a (0 when it is none)."""
+    if not a:
+        raise ValueError("the zero polynomial has no root multiplicity")
     lin, m = Poly(a.field, [-r, a.field.one]), 0
     while True:
         a, rem = a.divmod(lin)
@@ -438,23 +453,20 @@ def root_multiplicity(a, r):
 
 
 def _linear_split(lin, table):
-    """Distinct roots of a squarefree product of rational linear factors: closed
-    forms in degrees 1 and 2, else ``_trace_split`` with ``table``, the codes
-    of x^(p^i) mod a multiple of lin for i < deg F_q."""
-    field = lin.field
-    if lin.degree == 1:
-        return [-lin.monic()[0]]
-    if lin.degree == 2:
-        mon = lin.monic()
-        b, c = mon[1], mon[0]
-        disc = b * b - c * 4
-        s = field.sqrt(disc)
-        if s is None:
-            raise ValueError(f"{lin!r} has no root in {field!r}")
-        half = field.one / field.elem(2)
-        return [(-b + s) * half, (-b - s) * half]
+    """Distinct roots of a squarefree product of rational linear factors, by
+    ``_trace_split`` with ``table``, x^(p^i) mod a multiple of lin, i < deg F_q."""
     rng = random.Random(_seed_of(lin) ^ 0x11EA4)
     return [-f[0] for f in _trace_split(lin, table, rng)]
+
+
+def _quadratic_roots(f):
+    """The distinct roots in its field of f, of degree 2, sorted by its key:
+    (-b +- s)/2 for monic(f) = x^2 + b x + c and s = sqrt(b^2 - 4c), none
+    when b^2 - 4c is no square."""
+    field = f.field
+    c, b, _ = f.monic().coeffs
+    s, half = field.sqrt(b * b - c * 4), field.elem((field.char + 1) // 2)
+    return [] if s is None else sorted({(s - b) * half, (-s - b) * half}, key=field.sort_key)
 
 
 def conjugate_roots(f, K):
@@ -462,28 +474,32 @@ def conjugate_roots(f, K):
     one root r from a split of f over K, then its Frobenius orbit r^q, r^(q^2),
     ..., each sigma^(deg F_q) by the kernel's Frobenius sigma.
 
-    The split is ``_trace_split`` with f's ``_frobenius_table`` over F_q, up
-    to x^(q^d), d = deg f, mapped into K: f splits into distinct linear
-    factors over F_(q^d) exactly when x^(q^d) = x mod f.  FieldError if K
-    does not hold F_(q^d); ValueError if f is reducible."""
+    A quadratic splits by ``_quadratic_roots``, else by ``_trace_split`` with
+    f's ``_frobenius_table`` over F_q, up to x^(q^d), d = deg f, mapped into
+    K: f splits into distinct linear factors over F_(q^d) exactly when
+    x^(q^d) = x mod f.  FieldError if K does not hold F_(q^d); ValueError if
+    f is reducible (a quadratic: the discriminant is a square)."""
     F, d = f.field, f.degree
     b = F.degree
     if K.degree % (b * d):
         raise FieldError(f"{K!r} holds no roots of degree-{d} {f!r}")
-    if d == 1:
-        return [-f.monic().map_field(K)[0]]
-    table = _frobenius_table(f, b * d)
-    if table[-1] != table[0]:
-        raise ValueError(f"{f!r} is reducible over {F!r}: no distinct roots in {K!r}")
-    table = [Poly._from_code(F, X).map_field(K).code for X in table[:-1]]
-    lin = _trace_split(f.map_field(K), table, random.Random(_seed_of(f)), one=True)
-    frob, code = K.kernel.frob, K._encode([-lin[0][0]])
+    fK = f.map_field(K)
+    if d <= 2:
+        root = -fK.monic()[0] if d == 1 else _quadratic_roots(fK)[0]
+    else:
+        table = _frobenius_table(f, b * d)
+        if table[-1] != table[0]:
+            raise ValueError(f"{f!r} is reducible over {F!r}: no distinct roots in {K!r}")
+        table = [Poly._from_code(F, X).map_field(K).code for X in table[:-1]]
+        root = -_trace_split(fK, table, random.Random(_seed_of(f)), one=True)[0][0]
+    frob, code = K.kernel.frob, K._encode([root])
     for _ in range(d - 1):
         r = code[-1]
         for _ in range(b):
             r = frob(r)
         if r == code[0]:   # the orbit closed early
-            raise ValueError(f"{f!r} is reducible over {F!r}")
+            raise ValueError(f"{f!r} is reducible over {F!r}"
+                             + (": the discriminant is a square" if d == 2 else ""))
         code += (r,)
     return sorted(K._decode(code), key=K.sort_key)
 

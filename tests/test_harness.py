@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from wgauss.algebra import ExtensionCapError, common_field
+from wgauss.algebra.kernel import FpKernel
 from wgauss.algebra.linalg import reduce_row
 from wgauss.curves import ProjectivePoint, validate
 from wgauss.divisors import Divisor
@@ -79,6 +80,23 @@ def test_fiber_census_takes_one_span_per_trial(monkeypatch):
     assert n["eval"] == cfg.trials + n["rejected"]
     assert n["subdivisors"] == 0
     assert n["span"] == cfg.trials + n["rejected"]
+
+
+def test_hyperelliptic_fiber_census_splits_no_quadratic_by_exponentiation(monkeypatch):
+    """Quadratics are split by their discriminant: no powmod with the trace
+    split's exponent (p - 1)/2 runs modulo a polynomial of degree 2."""
+    p, split = 10007, []
+    powmod_ = FpKernel.powmod
+
+    def spy(self, a, e, m):
+        if len(m) == 3 and e == (p - 1) // 2:
+            split.append(m)
+        return powmod_(self, a, e, m)
+
+    monkeypatch.setattr(FpKernel, "powmod", spy)
+    cfg = ExperimentConfig(experiment="fiber-census", curve=HE_G3, n=2, trials=10, seed=3)
+    assert run_fiber_census(cfg)["passed"]
+    assert split == []
 
 
 def test_fiber_census_bit_identical():

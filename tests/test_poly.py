@@ -29,8 +29,11 @@ from wgauss.algebra import (
 
 from wgauss.algebra.kernel import ZECH_MAX_ORDER, FpKernel, TupleKernel, ZechKernel, _Kernel
 from wgauss.algebra.mpoly import mp_substitute
+from wgauss.algebra import poly
 from wgauss.algebra.poly import (
+    _frobenius_table,
     _linear_split,
+    _trace_split,
     binary_roots,
     conjugate_roots,
     distinct_roots_in_field,
@@ -980,3 +983,159 @@ def test_substitution_and_squarefree_split_free_their_work_on_return():
         gc.enable()
     assert sub == {(2, 1): F7.elem(3), (1, 2): F7.elem(6), (0, 3): F7.one}
     assert split == [(x + 2, 1), (x - 2, 3), (x - 1, 7)]
+
+
+# -- quadratics by their discriminant --------------------------------------
+
+QUADRATIC_FIELDS = [F7, PrimeField(13), ExtField(7, 2), ExtField(7, 3), F10007,
+                    ExtField(10007, 2), ExtField(10007, 3), ExtField(10007, 6)]
+
+
+def _ref_trace_split(f, table, rng):
+    """The monic linear factors of f, a product of distinct ones, by random
+    trace splits T^((p-1)/2) down to degree 1, with no closed form: the path
+    that split quadratics before the discriminant did.  sigma(c) is c^p."""
+    field = f.field
+    kern, p, k = field.kernel, field.char, field.degree
+    out, stack = [], [f.monic()]
+    while stack:
+        g = stack.pop()
+        if g.degree == 1:
+            out.append(g)
+            continue
+        tab = [kern.mod(X, g.code) for X in table]
+        terms = [tab[i % len(tab)] for i in range(k)] + [kern.ONE]
+        while True:
+            cs = [field.rand(rng)]
+            for _ in range(k - 1):
+                cs.append(cs[-1] ** p)
+            cs.append(field.elem(rng.randrange(p)))
+            T = Poly._from_code(field, kern.combine(field._encode(cs), terms))
+            h = poly_gcd(powmod(T, (p - 1) // 2, g) - 1, g)
+            if 0 < h.degree < g.degree:
+                break
+        stack += [h, g // h]
+    return out
+
+
+def _ref_factor(a):
+    """factor_finite of a quadratic by the Frobenius table: each squarefree
+    part of degree 2 is split when gcd(x^q - x, part) has degree 2."""
+    F = a.field
+    out = []
+    for sqf, mult in squarefree_decomposition(a):
+        irrs = [sqf]
+        if sqf.degree == 2:
+            table = _frobenius_table(sqf, F.degree)
+            lin = poly_gcd(Poly._from_code(F, table[-1]) - Poly.x(F), sqf)
+            if lin.degree == 2:
+                irrs = _ref_trace_split(lin, table[:-1], random.Random(5))
+        out += [(irr, mult) for irr in irrs]
+    return sorted(out, key=lambda fm: fm[0].sort_key())
+
+
+def _ref_conjugate_roots(f, K):
+    """Both roots in K of f, an irreducible quadratic, by a trace split over
+    K with f's Frobenius table mapped into K."""
+    F = f.field
+    table = _frobenius_table(f, 2 * F.degree)
+    assert table[-1] == table[0]
+    table = [Poly._from_code(F, X).map_field(K).code for X in table[:-1]]
+    lin = _ref_trace_split(f.map_field(K), table, random.Random(6))
+    return sorted((-g[0] for g in lin), key=K.sort_key)
+
+
+def _quadratics(F, rng):
+    """(kind, quadratic) with a zero, a square and a non-square discriminant,
+    each with a leading coefficient other than 1."""
+    x = Poly.x(F)
+    lead = F.rand(rng)
+    while not lead or lead == F.one:
+        lead = F.rand(rng)
+    r, s, u = F.rand(rng), F.rand(rng), F.rand(rng)
+    while s == r:
+        s = F.rand(rng)
+    while not u:
+        u = F.rand(rng)
+    return [("zero", (x - r) ** 2 * lead), ("square", (x - r) * (x - s) * lead),
+            ("non-square", ((x - r) ** 2 - F.nonresidue() * u * u) * lead)]
+
+
+@pytest.mark.parametrize("F", QUADRATIC_FIELDS, ids=repr)
+def test_quadratics_match_the_table_and_trace_split_path(F):
+    rng = random.Random(30)
+    K2 = F.extension(2) if F.degree == 1 else ExtField(F.char, 2 * F.degree)
+    for _ in range(2):
+        for kind, a in _quadratics(F, rng):
+            factors = factor_finite(a)
+            assert factors == _ref_factor(a)
+            assert [f.degree for f, _ in factors] == \
+                {"zero": [1], "square": [1, 1], "non-square": [2]}[kind]
+            rootlist = [(-f[0], m) for f, m in factors if f.degree == 1]
+            assert roots_in_field(a) == sorted(rootlist, key=lambda rm: F.sort_key(rm[0]))
+            assert distinct_roots_in_field(a) == [r for r, _ in roots_in_field(a)]
+            K, roots = roots_in_splitting_extension(a)
+            if kind == "non-square":
+                f = factors[0][0]
+                expect = _ref_conjugate_roots(f, K2)
+                assert K == K2 and conjugate_roots(f, K2) == expect
+                assert roots == [(r, 1) for r in expect]
+            else:
+                assert K == F and roots == roots_in_field(a)
+                with pytest.raises(ValueError, match="the discriminant is a square"):
+                    conjugate_roots(a, K2)
+
+
+@given(st.sampled_from([3, 7, 13, 10007]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fp_powmod_matches_square_and_multiply(p, data):
+    # the fixed-modulus FpKernel.powmod against _Kernel's square-and-multiply
+    # on mul and mod: non-monic moduli of degree 1..13, bases longer than the
+    # modulus, e = 0 and exponents up to 2^40
+    kern = FpKernel(p)
+    d = data.draw(st.integers(1, 13), label="deg m")
+    residues = st.integers(0, p - 1)
+    m = tuple(data.draw(st.lists(residues, min_size=d, max_size=d), label="low")) \
+        + (data.draw(st.integers(1, p - 1), label="lead"),)
+    a = kern.strip(data.draw(st.lists(residues, max_size=2 * d + 3), label="base"))
+    e = data.draw(st.one_of(st.just(0), st.integers(1, 2 * p), st.integers(0, 1 << 40)),
+                  label="e")
+    r = kern.mod(a, m)
+    expect = kern.ONE if e == 0 else _Kernel._power(kern, r, e, m) if r else ()
+    assert kern.powmod(a, e, m) == expect
+
+
+def test_quadratics_take_no_exponentiation(monkeypatch):
+    # over F_10007, a quadratic is factored, rooted and split into conjugates
+    # by its discriminant: no powmod and no Frobenius table
+    F, K2 = F10007, ExtField(10007, 2)
+    quads = _quadratics(F, random.Random(31))
+    calls = []
+
+    def spy(orig):
+        def counted(*args):
+            calls.append(orig.__qualname__)
+            return orig(*args)
+        return counted
+
+    monkeypatch.setattr(_Kernel, "powmod", spy(_Kernel.powmod))   # every kernel's
+    monkeypatch.setattr(poly, "_frobenius_table", spy(_frobenius_table))
+    for kind, a in quads:
+        factor_finite(a)
+        roots_in_field(a)
+        if kind == "non-square":
+            assert len(conjugate_roots(a, K2)) == 2
+    assert calls == []
+
+
+def test_root_multiplicity_of_the_zero_polynomial_is_refused():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        root_multiplicity(Poly.zero(F7), F7.elem(3))
+
+
+def test_trace_split_refuses_a_factor_without_roots():
+    # (x^2 + 1)(x - 1) over F_7: -1 is no square mod 7, so the split reaches
+    # x^2 + 1 and its discriminant -4 refuses it
+    f = Poly(F7, [1, 0, 1]) * Poly(F7, [-1, 1])
+    with pytest.raises(ValueError, match=r"\(1:F7\)\*x\^2\) has no two distinct roots in GF\(7\)"):
+        _trace_split(f, [Poly.x(F7).code], random.Random(3))
