@@ -307,6 +307,10 @@ def _frobenius_table(f, k):
     return table
 
 
+# splits tried per piece before it is refused; on valid input each parts two roots w.p. >= 4/9
+_SPLIT_TRIES = 64
+
+
 def _trace_split(f, table, rng, one=False):
     """The monic linear factors of f, a product of distinct ones over its
     field F_q, q = p^k; with ``one``, a list of one of them, keeping the
@@ -341,7 +345,7 @@ def _trace_split(f, table, rng, one=False):
         m = g.code
         tab = [kern.mod(X, m) for X in tab]
         terms = [tab[i % len(tab)] for i in range(k)] + [kern.ONE]
-        while True:
+        for _ in range(_SPLIT_TRIES):
             c, t = field._encode([field.rand(rng), field.elem(rng.randrange(p))])
             cs = [c]
             for _ in range(k - 1):
@@ -350,6 +354,8 @@ def _trace_split(f, table, rng, one=False):
             h = poly_gcd(powmod(T, e, g) - 1, g)
             if 0 < h.degree < g.degree:
                 break
+        else:
+            raise ValueError(f"{g!r} has no {g.degree} distinct roots in {field!r}")
         parts = [h, g // h]
         stack += [(u, tab) for u in ([min(parts, key=lambda u: u.degree)] if one else parts)]
     return out
@@ -368,7 +374,9 @@ def equal_degree_split(a, d, rng):
         if f.degree == d:
             out.append(f)
             continue
-        while True:
+        if f.degree % d:
+            raise ValueError(f"{a!r} is no product of degree-{d} irreducibles over {field!r}")
+        for _ in range(_SPLIT_TRIES):
             r = Poly(field, [field.rand(rng) for _ in range(f.degree)] + [field.one])
             g = poly_gcd(r, f)
             if 0 < g.degree < f.degree:
@@ -377,6 +385,8 @@ def equal_degree_split(a, d, rng):
             g = poly_gcd(h, f)
             if 0 < g.degree < f.degree:
                 break
+        else:
+            raise ValueError(f"{f!r} did not split into degree-{d} factors over {field!r}")
         stack += [g, f // g]
     return out
 

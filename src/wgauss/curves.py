@@ -586,18 +586,14 @@ def _certify_smooth_plane_quartic(curve):
 
 def _certify_smooth_g4(curve):
     """C = Q n E on the quadric: the cubic is pulled back once to the
-    rulings' parameter space (P^1 x P^1 for a rank-4 quadric, split over
-    F_q or F_(q^2); the lines through the vertex for a cone), where C is a
-    curve G = 0 on charts isomorphic to open pieces of Q, or of the cone
-    minus its vertex."""
+    rulings' parameter space over its field of definition K (P^1 x P^1 for
+    a rank-4 quadric, split over F_q or F_(q^2); the lines through the vertex
+    for a cone), where C is a curve G = 0 on charts isomorphic to open
+    pieces of Q, or of the cone minus its vertex."""
     if curve.gram.rank() < 3:
         raise CurveError("quadric has rank < 3; the intersection is singular")
     from .sections import rulings
-    K = curve.field
-    kind, images = rulings(curve, K)
-    if images is None:   # Q splits over F_(q^2)
-        K = K.extension(2)
-        _, images = rulings(curve, K)
+    kind, K, images = rulings(curve)
     G = mp_substitute(mp_map_field(curve.cubic.coeffs, K), images, K, 4)
     if not G:
         raise CurveError("cubic is a multiple of the quadric")

@@ -14,7 +14,8 @@ hyperelliptic curves and for the g^1_3's of the genus-4 model the full
 branch binary form is available, giving the total dual count with
 multiplicity: a g^1_3's members are cut by the lines of one ruling of the
 quadric Q, or by the lines through the vertex of a cone (``sections``), and
-its branch form is the discriminant of the cubic on those lines.
+its branch form is the discriminant of the cubic on those lines.  It is
+checked at the pencil's axis: the lines cut every member iff it cuts F.
 """
 
 import random
@@ -29,7 +30,6 @@ from .gauss import intersection_divisor
 from .sections import (
     UnsupportedConfiguration,
     branch_discriminant,
-    line_at,
     line_cut,
     pencil_lines,
     trisecants_through,
@@ -403,23 +403,16 @@ def dual_branch_form(L):
     fld = L.field
     if L.base_locus().degree != 0:
         raise UnsupportedConfiguration("branch form needs a base-point-free pencil")
-    lines = pencil_lines(curve, fld, L.basis)
-    if lines is None:
+    found = pencil_lines(curve, fld, L.basis)
+    if found is None:
         raise UnsupportedConfiguration("the pencil is cut by no ruling of Q over its field")
-    # the ruling lines against the pencil's members
-    check = [(fld.zero, fld.one)] + [(fld.one, fld.elem(i)) for i in range(_BRANCH_CHECKS - 1)]
-    at = line_at(fld, lines)
-    for c in check:
-        if Divisor(curve, line_cut(curve, at(*c), fld, L.cap), field=fld) != L.member(c):
-            raise UnsupportedConfiguration("ruling lines do not match the members")
+    axis, lines = found   # member(c) = (axis . C) + (line of c . C) - F
+    if Divisor(curve, line_cut(curve, axis, fld, L.cap), field=fld) != L.F:
+        raise UnsupportedConfiguration("the pencil's axis does not cut its residual")
     disc = branch_discriminant(curve.cubic.map_field(fld), lines)
     if disc.is_zero():
         raise UnsupportedConfiguration("degenerate discriminant")
     return BranchForm(fld, disc, 12)
-
-
-# members on which the ruling lines are checked against the pencil
-_BRANCH_CHECKS = 5
 
 
 def reconstruct_system(W_samples, n=None, k=None, cap=12):

@@ -7,24 +7,21 @@ hyperelliptic model, pulled back from P^1; the gcd of the curve's forms on
 a line L.  The root stage (``meet``, ``line_cut``) finds its zeros.
 
 C = Q n E lies on the unique quadric Q, and the g^1_3's of C are cut by the
-lines of Q (Hartshorne IV Ex. 5.5.2).  Over a field F, p odd, with Gram
-matrix G of Q (Q(x) = x.G.x, polar form B(x, y) = x.G.y), its rulings
-(``rulings``) are: for rank 4 and det G a square in F (Q split over F), the
-Segre map ((u : v), (s : t)) -> M.(su, sv, tu, tv), a bijection
-P^1 x P^1 -> Q, with M a hyperbolic basis (Q(M.x) = x0*x3 - x1*x2); for
-rank 3 (a cone), the lines u*phi(s, t) + v*V through the vertex V, not on a
-smooth C, with phi the base conic parametrized through one of its F-points;
-for rank 4 and det G not a square, none over F, only over F_(q^2).
+lines of Q (Hartshorne IV Ex. 5.5.2).  ``rulings`` alone decides their
+field of definition F: the curve's field F_q, p odd, or F_(q^2) when Q does
+not split.  With Gram matrix G of Q (Q(x) = x.G.x, B(x, y) = x.G.y), they
+are, for rank 4, the Segre map ((u : v), (s : t)) -> M.(su, sv, tu, tv), a
+bijection P^1 x P^1 -> Q over F, with M a hyperbolic basis (Q(M.x) =
+x0*x3 - x1*x2); for rank 3 (a cone), the lines u*phi(s, t) + v*V through the
+vertex V, with phi the base conic parametrized through one of its F-points.
+Every reader maps them from F into its own field, which must contain F.
 
 A point table C(K), K = F_(q^m), is read on a pencil defined over a
 subfield F of K: a plane quartic's lines through (0 : 0 : 1); a genus-4
-curve's rulings, built over their field of definition (the curve's field,
-or F_(q^2) when Q splits only there) and mapped into K, since built over K
-their square roots need not keep them defined over F (``_line_points``);
-or, for odd m where Q does not split, the planes s*x0 + t*x1 = 0
-(``_sweep_points``).  x -> x^|F| carries the points on the member at (s : t)
-onto those at (s^|F| : t^|F|), so one member per Frobenius orbit of P^1(K)
-is solved (``_orbit_walk``).
+curve's rulings (``_line_points``); or, for odd m where Q does not split,
+the planes s*x0 + t*x1 = 0 (``_sweep_points``).  x -> x^|F| carries the
+points on the member at (s : t) onto those at (s^|F| : t^|F|), so one
+member per Frobenius orbit of P^1(K) is solved (``_orbit_walk``).
 
 A plane section H n C is the conic H n Q cut by E, and one solver serves
 hyperplane sections, a plane's rational points, the sweep and trisecants.
@@ -40,9 +37,9 @@ fields take them on field elements.
 
 A g^1_3 is cut by the planes through a line of Q: each plane meets Q in
 that line and a moving line, of the other ruling (of the same on a cone),
-which cuts the member.  On the rulings' parameters the moving line is a
-linear function of the pencil's parameter c, and the discriminant of the
-cubic on it is the pencil's branch form, of degree 12 in c
+which cuts the member once the axis cuts the residual.  On the rulings'
+parameters the moving line is linear in the pencil's parameter c, and the
+cubic's discriminant on it is the pencil's branch form, of degree 12 in c
 (``pencil_lines``, ``branch_discriminant``).
 
 Binary forms and line parameters share one variable order, (u, v, s, t),
@@ -65,7 +62,7 @@ from .algebra.poly import (
     roots_in_splitting_extension,
 )
 from .curves import INF, CurveError, HomForm, ProjectivePoint, ValidationInconclusive, gram_matrix
-from .divisors import Divisor, gcd_div, pullback_x
+from .divisors import Divisor, pullback_x
 
 
 class UnsupportedConfiguration(RuntimeError):
@@ -100,9 +97,9 @@ def meet_form(curve, rows, fld):
 
 def meet(curve, rows, fld, cap):
     """(L . C) from ``meet_form``: its form's zeros, pulled back along x or
-    on the line; the conic H n Q cut by the cubic on a genus-4 plane; the
-    gcd of two line sections at a plane quartic's point."""
-    basis, form, _ = meet_form(curve, rows, fld)
+    on the line; the conic H n Q cut by the cubic on a genus-4 plane; at a
+    plane quartic's point, the point itself over fld, counted deg times."""
+    basis, form, deg = meet_form(curve, rows, fld)
     if basis is None:
         _, zeros = binary_roots([form], cap)
         return pullback_x(curve, [(t if s else INF, m) for (s, t), m in zeros], field=fld)
@@ -112,7 +109,7 @@ def meet(curve, rows, fld, cap):
         conic, cubic = (f.restrict_plane(*basis, field=fld) for f in curve.forms)
         _, zeros = plane_section(conic, cubic, cap)
         return Divisor(curve, [(space_point(basis, x), m) for x, m in zeros], field=fld)
-    return gcd_div(*(meet(curve, [row], fld, cap) for row in rows))
+    return Divisor(curve, [(ProjectivePoint(fld, basis[0]), deg)], field=fld)
 
 
 # -- lines and pencils of lines --------------------------------------------
@@ -189,32 +186,30 @@ def line_at(K, images):
 def points_over(curve, K):
     """Sorted distinct points of a canonical curve over its extension K, read
     on a pencil over a subfield, one member per Frobenius orbit: a plane
-    quartic's lines through (0 : 0 : 1); a genus-4 curve's rulings over the
-    curve's field when Q splits there or is a cone, else over F_(q^2) when K
-    contains it, else (K of odd degree) the planes through x0 = x1 = 0."""
-    F = curve.field
+    quartic's lines through (0 : 0 : 1); a genus-4 curve's rulings over
+    their field of definition when K contains it, else (Q not split, K of
+    odd degree) the planes through x0 = x1 = 0."""
     if curve.model == "plane_quartic":
+        F = curve.field
         pencil = [{(1, 0, 1, 0): F.one}, {(1, 0, 0, 1): F.one}, {(0, 1, 0, 0): F.one}]
         found = _line_points(K, pencil, curve.form)
     else:
-        _, images = rulings(curve, F)
-        if images is None and K.degree % (2 * F.degree) == 0:
-            F = F.extension(2)
-            _, images = rulings(curve, F)
-        found = _sweep_points(K, curve.quadric, curve.cubic) if images is None else \
+        _, F, images = rulings(curve)
+        found = _sweep_points(K, curve.quadric, curve.cubic) if K.degree % F.degree else \
             _line_points(K, images, curve.cubic.map_field(F))
     return sorted({P.coords: P for P in found}.values(), key=ProjectivePoint.sort_key)
 
 
-def rulings(curve, K):
-    """(kind, images): the type of the genus-4 curve's quadric over K and
-    its rulings x(u, v, s, t) over K, the Segre map of a split quadric or the
-    lines through the vertex of a cone, None when Q does not split over K."""
-    gram = curve.gram.map_field(K)
-    kind = _quadric_type(gram)
+def rulings(curve):
+    """(kind, F, images): the type of the genus-4 curve's quadric, the field
+    of definition F of its rulings (the curve's field, or F_(q^2) when Q
+    does not split) and the rulings x(u, v, s, t) over F: the Segre map of a
+    quadric split over F, or the lines through the vertex of a cone."""
+    F, kind = curve.field, _quadric_type(curve.gram)
     if kind == "nonsplit":
-        return kind, None
-    return kind, (_cone_images if kind == "cone" else _segre_images)(K, gram, curve.field)
+        F = F.extension(2)
+    gram = curve.gram.map_field(F)
+    return kind, F, (_cone_images if kind == "cone" else _segre_images)(gram)
 
 
 def _quadric_type(gram):
@@ -231,17 +226,17 @@ def _bil(gram, x, y):
     return sum((a * b for a, b in zip(x, gram.apply(y))), gram.field.zero)
 
 
-def _isotropic(gram, basis, base):
+def _isotropic(gram, basis):
     """A nonzero v in the span of ``basis`` with Q(v) = 0, or None.
 
-    Each plane spanned by basis[0] and a combination y of the others with
-    coefficients from the subfield ``base`` holds an isotropic vector iff
-    the binary form's discriminant B(x, y)^2 - Q(x) Q(y) is a square.
-    Planes through basis[0] cover the span, so a nondegenerate Q on a span
-    of dimension >= 3 (always isotropic over a finite field) is found.  A
-    plane is decided by one y, whose discriminant and Q(y) are those of
-    every multiple of y up to a square: the walk takes one tuple per line
-    (``_directions``), lazily, and leaves a large field after a few.
+    Each plane spanned by basis[0] and a combination y of the others holds
+    an isotropic vector iff the binary form's discriminant
+    B(x, y)^2 - Q(x) Q(y) is a square.  Planes through basis[0] cover the
+    span, so a nondegenerate Q on a span of dimension >= 3 (always isotropic
+    over a finite field) is found.  A plane is decided by one y, whose
+    discriminant and Q(y) are those of every multiple of y up to a square:
+    the walk takes one tuple per line (``_directions``), lazily, and leaves
+    a large field after a few.
     """
     K = gram.field
     for b in basis:
@@ -249,7 +244,7 @@ def _isotropic(gram, basis, base):
             return b
     x, rest = basis[0], basis[1:]
     qx = _bil(gram, x, x)
-    for cs in _directions(base, K, len(rest)):
+    for cs in _directions(K, len(rest)):
         y = [sum((c * r[i] for c, r in zip(cs, rest)), K.zero) for i in range(len(x))]
         qy, bxy = _bil(gram, y, y), _bil(gram, x, y)
         if not qy:
@@ -260,19 +255,18 @@ def _isotropic(gram, basis, base):
     return None
 
 
-def _directions(base, K, n):
-    """The tuples of itertools.product(base.elements(), repeat=n) whose first
-    nonzero entry is one, in that order, coerced into K: as elements()
-    begins 0, 1, each is the first tuple of its line in product order."""
+def _directions(K, n):
+    """The tuples of itertools.product(K.elements(), repeat=n) whose first
+    nonzero entry is one, in that order: as elements() begins 0, 1, each is
+    the first tuple of its line in product order."""
     for lead in reversed(range(n)):
-        yield from ((K.zero,) * lead + (K.one,) + tail for tail in _product(base, K, n - 1 - lead))
+        yield from ((K.zero,) * lead + (K.one,) + tail for tail in _product(K, n - 1 - lead))
 
 
-def _product(base, K, n):
-    """itertools.product(base.elements(), repeat=n), coerced into K, without
-    listing the elements."""
-    return ((coerce(c, K),) + cs for c in base.elements() for cs in _product(base, K, n - 1)) \
-        if n else iter([()])
+def _product(K, n):
+    """itertools.product(K.elements(), repeat=n), without listing the
+    elements."""
+    return ((c,) + cs for c in K.elements() for cs in _product(K, n - 1)) if n else iter([()])
 
 
 def _partner(gram, v, basis):
@@ -284,14 +278,16 @@ def _partner(gram, v, basis):
     return [a - lam * b for a, b in zip(z, v)]
 
 
-def _segre_images(K, gram, base):
-    """x = M.(su, sv, tu, tv) as forms in (u, v, s, t), with M a hyperbolic
-    basis: isotropic v1, v2 spanning a line of Q, w1, w2 dual to them."""
+def _segre_images(gram):
+    """x = M.(su, sv, tu, tv) as forms in (u, v, s, t) over the field of
+    ``gram``, where it splits, with M a hyperbolic basis: isotropic v1, v2
+    spanning a line of Q, w1, w2 dual to them."""
+    K = gram.field
     unit = MatrixExact.identity(K, 4).rows
-    v1 = _isotropic(gram, unit, base)
+    v1 = _isotropic(gram, unit)
     w1 = _partner(gram, v1, unit)
     perp = MatrixExact(K, [gram.apply(v1), gram.apply(w1)]).kernel_basis()
-    v2 = _isotropic(gram, perp, base)
+    v2 = _isotropic(gram, perp)
     assert v2 is not None, "a split quadric has an isotropic vector in H^perp"
     w2 = _partner(gram, v2, perp)
     half = K.one / K.elem(2)
@@ -300,15 +296,16 @@ def _segre_images(K, gram, base):
     return [{k: col[i] for k, col in zip(keys, cols) if col[i]} for i in range(4)]
 
 
-def _cone_images(K, gram, base):
-    """x = u*phi(s, t) + v*V as forms in (u, v, s, t): V the vertex, phi the
-    base conic parametrized through one of its points P0 by the second
-    intersection Q(D)*P0 - 2*B(P0, D)*D of the line from P0 towards
-    D = s*R1 + t*R2."""
+def _cone_images(gram):
+    """x = u*phi(s, t) + v*V as forms in (u, v, s, t) over the field of
+    ``gram``: V the vertex, phi the base conic parametrized through one of
+    its points P0 by the second intersection Q(D)*P0 - 2*B(P0, D)*D of the
+    line from P0 towards D = s*R1 + t*R2."""
+    K = gram.field
     V = gram.kernel_basis()[0]
     j = next(i for i, c in enumerate(V) if c)
     comp = [r for i, r in enumerate(MatrixExact.identity(K, 4).rows) if i != j]
-    P0 = _isotropic(gram, comp, base)
+    P0 = _isotropic(gram, comp)
     R1, R2 = next(pair for pair in combinations(comp, 2)
                   if MatrixExact(K, [V, P0, *pair]).rank() == 4)
     keys = [(1, 0, 2, 0), (1, 0, 1, 1), (1, 0, 0, 2), (0, 1, 0, 0)]
@@ -319,9 +316,10 @@ def _cone_images(K, gram, base):
 # -- a g^1_3: the lines of a pencil of planes through a line of Q ------------
 
 def pencil_lines(curve, K, planes):
-    """x(u, v, c0, c1): the line that the plane c0*h0 + c1*h1 cuts on Q
-    besides the axis of the pencil ``planes`` = (h0, h1) over K, a line of Q;
-    None when Q does not split over K or the axis is no line of Q.
+    """(axis, x(u, v, c0, c1)) for the pencil of planes ``planes`` = (h0, h1)
+    over K: its axis, a line of Q, as two points spanning it, and the line
+    that the plane c0*h0 + c1*h1 cuts on Q besides the axis; None when K
+    does not hold the rulings' field or the axis is no line of Q.
 
     On the rulings' parameters x(u, v, s, t) the planes pull back to f_c =
     l*g_c, with l the axis and g_c = c0*g0 + c1*g1 the moving line.  When it
@@ -329,9 +327,10 @@ def pencil_lines(curve, K, planes):
     on linear forms in (s, t), and the line of c is x at the zero mu(c) of
     g_c; when it has fixed (u : v) that kernel is zero: the rulings swap.
     """
-    _, images = rulings(curve, K)
-    if images is None:
+    _, F, images = rulings(curve)
+    if K.degree % F.degree:
         return None
+    images = [mp_map_field(x, K) for x in images]
     units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
     for ims in (images, [{k[2:] + k[:2]: c for k, c in im.items()} for im in images]):
         f0, f1 = (mp_substitute(dict(zip(units, h)), ims, K, 4) for h in planes)
@@ -344,8 +343,8 @@ def pencil_lines(curve, K, planes):
         if len(ker) == 1:
             x1, y1, x0, y0 = ker[0]
             mu = [{units[2]: y0, units[3]: y1}, {units[2]: -x0, units[3]: -x1}]
-            return [mp_substitute(im, [{units[0]: K.one}, {units[1]: K.one}, *mu], K, 4)
-                    for im in ims]
+            return MatrixExact(K, planes).kernel_basis(), \
+                [mp_substitute(im, [{units[0]: K.one}, {units[1]: K.one}, *mu], K, 4) for im in ims]
     return None
 
 
@@ -430,7 +429,7 @@ def _components(conic, cap):
     gram = gram_matrix(K, conic)
     rank = gram.rank()
     if rank == 3:
-        P0 = _isotropic(gram, MatrixExact.identity(K, 3).rows, K)
+        P0 = _isotropic(gram, MatrixExact.identity(K, 3).rows)
         return K, [(_conic_param(gram, P0, *_complement(P0)), 1)]
     if rank == 1:
         return K, [(gram.kernel_basis(), 2)]

@@ -546,9 +546,13 @@ def _per_line_points_over(curve, K):
         pencil = [{(1, 0, 1, 0): K.one}, {(1, 0, 0, 1): K.one}, {(0, 1, 0, 0): K.one}]
         found = line_points(pencil, curve.form.map_field(K))
     else:
+        # rulings built over K itself from the builders, not read from
+        # sections.rulings over their field of definition
         quad, cub = curve.quadric.map_field(K), curve.cubic.map_field(K)
-        _, images = sections.rulings(curve, K)
-        found = sweep_points(quad, cub) if images is None else line_points(images, cub)
+        gram = curve.gram.map_field(K)
+        kind = sections._quadric_type(gram)
+        found = sweep_points(quad, cub) if kind == "nonsplit" else line_points(
+            (sections._cone_images if kind == "cone" else sections._segre_images)(gram), cub)
     return sorted({P.coords: P for P in found}.values(), key=ProjectivePoint.sort_key)
 
 

@@ -518,3 +518,25 @@ def test_bnk_modes():
     from wgauss.linsys import beta
     Wm = beta(member)
     assert intersection_divisor(Wm).degree == 2 + 1
+
+
+@pytest.mark.parametrize("p", [5, 11, 10007])
+def test_plane_quartic_point_meets_as_itself(p):
+    # (W . C) at a point W of P^2 is W over its field, once if it lies on C;
+    # the reference is the gcd of two line sections through it
+    from wgauss.algebra import PrimeField
+    from wgauss.algebra.linalg import MatrixExact
+    from wgauss.curves import PlaneQuarticCurve, ProjectivePoint
+    from wgauss.sections import meet
+    fld = PrimeField(p)
+    curve = PlaneQuarticCurve(fld, {(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1})
+    rng = random.Random(p)
+    on = [curve.sample_point(rng) for _ in range(3)]
+    off = [ProjectivePoint(fld, [fld.elem(rng.randrange(p)) for _ in range(2)] + [fld.one])
+           for _ in range(3)]
+    for P in on + off:
+        rows = MatrixExact(fld, [P.coords]).kernel_basis()
+        WC = meet(curve, rows, fld, 12)
+        assert WC.field == fld
+        assert WC == gcd_div(*(meet(curve, [row], fld, 12) for row in rows))
+        assert WC.degree == int(curve.contains(P))

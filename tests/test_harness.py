@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -469,8 +471,9 @@ def test_reconstruct_hyperelliptic_k_above_n_is_a_configuration_error():
 
 
 def run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "wgauss.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc
 
 

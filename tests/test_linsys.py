@@ -616,3 +616,46 @@ def test_g4_reconstruct_sweep_raises_no_field_error():
         outcomes.append(_passes_or_caps_in_roots(ExperimentConfig(
             experiment="reconstruct", curve=desc, n=2, k=1, trials=3, seed=0)))
     assert "passed" in outcomes
+
+
+@pytest.mark.parametrize("key", [(7, "split", 1), (13, "cone", 4), (11, "nonsplit", 2), None],
+                         ids=str)
+def test_ruling_lines_cut_the_members(key):
+    # the check the branch form once made at run time, on five members: the
+    # moving line of c cuts member(c), and the axis cuts the residual
+    from wgauss.sections import line_at, line_cut, pencil_lines
+    if key is None:
+        L = find_g13(G4, seed=9)
+    else:
+        p, kind, i = key
+        prefix = "oracle" if kind != "nonsplit" else "branch"
+        L = find_g13(_g4_curve(p, kind, f"{prefix}-{p}-{kind}-{i}"), seed=i)
+    fld = L.field
+    if key and key[1] == "nonsplit":   # the rulings live over F_(p^2) only
+        assert fld.degree % 2 == 0
+    axis, lines = pencil_lines(L.curve, fld, L.basis)
+    at = line_at(fld, lines)
+    assert Divisor(L.curve, line_cut(L.curve, axis, fld, 12), field=fld) == L.F
+    for c in [(fld.zero, fld.one)] + [(fld.one, fld.elem(j)) for j in range(4)]:
+        assert Divisor(L.curve, line_cut(L.curve, at(*c), fld, 12), field=fld) == L.member(c)
+
+
+def test_branch_form_takes_only_the_base_locus_members(monkeypatch):
+    from wgauss.linsys import CompleteSystem
+    L = find_g13(G4, seed=3)
+    calls, member = [], CompleteSystem.member
+    monkeypatch.setattr(CompleteSystem, "member",
+                        lambda self, c: calls.append(c) or member(self, c))
+    dual_branch_form(L)
+    assert len(calls) == 2
+
+
+def test_branch_form_refuses_the_lines_of_another_pencil(monkeypatch):
+    from wgauss import linsys, sections
+    L = find_g13(G4, seed=3)
+    other = next(M for M in (find_g13(G4, seed=s) for s in range(4, 20))
+                 if M.field == L.field and M.F != L.F)
+    monkeypatch.setattr(linsys, "pencil_lines",
+                        lambda curve, K, planes: sections.pencil_lines(curve, K, other.basis))
+    with pytest.raises(UnsupportedConfiguration, match="axis"):
+        dual_branch_form(L)

@@ -1139,3 +1139,58 @@ def test_trace_split_refuses_a_factor_without_roots():
     f = Poly(F7, [1, 0, 1]) * Poly(F7, [-1, 1])
     with pytest.raises(ValueError, match=r"\(1:F7\)\*x\^2\) has no two distinct roots in GF\(7\)"):
         _trace_split(f, [Poly.x(F7).code], random.Random(3))
+
+
+# -- every root-finding entry returns or refuses, typed, on any input -----------
+
+def _alarmed(fn, *args, seconds=5):
+    """fn(*args) under SIGALRM, so a loop that never ends fails the test."""
+    import signal
+
+    def hang(*_):
+        raise AssertionError(f"{fn.__name__}{args!r} did not return in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_splits_refuse_input_they_cannot_split():
+    F = PrimeField(7)
+    x = Poly.x(F)
+    f = (x ** 3 + 2) * (x - 1)
+    table = poly._frobenius_table(f, 1)[:1]
+    with pytest.raises(ValueError, match="distinct roots"):
+        _alarmed(poly._trace_split, f, table, random.Random(0))
+    with pytest.raises(ValueError, match="degree-2"):
+        _alarmed(poly.equal_degree_split, (x ** 2 + 1) * (x - 1), 2, random.Random(0))
+
+
+_ENTRY_FIELDS = [PrimeField(3), PrimeField(7), ExtField(7, 2), PrimeField(13)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ENTRY_FIELDS), st.lists(st.integers(0, 10 ** 6), max_size=7),
+       st.integers(1, 3), st.integers(0, 1), st.integers(0, 10 ** 6))
+def test_root_finding_entries_return_or_refuse_typed(F, cs, d, square, r):
+    a = Poly(F, [F.from_json(c % F.order) if F.degree == 1 else
+                 F.from_json([c % F.p, c // F.p % F.p]) for c in cs])
+    if square:   # repeated factors
+        a = a * a
+    typed = (ValueError, ArithmeticError, FieldError, ExtensionCapError)
+    root = F.from_json(r % F.p)
+    calls = [(poly.roots_in_field, a), (poly.distinct_roots_in_field, a),
+             (poly.factor_finite, a), (poly.conjugate_roots, a, F.extension(max(a.degree, 1))),
+             (poly.roots_in_splitting_extension, a, 12),
+             (poly.equal_degree_split, a, d, random.Random(r)),
+             (poly.binary_roots, [(a, max(a.degree, 0) + d)], 12),
+             (poly.root_multiplicity, a, root)]
+    for fn, *args in calls:
+        try:
+            _alarmed(fn, *args)
+        except typed:
+            pass
