@@ -490,6 +490,8 @@ def conjugate_roots(f, K):
     x^(q^d) = x mod f.  FieldError if K does not hold F_(q^d); ValueError if
     f is reducible (a quadratic: the discriminant is a square)."""
     F, d = f.field, f.degree
+    if d < 1:
+        raise ValueError(f"{f!r} over {F!r} has degree {d}: no roots to conjugate")
     b = F.degree
     if K.degree % (b * d):
         raise FieldError(f"{K!r} holds no roots of degree-{d} {f!r}")

@@ -175,16 +175,17 @@ def gcd_div(D, E):
     return Divisor(D.curve, out, field=fld)
 
 
-def pullback_x(curve, p1_divisor, field=None):
+def pullback_x(curve, p1_divisor, field=None, known=()):
     """Pull a divisor on P^1 back along the hyperelliptic double cover.
 
     Each (t0, m) contributes m*(P + iota(P)) when t0 is not a branch point
-    and 2m*W when it is; the degree doubles.
+    and 2m*W when it is; the degree doubles.  Each (P, m) of ``known`` adds
+    x^*(x_*(m*P)) = m*(P + iota(P)), with no square root taken.
     """
     if curve.model != "hyperelliptic":
         raise CurveError("pullback_x requires a hyperelliptic model")
     fld = field or curve.field
-    items = []
+    items = [(Q, m) for P, m in known for Q in (P, curve.involution(P))]
     for t0, m in p1_divisor:
         base = t0.field if hasattr(t0, "field") else fld   # fld at INF
         pts = curve.points_above_x(t0, base)

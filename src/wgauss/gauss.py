@@ -31,9 +31,9 @@ def gauss_eval(D):
     return sp
 
 
-def intersection_divisor(W, cap=12):
-    """(W . C): gcd of the hyperplane sections over hyperplanes through W."""
-    return meet(W.curve, W.hyperplanes.rows, W.field, cap)
+def intersection_divisor(W, cap=12, known=None):
+    """(W . C), the gcd of the hyperplane sections through W, root-found beyond ``known``."""
+    return meet(W.curve, W.hyperplanes.rows, W.field, cap, known)
 
 
 def intersection_degree(W):
@@ -59,15 +59,15 @@ class FiberReport:
                 f"flags={self.flags})")
 
 
-def fiber(W, n=None, cap=12):
+def fiber(W, n=None, cap=12, known=None):
     """The degree-n E <= (W . C) with ell(E) = 1 and span(E) = W, in the order
     of ``WC.subdivisors(n)``.  Every hyperplane through W contains E, so E is
     one iff its conditions have rank n = dim W + 1.  A depth-first walk over
-    the multiplicities reduces the rows of (W . C), computed once, prefix by
-    prefix, and cuts a prefix of degree above its rank (no row is regained)."""
+    the multiplicities reduces the rows of (W . C), root-found once beyond
+    ``known``, prefix by prefix, and cuts a prefix of degree above its rank."""
     n = n or W.dim + 1
     curve = W.curve
-    WC = intersection_divisor(W, cap=cap)
+    WC = intersection_divisor(W, cap=cap, known=known)
     flags = {
         "nonreduced": not WC.is_reduced(),
         "weierstrass": (curve.model == "hyperelliptic"

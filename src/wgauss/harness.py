@@ -109,7 +109,7 @@ def run_fiber_census(cfg):
     for i in range(cfg.trials):
         rng = _trial_rng(cfg.seed, i)
         D, W = sample_smooth_divisor(curve, cfg.n, rng)
-        rep = fiber(W, cfg.n, cap=cfg.ext_cap)
+        rep = fiber(W, cfg.n, cap=cfg.ext_cap, known=D)
         flagged = rep.flags["nonreduced"] or rep.flags["weierstrass"]
         histogram[rep.cardinality] = histogram.get(rep.cardinality, 0) + 1
         rec = {

@@ -4,7 +4,7 @@ point tables and samplers.
 The rational stage of (L . C) (``meet_form``) is a binary form, which gives
 its degree: the gcd of the x-forms of the hyperplanes through L on the
 hyperelliptic model, pulled back from P^1; the gcd of the curve's forms on
-a line L.  The root stage (``meet``, ``line_cut``) finds its zeros.
+a line L.  The root stage (``meet``) finds the zeros a known part leaves.
 
 C = Q n E lies on the unique quadric Q, and the g^1_3's of C are cut by the
 lines of Q (Hartshorne IV Ex. 5.5.2).  ``rulings`` alone decides their
@@ -95,21 +95,40 @@ def meet_form(curve, rows, fld):
         f"no intersection divisor for a {len(basis) - 1}-plane on the {curve.model} model")
 
 
-def meet(curve, rows, fld, cap):
+def meet(curve, rows, fld, cap, known=None):
     """(L . C) from ``meet_form``: its form's zeros, pulled back along x or
     on the line; the conic H n Q cut by the cubic on a genus-4 plane; at a
-    plane quartic's point, the point itself over fld, counted deg times."""
+    plane quartic's point, the point itself over fld, counted deg times.
+    Only the part beyond ``known`` <= (L . C), over fld, is root-found."""
+    if known is not None and known.field != fld:
+        raise ValueError(f"the known part {known!r} is not over {fld!r}")
+    items = known.items if known is not None else ()
     basis, form, deg = meet_form(curve, rows, fld)
     if basis is None:
+        form = _divide(*form, [(Poly(fld, [1] if P.x is None else [-P.x, 1]), m) for P, m in items])
         _, zeros = binary_roots([form], cap)
-        return pullback_x(curve, [(t if s else INF, m) for (s, t), m in zeros], field=fld)
+        return pullback_x(curve, [(t if s else INF, m) for (s, t), m in zeros], fld, items)
+    cols = list(zip(*basis))   # a kernel_basis is the identity on its free columns
+    xs = [([P.coords[cols.index(e)] for e in zip(*MatrixExact.identity(fld, len(basis)).rows)],
+           m) for P, m in items]   # known on the basis
     if form is not None:
-        return Divisor(curve, line_cut(curve, basis, fld, cap, form), field=fld)
+        form = _divide(*form, [(Poly(fld, [-v, u]), m) for (u, v), m in xs])
+        return Divisor(curve, [*line_cut(curve, basis, fld, cap, form), *items], field=fld)
     if len(basis) == 3:
         conic, cubic = (f.restrict_plane(*basis, field=fld) for f in curve.forms)
-        _, zeros = plane_section(conic, cubic, cap)
+        _, zeros = plane_section(conic, cubic, cap, xs)
         return Divisor(curve, [(space_point(basis, x), m) for x, m in zeros], field=fld)
     return Divisor(curve, [(ProjectivePoint(fld, basis[0]), deg)], field=fld)
+
+
+def _divide(S, d, factors):
+    """The binary form (S, d) over f^m for the linear forms [(f, m)], f a
+    constant for (0 : 1); ValueError unless they divide it."""
+    for f, m in factors:
+        (S, rem), d = S.divmod(f ** m), d - m
+        if rem or S.degree > d:
+            raise ValueError("the known part does not divide the form")
+    return S, d
 
 
 # -- lines and pencils of lines --------------------------------------------
@@ -365,16 +384,18 @@ def branch_discriminant(cubic, lines):
 
 # -- plane sections: the conic H n Q cut by the cubic ------------------------
 
-def plane_section(conic, cubic, cap):
+def plane_section(conic, cubic, cap, known=()):
     """(L, [(x, m)]): the common zeros x of a ternary conic and cubic over K,
     in plane coordinates over L, with their intersection multiplicities m.
 
     L is the splitting field of the whole section, reached from K by one
-    embedding; beyond degree ``cap`` it raises ExtensionCapError.
+    embedding; beyond degree ``cap`` it raises ExtensionCapError.  A smooth
+    conic root-finds only the zeros beyond ``known`` [(x, m)] (``_cut``).
     """
     K = conic.field
     F, comps = _components(conic, cap)
-    L, zeros = _cut(cubic if F == K else cubic.map_field(F), comps, cap)
+    L, zeros = _cut(cubic if F == K else cubic.map_field(F), comps, cap,
+                    known if len(comps[0][0]) == 3 else ())
     if F != K:
         # conjugate lines: solve again in L, with K embedded in L directly
         return plane_section(conic.map_field(L), cubic.map_field(L), cap)
@@ -476,32 +497,40 @@ def _conic_param(gram, P0, R1, R2):
             [q22 * p - two * b2 * r2 for p, r2 in zip(P0, R2)]]
 
 
-def _cut(form, comps, cap=None):
+def _cut(form, comps, cap=None, known=()):
     """(L, [(x, m)]): the zeros of the form on the components (A, m) of
     ``_components``, with multiplicities, over the splitting field L of all
     of them; with no cap, only the rational ones (L = K).  A component on
-    which the form vanishes raises CurveError."""
+    which the form vanishes raises CurveError.  Zeros ``known`` [(x, m)] on
+    a lone component are divided out of its pullback and returned as given."""
     K = form.field
-    pulled = [(A, m, form.pullback(A)) for A, m in comps]
-    if not all(S for *_, S in pulled):
+    pulled = [(A, m, *_divide(form.pullback(A), form.degree * (len(A) - 1),
+                              [(_linear_at(A, x), k) for x, k in known])) for A, m in comps]
+    if not all(S for _, _, S, _ in pulled):
         raise CurveError("a component lies on the form")
     prod = pulled[0][2]
-    for *_, S in pulled[1:]:
+    for _, _, S, _ in pulled[1:]:
         prod = prod * S
     L, roots = (K, roots_in_field(prod)) if cap is None else \
         roots_in_splitting_extension(prod, cap)
-    out = []
-    for A, m, S in pulled:
+    out = list(known)
+    for A, m, S, top in pulled:
         if L != K:
             A, S = [[coerce(c, L) for c in a] for a in A], S.map_field(L)
         for r, k in roots:
             k = k if len(pulled) == 1 else root_multiplicity(S, r)
             if k:
                 out.append((_at(A, r), k * m))
-        top = form.degree * (len(A) - 1)
         if S.degree < top:
             out.append((A[-1], (top - S.degree) * m))
     return L, out
+
+
+def _linear_at(A, x):
+    """The linear form in t that vanishes where the injective t -> sum_j
+    A[j] t^j meets x, a constant at t = oo: the gcd of the minors of (x, A)."""
+    return binary_gcd([(Poly(x[0].field, [x[i] * a[k] - x[k] * a[i] for a in A]), len(A) - 1)
+                       for i, k in combinations(range(len(x)), 2)])[0]
 
 
 def _at(A, r):

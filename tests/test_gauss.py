@@ -19,7 +19,7 @@ from wgauss.gauss import (
     rnk_flag,
 )
 from wgauss.linsys import find_g13
-from wgauss.sections import UnsupportedConfiguration
+from wgauss.sections import UnsupportedConfiguration, meet
 from wgauss.spans import (
     LinearSpan,
     NotInSmoothLocusError,
@@ -540,3 +540,105 @@ def test_plane_quartic_point_meets_as_itself(p):
         assert WC.field == fld
         assert WC == gcd_div(*(meet(curve, [row], fld, 12) for row in rows))
         assert WC.degree == int(curve.contains(P))
+
+
+# -- (L . C) with a known part: only the rest is root-found -------------------
+
+_PLANE_C = {11: 3, 10007: 2}   # x0 + x1 + c*x2 + x3 = 0 cuts G4 in a smooth conic
+
+
+def _models(p):
+    """The hyperelliptic, Klein and genus-4 curves of this module over F_p."""
+    fld = PrimeField(p)
+    return (HyperellipticCurve(fld, [0, -1, 0, 0, 0, 0, 0, 1]),
+            PlaneQuarticCurve(fld, {(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1}),
+            CanonicalG4Curve(fld, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1},
+                             {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1,
+                              (0, 0, 0, 3): 1, (1, 1, 1, 0): 1}))
+
+
+def _known_cases(p):
+    """{name: (curve, rows, D)}: L cut out by rows over F_p, and D <= (L . C)
+    over F_p, whose subdivisors are the known parts."""
+    from wgauss.algebra.linalg import MatrixExact
+    from wgauss.curves import ProjectivePoint, gram_matrix
+    from wgauss.sections import _components, _isotropic, _linear_at, plane_rational_points
+    he, klein, g4 = _models(p)
+    fld, rng = he.field, random.Random(f"known-{p}")
+    spans = {
+        "he": smooth_divisor(he, 2, rng),
+        "he-double": _double_point(he, rng),
+        "he-weierstrass": Divisor(he, [(he.points_above_x(fld.zero, fld)[0], 1),
+                                       (smooth_divisor(he, 1, rng).support()[0], 1)]),
+        "he-infinity": Divisor(he, [(he.infinity_points()[0], 1),
+                                    (smooth_divisor(he, 1, rng).support()[0], 1)]),
+        "klein": smooth_divisor(klein, 2, rng),
+        "klein-double": _double_point(klein, rng),
+        "klein-end": Divisor(klein, [(ProjectivePoint(fld, [0, 0, 1]), 1),
+                                     (klein.sample_point(rng), 1)]),
+        "g4-line": smooth_divisor(g4, 2, rng),
+        "g4-line-double": _double_point(g4, rng),
+        "g4-plane": smooth_divisor(g4, 3, rng),
+        "g4-plane-double": _double_point(g4, rng, extra=1),
+    }
+    cases = {name: (D.curve, span(D).hyperplanes.rows, D) for name, D in spans.items()}
+    # the line's (0 : 1) end is b1 of its kernel basis
+    _, rows, D = cases["klein-end"]
+    assert ProjectivePoint(fld, MatrixExact(fld, rows).kernel_basis()[1]) == D.support()[0]
+    # a plane whose smooth conic is parametrized from P0 = P, with Q at t = oo
+    P, Q = ProjectivePoint(fld, [1, -1, 0, 0]), ProjectivePoint(fld, [0, 1, 0, -1])
+    h = [fld.elem(c) for c in (1, 1, _PLANE_C[p], 1)]
+    basis = MatrixExact(fld, [h]).kernel_basis()
+    conic = g4.quadric.restrict_plane(*basis)
+    gram = gram_matrix(fld, conic)
+    assert gram.rank() == 3 and ProjectivePoint(fld, basis[0]) == P
+    assert _isotropic(gram, MatrixExact.identity(fld, 3).rows) == MatrixExact.identity(fld, 3).rows[0]
+    assert _linear_at(_components(conic, 12)[1][0][0], Q.coords[1:]).degree == 0
+    WC = meet(g4, [h], fld, 12)
+    pts = plane_rational_points(g4, h)
+    assert P in pts and Q in pts and len(pts) >= 3
+    cases["g4-plane-P0-oo"] = (g4, [h], Divisor(g4, [(R, WC.mult_of(R)) for R in pts]))
+    # a plane tangent to the quadric at a point of C: a line pair, the fallback
+    R = g4.sample_point(rng)
+    h = list(g4.gram.apply(R.coords))
+    basis = MatrixExact(fld, [h]).kernel_basis()
+    assert gram_matrix(fld, g4.quadric.restrict_plane(*basis)).rank() < 3
+    cases["g4-plane-tangent"] = (g4, [h], Divisor(g4, [(R, meet(g4, [h], fld, 12).mult_of(R))]))
+    return cases
+
+
+@pytest.mark.parametrize("p", [11, 10007])
+def test_meet_with_a_known_part_is_meet_without_it(p):
+    """Every known part E <= D <= (L . C) gives the same divisor, over the
+    same field, with the same items in the same order; the cases cover a
+    doubled point, a Weierstrass point and infinity on the hyperelliptic
+    model, the line's (0 : 1) end, the conic's base point P0 and t = oo, and
+    a tangent plane, whose singular conic takes the path without E."""
+    for name, (curve, rows, D) in _known_cases(p).items():
+        fld = D.field
+        want = meet(curve, rows, fld, 12)
+        assert D <= want, name
+        for k in range(D.degree + 1):
+            for E in D.subdivisors(k):
+                got = meet(curve, rows, fld, 12, known=E)
+                assert (got.field, got.items) == (want.field, want.items), (name, E)
+
+
+def test_meet_refuses_a_known_part_it_cannot_use():
+    """A known part over another field, or one whose linear factors do not
+    divide the form (twice a simple point, or infinity beyond its degree
+    deficit), raises ValueError."""
+    he, klein, g4 = _models(10007)
+    rng = random.Random(31)
+    for curve, n in ((he, 2), (klein, 2), (g4, 2), (g4, 3)):
+        D = smooth_divisor(curve, n, rng)
+        W = span(D)
+        assert D <= meet(curve, W.hyperplanes.rows, W.field, 12, known=D)
+        with pytest.raises(ValueError, match="not over"):
+            meet(curve, W.hyperplanes.rows, W.field, 12, known=D.map_field(W.field.extension(2)))
+        with pytest.raises(ValueError, match="does not divide"):
+            meet(curve, W.hyperplanes.rows, W.field, 12, known=D * 2)
+    D = _through_infinity()
+    W = span(D)
+    with pytest.raises(ValueError, match="does not divide"):
+        meet(HE, W.hyperplanes.rows, W.field, 12, known=Divisor(HE, [(D.support()[-1], 2)]))

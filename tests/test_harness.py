@@ -101,6 +101,48 @@ def test_hyperelliptic_fiber_census_splits_no_quadratic_by_exponentiation(monkey
     assert split == []
 
 
+def _fiber_root_degrees(monkeypatch, cfg):
+    """The degrees of the polynomials that ``roots_in_splitting_extension``
+    receives inside ``meet`` during a passing fiber census."""
+    from wgauss import gauss, sections
+    from wgauss.algebra import poly
+    meet, roots = gauss.meet, poly.roots_in_splitting_extension
+    degrees, inside = [], []
+
+    def counted_meet(*args, **kw):
+        inside.append(True)
+        try:
+            return meet(*args, **kw)
+        finally:
+            inside.pop()
+
+    def counted_roots(a, cap=12):
+        if inside:
+            degrees.append(a.degree)
+        return roots(a, cap)
+
+    monkeypatch.setattr(gauss, "meet", counted_meet)
+    for mod in (poly, sections):
+        monkeypatch.setattr(mod, "roots_in_splitting_extension", counted_roots)
+    assert run_fiber_census(cfg)["passed"]
+    return degrees
+
+
+@pytest.mark.parametrize("curve, n, most", [(HE_G3, 2, None), (KLEIN, 2, 2), (G4, 3, 3)],
+                         ids=["he-g3", "klein", "g4"])
+def test_fiber_census_root_finds_only_beyond_the_sampled_divisor(monkeypatch, curve, n, most):
+    """(W . C) is the sampled D plus a rest, and only the rest is root-found:
+    nothing on the hyperelliptic model, where it is D + iota(D); at most the
+    quadratic left of Klein's quartic, and the cubic left of a genus-4
+    plane's sextic."""
+    cfg = ExperimentConfig(experiment="fiber-census", curve=curve, n=n, trials=10, seed=3)
+    degrees = _fiber_root_degrees(monkeypatch, cfg)
+    if most is None:
+        assert degrees == []
+    else:
+        assert degrees and max(degrees) <= most
+
+
 def test_fiber_census_bit_identical():
     cfg = ExperimentConfig(experiment="fiber-census", curve=KLEIN, n=2,
                            trials=6, seed=9)

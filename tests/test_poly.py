@@ -1194,3 +1194,17 @@ def test_root_finding_entries_return_or_refuse_typed(F, cs, d, square, r):
             _alarmed(fn, *args)
         except typed:
             pass
+
+
+@pytest.mark.parametrize("F", [F7, ExtField(7, 2)], ids=["F7", "F49"])
+@pytest.mark.parametrize("cs", [[], [1], [3]], ids=["zero", "one", "three"])
+def test_conjugate_roots_refuses_degree_below_one(F, cs):
+    """A constant or the zero polynomial has no Frobenius orbit: a plain
+    ValueError naming the polynomial and its field, not a ZeroDivisionError
+    or a failed unpacking."""
+    f = Poly(F, cs)
+    for K in (F, F.extension(2)):
+        with pytest.raises(ValueError) as err:
+            poly.conjugate_roots(f, K)
+        assert type(err.value) is ValueError
+        assert repr(f) in str(err.value) and repr(F) in str(err.value)
