@@ -13,7 +13,7 @@ from math import comb
 
 from .algebra.linalg import reduce_row
 from .curves import CurveError
-from .divisors import Divisor, hyperelliptic_reduce, x_fibers
+from .divisors import Divisor, x_fibers
 from .sections import meet, meet_form
 from .spans import NotInSmoothLocusError, condition_rows, span
 
@@ -117,28 +117,23 @@ def expected_generic_fiber(curve, n):
 
 
 def hyperelliptic_fiber_prediction(D):
-    """Predicted fiber through D: conjugate-flip combinations that stay in
-    the smooth locus, plus the strict-drop flag (non-reduced or fixed-point
-    support forces cardinality below 2^n)."""
+    """Predicted fiber through D, the conjugate flips of D that stay in the
+    smooth locus, plus the strict-drop flag (non-reduced or fixed-point
+    support forces cardinality below 2^n).  A member has no conjugate pair
+    and no double Weierstrass point: none if D has such a branch fiber, and
+    otherwise one per way to put each pair fiber's whole multiplicity a + b
+    on one of its two points."""
     curve = D.curve
     if curve.model != "hyperelliptic":
         raise CurveError("prediction applies to hyperelliptic models")
     groups = x_fibers(curve, D)
     fixed_support = any(kind == "branch" for _, kind, _ in groups)
     strict = (not D.is_reduced()) or fixed_support
-
-    choices = []
-    for _, kind, group in groups:
-        if kind == "branch":
-            choices.append([group])
-        else:
-            (P1, a), (P2, b) = group
-            choices.append([[(P1, j), (P2, a + b - j)] for j in range(a + b + 1)])
-    members = []
-    for choice in product(*choices):
-        cand = Divisor(curve, [pm for opt in choice for pm in opt], field=D.field)
-        if hyperelliptic_reduce(cand).k == 0:
-            members.append(cand)
+    if any(kind == "branch" and group[0][1] >= 2 for _, kind, group in groups):
+        return [], strict
+    choices = [group if kind == "branch" else [(P, sum(m for _, m in group)) for P, _ in group]
+               for _, kind, group in groups]
+    members = [Divisor(curve, list(choice), field=D.field) for choice in product(*choices)]
     members.sort(key=lambda E: tuple(P.sort_key() for P, _ in E.items))
     return members, strict
 

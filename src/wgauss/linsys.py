@@ -2,10 +2,13 @@
 
 A complete system |D| of a special divisor D is stored as a residual
 divisor F (with D + F a hyperplane section) together with the canonical
-basis h_0, ..., h_r of hyperplanes through span(F); the member with
-parameter c in P^r is phi^*(sum c_i h_i) - F.  The member-to-span map
-beta(F) = span(F) restricts to complete systems; reconstruct_system walks
-it backwards from Grassmannian samples using intersection divisors.
+basis h_0, ..., h_r of hyperplanes through span(F).  Each divisor of the
+system is one cut ``sections.meet`` less F: the member with parameter c in
+P^r is (H_c . C) - F, H_c the hyperplane sum c_i h_i, and the base locus,
+the gcd of the members, is (span F . C) - F, so no member is computed for
+it.  The member-to-span map beta(F) = span(F) restricts to complete
+systems; reconstruct_system walks it backwards from Grassmannian samples
+using intersection divisors.
 
 Non-reduced members correspond to parameter hyperplanes tangent (through
 the associated morphism phi_L) to the image curve; dual_samples harvests
@@ -25,23 +28,17 @@ from .algebra.fields import FieldError, coerce, common_field, projective_points
 from .algebra.linalg import MatrixExact
 from .algebra.poly import ExtensionCapError, conjugate_roots, splitting_field
 from .curves import INF, CurveError
-from .divisors import Divisor, gcd_div, pullback_x, x_fibers
+from .divisors import Divisor, pullback_x, x_fibers
 from .gauss import intersection_divisor
 from .sections import (
     UnsupportedConfiguration,
     branch_discriminant,
     line_cut,
+    meet,
     pencil_lines,
     trisecants_through,
 )
-from .spans import (
-    NotSpecialError,
-    ell,
-    hyperplane_conditions,
-    hyperplane_section,
-    residual,
-    span,
-)
+from .spans import NotSpecialError, ell, hyperplane_conditions, residual, span
 
 # a parameter space P^r(F_q) is swept point by point only when q^r is at most this
 SWEEP_LIMIT = 10 ** 6
@@ -81,16 +78,13 @@ class CompleteSystem:
             raise ValueError("zero parameter")
         h = [sum((ci * coerce(v, fld) for ci, v in zip(cs, col)), fld.zero)
              for col in zip(*self.basis)]
-        return hyperplane_section(self.curve, h, field=fld, cap=self.cap) - self.F
+        return meet(self.curve, [h], fld, self.cap) - self.F
 
     def base_locus(self):
-        """gcd of the members (a basis suffices)."""
+        """The gcd of the members, (span F . C) - F: the members are the
+        sections of the hyperplanes through span(F), less F."""
         if self._base_locus is None:
-            B = None
-            for i in range(self.r + 1):
-                E = self.member([int(i == j) for j in range(self.r + 1)])
-                B = E if B is None else gcd_div(B, E)
-            self._base_locus = B
+            self._base_locus = meet(self.curve, self.basis, self.field, self.cap) - self.F
         return self._base_locus
 
     def member_parameter(self, E):
@@ -193,9 +187,9 @@ def _nc_status(L, E, B):
         if kind == "branch":
             (W, m), = group
             assert m % 2 == 0, "pullback part must pair up at branch points"
-            classes.append([(W,)] if m == 2 else ([] if m > 2 else [()]))
             if m > 2:
                 return False  # two representatives both equal to the fixed point
+            classes.append([(W,)])
         else:
             (P1, a), (P2, b) = group
             assert a == b, "pullback part must be conjugation-symmetric"

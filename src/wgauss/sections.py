@@ -76,8 +76,8 @@ def meet_form(curve, rows, fld):
     ``rows`` over fld: (basis of L, form, deg (L . C)), with no point found.
     form is the ``binary_gcd`` whose zeros are (L . C), pulled back from P^1
     when basis is None (hyperelliptic, where the degree doubles), and None on
-    a genus-4 plane (degree 2g - 2) or at a plane quartic's point (degree 1
-    if it lies on the curve)."""
+    a genus-4 plane (degree 2g - 2), at a point (degree 1 if it lies on the
+    curve) or on an empty L (full-rank rows, degree 0)."""
     if not rows:
         raise UnsupportedConfiguration("W = P^(g-1) has no intersection divisor")
     if curve.model == "hyperelliptic":
@@ -87,18 +87,15 @@ def meet_form(curve, rows, fld):
     if len(basis) == 2:
         form = _line_form(curve, basis, fld)
         return basis, form, form[1]
-    if (len(basis), curve.model) == (3, "canonical_g4"):
+    if len(basis) == 3:   # a plane of P^3: L = P^2 on a plane quartic has no rows
         return basis, None, 2 * curve.genus - 2
-    if (len(basis), curve.model) == (1, "plane_quartic"):
-        return basis, None, int(curve.contains(ProjectivePoint(fld, basis[0])))
-    raise UnsupportedConfiguration(
-        f"no intersection divisor for a {len(basis) - 1}-plane on the {curve.model} model")
+    return basis, None, sum(curve.contains(ProjectivePoint(fld, b)) for b in basis)
 
 
 def meet(curve, rows, fld, cap, known=None):
     """(L . C) from ``meet_form``: its form's zeros, pulled back along x or
     on the line; the conic H n Q cut by the cubic on a genus-4 plane; at a
-    plane quartic's point, the point itself over fld, counted deg times.
+    point, the point itself over fld, counted deg times; 0 on an empty L.
     Only the part beyond ``known`` <= (L . C), over fld, is root-found."""
     if known is not None and known.field != fld:
         raise ValueError(f"the known part {known!r} is not over {fld!r}")
@@ -118,7 +115,7 @@ def meet(curve, rows, fld, cap, known=None):
         conic, cubic = (f.restrict_plane(*basis, field=fld) for f in curve.forms)
         _, zeros = plane_section(conic, cubic, cap, xs)
         return Divisor(curve, [(space_point(basis, x), m) for x, m in zeros], field=fld)
-    return Divisor(curve, [(ProjectivePoint(fld, basis[0]), deg)], field=fld)
+    return Divisor(curve, [(ProjectivePoint(fld, b), deg) for b in basis], field=fld)
 
 
 def _divide(S, d, factors):

@@ -13,6 +13,9 @@ degree g-1 on the base P^1; the multiplicity rules are: a conjugate pair
 at the common x-value, an involution-fixed point of multiplicity m imposes
 order ceil(m/2).  For the plane models the conditions are Taylor
 coefficients of hyperplane forms along local parametrizations.
+
+Every cut of the curve by a hyperplane or a span is ``sections.meet``; a
+residual is one such cut less D.
 """
 
 from math import comb
@@ -168,36 +171,12 @@ def in_smooth_Wn(D):
     return ell(D) == 1
 
 
-def hyperplane_section(curve, h, field=None, cap=12):
-    """The divisor phi^*(H) of a hyperplane h (coefficient vector), degree 2g-2.
-
-    It is ``sections.meet`` of the one row h, over the splitting field of its
-    points; a field beyond degree ``cap`` raises ExtensionCapError.
-    """
-    g = curve.genus
-    fld = field
-    if fld is None:
-        fld = curve.field
-        for c in h:
-            if hasattr(c, "field"):
-                fld = common_field(fld, c.field)
-    h = [coerce(c, fld) for c in h]
-    if not any(h):
-        raise ValueError("zero hyperplane")
-    D = meet(curve, [h], fld, cap)
-    assert D.degree == 2 * g - 2, f"section degree {D.degree} != {2 * g - 2}"
-    return D
-
-
 def residual(D, cap=12):
-    """A residual divisor F with D + F a hyperplane section (degree 2g-2).
-
-    Uses the first hyperplane through span(D) in RREF order; requires D to
-    be special.
+    """A residual divisor F with D + F a hyperplane section (degree 2g-2):
+    (H . C) - D for the first hyperplane H through span(D) in RREF order,
+    one ``sections.meet``.  Requires D to be special.
     """
     sp = span(D)
     if sp.s < 1:
         raise NotSpecialError("residual construction requires a special divisor")
-    h = sp.hyperplanes.rows[0]
-    sec = hyperplane_section(D.curve, h, field=sp.field, cap=cap)
-    return sec - D
+    return meet(D.curve, sp.hyperplanes.rows[:1], sp.field, cap) - D

@@ -688,13 +688,13 @@ def _valuation(curve, P, h, order=8):
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_g4_hyperplane_sections_lie_on_the_plane_with_series_multiplicities(p):
     from wgauss.algebra.fields import coerce
-    from wgauss.spans import hyperplane_section
+    from wgauss.sections import meet
     rng = random.Random(f"sections-{p}")
     for kind in ("split", "nonsplit", "cone"):
         curve = _random_g4(p, kind, rng, kind_of=_gram_kind)
         for K in (curve.field, ExtField(p, 2)):
             for h in _planes(curve, K, rng, 2):
-                D = hyperplane_section(curve, h)
+                D = meet(curve, [h], K, 12)
                 assert D.degree == 6
                 hD = [coerce(c, D.field) for c in h]
                 for P, m in D.items:

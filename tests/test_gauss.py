@@ -1,12 +1,13 @@
 import gc
 import random
+from itertools import product
 from math import comb
 
 import pytest
 
-from wgauss.algebra import PrimeField
-from wgauss.curves import CanonicalG4Curve, HyperellipticCurve, PlaneQuarticCurve
-from wgauss.divisors import Divisor, gcd_div
+from wgauss.algebra import ExtField, PrimeField
+from wgauss.curves import INF, CanonicalG4Curve, HyperellipticCurve, PlaneQuarticCurve
+from wgauss.divisors import Divisor, gcd_div, hyperelliptic_reduce, x_fibers
 from wgauss.gauss import (
     expected_generic_fiber,
     fiber,
@@ -24,7 +25,6 @@ from wgauss.spans import (
     LinearSpan,
     NotInSmoothLocusError,
     ell,
-    hyperplane_section,
     in_smooth_Wn,
     span,
 )
@@ -164,9 +164,9 @@ def test_intersection_divisor_is_the_gcd_of_its_hyperplane_sections(name):
     for r in r_supported:
         for D, W in _random_spans(curve, r, rng, 6):
             rows = W.hyperplanes.rows
-            want = hyperplane_section(curve, rows[0], field=W.field)
+            want = meet(curve, rows[:1], W.field, 12)
             for h in rows[1:]:
-                want = gcd_div(want, hyperplane_section(curve, h, field=W.field))
+                want = gcd_div(want, meet(curve, [h], W.field, 12))
             WC = intersection_divisor(W)
             assert WC == want
             assert D is None or D <= WC
@@ -337,12 +337,16 @@ def test_intersection_degree_is_the_degree_of_the_intersection_divisor(name):
 
 
 def test_intersection_degree_raises_where_the_divisor_does():
-    P = G4.sample_point(random.Random(17))
-    for W in (span(Divisor(G4, [(P, 1)])), LinearSpan(G4, F, []), LinearSpan(HE, F, [])):
+    # W = P^(g-1) has no intersection divisor; a point of P^3 meets as itself
+    for W in (LinearSpan(G4, F, []), LinearSpan(HE, F, [])):
         with pytest.raises(UnsupportedConfiguration):
             intersection_divisor(W)
         with pytest.raises(UnsupportedConfiguration):
             intersection_degree(W)
+    P = G4.sample_point(random.Random(17))
+    W = span(Divisor(G4, [(P, 1)]))
+    assert intersection_divisor(W) == Divisor(G4, [(P, 1)])
+    assert intersection_degree(W) == 1
 
 
 def test_expected_generic_fiber():
@@ -390,6 +394,54 @@ def test_prediction_degenerate_cases():
     rep2 = fiber(gauss_eval(D2))
     assert rep2.cardinality == len(pred2) <= 2
     assert rep2.flags["nonreduced"]
+
+
+
+def _prediction_by_search(D):
+    """The fiber prediction as a search: every redistribution of each pair
+    fiber's multiplicity over its two points, kept when it has no conjugate
+    pair and no double Weierstrass point (``hyperelliptic_reduce`` k = 0)."""
+    curve = D.curve
+    choices = []
+    for _, kind, group in x_fibers(curve, D):
+        if kind == "branch":
+            choices.append([group])
+        else:
+            (P1, a), (P2, b) = group
+            choices.append([[(P1, j), (P2, a + b - j)] for j in range(a + b + 1)])
+    members = []
+    for choice in product(*choices):
+        cand = Divisor(curve, [pm for opt in choice for pm in opt], field=D.field)
+        if hyperelliptic_reduce(cand).k == 0:
+            members.append(cand)
+    members.sort(key=lambda E: tuple(P.sort_key() for P, _ in E.items))
+    return members
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("f", [[0, -1, 0, 0, 0, 0, 0, 1], [-1, 0, 0, 0, 0, 0, 0, 0, 1]],
+                         ids=["odd", "even"])
+def test_prediction_closed_form_agrees_with_the_search(p, f):
+    # points over F_p and F_(p^2), Weierstrass points (over F_(p^2) at most:
+    # f = x^7 - x or x^8 - 1) and the points at infinity, multiplicities 1-3
+    fld = PrimeField(p)
+    curve = HyperellipticCurve(fld, f)
+    K = ExtField(p, 2)
+    rng = random.Random(f"prediction-{p}-{len(f)}")
+    pool = [curve.sample_point(rng) for _ in range(6)] + curve.weierstrass_points()[1]
+    pool += curve.points_above_x(INF, fld)
+    while len(pool) < 20:
+        pool += [P for P in curve.points_above_x(K.rand(rng), K) if P.field == K]
+    for _ in range(40):
+        items = []
+        for P in rng.sample(pool, rng.randint(1, 3)):
+            items.append((P, rng.randint(1, 3)))
+            if rng.random() < 0.3:
+                items.append((curve.involution(P), rng.randint(1, 3)))
+        D = Divisor(curve, items)
+        members, strict = hyperelliptic_fiber_prediction(D)
+        assert members == _prediction_by_search(D)
+        assert [E.field for E in members] == [D.field] * len(members)
 
 
 def test_fiber_through_infinity():

@@ -50,6 +50,9 @@ KEEP = {
     "exhaustive_singular_search": "brute-force oracle for the smoothness certificates",
     "resultant": "oracle for gcd degrees, and the body of discriminant",
     "discriminant": "oracle for the branch forms",
+    "gcd_div": "oracle for sections.meet and for CompleteSystem.base_locus",
+    "hyperelliptic_reduce": "the k*g^1_2 + B form that demos/riemann_roch.py and "
+                            "the acceptance tests read",
     "divisor_from_json": "reads the divisor JSON that Divisor.to_json writes",
     "infinity_points": "helper that tests use to build divisors at infinity",
     "weierstrass_points": "helper that tests use to build Weierstrass divisors",

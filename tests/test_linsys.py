@@ -6,8 +6,8 @@ import pytest
 from wgauss.algebra import ExtensionCapError, PrimeField, factor_finite
 from wgauss.algebra.fields import projective_points
 from wgauss.algebra.poly import binary_roots
-from wgauss.curves import CanonicalG4Curve, HyperellipticCurve
-from wgauss.divisors import Divisor, hyperelliptic_reduce, pullback_x
+from wgauss.curves import CanonicalG4Curve, HyperellipticCurve, HyperellipticPoint, PlaneQuarticCurve
+from wgauss.divisors import Divisor, gcd_div, hyperelliptic_reduce, pullback_x
 from wgauss.gauss import gauss_eval, intersection_divisor
 from wgauss.linsys import (
     BranchForm,
@@ -25,7 +25,7 @@ from wgauss.linsys import (
     reconstruct_system,
     trisecants_through,
 )
-from wgauss.sections import UnsupportedConfiguration
+from wgauss.sections import UnsupportedConfiguration, meet
 from wgauss.spans import NotSpecialError, ell, in_smooth_Wn, span
 
 F = PrimeField(10007)
@@ -647,7 +647,7 @@ def test_branch_form_takes_only_the_base_locus_members(monkeypatch):
     monkeypatch.setattr(CompleteSystem, "member",
                         lambda self, c: calls.append(c) or member(self, c))
     dual_branch_form(L)
-    assert len(calls) == 2
+    assert calls == []   # the base locus is one cut, (span F . C) - F
 
 
 def test_branch_form_refuses_the_lines_of_another_pencil(monkeypatch):
@@ -659,3 +659,43 @@ def test_branch_form_refuses_the_lines_of_another_pencil(monkeypatch):
                         lambda curve, K, planes: sections.pencil_lines(curve, K, other.basis))
     with pytest.raises(UnsupportedConfiguration, match="axis"):
         dual_branch_form(L)
+
+
+KLEIN = PlaneQuarticCurve(F, {(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1})
+
+
+def _gcd_of_basis_members(L):
+    """The base locus as the gcd of the members at the basis parameters."""
+    B = None
+    for i in range(L.r + 1):
+        E = L.member([int(i == j) for j in range(L.r + 1)])
+        B = E if B is None else gcd_div(B, E)
+    return B
+
+
+def _base_locus_system(shape):
+    """The complete system of one shape: k*g^1_2 + B on the hyperelliptic
+    curve, with a Weierstrass point in B or a double one as the pair; |K|
+    and |K - P| on Klein's quartic and on genus 4, K a hyperplane section
+    through a rational point P; the bench g^1_3."""
+    if shape == "g4-g13":
+        return find_g13(G4, seed=3)
+    W0, W1 = (HyperellipticPoint.affine(F, F.elem(x), F.zero) for x in (0, 1))
+    P, Q = HE.sample_point(random.Random(8)), HE.sample_point(random.Random(9))
+    pair = [(P, 1), (HE.involution(P), 1)]
+    he = {"he-g12": pair, "he-g12+B": pair + [(Q, 1)], "he-g12+W": pair + [(W0, 1)],
+          "he-2W+B": [(W1, 2), (Q, 1)], "he-K": pair + [(Q, 1), (HE.involution(Q), 1)]}
+    if shape in he:
+        return complete_system(Divisor(HE, he[shape]))
+    curve = {"klein": KLEIN, "g4": G4}[shape.split("-")[0]]
+    P = curve.sample_point(random.Random(12))
+    W = span(Divisor(curve, [(P, 1)]))
+    K = meet(curve, W.hyperplanes.rows[:1], W.field, 12)
+    return complete_system(K - Divisor(curve, [(P, 1)]) if shape.endswith("-P") else K)
+
+
+@pytest.mark.parametrize("shape", ["he-g12", "he-g12+B", "he-g12+W", "he-2W+B", "he-K",
+                                   "klein-K", "klein-K-P", "g4-K", "g4-K-P", "g4-g13"])
+def test_base_locus_is_the_gcd_of_the_basis_members(shape):
+    L = _base_locus_system(shape)
+    assert L.base_locus() == _gcd_of_basis_members(L)

@@ -5,12 +5,12 @@ import pytest
 from wgauss.algebra import PrimeField
 from wgauss.curves import CanonicalG4Curve, HyperellipticCurve, PlaneQuarticCurve
 from wgauss.divisors import Divisor, hyperelliptic_reduce
+from wgauss.sections import meet
 from wgauss.spans import (
     NotSpecialError,
     ell,
     dim_complete,
     hyperplane_conditions,
-    hyperplane_section,
     in_smooth_Wn,
     residual,
     span,
@@ -67,7 +67,7 @@ def test_weierstrass_triple_condition():
     for h in product(range(11), repeat=3):
         if not any(h):
             continue
-        sec = hyperplane_section(Cs, [Fs.elem(c) for c in h])
+        sec = meet(Cs, [[Fs.elem(c) for c in h]], Fs, 12)
         if Ds <= sec:
             count += 1
     # h-space of dimension s has (p^s - 1) nonzero vectors
@@ -219,7 +219,7 @@ def test_residual_resultant_oracle_quartic():
     P, Q = KLEIN.sample_point(rng), KLEIN.sample_point(rng)
     D = Divisor(KLEIN, [(P, 1), (Q, 1)])
     sp = span(D)
-    sec = hyperplane_section(KLEIN, sp.hyperplanes.rows[0])
+    sec = meet(KLEIN, sp.hyperplanes.rows[:1], sp.field, 12)
     assert residual(D) == sec - D
 
 
@@ -230,7 +230,7 @@ def test_hyperplane_section_degrees():
             h = [curve.field.rand(rng) for _ in range(curve.genus)]
             if not any(h):
                 continue
-            sec = hyperplane_section(curve, h)
+            sec = meet(curve, [h], curve.field, 12)
             assert sec.degree == expected
 
 
